@@ -28,7 +28,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,61 +41,28 @@ from .energy import (
     energy_series,
     mass_balance_residual,
 )
-from .errors import ConfigError, DomainError, NumericalAbort
+from .errors import ConfigError, DomainError, FieldError, NumericalAbort
 from .model import FluidParams, InitConfig, RadialGrid, make_initial_data
 from .relaxation import limit_relation_error, tau_sweep
 from .solver import SolverConfig, run, run_classical
 from .structure import noncharacteristic_report, structure_audit
 
-_SCHEMA = {
-    "params": {
-        "gamma": float,
-        "mu": float,
-        "lambda": float,
-        "tau": float,
-        "eps": float,
-        "a_coef": float,
-    },
-    "grid": {"r_max": float, "n_cells": int},
-    "init": {
-        "bump_amp": float,
-        "bump_center": float,
-        "bump_width": float,
-        "vel_amp": float,
-        "stress_perturb_amp": float,
-    },
-    "solver": {
-        "cfl": float,
-        "t_end": float,
-        "splitting": str,
-        "outer_bc": str,
-        "output_every": int,
-    },
+_SECTIONS = {"params": FluidParams, "grid": RadialGrid, "init": InitConfig, "solver": SolverConfig}
+_RENAMES = {"lambda_": "lambda"}  # dataclass field -> config key, where they differ
+# section -> config key -> dataclass field, over the fields each constructor takes
+_KEYS = {
+    sec: {_RENAMES.get(f.name, f.name): f for f in fields(cls) if f.init}
+    for sec, cls in _SECTIONS.items()
 }
 
-_DEFAULTS = {
-    "params": {"gamma": 1.4, "mu": 1.0, "lambda": 1.0, "tau": 0.01, "eps": 0.0, "a_coef": 1.0},
-    "grid": {"r_max": 21.0, "n_cells": 800},
-    "init": {
-        "bump_amp": 0.0,
-        "bump_center": 7.0,
-        "bump_width": 1.0,
-        "vel_amp": 0.0,
-        "stress_perturb_amp": 0.0,
-    },
-    "solver": {
-        "cfl": 0.4,
-        "t_end": 1.0,
-        "splitting": "strang",
-        "outer_bc": "extrapolate",
-        "output_every": 50,
-    },
-}
+
+def _defaults():
+    return {sec: {key: f.default for key, f in keys.items()} for sec, keys in _KEYS.items()}
 
 
 def _parse_text(text):
     """key -> (raw value, line number) per section; rejects unknown keys."""
-    values = {sec: {} for sec in _SCHEMA}
+    values = {sec: {} for sec in _KEYS}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
@@ -103,7 +70,7 @@ def _parse_text(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _KEYS:
                 raise ConfigError(f"unknown section [{section}]", line=lineno)
             continue
         if "=" not in line:
@@ -113,24 +80,26 @@ def _parse_text(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA[section]:
+        if key not in _KEYS[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", line=lineno)
         values[section][key] = (value, lineno)
     return values
 
 
 def _convert(values):
-    resolved = {sec: dict(defaults) for sec, defaults in _DEFAULTS.items()}
+    resolved = _defaults()
     lines = {}
     for sec, entries in values.items():
         for key, (raw, lineno) in entries.items():
-            typ = _SCHEMA[sec][key]
+            typ = _KEYS[sec][key].type
             try:
                 val = typ(raw)
             except ValueError:
                 raise ConfigError(
                     f"cannot parse {sec}.{key} value {raw!r} as {typ.__name__}", line=lineno
                 ) from None
+            if typ is float and not math.isfinite(val):
+                raise ConfigError(f"{sec}.{key} value {raw!r} is not finite", line=lineno)
             resolved[sec][key] = val
             lines[(sec, key)] = lineno
     return resolved, lines
@@ -139,37 +108,26 @@ def _convert(values):
 def parse_config(path):
     """Parse and validate a config file; 'default' or None gives pure defaults.
 
-    Returns (FluidParams, RadialGrid, InitConfig, SolverConfig).
+    Returns (FluidParams, RadialGrid, InitConfig, SolverConfig, resolved),
+    where resolved echoes every setting by section and config key.
     """
     if path is None or path == "default":
-        resolved = {sec: dict(d) for sec, d in _DEFAULTS.items()}
-        lines = {}
+        resolved, lines = _defaults(), {}
     else:
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {path}")
         resolved, lines = _convert(_parse_text(p.read_text()))
 
-    def build(section, ctor, rename=None):
-        kwargs = dict(resolved[section])
-        for old, new in (rename or {}).items():
-            kwargs[new] = kwargs.pop(old)
+    def build(section):
+        kwargs = {f.name: resolved[section][key] for key, f in _KEYS[section].items()}
         try:
-            return ctor(**kwargs)
-        except ValueError as exc:
-            lineno = None
-            for key in resolved[section]:
-                renamed = (rename or {}).get(key)
-                if key in str(exc) or (renamed and renamed in str(exc)):
-                    lineno = lines.get((section, key))
-                    break
-            raise ConfigError(f"invalid [{section}]: {exc}", line=lineno) from None
+            return _SECTIONS[section](**kwargs)
+        except FieldError as exc:
+            key = _RENAMES.get(exc.field, exc.field)
+            raise ConfigError(f"invalid [{section}]: {exc}", line=lines.get((section, key))) from None
 
-    params = build("params", FluidParams, rename={"lambda": "lambda_"})
-    grid = build("grid", RadialGrid)
-    init = build("init", InitConfig)
-    solver = build("solver", SolverConfig)
-    return params, grid, init, solver, resolved
+    return (*(build(sec) for sec in _SECTIONS), resolved)
 
 
 def _fmt(x):

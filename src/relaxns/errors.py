@@ -9,6 +9,14 @@ class StructureError(ValueError):
     """A coefficient matrix cannot be formed (e.g. tau = 0 degenerates A0)."""
 
 
+class FieldError(ValueError):
+    """A config dataclass rejected a value; `field` names the offending field."""
+
+    def __init__(self, field, message):
+        self.field = field
+        super().__init__(message)
+
+
 class ConfigError(ValueError):
     """A configuration file failed to parse or violated an invariant."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, FieldError
 from .numerics import derivative
 
 
@@ -39,17 +39,17 @@ class FluidParams:
 
     def __post_init__(self):
         if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+            raise FieldError("gamma", f"gamma must exceed 1, got {self.gamma}")
         if not self.mu > 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+            raise FieldError("mu", f"mu must be positive, got {self.mu}")
         if not self.lambda_ > 0.0:
-            raise ValueError(f"lambda_ must be positive, got {self.lambda_}")
+            raise FieldError("lambda_", f"lambda_ must be positive, got {self.lambda_}")
         if self.tau < 0.0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
+            raise FieldError("tau", f"tau must be nonnegative, got {self.tau}")
         if self.eps < 0.0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+            raise FieldError("eps", f"eps must be nonnegative, got {self.eps}")
         if not self.a_coef > 0.0:
-            raise ValueError(f"a_coef must be positive, got {self.a_coef}")
+            raise FieldError("a_coef", f"a_coef must be positive, got {self.a_coef}")
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,9 @@ class RadialGrid:
 
     def __post_init__(self):
         if not self.r_max > self.r_min:
-            raise ValueError(f"r_max must exceed {self.r_min}, got {self.r_max}")
+            raise FieldError("r_max", f"r_max must exceed {self.r_min}, got {self.r_max}")
         if self.n_cells < 8:
-            raise ValueError(f"n_cells must be at least 8, got {self.n_cells}")
+            raise FieldError("n_cells", f"n_cells must be at least 8, got {self.n_cells}")
         dr = (self.r_max - self.r_min) / self.n_cells
         object.__setattr__(self, "dr", dr)
         centers = self.r_min + (np.arange(self.n_cells) + 0.5) * dr
@@ -121,9 +121,9 @@ class InitConfig:
 
     def __post_init__(self):
         if not self.bump_center > 1.0:
-            raise ValueError(f"bump_center must exceed 1, got {self.bump_center}")
+            raise FieldError("bump_center", f"bump_center must exceed 1, got {self.bump_center}")
         if not self.bump_width > 0.0:
-            raise ValueError(f"bump_width must be positive, got {self.bump_width}")
+            raise FieldError("bump_width", f"bump_width must be positive, got {self.bump_width}")
 
 
 TAIL_TOL = 1e-12

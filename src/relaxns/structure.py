@@ -18,14 +18,6 @@ from .model import FluidParams, pressure_prime
 
 
 @dataclass(frozen=True)
-class QuasilinearMatrices:
-    a0: np.ndarray
-    a1: np.ndarray
-    b: np.ndarray
-    evaluated_at: tuple  # (rho, v, s1, s2, r)
-
-
-@dataclass(frozen=True)
 class BoundaryMatrix:
     """Boundary operator M (only entry (2,2) nonzero) and outward normal nu = -1."""
 
@@ -87,15 +79,6 @@ def assemble_b(rho, r, params):
     b[3, 1] = -2.0 / r
     b[3, 3] = 1.0 / params.lambda_
     return b
-
-
-def assemble(rho, v, r, params, s1=0.0, s2=0.0):
-    return QuasilinearMatrices(
-        a0=assemble_a0(rho, params),
-        a1=assemble_a1(rho, v, params),
-        b=assemble_b(rho, r, params),
-        evaluated_at=(rho, v, s1, s2, r),
-    )
 
 
 def _sym_pencil(rho, v, params):

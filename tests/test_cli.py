@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from relaxns.cli import main, parse_config, read_snapshot, write_diagnostics, write_snapshot
 from relaxns.energy import energy_series
 from relaxns.errors import ConfigError
-from relaxns.model import RadialGrid
+from relaxns.model import FluidParams, InitConfig, RadialGrid
 from relaxns.solver import SolverConfig, run
 
 from conftest import equilibrium_state
@@ -24,11 +26,21 @@ def test_empty_config_gives_defaults(tmp_path):
     assert grid.r_max == 21.0 and grid.n_cells == 800
     assert solver.cfl == 0.4
     assert resolved["params"]["gamma"] == 1.4
+    for section, cls in (("params", FluidParams), ("grid", RadialGrid), ("init", InitConfig), ("solver", SolverConfig)):
+        defaults = {"lambda" if f.name == "lambda_" else f.name: f.default for f in fields(cls) if f.init}
+        assert resolved[section] == defaults
+    assert solver.output_every == SolverConfig().output_every == 50
 
 
 def test_default_keyword_config():
-    params, grid, init, solver, _ = parse_config("default")
+    params, grid, init, solver, resolved = parse_config("default")
     assert grid.n_cells == 800 and params.tau == 0.01
+    assert resolved == {
+        "params": {"gamma": 1.4, "mu": 1.0, "lambda": 1.0, "tau": 0.01, "eps": 0.0, "a_coef": 1.0},
+        "grid": {"r_max": 21.0, "n_cells": 800},
+        "init": {"bump_amp": 0.0, "bump_center": 7.0, "bump_width": 1.0, "vel_amp": 0.0, "stress_perturb_amp": 0.0},
+        "solver": {"cfl": 0.4, "t_end": 1.0, "splitting": "strang", "outer_bc": "extrapolate", "output_every": 50},
+    }
 
 
 def test_unknown_key_rejected_with_line(tmp_path):
@@ -49,10 +61,54 @@ def test_malformed_value_rejected_with_line(tmp_path):
         parse_config(path)
 
 
-def test_gamma_bound_rejected(tmp_path):
-    path = write_cfg(tmp_path, "[params]\ngamma = 1.0\n")
-    with pytest.raises(ConfigError, match="gamma"):
+# (section, a valid key written first, the invalid line); the error must name
+# the invalid line (3), not the key above it
+INVALID_BELOW_ANOTHER_KEY = [
+    ("params", "tau = 0.01", "gamma = 1.0"),
+    ("params", "gamma = 1.4", "mu = 0"),
+    ("params", "mu = 2", "lambda = -1"),
+    ("params", "eps = 0", "tau = -0.01"),
+    ("params", "tau = 0.01", "eps = -1"),
+    ("params", "gamma = 1.4", "a_coef = 0"),
+    ("grid", "n_cells = 800", "r_max = 1"),
+    ("grid", "r_max = 21", "n_cells = 4"),
+    ("init", "bump_width = 1", "bump_center = 0.5"),
+    ("init", "bump_center = 7", "bump_width = 0"),
+    ("solver", "t_end = 1", "cfl = 1.5"),
+    ("solver", "cfl = 0.4", "t_end = -1"),
+    ("solver", "cfl = 0.5", "splitting = cfl_half"),
+    ("solver", "cfl = 0.4", "outer_bc = t_end"),
+    ("solver", "cfl = 0.4", "output_every = 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, first, bad", INVALID_BELOW_ANOTHER_KEY, ids=[bad.split()[0] for _, _, bad in INVALID_BELOW_ANOTHER_KEY]
+)
+def test_gamma_bound_rejected(tmp_path, section, first, bad):
+    path = write_cfg(tmp_path, f"[{section}]\n{first}\n{bad}\n")
+    with pytest.raises(ConfigError, match=f"^line 3: invalid \\[{section}\\]: ") as info:
         parse_config(path)
+    assert info.value.line == 3
+    assert bad.split()[0] in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[solver]\nt_end = nan\n", 2),
+        ("[params]\ngamma = 1.4\ntau = nan\n", 3),
+        ("[init]\nbump_amp = nan\n", 2),
+        ("[grid]\nn_cells = 64\nr_max = inf\n", 3),
+    ],
+    ids=["t_end", "tau", "bump_amp", "r_max"],
+)
+def test_non_finite_value_rejected_with_line(tmp_path, capsys, text, line):
+    cfg = write_cfg(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}: " in err and "not finite" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_file_rejected():
