@@ -136,17 +136,16 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
+def _write_csv(path, header, rows):
+    """CSV with every value written by _fmt; LF endings."""
+    lines = [header]
+    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+
+
 def write_snapshot(state, grid, path):
     """CSV snapshot: header r,rho,v,s1,s2; one row per cell; LF endings."""
-    lines = ["r,rho,v,s1,s2"]
-    for i in range(grid.n_cells):
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (grid.centers[i], state.rho[i], state.v[i], state.s1[i], state.s2[i])
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    _write_csv(path, "r,rho,v,s1,s2", zip(grid.centers, state.rho, state.v, state.s1, state.s2))
 
 
 def read_snapshot(path):
@@ -163,40 +162,30 @@ _DIAG_HEADER = (
 def write_diagnostics(series, path, energy_residual=None, mass_residual=None, limit_errors=None):
     """Aligned diagnostics CSV; missing values are written as empty fields."""
     n = len(series)
-    eres = {}
-    if energy_residual is not None:
-        times, vals = energy_residual
-        eres = {float(t): v for t, v in zip(times, vals)}
-    lines = [_DIAG_HEADER]
-    for j, snap in enumerate(series):
-        row = [
-            _fmt(snap.t),
-            _fmt(snap.e_inst),
-            _fmt(snap.e_running),
-            _fmt(snap.d_inst),
-            _fmt(snap.mass),
-            _fmt(snap.taylor_energy),
-            _fmt(snap.stress_l2),
-            _fmt(eres.get(float(snap.t))),
-            _fmt(mass_residual[j] if mass_residual is not None else None),
-            _fmt(limit_errors[j][0] if limit_errors is not None else None),
-            _fmt(limit_errors[j][1] if limit_errors is not None else None),
-        ]
-        lines.append(",".join(row))
-    assert len(lines) == n + 1
+    eres = {} if energy_residual is None else {float(t): v for t, v in zip(*energy_residual)}
+    mres = [None] * n if mass_residual is None else mass_residual
+    lims = [(None, None)] * n if limit_errors is None else limit_errors
+    rows = (
+        (s.t, s.e_inst, s.e_running, s.d_inst, s.mass, s.taylor_energy, s.stress_l2, eres.get(float(s.t)), m, l1, l2)
+        for s, m, (l1, l2) in zip(series, mres, lims, strict=True)
+    )
+    _write_csv(path, _DIAG_HEADER, rows)
+
+
+def _write_report(path, lines, say):
+    """A text report: the lines go to path (LF endings) and to say."""
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    for line in lines:
+        say(line)
 
 
-class _Reporter:
-    def __init__(self, quiet):
-        self.quiet = quiet
+def _start(out_dir, resolved, grid, params, **extra):
+    """Make out_dir and write its manifest (wall_time null), then start the clock.
 
-    def __call__(self, msg):
-        if not self.quiet:
-            print(msg)
-
-
-def _write_manifest(out_dir, resolved, grid, params, extra=None):
+    Returns finish(warnings), which rewrites the manifest with the wall time
+    and the warnings.  A run that aborts in between keeps its config echo.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "code_version": __version__,
         "config_echo": resolved,
@@ -204,118 +193,143 @@ def _write_manifest(out_dir, resolved, grid, params, extra=None):
         "params_summary": asdict(params),
         "wall_time": None,
         "warnings": [],
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n")
-    return manifest, path
+
+    def write():
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        (out_dir / "manifest.json").write_text(text, newline="\n")
+
+    write()
+    t0 = time.perf_counter()
+
+    def finish(warnings):
+        manifest["wall_time"] = time.perf_counter() - t0
+        manifest["warnings"] = list(warnings)
+        write()
+
+    return finish
 
 
-def _finalize_manifest(manifest, path, wall_time, warnings):
-    manifest["wall_time"] = wall_time
-    manifest["warnings"] = list(warnings)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n")
-
-
-def _emit_run_outputs(traj, grid, params, out_dir, report):
-    series = energy_series(traj, grid, params)
-    eres = energy_identity_residual(traj, grid, params, series=series)
-    mres = mass_balance_residual(traj, grid)
-    lims = [limit_relation_error(s, grid, params) for s in traj.snapshots]
-    for j, snap in enumerate(traj.snapshots):
-        write_snapshot(snap, grid, Path(out_dir) / f"snapshot_{j:04d}.csv")
-    write_diagnostics(
-        series,
-        Path(out_dir) / "diagnostics.csv",
-        energy_residual=eres,
-        mass_residual=mres,
-        limit_errors=lims,
-    )
-    report(f"wrote {len(traj.snapshots)} snapshots and diagnostics.csv to {out_dir}")
-    return series
-
-
-def _cmd_run(args, report):
-    params, grid, init, solver, resolved = parse_config(args.config)
+def _relaxed(params):
+    """The relaxed integrator; tau = 0 is refused before anything is written."""
     if params.tau == 0.0:
         raise ConfigError("tau = 0 selects the classical system; use the run-classical subcommand")
-    out_dir = _prepare_out(args.out)
-    manifest, mpath = _write_manifest(out_dir, resolved, grid, params)
-    t0 = time.perf_counter()
-    state = make_initial_data(init, grid, params)
-    traj = run(state, grid, params, solver)
-    _emit_run_outputs(traj, grid, params, out_dir, report)
-    _finalize_manifest(manifest, mpath, time.perf_counter() - t0, traj.warnings)
+    return run
+
+
+def _classical(state, grid, params, solver):
+    return run_classical(state.rho, state.v, grid, params, solver)
+
+
+def _run_and_emit(out, config, integrate, say, summarize=None):
+    """The path of run, run-classical and energy-report.
+
+    Builds the initial state, integrates it with integrate(state, grid,
+    params, solver), writes snapshot_NNNN.csv and diagnostics.csv, and prints
+    the trajectory warnings.  summarize(traj, series), if given, returns the
+    lines of energy_report.txt.
+    """
+    params, grid, init, solver, resolved = config
+    out_dir = Path(out)
+    finish = _start(out_dir, resolved, grid, params)
+    traj = integrate(make_initial_data(init, grid, params), grid, params, solver)
+    series = energy_series(traj, grid, params)
+    for j, snap in enumerate(traj.snapshots):
+        write_snapshot(snap, grid, out_dir / f"snapshot_{j:04d}.csv")
+    write_diagnostics(
+        series,
+        out_dir / "diagnostics.csv",
+        energy_residual=energy_identity_residual(traj, grid, params, series=series),
+        mass_residual=mass_balance_residual(traj, grid),
+        limit_errors=[limit_relation_error(s, grid, params) for s in traj.snapshots],
+    )
+    say(f"wrote {len(traj.snapshots)} snapshots and diagnostics.csv to {out_dir}")
     for w in traj.warnings:
-        report(f"warning: {w}")
+        say(f"warning: {w}")
+    if summarize is not None:
+        _write_report(out_dir / "energy_report.txt", summarize(traj, series), say)
+    finish(traj.warnings)
     return 0
 
 
-def _cmd_run_classical(args, report):
-    params, grid, init, solver, resolved = parse_config(args.config)
-    out_dir = _prepare_out(args.out)
-    manifest, mpath = _write_manifest(out_dir, resolved, grid, params)
-    t0 = time.perf_counter()
-    state = make_initial_data(init, grid, params)
-    traj = run_classical(state.rho, state.v, grid, params, solver)
-    _emit_run_outputs(traj, grid, params, out_dir, report)
-    _finalize_manifest(manifest, mpath, time.perf_counter() - t0, traj.warnings)
-    return 0
+def _cmd_run(args, config, say):
+    return _run_and_emit(args.out, config, _relaxed(config[0]), say)
 
 
-def _cmd_sweep_tau(args, report):
-    params, grid, init, solver, resolved = parse_config(args.config)
-    taus = [float(x) for x in args.tau_list.split(",") if x.strip()]
+def _cmd_run_classical(args, config, say):
+    return _run_and_emit(args.out, config, _classical, say)
+
+
+def _cmd_energy_report(args, config, say):
+    params, grid = config[0], config[1]
+
+    def summarize(traj, series):
+        rep = apriori_report(traj, grid, params, series=series)
+        lines = [
+            f"E(0) = {rep.e0:.6g}",
+            "degenerate equilibrium run" if rep.degenerate else f"[E(t)+int D]/E(0) final ratio = {rep.final_ratio:.6g}",
+            f"final-quarter growth rate = {rep.growth_rate_final_quarter:.3g} per unit time",
+            f"rho range [{rep.rho_min:.6g}, {rep.rho_max:.6g}] "
+            + ("inside" if rep.pinch_ok else "OUTSIDE")
+            + " [0.75, 1.25]",
+        ]
+        if params.eps > 0.0:
+            tr1, tr2 = boundary_stress_trace(traj.snapshots[-1], grid, params)
+            lines.append(f"wall stress traces at t_end (no threshold): s1-type {tr1:.6g}, s2-type {tr2:.6g}")
+        return lines
+
+    return _run_and_emit(args.out, config, _relaxed(params), say, summarize)
+
+
+def _parse_taus(text):
+    """The --tau-list entries as floats; each must be finite and positive."""
+    taus = []
+    for entry in filter(None, (x.strip() for x in text.split(","))):
+        try:
+            tau = float(entry)
+        except ValueError:
+            raise ConfigError(f"--tau-list entry {entry!r} is not a number") from None
+        if not 0.0 < tau < math.inf:
+            raise ConfigError(f"--tau-list entry {entry!r} must be finite and positive")
+        taus.append(tau)
     if not taus:
         raise ConfigError("--tau-list must name at least one tau")
-    out_dir = _prepare_out(args.out)
-    manifest, mpath = _write_manifest(out_dir, resolved, grid, params, extra={"taus": taus})
-    t0 = time.perf_counter()
+    return taus
+
+
+def _cmd_sweep_tau(args, config, say):
+    params, grid, init, solver, resolved = config
+    taus = _parse_taus(args.tau_list)
+    out_dir = Path(args.out)
+    finish = _start(out_dir, resolved, grid, params, taus=taus)
     result = tau_sweep(solver, init, grid, params, taus)
-    lines = ["tau,field_err,s1_limit_err,s2_limit_err,runtime_s"]
-    for i, tau in enumerate(result.taus):
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    tau,
-                    result.field_errors[i],
-                    result.stress_errors[i][0],
-                    result.stress_errors[i][1],
-                    result.runtimes[i],
-                )
-            )
-        )
-    (Path(out_dir) / "sweep.csv").write_text("\n".join(lines) + "\n", newline="\n")
-    summary = [
-        f"field error log-log slope vs tau: {result.field_slope:.4g}",
-        f"stress limit-relation log-log slope vs tau: {result.stress_slope:.4g}",
-        f"baseline runtime: {result.baseline_runtime:.3g} s",
-        f"note: {result.note}",
-    ]
+    s1, s2 = zip(*result.stress_errors)
+    rows = zip(result.taus, result.field_errors, s1, s2, result.runtimes)
+    _write_csv(out_dir / "sweep.csv", "tau,field_err,s1_limit_err,s2_limit_err,runtime_s", rows)
     failures = [f for f in result.failures if f]
-    for f in failures:
-        summary.append(f"FAILED member run: {f}")
-    (Path(out_dir) / "sweep_summary.txt").write_text("\n".join(summary) + "\n", newline="\n")
-    for line in summary:
-        report(line)
-    _finalize_manifest(manifest, mpath, time.perf_counter() - t0, failures)
+    _write_report(
+        out_dir / "sweep_summary.txt",
+        [
+            f"field error log-log slope vs tau: {result.field_slope:.4g}",
+            f"stress limit-relation log-log slope vs tau: {result.stress_slope:.4g}",
+            f"baseline runtime: {result.baseline_runtime:.3g} s",
+            f"note: {result.note}",
+            *(f"FAILED member run: {f}" for f in failures),
+        ],
+        say,
+    )
+    finish(failures)
     return 0 if not failures else 3
 
 
-def _cmd_check_structure(args, report):
-    params, grid, init, solver, resolved = parse_config(args.config)
-    out_dir = _prepare_out(args.out)
-    manifest, mpath = _write_manifest(out_dir, resolved, grid, params, extra={"seed": args.seed})
-    t0 = time.perf_counter()
+def _cmd_check_structure(args, config, say):
+    params, grid, _, _, resolved = config
+    out_dir = Path(args.out)
+    finish = _start(out_dir, resolved, grid, params, seed=args.seed)
     audit = structure_audit(n_states=1000, seed=args.seed)
     # rho != 1 so the two closed-form candidates for det/eps^2 differ
     det = noncharacteristic_report(1.2, params)
-
-    def flag(ok):
-        return "PASS" if ok else "FAIL"
-
     rows = [
         (audit.a0_spd, f"A0 symmetric positive definite over {audit.n_states} random states"),
         (audit.a1_symmetry_max <= 1e-14, f"A1 symmetric (max asymmetry {audit.a1_symmetry_max:.2e})"),
@@ -335,52 +349,13 @@ def _cmd_check_structure(args, report):
             "LU determinant matches the cofactor oracle",
         ),
     ]
-    lines = [f"[{flag(ok)}] {text}" for ok, text in rows]
+    lines = [f"[{'PASS' if ok else 'FAIL'}] {text}" for ok, text in rows]
     for name, matched in det["candidate_matches"].items():
         lines.append(f"[INFO] det/eps^2 matches {name}: {'yes' if matched else 'no'}")
-    text = "\n".join(lines)
-    (Path(out_dir) / "structure_report.txt").write_text(text + "\n", newline="\n")
-    report(text)
+    _write_report(out_dir / "structure_report.txt", lines, say)
     all_ok = all(ok for ok, _ in rows)
-    _finalize_manifest(manifest, mpath, time.perf_counter() - t0, [] if all_ok else ["structure audit failed"])
+    finish([] if all_ok else ["structure audit failed"])
     return 0 if all_ok else 2
-
-
-def _cmd_energy_report(args, report):
-    params, grid, init, solver, resolved = parse_config(args.config)
-    if params.tau == 0.0:
-        raise ConfigError("tau = 0 selects the classical system; use the run-classical subcommand")
-    out_dir = _prepare_out(args.out)
-    manifest, mpath = _write_manifest(out_dir, resolved, grid, params)
-    t0 = time.perf_counter()
-    state = make_initial_data(init, grid, params)
-    traj = run(state, grid, params, solver)
-    series = _emit_run_outputs(traj, grid, params, out_dir, report)
-    rep = apriori_report(traj, grid, params, series=series)
-    summary = [
-        f"E(0) = {rep.e0:.6g}",
-        "degenerate equilibrium run" if rep.degenerate else f"[E(t)+int D]/E(0) final ratio = {rep.final_ratio:.6g}",
-        f"final-quarter growth rate = {rep.growth_rate_final_quarter:.3g} per unit time",
-        f"rho range [{rep.rho_min:.6g}, {rep.rho_max:.6g}] "
-        + ("inside" if rep.pinch_ok else "OUTSIDE")
-        + " [0.75, 1.25]",
-    ]
-    if params.eps > 0.0:
-        tr1, tr2 = boundary_stress_trace(traj.snapshots[-1], grid, params)
-        summary.append(
-            f"wall stress traces at t_end (no threshold): s1-type {tr1:.6g}, s2-type {tr2:.6g}"
-        )
-    (Path(out_dir) / "energy_report.txt").write_text("\n".join(summary) + "\n", newline="\n")
-    for line in summary:
-        report(line)
-    _finalize_manifest(manifest, mpath, time.perf_counter() - t0, traj.warnings)
-    return 0
-
-
-def _prepare_out(out):
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
 
 
 def _build_parser():
@@ -414,9 +389,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    report = _Reporter(args.quiet)
     try:
-        return args.func(args, report)
+        return args.func(args, parse_config(args.config), (lambda line: None) if args.quiet else print)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

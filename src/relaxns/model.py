@@ -44,9 +44,9 @@ class FluidParams:
             raise FieldError("mu", f"mu must be positive, got {self.mu}")
         if not self.lambda_ > 0.0:
             raise FieldError("lambda_", f"lambda_ must be positive, got {self.lambda_}")
-        if self.tau < 0.0:
+        if not self.tau >= 0.0:
             raise FieldError("tau", f"tau must be nonnegative, got {self.tau}")
-        if self.eps < 0.0:
+        if not self.eps >= 0.0:
             raise FieldError("eps", f"eps must be nonnegative, got {self.eps}")
         if not self.a_coef > 0.0:
             raise FieldError("a_coef", f"a_coef must be positive, got {self.a_coef}")

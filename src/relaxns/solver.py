@@ -43,7 +43,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise FieldError("cfl", f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.t_end < 0.0:
+        if not self.t_end >= 0.0:
             raise FieldError("t_end", f"t_end must be nonnegative, got {self.t_end}")
         if self.splitting not in ("strang", "lie"):
             raise FieldError("splitting", f"splitting must be strang or lie, got {self.splitting!r}")

@@ -1,12 +1,13 @@
+import hashlib
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from relaxns.cli import main, parse_config, read_snapshot, write_diagnostics, write_snapshot
-from relaxns.energy import energy_series
+from relaxns.energy import EnergySnapshot, energy_series
 from relaxns.errors import ConfigError
-from relaxns.model import FluidParams, InitConfig, RadialGrid
+from relaxns.model import FluidParams, InitConfig, RadialGrid, State
 from relaxns.solver import SolverConfig, run
 
 from conftest import equilibrium_state
@@ -109,6 +110,19 @@ def test_non_finite_value_rejected_with_line(tmp_path, capsys, text, line):
     err = capsys.readouterr().err
     assert f"line {line}: " in err and "not finite" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "tau_list, entry",
+    [("nan,1e-2", "nan"), ("inf", "inf"), ("1e-2,-1", "-1"), ("1e-2,0", "0"), ("1e-2, abc", "abc")],
+    ids=["nan", "inf", "negative", "zero", "word"],
+)
+def test_bad_tau_list_rejected_before_output(tmp_path, capsys, tau_list, entry):
+    out = tmp_path / "o"
+    assert main(["sweep-tau", "--config", "default", "--out", str(out), "--tau-list", tau_list, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --tau-list entry ") and repr(entry) in err
+    assert not out.exists()
 
 
 def test_missing_file_rejected():
@@ -232,6 +246,25 @@ def test_main_energy_report(tmp_path):
     assert (out / "energy_report.txt").is_file()
 
 
+def test_energy_report_prints_contamination_warning(tmp_path, capsys):
+    # the pulse reaches r_max = 6 well before t_end, as in
+    # test_mass_balance_flags_boundary_contamination
+    cfg = write_cfg(
+        tmp_path,
+        "[grid]\nr_max = 6\nn_cells = 120\n"
+        "[init]\nbump_amp = 0.02\nbump_center = 3.5\nbump_width = 0.45\nvel_amp = 0.02\n"
+        "[solver]\nt_end = 1\noutput_every = 100\n",
+    )
+    out = tmp_path / "ow"
+    assert main(["energy-report", "--config", cfg, "--out", str(out)]) == 0
+    import json
+
+    warnings = json.loads((out / "manifest.json").read_text())["warnings"]
+    assert any("outer-boundary contamination" in w for w in warnings)
+    printed = capsys.readouterr().out.splitlines()
+    assert [f"warning: {w}" for w in warnings] == [line for line in printed if line.startswith("warning: ")]
+
+
 def test_main_unknown_subcommand():
     assert main(["nonsense"]) == 2
 
@@ -262,3 +295,49 @@ def test_manifest_config_echo_reparses_identically(tmp_path):
     rewritten.write_text("\n".join(lines) + "\n")
     _, _, _, _, resolved = parse_config(str(rewritten))
     assert resolved == echo
+
+
+# Exact decimals and IEEE edge cases (-0.0, the smallest subnormal, 1e300),
+# built without exp or pow so the bytes depend on no libm or SIMD path; the
+# digests pin the CSV bytes of both writers.
+GOLDEN_STATE = (
+    [1.0, 0.5, 1.25, 2.0, 1e300, 0.1, 3.0, 1.0000000000000002],
+    [-0.0, 5e-324, -5e-324, 0.1, -0.3, 1e-07, 0.0, 2.5],
+    [0.001, -1e-300, 123456789.0, 1e16, 1e17, -2.5e-10, 0.3, 0.0],
+    [1e300, -1e300, 0.2, -0.0, 7.0, 1e-05, 0.125, 6.02214076e23],
+)
+GOLDEN_SERIES = [
+    (0.0, 0.0, 0.0, -0.0, 1.5, 5e-324, 0.0),
+    (0.25, 0.1, 0.1, 0.02, 1.5000000000000002, 1e-300, 0.3),
+    (0.5, 1e300, 1e300, 3.0, 1.4999999999999998, 0.7, 12.5),
+    (1.0, 0.05, 1e300, float("nan"), 1.5, 0.125, 1e-07),
+]
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_snapshot_golden_bytes(tmp_path):
+    path = tmp_path / "snap.csv"
+    write_snapshot(State(*GOLDEN_STATE), RadialGrid(r_max=3.0, n_cells=8), path)
+    assert path.read_text().splitlines()[1] == "1.125,1,-0,0.001,1.0000000000000001e+300"
+    assert sha256(path) == "31eb25fd714b6a32e353bc8ae6c9f7b056344047ab52b0511681deb9f855482e"
+
+
+def test_diagnostics_golden_bytes(tmp_path):
+    series = [EnergySnapshot(*row, ddtt_available=True) for row in GOLDEN_SERIES]
+    bare, full = tmp_path / "bare.csv", tmp_path / "full.csv"
+    write_diagnostics(series, bare)
+    write_diagnostics(
+        series,
+        full,
+        energy_residual=(np.array([0.25, 0.5]), np.array([1e-05, -0.0])),
+        mass_residual=[0.0, 5e-324, None, float("nan")],
+        limit_errors=[(0.1, None), (float("nan"), 0.2), (1e300, -0.0), (None, None)],
+    )
+    assert bare.read_text().splitlines()[4] == (
+        "1,0.050000000000000003,1.0000000000000001e+300,,1.5,0.125,9.9999999999999995e-08,,,,"
+    )
+    assert sha256(bare) == "704cb12a1586d151b09b0f9cd1d7f189fcd73d6f29f03b94e651859e8f022623"
+    assert sha256(full) == "5bb6ceb25cbc8c76ccbaa7be687081c4b757ff3a5e3bc2ccc5b39e7590efe978"

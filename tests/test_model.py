@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relaxns.errors import DomainError
+from relaxns.errors import DomainError, FieldError
 from relaxns.model import (
     FluidParams,
     InitConfig,
@@ -17,6 +17,7 @@ from relaxns.model import (
     taylor_potential,
 )
 from relaxns.numerics import weighted_h1_sq
+from relaxns.solver import SolverConfig
 
 
 def test_pressure_identity_state():
@@ -205,3 +206,26 @@ def test_params_invariants():
         FluidParams(eps=-0.1)
     with pytest.raises(ValueError):
         FluidParams(a_coef=0.0)
+
+
+@pytest.mark.parametrize(
+    "cls, field",
+    [
+        (FluidParams, "gamma"),
+        (FluidParams, "mu"),
+        (FluidParams, "lambda_"),
+        (FluidParams, "tau"),
+        (FluidParams, "eps"),
+        (FluidParams, "a_coef"),
+        (RadialGrid, "r_max"),
+        (InitConfig, "bump_center"),
+        (InitConfig, "bump_width"),
+        (SolverConfig, "cfl"),
+        (SolverConfig, "t_end"),
+    ],
+)
+def test_nan_rejected_by_validator(cls, field):
+    # every bound is written so that NaN fails it, naming its own field
+    with pytest.raises(FieldError) as info:
+        cls(**{field: math.nan})
+    assert info.value.field == field
