@@ -218,10 +218,6 @@ def _relaxed(params):
     return run
 
 
-def _classical(state, grid, params, solver):
-    return run_classical(state.rho, state.v, grid, params, solver)
-
-
 def _run_and_emit(out, config, integrate, say, summarize=None):
     """The path of run, run-classical and energy-report.
 
@@ -258,7 +254,7 @@ def _cmd_run(args, config, say):
 
 
 def _cmd_run_classical(args, config, say):
-    return _run_and_emit(args.out, config, _classical, say)
+    return _run_and_emit(args.out, config, run_classical, say)
 
 
 def _cmd_energy_report(args, config, say):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import taylor_potential
+from .model import face_value, taylor_potential
 from .numerics import (
     cell_sum_r2,
     derivative,
@@ -166,8 +166,6 @@ def boundary_stress_trace(state, grid, params):
     Reported for eps > 0 runs only; these carry no acceptance threshold.  The
     face values come from quadratic extrapolation of the first three cells.
     """
-    from .model import face_value
-
     s1_face = face_value(state.s1, grid)
     s2_face = face_value(state.s2, grid)
     coef = params.tau * params.eps

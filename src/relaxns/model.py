@@ -13,6 +13,7 @@ toward their Newtonian equilibrium values
 over the relaxation time tau.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,18 +39,20 @@ class FluidParams:
     a_coef: float = 1.0
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise FieldError("gamma", f"gamma must exceed 1, got {self.gamma}")
-        if not self.mu > 0.0:
-            raise FieldError("mu", f"mu must be positive, got {self.mu}")
-        if not self.lambda_ > 0.0:
-            raise FieldError("lambda_", f"lambda_ must be positive, got {self.lambda_}")
-        if not self.tau >= 0.0:
-            raise FieldError("tau", f"tau must be nonnegative, got {self.tau}")
-        if not self.eps >= 0.0:
-            raise FieldError("eps", f"eps must be nonnegative, got {self.eps}")
-        if not self.a_coef > 0.0:
-            raise FieldError("a_coef", f"a_coef must be positive, got {self.a_coef}")
+        # every bound is an open or half-open interval below inf, so NaN and
+        # inf fail it too
+        if not 1.0 < self.gamma < math.inf:
+            raise FieldError("gamma", f"gamma must be finite and exceed 1, got {self.gamma}")
+        if not 0.0 < self.mu < math.inf:
+            raise FieldError("mu", f"mu must be finite and positive, got {self.mu}")
+        if not 0.0 < self.lambda_ < math.inf:
+            raise FieldError("lambda_", f"lambda_ must be finite and positive, got {self.lambda_}")
+        if not 0.0 <= self.tau < math.inf:
+            raise FieldError("tau", f"tau must be finite and nonnegative, got {self.tau}")
+        if not 0.0 <= self.eps < math.inf:
+            raise FieldError("eps", f"eps must be finite and nonnegative, got {self.eps}")
+        if not 0.0 < self.a_coef < math.inf:
+            raise FieldError("a_coef", f"a_coef must be finite and positive, got {self.a_coef}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,8 @@ class RadialGrid:
     face_r2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.r_max > self.r_min:
-            raise FieldError("r_max", f"r_max must exceed {self.r_min}, got {self.r_max}")
+        if not self.r_min < self.r_max < math.inf:
+            raise FieldError("r_max", f"r_max must be finite and exceed {self.r_min}, got {self.r_max}")
         if self.n_cells < 8:
             raise FieldError("n_cells", f"n_cells must be at least 8, got {self.n_cells}")
         dr = (self.r_max - self.r_min) / self.n_cells
@@ -120,10 +123,12 @@ class InitConfig:
     stress_perturb_amp: float = 0.0
 
     def __post_init__(self):
-        if not self.bump_center > 1.0:
-            raise FieldError("bump_center", f"bump_center must exceed 1, got {self.bump_center}")
-        if not self.bump_width > 0.0:
-            raise FieldError("bump_width", f"bump_width must be positive, got {self.bump_width}")
+        if not 1.0 < self.bump_center < math.inf:
+            raise FieldError(
+                "bump_center", f"bump_center must be finite and exceed 1, got {self.bump_center}"
+            )
+        if not 0.0 < self.bump_width < math.inf:
+            raise FieldError("bump_width", f"bump_width must be finite and positive, got {self.bump_width}")
 
 
 TAIL_TOL = 1e-12

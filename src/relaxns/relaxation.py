@@ -89,9 +89,7 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=10):
 
     probe = make_initial_data(init_cfg, grid, replace(params_template, tau=taus[0]))
     t0 = time.perf_counter()
-    baseline = run_classical(
-        probe.rho, probe.v, grid, replace(params_template, tau=0.0), base_cfg, output_times=out_times
-    )
+    baseline = run_classical(probe, grid, replace(params_template, tau=0.0), base_cfg, output_times=out_times)
     baseline_runtime = time.perf_counter() - t0
 
     field_errors, stress_errors, runtimes, failures = [], [], [], []

@@ -8,8 +8,8 @@ Method of lines on the cell-centered mesh with two ghost cells per side:
   walls conserve it to rounding;
 * first-order upwind convection for v dv/dr and (v - eps) ds/dr, second-order
   central differences for the pressure and stress gradients;
-* SSP-RK2 for the transport part, composed with the exact exponential
-  relaxation substep (Strang by default, Lie available for diagnostics).
+* SSP-RK2 for the transport part, Strang-composed with the exact
+  exponential relaxation substep.
 
 The substep solves ds/dt = (eq - s)/(tau rho) with rho, v held fixed, which is
 the exact flow of the relaxation operator, so the composition stays stable for
@@ -18,8 +18,14 @@ any dt/tau ratio and drives the stresses to equilibrium as tau -> 0.
 The classical (tau = 0) baseline integrates mass and momentum with the stress
 fields pinned to their Newtonian equilibrium values, sharing every spatial
 operator and the SSP-RK2 stage with the relaxed path.
+
+Both systems run through one driver, _advance, and differ only in three
+module-level rules with one signature per role: the CFL step (compute_dt,
+compute_dt_classical), the step (step, _step_classical) and the right-hand
+side stored with each snapshot (rhs_full, classical_rhs).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,17 +42,14 @@ _TIME_EPS = 1e-12
 class SolverConfig:
     cfl: float = 0.4
     t_end: float = 1.0
-    splitting: str = "strang"
     outer_bc: str = "extrapolate"
     output_every: int = 50
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise FieldError("cfl", f"cfl must lie in (0, 1], got {self.cfl}")
-        if not self.t_end >= 0.0:
-            raise FieldError("t_end", f"t_end must be nonnegative, got {self.t_end}")
-        if self.splitting not in ("strang", "lie"):
-            raise FieldError("splitting", f"splitting must be strang or lie, got {self.splitting!r}")
+        if not 0.0 <= self.t_end < math.inf:
+            raise FieldError("t_end", f"t_end must be finite and nonnegative, got {self.t_end}")
         if self.outer_bc not in _OUTER_BCS:
             raise FieldError("outer_bc", f"outer_bc must be one of {_OUTER_BCS}, got {self.outer_bc!r}")
         if self.output_every < 1:
@@ -196,11 +199,11 @@ def compute_dt(state, grid, params, cfl):
     return cfl * grid.dr / smax
 
 
-def compute_dt_classical(rho, v, grid, params, cfl):
+def compute_dt_classical(state, grid, params, cfl):
     """Acoustic CFL combined with the explicit parabolic bound for the baseline."""
-    c = np.sqrt(pressure_prime(rho, params))
-    adv = grid.dr / float(np.max(np.abs(v) + c))
-    diff = grid.dr**2 * float(np.min(rho)) / (2.0 * (4.0 * params.mu / 3.0 + params.lambda_))
+    c = np.sqrt(pressure_prime(state.rho, params))
+    adv = grid.dr / float(np.max(np.abs(state.v) + c))
+    diff = grid.dr**2 * float(np.min(state.rho)) / (2.0 * (4.0 * params.mu / 3.0 + params.lambda_))
     return cfl * min(adv, diff)
 
 
@@ -222,13 +225,16 @@ def _check(state, step_idx, stage):
         )
 
 
-def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, project=None):
-    # SSP-RK2 (Heun) on the non-stiff part, production excluded; project, if
-    # given, adjusts each stage in place before it is checked
-    def l(s):
-        return rhs_nonstiff(s, grid, params, outer_bc, include_production=False)
+def _pin_stresses(state, grid, params):
+    # the classical system carries its stresses at their Newtonian values
+    state.s1, state.s2 = equilibrium_stress(state.v, grid, params)
+    return state
 
-    k1 = l(state)
+
+def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, pin_stresses=False):
+    # SSP-RK2 (Heun) on the non-stiff part, production excluded, from t to
+    # t + dt; pin_stresses puts each stage on equilibrium before it is checked
+    k1 = rhs_nonstiff(state, grid, params, outer_bc, include_production=False)
     mid = State(
         state.rho + dt * k1[0],
         state.v + dt * k1[1],
@@ -236,37 +242,52 @@ def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, project=None):
         state.s2 + dt * k1[3],
         state.t,
     )
-    if project is not None:
-        project(mid)
+    if pin_stresses:
+        _pin_stresses(mid, grid, params)
     _check(mid, step_idx, "rk2 stage 1")
-    k2 = l(mid)
+    k2 = rhs_nonstiff(mid, grid, params, outer_bc, include_production=False)
     out = State(
         0.5 * (state.rho + mid.rho + dt * k2[0]),
         0.5 * (state.v + mid.v + dt * k2[1]),
         0.5 * (state.s1 + mid.s1 + dt * k2[2]),
         0.5 * (state.s2 + mid.s2 + dt * k2[3]),
-        state.t,
+        state.t + dt,
     )
-    if project is not None:
-        project(out)
+    if pin_stresses:
+        _pin_stresses(out, grid, params)
     _check(out, step_idx, "rk2 stage 2")
     return out
 
 
 def step(state, grid, params, cfg, dt=None, step_idx=0):
-    """Advance one time step with the configured splitting."""
+    """Advance one Strang step: half relaxation, transport, half relaxation.
+
+    dt defaults to the CFL step of compute_dt.
+    """
     if dt is None:
         dt = compute_dt(state, grid, params, cfg.cfl)
-    if cfg.splitting == "strang":
-        out = relax_substep(state, 0.5 * dt, grid, params)
-        out = _rk2_transport(out, dt, grid, params, cfg.outer_bc, step_idx)
-        out = relax_substep(out, 0.5 * dt, grid, params)
-    else:  # lie
-        out = _rk2_transport(state, dt, grid, params, cfg.outer_bc, step_idx)
-        out = relax_substep(out, dt, grid, params)
+    out = relax_substep(state, 0.5 * dt, grid, params)
+    out = _rk2_transport(out, dt, grid, params, cfg.outer_bc, step_idx)
+    out = relax_substep(out, 0.5 * dt, grid, params)
     _check(out, step_idx, "step")
-    out.t = state.t + dt
     return out
+
+
+def _step_classical(state, grid, params, cfg, dt, step_idx):
+    return _rk2_transport(state, dt, grid, params, cfg.outer_bc, step_idx, pin_stresses=True)
+
+
+def classical_rhs(state, grid, params, outer_bc="extrapolate"):
+    """Time derivatives of (rho, v, s1, s2) for the classical system.
+
+    Reuses the relaxed momentum operator with s1, s2 replaced by the
+    Newtonian values of v, so the baseline is spatially identical to the
+    relaxed scheme's tau -> 0 limit.  The stress rows are the Newtonian
+    values of dv/dt, the time derivative of eq(v) by linearity.
+    """
+    pinned = State(state.rho, state.v, *equilibrium_stress(state.v, grid, params))
+    drho, dv, _, _ = rhs_nonstiff(pinned, grid, params, outer_bc, include_production=False)
+    return (drho, dv, *equilibrium_stress(dv, grid, params))
 
 
 def _wavefront_clear(state, grid):
@@ -280,9 +301,9 @@ def _wavefront_clear(state, grid):
     return dev <= 1e-8
 
 
-def _record(traj, state, grid, rhs_fn):
+def _record(traj, state, grid, params, rhs):
     traj.snapshots.append(state.copy())
-    traj.rhs_cache.append(rhs_fn(state))
+    traj.rhs_cache.append(rhs(state, grid, params, traj.outer_bc))
     # boundary interaction is intended with a reflecting outer wall; the
     # monitor guards the interpretation of extrapolating (open) runs only
     if traj.outer_bc == "reflect":
@@ -295,11 +316,15 @@ def _record(traj, state, grid, rhs_fn):
         )
 
 
-def _advance(initial, grid, cfg, t_end, output_times, dt_fn, step_fn, rhs_fn):
+def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs):
+    # the one driver: dt_rule(state, grid, params, cfl) proposes the step,
+    # step_rule(state, grid, params, cfg, dt, step_idx) takes it, and
+    # rhs(state, grid, params, outer_bc) is stored with every snapshot
+    t_end = cfg.t_end
     traj = Trajectory(outer_bc=cfg.outer_bc)
     state = initial.copy()
     _check(state, 0, "initial state")
-    _record(traj, state, grid, rhs_fn)
+    _record(traj, state, grid, params, rhs)
 
     pending = None
     if output_times is not None:
@@ -307,14 +332,14 @@ def _advance(initial, grid, cfg, t_end, output_times, dt_fn, step_fn, rhs_fn):
     horizon = max(t_end, 1.0)
     step_idx = 0
     while state.t < t_end - _TIME_EPS * horizon:
-        dt = dt_fn(state)
+        dt = dt_rule(state, grid, params, cfg.cfl)
         if not np.isfinite(dt) or dt <= _TIME_EPS * horizon:
             raise NumericalAbort(
                 f"time step collapsed to {dt:.3g} at t = {state.t:.6g}", step=step_idx
             )
         target = pending[0] if pending else t_end
         dt = min(dt, max(target - state.t, 0.0), t_end - state.t)
-        state = step_fn(state, dt, step_idx)
+        state = step_rule(state, grid, params, cfg, dt, step_idx)
         step_idx += 1
         traj.dt_history.append(dt)
         hit_output = pending and state.t >= pending[0] - _TIME_EPS * horizon
@@ -323,9 +348,9 @@ def _advance(initial, grid, cfg, t_end, output_times, dt_fn, step_fn, rhs_fn):
         at_end = state.t >= t_end - _TIME_EPS * horizon
         if output_times is not None:
             if hit_output or at_end:
-                _record(traj, state, grid, rhs_fn)
+                _record(traj, state, grid, params, rhs)
         elif step_idx % cfg.output_every == 0 or at_end:
-            _record(traj, state, grid, rhs_fn)
+            _record(traj, state, grid, params, rhs)
     return traj
 
 
@@ -338,55 +363,17 @@ def run(initial, grid, params, cfg, output_times=None):
     """
     if params.tau <= 0.0:
         raise ValueError("run requires tau > 0; use run_classical for tau = 0")
-
-    def dt_fn(state):
-        return compute_dt(state, grid, params, cfg.cfl)
-
-    def step_fn(state, dt, k):
-        return step(state, grid, params, cfg, dt=dt, step_idx=k)
-
-    def rhs_fn(state):
-        return rhs_full(state, grid, params, cfg.outer_bc)
-
-    return _advance(initial, grid, cfg, cfg.t_end, output_times, dt_fn, step_fn, rhs_fn)
+    return _advance(initial, grid, params, cfg, output_times, compute_dt, step, rhs_full)
 
 
-def classical_rhs(rho, v, grid, params, outer_bc="extrapolate"):
-    """(drho/dt, dv/dt) for the classical system: stresses at equilibrium.
-
-    Reuses the relaxed momentum operator with s1, s2 replaced by the
-    Newtonian values, so the baseline is spatially identical to the
-    relaxed scheme's tau -> 0 limit.
-    """
-    eq1, eq2 = equilibrium_stress(v, grid, params)
-    temp = State(rho, v, eq1, eq2)
-    drho, dv, _, _ = rhs_nonstiff(temp, grid, params, outer_bc, include_production=False)
-    return drho, dv
-
-
-def run_classical(rho0, v0, grid, params, cfg, output_times=None):
+def run_classical(initial, grid, params, cfg, output_times=None):
     """Integrate the classical baseline (mass + Newtonian momentum).
 
-    tau is ignored; snapshots store the equilibrium stresses so trajectories
-    from both solvers share one format.
+    Snapshots as for run.  tau and the stresses of initial are ignored: the
+    stresses start, and stay, at their Newtonian values, so trajectories from
+    both solvers share one format.
     """
-    eq1, eq2 = equilibrium_stress(np.asarray(v0, dtype=float), grid, params)
-    initial = State(np.asarray(rho0, dtype=float), np.asarray(v0, dtype=float), eq1, eq2, t=0.0)
-
-    def dt_fn(state):
-        return compute_dt_classical(state.rho, state.v, grid, params, cfg.cfl)
-
-    def pin_stresses(s):
-        s.s1, s.s2 = equilibrium_stress(s.v, grid, params)
-
-    def step_fn(state, dt, k):
-        out = _rk2_transport(state, dt, grid, params, cfg.outer_bc, k, project=pin_stresses)
-        out.t = state.t + dt
-        return out
-
-    def rhs_fn(state):
-        drho, dv = classical_rhs(state.rho, state.v, grid, params, cfg.outer_bc)
-        de1, de2 = equilibrium_stress(dv, grid, params)  # d/dt of eq(v) by linearity
-        return drho, dv, de1, de2
-
-    return _advance(initial, grid, cfg, cfg.t_end, output_times, dt_fn, step_fn, rhs_fn)
+    pinned = _pin_stresses(initial.copy(), grid, params)
+    return _advance(
+        pinned, grid, params, cfg, output_times, compute_dt_classical, _step_classical, classical_rhs
+    )

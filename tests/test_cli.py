@@ -40,7 +40,7 @@ def test_default_keyword_config():
         "params": {"gamma": 1.4, "mu": 1.0, "lambda": 1.0, "tau": 0.01, "eps": 0.0, "a_coef": 1.0},
         "grid": {"r_max": 21.0, "n_cells": 800},
         "init": {"bump_amp": 0.0, "bump_center": 7.0, "bump_width": 1.0, "vel_amp": 0.0, "stress_perturb_amp": 0.0},
-        "solver": {"cfl": 0.4, "t_end": 1.0, "splitting": "strang", "outer_bc": "extrapolate", "output_every": 50},
+        "solver": {"cfl": 0.4, "t_end": 1.0, "outer_bc": "extrapolate", "output_every": 50},
     }
 
 
@@ -77,7 +77,6 @@ INVALID_BELOW_ANOTHER_KEY = [
     ("init", "bump_center = 7", "bump_width = 0"),
     ("solver", "t_end = 1", "cfl = 1.5"),
     ("solver", "cfl = 0.4", "t_end = -1"),
-    ("solver", "cfl = 0.5", "splitting = cfl_half"),
     ("solver", "cfl = 0.4", "outer_bc = t_end"),
     ("solver", "cfl = 0.4", "output_every = 0"),
 ]

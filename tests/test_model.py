@@ -225,7 +225,8 @@ def test_params_invariants():
     ],
 )
 def test_nan_rejected_by_validator(cls, field):
-    # every bound is written so that NaN fails it, naming its own field
-    with pytest.raises(FieldError) as info:
-        cls(**{field: math.nan})
-    assert info.value.field == field
+    # every bound is written so that NaN and inf fail it, naming its own field
+    for value in (math.nan, math.inf):
+        with pytest.raises(FieldError) as info:
+            cls(**{field: value})
+        assert info.value.field == field
