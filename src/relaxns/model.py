@@ -123,6 +123,10 @@ class InitConfig:
     stress_perturb_amp: float = 0.0
 
     def __post_init__(self):
+        for name in ("bump_amp", "vel_amp", "stress_perturb_amp"):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:
+                raise FieldError(name, f"{name} must be finite, got {value}")
         if not 1.0 < self.bump_center < math.inf:
             raise FieldError(
                 "bump_center", f"bump_center must be finite and exceed 1, got {self.bump_center}"

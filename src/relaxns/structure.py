@@ -118,23 +118,44 @@ def char_speeds(rho, v, params):
 
 
 def max_char_speed(rho, v, params):
-    """max |s| over all cells; vectorized for per-step CFL control.
+    """max |s| over all cells; closed form and vectorized for per-step CFL control.
 
-    For eps = 0 the pencil spectrum is v + {0, 0, +-m} with
-    m = sqrt(P' + (4mu/3 + lambda)/(tau rho^2)), so the maximum is closed
-    form; otherwise fall back to the batched symmetric eigensolve.
+    With a = sqrt(P'), b, c the off-diagonals of `_sym_pencil` and
+    S = a^2 + b^2 + c^2 = P' + (4mu/3 + lambda)/(tau rho^2), the vector
+    (0, 0, c, -b) is an exact eigenvector with eigenvalue v - eps.  The other
+    three speeds are v + y with y a root of the cubic
+
+        f(y) = y^3 + eps y^2 - S y - P' eps,
+
+    whose coefficients depend on rho only.  For eps = 0 the roots are
+    {0, +-sqrt(S)}.  For eps > 0, y = z - eps/3 gives the depressed cubic
+    z^3 + p z + q with p = -S - eps^2/3 and q = 2 eps^3/27 + eps S/3 - P' eps,
+    whose three real roots are Viete's trigonometric ones
+
+        z_k = 2 sqrt(-p/3) cos(phi - 2 pi k/3),
+        phi = arccos(3q/(2p) sqrt(-3/p)) / 3,
+
+    with k = 0 the largest and k = 2 the smallest (Smith, CACM 4 (1961) 168).
+    Since f(-eps) = eps (b^2 + c^2) >= 0 and f(0) = -P' eps < 0, the roots
+    order as y_min <= -eps <= y_mid < 0 < y_max.  All four speeds therefore
+    lie in [v + y_min, v + y_max], and the largest |s| is
+    max(v + y_max, -(v + y_min)).
     """
     _require_relaxed(params)
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if params.eps == 0.0:
-        m = np.sqrt(
-            pressure_prime(rho, params)
-            + (4.0 * params.mu / 3.0 + params.lambda_) / (params.tau * rho**2)
-        )
-        return float(np.max(np.abs(v) + m))
-    speeds = np.linalg.eigvalsh(_sym_pencil(rho, v, params))
-    return float(np.max(np.abs(speeds)))
+    dp = pressure_prime(rho, params)
+    s = dp + (4.0 * params.mu / 3.0 + params.lambda_) / (params.tau * rho**2)
+    eps = params.eps
+    if eps == 0.0:
+        return float(np.max(np.abs(v) + np.sqrt(s)))
+    p = -s - eps**2 / 3.0
+    q = 2.0 * eps**3 / 27.0 + eps * s / 3.0 - dp * eps
+    amp = 2.0 * np.sqrt(-p / 3.0)
+    phi = np.arccos(np.clip(1.5 * q / p * np.sqrt(-3.0 / p), -1.0, 1.0)) / 3.0
+    y_max = amp * np.cos(phi) - eps / 3.0
+    y_min = amp * np.cos(phi + 2.0 * np.pi / 3.0) - eps / 3.0
+    return float(np.max(np.maximum(v + y_max, -(v + y_min))))
 
 
 def det4_cofactor(m):

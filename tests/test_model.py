@@ -218,8 +218,11 @@ def test_params_invariants():
         (FluidParams, "eps"),
         (FluidParams, "a_coef"),
         (RadialGrid, "r_max"),
+        (InitConfig, "bump_amp"),
         (InitConfig, "bump_center"),
         (InitConfig, "bump_width"),
+        (InitConfig, "vel_amp"),
+        (InitConfig, "stress_perturb_amp"),
         (SolverConfig, "cfl"),
         (SolverConfig, "t_end"),
     ],

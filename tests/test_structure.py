@@ -129,12 +129,50 @@ def test_char_speeds_convective_floor():
         assert np.all(np.isreal(s))
 
 
-def test_max_char_speed_matches_eigensolve(params):
+@pytest.mark.parametrize("tau", [1.0, 1e-2, 1e-4, 1e-8])
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.5])
+def test_max_char_speed_matches_eigensolve(eps, tau):
+    # eps = 0, tau = 1e-2 is the `params` fixture
+    params = FluidParams(gamma=1.4, mu=1.0, lambda_=1.0, tau=tau, eps=eps, a_coef=1.0)
     rng = np.random.default_rng(6)
     rho = rng.uniform(0.75, 1.25, size=50)
     v = rng.uniform(-0.3, 0.3, size=50)
     brute = max(np.max(np.abs(char_speeds(r, w, params))) for r, w in zip(rho, v))
     assert max_char_speed(rho, v, params) == pytest.approx(brute, rel=1e-12)
+
+
+def test_char_speeds_split_into_shift_and_cubic():
+    # the closed form in max_char_speed rests on this split of the spectrum
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        p = FluidParams(
+            gamma=rng.uniform(1.1, 2.0),
+            mu=rng.uniform(0.1, 2.0),
+            lambda_=rng.uniform(0.1, 2.0),
+            tau=10.0 ** rng.uniform(-8, 0),
+            eps=rng.uniform(0.0, 0.5),
+        )
+        rho = rng.uniform(0.75, 1.25)
+        v = rng.uniform(-0.3, 0.3)
+        speeds = char_speeds(rho, v, p)
+        k = int(np.argmin(np.abs(speeds - (v - p.eps))))
+        assert abs(speeds[k] - (v - p.eps)) <= 1e-12 * np.max(np.abs(speeds))
+        dp = pressure_prime(rho, p)
+        s = dp + (4.0 * p.mu / 3.0 + p.lambda_) / (p.tau * rho**2)
+        # eigvalsh is accurate to rounding of the spectral radius, so bound the
+        # Newton step |f/f'| to the nearest root, not |f| itself
+        for y in np.delete(speeds, k) - v:
+            f = y**3 + p.eps * y**2 - s * y - dp * p.eps
+            df = 3.0 * y**2 + 2.0 * p.eps * y - s
+            assert abs(f / df) <= 1e-10 * np.max(np.abs(speeds))
+
+
+def test_max_char_speed_shifted_rejects_bad_input():
+    p = FluidParams(tau=0.01, eps=0.1)
+    with pytest.raises(DomainError):
+        max_char_speed(np.array([1.0, 0.0, 1.0]), np.zeros(3), p)
+    with pytest.raises(StructureError):
+        max_char_speed(np.ones(3), np.zeros(3), FluidParams(tau=0.0, eps=0.1))
 
 
 def test_boundary_matrix_kernel():
