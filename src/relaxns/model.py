@@ -170,19 +170,29 @@ def taylor_potential(rho, params):
     return float(val) if val.ndim == 0 else val
 
 
-def equilibrium_stress(v, grid, params):
+def equilibrium_stress(v, grid, params, out=None):
     """Newtonian equilibrium stresses (2mu(dv/dr - v/r), lambda(dv/dr + 2v/r)).
 
     The derivative uses second-order central differences with one-sided
-    stencils at the array ends.
+    stencils at the array ends.  out = (s1, s2, dv), three arrays of the
+    grid's length distinct from v, receives the two stresses and dv/dr, so
+    nothing is allocated; (s1, s2) is returned either way.
     """
     v = np.asarray(v, dtype=float)
     if v.size != grid.n_cells:
         raise ValueError("velocity array does not match the grid")
-    dv = derivative(v, grid.dr)
+    if out is None:
+        out = (np.empty_like(v), np.empty_like(v), np.empty_like(v))
+    s1, s2, dv = out
+    derivative(v, grid.dr, out=dv)
     r = grid.centers
-    s1 = 2.0 * params.mu * (dv - v / r)
-    s2 = params.lambda_ * (dv + 2.0 * v / r)
+    np.divide(v, r, out=s1)
+    np.subtract(dv, s1, out=s1)
+    np.multiply(2.0 * params.mu, s1, out=s1)
+    np.multiply(2.0, v, out=s2)
+    np.divide(s2, r, out=s2)
+    np.add(dv, s2, out=s2)
+    np.multiply(params.lambda_, s2, out=s2)
     return s1, s2
 
 

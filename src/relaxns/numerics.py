@@ -6,11 +6,18 @@ import numpy as np
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
-def derivative(f, dr):
-    """d/dr by second-order central differences, one-sided second-order at the ends."""
+def derivative(f, dr, out=None):
+    """d/dr by second-order central differences, one-sided second-order at the ends.
+
+    out, an array of f's shape that is not f, receives the result in place
+    of a new array.
+    """
     f = np.asarray(f, dtype=float)
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dr)
+    if out is None:
+        out = np.empty_like(f)
+    inner = out[1:-1]
+    np.subtract(f[2:], f[:-2], out=inner)
+    np.divide(inner, 2.0 * dr, out=inner)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dr)
     out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dr)
     return out

@@ -23,6 +23,13 @@ Both systems run through one driver, _advance, and differ only in three
 module-level rules with one signature per role: the CFL step (compute_dt,
 compute_dt_classical), the step (step, _step_classical) and the right-hand
 side stored with each snapshot (rhs_full, classical_rhs).
+
+The driver builds one Workspace per run, sized from the grid, and every stage
+computes into its buffers with out= ufuncs; two State buffers take turns as a
+step's input and output, so a step allocates no field.  Each operation runs
+in the order of the formula it implements, so the allocating public entry
+points (rhs_nonstiff, rhs_full, classical_rhs, relax_substep, step without
+out= and work=) and the driver give the same bits.
 """
 
 import math
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldError, NumericalAbort
-from .model import State, equilibrium_stress, pressure, pressure_prime
+from .model import State, equilibrium_stress, pressure_prime
 from .structure import max_char_speed
 
 _OUTER_BCS = ("extrapolate", "reflect")
@@ -70,6 +77,51 @@ class Trajectory:
         return np.array([s.t for s in self.snapshots])
 
 
+class Workspace:
+    """Scratch arrays for one grid, reused by every stage of a run.
+
+    rhs_nonstiff, relax_substep, step and the snapshot right-hand sides take
+    one as work= and then allocate nothing per call; the rows they return
+    live in work.k and are overwritten by the next call that uses it.
+    """
+
+    def __init__(self, grid):
+        n = grid.n_cells
+        self.ghost = tuple(np.empty(n + 4) for _ in range(3))
+        self.face = tuple(np.empty(n + 1) for _ in range(4))
+        self.cell = tuple(np.empty(n) for _ in range(3))
+        self.k = tuple(np.empty(n) for _ in range(4))
+        # the stresses of the first Strang half step, or the pinned stresses
+        # of classical_rhs
+        self.stress = (np.empty(n), np.empty(n))
+        # -(x / c) is exactly x / (-c), so the mass row divides once
+        self.neg_center_r2_dr = -(grid.center_r2 * grid.dr)
+
+
+def _empty_state(n):
+    return State(np.empty(n), np.empty(n), np.empty(n), np.empty(n))
+
+
+def _fill_ghosts(f, g, odd, outer_bc):
+    # g (n+4,) <- f (n,) with two ghost cells per side; see apply_bc
+    g[2:-2] = f
+    sign = -1.0 if odd else 1.0
+    g[1] = sign * f[0]
+    g[0] = sign * f[1]
+    if outer_bc == "extrapolate":
+        g[-2] = f[-1]
+        g[-1] = f[-1]
+    else:
+        g[-2] = sign * f[-1]
+        g[-1] = sign * f[-2]
+    return g
+
+
+def _check_outer_bc(outer_bc):
+    if outer_bc not in _OUTER_BCS:
+        raise ValueError(f"outer_bc must be one of {_OUTER_BCS}, got {outer_bc!r}")
+
+
 def apply_bc(state, grid, params, outer_bc="extrapolate"):
     """Ghost-augmented (rho, v, s1, s2), two ghost cells per side.
 
@@ -77,102 +129,165 @@ def apply_bc(state, grid, params, outer_bc="extrapolate"):
     even-reflected.  Outer face: zero-order extrapolation, or mirror
     reflection with the v sign flipped.
     """
-    if outer_bc not in _OUTER_BCS:
-        raise ValueError(f"outer_bc must be one of {_OUTER_BCS}, got {outer_bc!r}")
-
-    def extend(f, odd):
-        g = np.empty(f.size + 4)
-        g[2:-2] = f
-        sign = -1.0 if odd else 1.0
-        g[1] = sign * f[0]
-        g[0] = sign * f[1]
-        if outer_bc == "extrapolate":
-            g[-2] = f[-1]
-            g[-1] = f[-1]
-        else:
-            g[-2] = sign * f[-1]
-            g[-1] = sign * f[-2]
-        return g
-
-    return (
-        extend(state.rho, False),
-        extend(state.v, True),
-        extend(state.s1, False),
-        extend(state.s2, False),
+    _check_outer_bc(outer_bc)
+    n = grid.n_cells
+    return tuple(
+        _fill_ghosts(f, np.empty(n + 4), odd, outer_bc)
+        for f, odd in ((state.rho, False), (state.v, True), (state.s1, False), (state.s2, False))
     )
-
-
-def _central(g, dr):
-    # first derivative at the n interior cells of a ghost-augmented array
-    return (g[3:-1] - g[1:-3]) / (2.0 * dr)
-
-
-def _upwind(a, g, dr):
-    # a: interior speeds (n,); g: ghost-augmented field (n+4,)
-    backward = (g[2:-2] - g[1:-3]) / dr
-    forward = (g[3:-1] - g[2:-2]) / dr
-    return np.maximum(a, 0.0) * backward + np.minimum(a, 0.0) * forward
 
 
 _KAPPA4 = 1.0 / 16.0  # fourth-difference dissipation strength
 
 
-def _mass_rhs(rho_e, v_e, params, grid):
+def _upwind_into(out, lo, hi, g, dr, diff, tmp):
+    # out <- a dg/dr upwinded, lo * backward + hi * forward, for the
+    # ghost-augmented field g with lo = max(a, 0) and hi = min(a, 0); the
+    # backward and forward differences are two slices of one one-sided
+    # difference array
+    np.subtract(g[2:-1], g[1:-2], out=diff)
+    np.divide(diff, dr, out=diff)
+    np.multiply(lo, diff[:-1], out=out)
+    np.multiply(hi, diff[1:], out=tmp)
+    np.add(out, tmp, out=out)
+
+
+def _central_into(out, g, dr):
+    # first derivative at the n interior cells of a ghost-augmented array
+    np.subtract(g[3:-1], g[1:-3], out=out)
+    np.divide(out, 2.0 * dr, out=out)
+
+
+def rhs_nonstiff(state, grid, params, outer_bc="extrapolate", include_production=True, work=None):
+    """Discrete time derivatives of all terms except the -s/(tau rho) decay.
+
+    With include_production=False the stress rows carry transport only; the
+    split integrator uses that variant and hands the whole relaxation source
+    to relax_substep.  Returns the four rows; with work= they are work.k.
+    """
+    _check_outer_bc(outer_bc)
+    w = Workspace(grid) if work is None else work
+    n, dr, r = grid.n_cells, grid.dr, grid.centers
+    # each buffer is reused once the value it holds is spent, so a name
+    # below may alias an earlier one (tmp is speed[:n], face_tmp is g2[:n+1])
+    rho, v, s1, s2 = state.rho, state.v, state.s1, state.s2
+    g0, g1, g2 = w.ghost
+    flux, speed, sound, jump = w.face
+    grad, lo, hi = w.cell
+    drho, dv, ds1, ds2 = w.k
+    tmp = speed[:n]
+    rho_e = _fill_ghosts(rho, g0, False, outer_bc)
+    v_e = _fill_ghosts(v, g1, True, outer_bc)
+
     # flux-form mass update: central face flux, |v|-upwind diffusion for the
     # convective part, and a fourth-difference dissipation at the acoustic
     # speed.  The last term damps the density checkerboard that the central
     # pressure gradient cannot see (it annihilates odd-even modes) while
     # staying O(dr^3) on smooth fields.  Odd v / even rho ghosts zero every
     # boundary face flux exactly, so the cell sum of r^2 rho telescopes.
-    m = rho_e * v_e
-    ml, mr = m[1:-2], m[2:-1]
-    rl, rr = rho_e[1:-2], rho_e[2:-1]
-    v_face = 0.5 * (v_e[1:-2] + v_e[2:-1])
-    c_face = np.sqrt(pressure_prime(0.5 * (rl + rr), params))
-    d3 = rho_e[3:] - 3.0 * rho_e[2:-1] + 3.0 * rho_e[1:-2] - rho_e[:-3]
-    flux = grid.face_r2 * (
-        0.5 * (ml + mr)
-        - 0.5 * np.abs(v_face) * (rr - rl)
-        + 0.5 * (np.abs(v_face) + c_face) * _KAPPA4 * d3
-    )
-    return -(flux[1:] - flux[:-1]) / (grid.center_r2 * grid.dr)
+    #   flux = face_r2 (0.5 (m_l + m_r) - 0.5 |v_f| (rho_r - rho_l)
+    #                   + 0.5 (|v_f| + c_f) KAPPA4 d3)
+    # with m = rho v, v_f = 0.5 (v_l + v_r), c_f = sqrt(P'(0.5 (rho_l + rho_r)))
+    # and d3 the third difference of rho across the face;
+    #   drho = -(flux_right - flux_left) / (r^2 dr)
+    m = np.multiply(rho_e, v_e, out=g2)
+    np.add(m[1:-2], m[2:-1], out=flux)
+    np.multiply(0.5, flux, out=flux)
+    np.add(v_e[1:-2], v_e[2:-1], out=speed)
+    np.multiply(0.5, speed, out=speed)
+    np.abs(speed, out=speed)
+    np.add(rho_e[1:-2], rho_e[2:-1], out=sound)
+    np.multiply(0.5, sound, out=sound)
+    np.power(sound, params.gamma - 1.0, out=sound)
+    np.multiply(params.a_coef * params.gamma, sound, out=sound)
+    np.sqrt(sound, out=sound)
+    face_tmp = g2[: n + 1]
+    np.subtract(rho_e[2:-1], rho_e[1:-2], out=jump)
+    np.multiply(0.5, speed, out=face_tmp)
+    np.multiply(face_tmp, jump, out=face_tmp)
+    np.subtract(flux, face_tmp, out=flux)
+    np.add(speed, sound, out=jump)
+    np.multiply(0.5, jump, out=jump)
+    np.multiply(jump, _KAPPA4, out=jump)
+    d3 = face_tmp
+    np.multiply(3.0, rho_e[2:-1], out=d3)
+    np.subtract(rho_e[3:], d3, out=d3)
+    np.multiply(3.0, rho_e[1:-2], out=speed)
+    np.add(d3, speed, out=d3)
+    np.subtract(d3, rho_e[:-3], out=d3)
+    np.multiply(jump, d3, out=jump)
+    np.add(flux, jump, out=flux)
+    np.multiply(grid.face_r2, flux, out=flux)
+    np.subtract(flux[1:], flux[:-1], out=drho)
+    np.divide(drho, w.neg_center_r2_dr, out=drho)
 
+    # momentum: dv = -(v dv/dr)_upwind + (-dP/dr + 2/3 ds1/dr + 2 s1/r + ds2/dr) / rho
+    p = np.power(rho_e, params.gamma, out=g2)
+    np.multiply(params.a_coef, p, out=p)
+    _central_into(grad, p, dr)
+    np.negative(grad, out=grad)
+    np.maximum(v, 0.0, out=lo)
+    np.minimum(v, 0.0, out=hi)
+    _upwind_into(dv, lo, hi, v_e, dr, flux, tmp)
+    s1_e = _fill_ghosts(s1, g0, False, outer_bc)
+    s2_e = _fill_ghosts(s2, g1, False, outer_bc)
+    _central_into(tmp, s1_e, dr)
+    np.multiply(2.0 / 3.0, tmp, out=tmp)
+    np.add(grad, tmp, out=grad)
+    np.multiply(2.0, s1, out=tmp)
+    np.divide(tmp, r, out=tmp)
+    np.add(grad, tmp, out=grad)
+    _central_into(tmp, s2_e, dr)
+    np.add(grad, tmp, out=grad)
+    np.divide(grad, rho, out=grad)
+    np.subtract(grad, dv, out=dv)  # -convection + grad, exactly
 
-def rhs_nonstiff(state, grid, params, outer_bc="extrapolate", include_production=True):
-    """Discrete time derivatives of all terms except the -s/(tau rho) decay.
-
-    With include_production=False the stress rows carry transport only; the
-    split integrator uses that variant and hands the whole relaxation source
-    to relax_substep.
-    """
-    dr = grid.dr
-    r = grid.centers
-    rho, v, s1, s2 = state.rho, state.v, state.s1, state.s2
-    rho_e, v_e, s1_e, s2_e = apply_bc(state, grid, params, outer_bc)
-
-    drho = _mass_rhs(rho_e, v_e, params, grid)
-
-    dp = _central(pressure(rho_e, params), dr)
-    ds1_dr = _central(s1_e, dr)
-    ds2_dr = _central(s2_e, dr)
-    dv = -_upwind(v, v_e, dr) + (-dp + (2.0 / 3.0) * ds1_dr + 2.0 * s1 / r + ds2_dr) / rho
-
-    a = v - params.eps
-    ds1 = -_upwind(a, s1_e, dr)
-    ds2 = -_upwind(a, s2_e, dr)
+    # stress transport at speed v - eps; at eps = 0 that is v itself, whose
+    # upwind split is already in lo, hi
+    if params.eps != 0.0:
+        np.subtract(v, params.eps, out=lo)
+        np.minimum(lo, 0.0, out=hi)
+        np.maximum(lo, 0.0, out=lo)
+    for g, ds in ((s1_e, ds1), (s2_e, ds2)):
+        _upwind_into(ds, lo, hi, g, dr, flux, tmp)
+        np.negative(ds, out=ds)
     if include_production:
-        eq1, eq2 = equilibrium_stress(v, grid, params)
-        trho = params.tau * rho
-        ds1 = ds1 + eq1 / trho
-        ds2 = ds2 + eq2 / trho
+        eq1, eq2 = equilibrium_stress(v, grid, params, out=(lo, hi, tmp))
+        trho = np.multiply(params.tau, rho, out=grad)
+        np.divide(eq1, trho, out=eq1)
+        np.add(ds1, eq1, out=ds1)
+        np.divide(eq2, trho, out=eq2)
+        np.add(ds2, eq2, out=ds2)
+    return w.k
+
+
+def rhs_full(state, grid, params, outer_bc="extrapolate", work=None):
+    """Complete discrete right-hand side including the relaxation sources."""
+    w = Workspace(grid) if work is None else work
+    drho, dv, ds1, ds2 = rhs_nonstiff(state, grid, params, outer_bc, include_production=True, work=w)
+    trho, decay = w.cell[:2]
+    np.multiply(params.tau, state.rho, out=trho)
+    np.divide(state.s1, trho, out=decay)
+    np.subtract(ds1, decay, out=ds1)
+    np.divide(state.s2, trho, out=decay)
+    np.subtract(ds2, decay, out=ds2)
     return drho, dv, ds1, ds2
 
 
-def rhs_full(state, grid, params, outer_bc="extrapolate"):
-    """Complete discrete right-hand side including the relaxation sources."""
-    drho, dv, ds1, ds2 = rhs_nonstiff(state, grid, params, outer_bc, include_production=True)
-    trho = params.tau * state.rho
-    return drho, dv, ds1 - state.s1 / trho, ds2 - state.s2 / trho
+def _relax(state, dt, grid, params, out, work):
+    # out.s1, out.s2 <- the exact relaxation of state's stresses over dt;
+    # out may be state itself
+    if params.tau <= 0.0:
+        raise ValueError("relax_substep requires tau > 0")
+    eq1, eq2, dv, decay = work.k
+    equilibrium_stress(state.v, grid, params, out=(eq1, eq2, dv))
+    np.multiply(params.tau, state.rho, out=decay)
+    np.divide(-dt, decay, out=decay)
+    np.exp(decay, out=decay)
+    for s, dst, eq in ((state.s1, out.s1, eq1), (state.s2, out.s2, eq2)):
+        np.subtract(s, eq, out=dst)
+        np.multiply(dst, decay, out=dst)
+        np.add(eq, dst, out=dst)
 
 
 def relax_substep(state, dt, grid, params):
@@ -181,13 +296,8 @@ def relax_substep(state, dt, grid, params):
     Unconditionally stable; the stresses land exactly on equilibrium as
     dt/(tau rho) -> infinity.
     """
-    if params.tau <= 0.0:
-        raise ValueError("relax_substep requires tau > 0")
-    eq1, eq2 = equilibrium_stress(state.v, grid, params)
-    decay = np.exp(-dt / (params.tau * state.rho))
     out = state.copy()
-    out.s1 = eq1 + (state.s1 - eq1) * decay
-    out.s2 = eq2 + (state.s2 - eq2) * decay
+    _relax(state, dt, grid, params, out, Workspace(grid))
     return out
 
 
@@ -208,6 +318,9 @@ def compute_dt_classical(state, grid, params, cfl):
 
 
 def _check(state, step_idx, stage):
+    fields = (state.rho, state.v, state.s1, state.s2)
+    if all(np.isfinite(f).all() for f in fields) and (state.rho > 0.0).all():
+        return
     bad = ~np.isfinite(state.rho) | ~np.isfinite(state.v) | ~np.isfinite(state.s1) | ~np.isfinite(state.s2)
     if np.any(bad):
         cell = int(np.argmax(bad))
@@ -216,68 +329,77 @@ def _check(state, step_idx, stage):
             step=step_idx,
             cell=cell,
         )
-    if np.any(state.rho <= 0.0):
-        cell = int(np.argmin(state.rho))
-        raise NumericalAbort(
-            f"rho = {state.rho[cell]:.3g} <= 0 after {stage} at step {step_idx}, cell {cell}",
-            step=step_idx,
-            cell=cell,
-        )
+    cell = int(np.argmin(state.rho))
+    raise NumericalAbort(
+        f"rho = {state.rho[cell]:.3g} <= 0 after {stage} at step {step_idx}, cell {cell}",
+        step=step_idx,
+        cell=cell,
+    )
 
 
-def _pin_stresses(state, grid, params):
-    # the classical system carries its stresses at their Newtonian values
-    state.s1, state.s2 = equilibrium_stress(state.v, grid, params)
+def _pin_stresses(state, grid, params, scratch):
+    # the classical system carries its stresses at their Newtonian values;
+    # scratch is one cell-length array that receives dv/dr
+    equilibrium_stress(state.v, grid, params, out=(state.s1, state.s2, scratch))
     return state
 
 
-def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, pin_stresses=False):
+def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, out, work, pin_stresses=False):
     # SSP-RK2 (Heun) on the non-stiff part, production excluded, from t to
-    # t + dt; pin_stresses puts each stage on equilibrium before it is checked
-    k1 = rhs_nonstiff(state, grid, params, outer_bc, include_production=False)
-    mid = State(
-        state.rho + dt * k1[0],
-        state.v + dt * k1[1],
-        state.s1 + dt * k1[2],
-        state.s2 + dt * k1[3],
-        state.t,
-    )
+    # t + dt into out, which holds the middle stage on the way; state is not
+    # written.  pin_stresses puts each stage on equilibrium before it is
+    # checked
+    fields = (state.rho, state.v, state.s1, state.s2)
+    stage = (out.rho, out.v, out.s1, out.s2)
+    k1 = rhs_nonstiff(state, grid, params, outer_bc, include_production=False, work=work)
+    for f, g, k in zip(fields, stage, k1):
+        np.multiply(dt, k, out=k)
+        np.add(f, k, out=g)
+    out.t = state.t
     if pin_stresses:
-        _pin_stresses(mid, grid, params)
-    _check(mid, step_idx, "rk2 stage 1")
-    k2 = rhs_nonstiff(mid, grid, params, outer_bc, include_production=False)
-    out = State(
-        0.5 * (state.rho + mid.rho + dt * k2[0]),
-        0.5 * (state.v + mid.v + dt * k2[1]),
-        0.5 * (state.s1 + mid.s1 + dt * k2[2]),
-        0.5 * (state.s2 + mid.s2 + dt * k2[3]),
-        state.t + dt,
-    )
+        _pin_stresses(out, grid, params, work.cell[0])
+    _check(out, step_idx, "rk2 stage 1")
+    k2 = rhs_nonstiff(out, grid, params, outer_bc, include_production=False, work=work)
+    for f, g, k in zip(fields, stage, k2):
+        np.add(f, g, out=g)
+        np.multiply(dt, k, out=k)
+        np.add(g, k, out=g)
+        np.multiply(0.5, g, out=g)
+    out.t = state.t + dt
     if pin_stresses:
-        _pin_stresses(out, grid, params)
+        _pin_stresses(out, grid, params, work.cell[0])
     _check(out, step_idx, "rk2 stage 2")
     return out
 
 
-def step(state, grid, params, cfg, dt=None, step_idx=0):
+def step(state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None):
     """Advance one Strang step: half relaxation, transport, half relaxation.
 
-    dt defaults to the CFL step of compute_dt.
+    dt defaults to the CFL step of compute_dt.  The new state is written to
+    out (a State of the grid's length, not state itself) when given, and to a
+    new State otherwise; state is never written.
     """
+    if out is state:
+        raise ValueError("step cannot write its input state")
     if dt is None:
         dt = compute_dt(state, grid, params, cfg.cfl)
-    out = relax_substep(state, 0.5 * dt, grid, params)
-    out = _rk2_transport(out, dt, grid, params, cfg.outer_bc, step_idx)
-    out = relax_substep(out, 0.5 * dt, grid, params)
+    w = Workspace(grid) if work is None else work
+    out = _empty_state(grid.n_cells) if out is None else out
+    half = State(state.rho, state.v, *w.stress, state.t)
+    _relax(state, 0.5 * dt, grid, params, half, w)
+    _rk2_transport(half, dt, grid, params, cfg.outer_bc, step_idx, out, w)
+    _relax(out, 0.5 * dt, grid, params, out, w)
     _check(out, step_idx, "step")
     return out
 
 
-def _step_classical(state, grid, params, cfg, dt, step_idx):
-    return _rk2_transport(state, dt, grid, params, cfg.outer_bc, step_idx, pin_stresses=True)
+def _step_classical(state, grid, params, cfg, dt, step_idx, out=None, work=None):
+    w = Workspace(grid) if work is None else work
+    out = _empty_state(grid.n_cells) if out is None else out
+    return _rk2_transport(state, dt, grid, params, cfg.outer_bc, step_idx, out, w, pin_stresses=True)
 
 
-def classical_rhs(state, grid, params, outer_bc="extrapolate"):
+def classical_rhs(state, grid, params, outer_bc="extrapolate", work=None):
     """Time derivatives of (rho, v, s1, s2) for the classical system.
 
     Reuses the relaxed momentum operator with s1, s2 replaced by the
@@ -285,9 +407,11 @@ def classical_rhs(state, grid, params, outer_bc="extrapolate"):
     relaxed scheme's tau -> 0 limit.  The stress rows are the Newtonian
     values of dv/dt, the time derivative of eq(v) by linearity.
     """
-    pinned = State(state.rho, state.v, *equilibrium_stress(state.v, grid, params))
-    drho, dv, _, _ = rhs_nonstiff(pinned, grid, params, outer_bc, include_production=False)
-    return (drho, dv, *equilibrium_stress(dv, grid, params))
+    w = Workspace(grid) if work is None else work
+    pinned = _pin_stresses(State(state.rho, state.v, *w.stress), grid, params, w.cell[0])
+    drho, dv, ds1, ds2 = rhs_nonstiff(pinned, grid, params, outer_bc, include_production=False, work=w)
+    equilibrium_stress(dv, grid, params, out=(ds1, ds2, w.cell[0]))
+    return drho, dv, ds1, ds2
 
 
 def _wavefront_clear(state, grid):
@@ -301,9 +425,10 @@ def _wavefront_clear(state, grid):
     return dev <= 1e-8
 
 
-def _record(traj, state, grid, params, rhs):
+def _record(traj, state, grid, params, rhs, work):
     traj.snapshots.append(state.copy())
-    traj.rhs_cache.append(rhs(state, grid, params, traj.outer_bc))
+    rows = rhs(state, grid, params, traj.outer_bc, work=work)
+    traj.rhs_cache.append(tuple(row.copy() for row in rows))
     # boundary interaction is intended with a reflecting outer wall; the
     # monitor guards the interpretation of extrapolating (open) runs only
     if traj.outer_bc == "reflect":
@@ -318,39 +443,49 @@ def _record(traj, state, grid, params, rhs):
 
 def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs):
     # the one driver: dt_rule(state, grid, params, cfl) proposes the step,
-    # step_rule(state, grid, params, cfg, dt, step_idx) takes it, and
-    # rhs(state, grid, params, outer_bc) is stored with every snapshot
+    # step_rule(state, grid, params, cfg, dt, step_idx, out=, work=) takes
+    # it, and rhs(state, grid, params, outer_bc, work=) is stored with every
+    # snapshot.  Two State buffers take turns as the step's input and output,
+    # and one Workspace serves every stage, so a step allocates no field
     t_end = cfg.t_end
+    horizon = max(t_end, 1.0)
+    tol = _TIME_EPS * horizon
     traj = Trajectory(outer_bc=cfg.outer_bc)
+    work = Workspace(grid)
     state = initial.copy()
+    spare = _empty_state(grid.n_cells)
     _check(state, 0, "initial state")
-    _record(traj, state, grid, params, rhs)
+    _record(traj, state, grid, params, rhs, work)
 
     pending = None
     if output_times is not None:
-        pending = [t for t in sorted(output_times) if t > state.t + _TIME_EPS]
-    horizon = max(t_end, 1.0)
+        # times within tol of the start or of an earlier time would ask for
+        # a step of (nearly) zero length
+        pending = []
+        for t in sorted(output_times):
+            if t > (pending[-1] if pending else state.t) + tol:
+                pending.append(t)
     step_idx = 0
-    while state.t < t_end - _TIME_EPS * horizon:
+    while state.t < t_end - tol:
         dt = dt_rule(state, grid, params, cfg.cfl)
-        if not np.isfinite(dt) or dt <= _TIME_EPS * horizon:
+        if not np.isfinite(dt) or dt <= tol:
             raise NumericalAbort(
                 f"time step collapsed to {dt:.3g} at t = {state.t:.6g}", step=step_idx
             )
         target = pending[0] if pending else t_end
         dt = min(dt, max(target - state.t, 0.0), t_end - state.t)
-        state = step_rule(state, grid, params, cfg, dt, step_idx)
+        state, spare = step_rule(state, grid, params, cfg, dt, step_idx, out=spare, work=work), state
         step_idx += 1
         traj.dt_history.append(dt)
-        hit_output = pending and state.t >= pending[0] - _TIME_EPS * horizon
+        hit_output = pending and state.t >= pending[0] - tol
         if hit_output:
             pending.pop(0)
-        at_end = state.t >= t_end - _TIME_EPS * horizon
+        at_end = state.t >= t_end - tol
         if output_times is not None:
             if hit_output or at_end:
-                _record(traj, state, grid, params, rhs)
+                _record(traj, state, grid, params, rhs, work)
         elif step_idx % cfg.output_every == 0 or at_end:
-            _record(traj, state, grid, params, rhs)
+            _record(traj, state, grid, params, rhs, work)
     return traj
 
 
@@ -373,7 +508,7 @@ def run_classical(initial, grid, params, cfg, output_times=None):
     stresses start, and stay, at their Newtonian values, so trajectories from
     both solvers share one format.
     """
-    pinned = _pin_stresses(initial.copy(), grid, params)
+    pinned = _pin_stresses(initial.copy(), grid, params, np.empty(grid.n_cells))
     return _advance(
         pinned, grid, params, cfg, output_times, compute_dt_classical, _step_classical, classical_rhs
     )

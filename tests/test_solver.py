@@ -14,6 +14,8 @@ from relaxns.model import (
 from relaxns.numerics import cell_sum_r2
 from relaxns.solver import (
     SolverConfig,
+    Workspace,
+    _step_classical,
     apply_bc,
     classical_rhs,
     compute_dt,
@@ -28,6 +30,23 @@ from relaxns.solver import (
 from relaxns.structure import char_speeds
 
 from conftest import equilibrium_state
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_state(a, b):
+    return a.t == b.t and all(same_bits(getattr(a, f), getattr(b, f)) for f in ("rho", "v", "s1", "s2"))
+
+
+def poisoned_workspace(grid):
+    # every buffer starts as NaN, so a value read before it is written shows
+    w = Workspace(grid)
+    for group in (w.ghost, w.face, w.cell, w.k, w.stress):
+        for buf in group:
+            buf.fill(np.nan)
+    return w
 
 
 def gaussian_state(grid, amp=0.1, vamp=0.05, s1a=0.03, s2a=0.02, center=5.0, width=0.7):
@@ -291,7 +310,7 @@ def test_run_rhs_cache_consistent(grid, params, bump_cfg, integrate, rhs):
         again = rhs(snap, grid, params, traj.outer_bc)
         assert len(cached) == len(again) == 4
         for a, b in zip(cached, again):
-            assert np.max(np.abs(a - b)) <= 1e-14
+            assert np.array_equal(a, b)
 
 
 def test_run_mass_conservation_reflect(grid, params, bump_cfg):
@@ -388,3 +407,84 @@ def test_compute_dt_classical_parabolic_bound(grid):
     dt = compute_dt_classical(equilibrium_state(grid.n_cells), grid, p, 0.4)
     parabolic = 0.4 * grid.dr**2 / (2.0 * (4.0 / 3.0 + 1.0))
     assert dt == pytest.approx(parabolic, rel=1e-12)
+
+
+@pytest.mark.parametrize("integrate", [run, run_classical], ids=["relaxed", "classical"])
+def test_duplicate_output_times_take_no_zero_step(grid, bump_cfg, integrate):
+    p = FluidParams(tau=0.01 if integrate is run else 0.0)
+    state = make_initial_data(bump_cfg, grid, FluidParams(tau=0.01))
+    cfg = SolverConfig(t_end=0.05)
+    unique = integrate(state, grid, p, cfg, output_times=[0.01, 0.02, 0.05])
+    repeated = integrate(state, grid, p, cfg, output_times=[0.0, 0.01, 0.02, 0.02, 0.02 + 1e-14, 0.05])
+    assert all(dt > 0.0 for dt in repeated.dt_history)
+    assert repeated.dt_history == unique.dt_history
+    assert len(repeated.snapshots) == len(unique.snapshots) == 4
+    for a, b in zip(repeated.snapshots, unique.snapshots):
+        assert same_state(a, b)
+
+
+@pytest.mark.parametrize("integrate", [run, run_classical], ids=["relaxed", "classical"])
+def test_run_snapshots_replay_through_allocating_step(grid, bump_cfg, integrate):
+    # the driver steps in place between two buffers; every snapshot must be
+    # its own copy, equal to a replay through the allocating public step,
+    # and initial must come back untouched
+    relaxed = integrate is run
+    p = FluidParams(tau=0.01 if relaxed else 0.0)
+    cfg = SolverConfig(t_end=0.006, output_every=1)
+    initial = make_initial_data(InitConfig(**{**vars(bump_cfg), "stress_perturb_amp": 0.5}), grid, FluidParams())
+    before = initial.copy()
+    traj = integrate(initial, grid, p, cfg)
+    assert same_state(initial, before)
+    assert len(traj.snapshots) == len(traj.dt_history) + 1 > 3
+    state = initial if relaxed else State(initial.rho, initial.v, *equilibrium_stress(initial.v, grid, p))
+    assert same_state(traj.snapshots[0], state)
+    for k, (dt, snap) in enumerate(zip(traj.dt_history, traj.snapshots[1:])):
+        if relaxed:
+            state = step(state, grid, p, cfg, dt=dt, step_idx=k)
+        else:
+            state = _step_classical(state, grid, p, cfg, dt, k)
+        assert same_state(snap, state)
+
+
+@pytest.mark.parametrize("stepper", [step, _step_classical], ids=["relaxed", "classical"])
+def test_step_into_buffers_matches_allocating_step(grid, params, stepper):
+    state, _ = gaussian_state(grid)
+    if stepper is _step_classical:
+        state = State(state.rho, state.v, *equilibrium_stress(state.v, grid, params))
+    before = state.copy()
+    cfg = SolverConfig(t_end=1.0, outer_bc="reflect")
+    want = stepper(state, grid, params, cfg, 1e-3, 3)
+    work = poisoned_workspace(grid)
+    for _ in range(2):  # the second pass starts from a used workspace
+        out = State(*(np.full(grid.n_cells, np.nan) for _ in range(4)))
+        got = stepper(state, grid, params, cfg, 1e-3, 3, out=out, work=work)
+        assert got is out
+        assert same_state(got, want)
+        assert same_state(state, before)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize(
+    "rhs",
+    [
+        lambda s, g, p, w: rhs_nonstiff(s, g, p, "reflect", include_production=False, work=w),
+        lambda s, g, p, w: rhs_nonstiff(s, g, p, "reflect", include_production=True, work=w),
+        lambda s, g, p, w: rhs_full(s, g, p, "extrapolate", work=w),
+        lambda s, g, p, w: classical_rhs(s, g, p, "extrapolate", work=w),
+    ],
+    ids=["transport", "production", "full", "classical"],
+)
+def test_rhs_in_workspace_matches_allocating_call(grid, rhs, eps):
+    p = FluidParams(tau=0.01, eps=eps)
+    state, _ = gaussian_state(grid)
+    before = state.copy()
+    want = [row.copy() for row in rhs(state, grid, p, None)]
+    got = rhs(state, grid, p, poisoned_workspace(grid))
+    assert len(got) == 4
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+    assert same_state(state, before)
+
+
+def test_step_rejects_writing_its_input(grid, params, equilibrium):
+    with pytest.raises(ValueError):
+        step(equilibrium, grid, params, SolverConfig(t_end=1.0), dt=1e-3, out=equilibrium)
