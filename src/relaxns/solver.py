@@ -80,9 +80,9 @@ class Trajectory:
 class Workspace:
     """Scratch arrays for one grid, reused by every stage of a run.
 
-    rhs_nonstiff, relax_substep, step and the snapshot right-hand sides take
-    one as work= and then allocate nothing per call; the rows they return
-    live in work.k and are overwritten by the next call that uses it.
+    rhs_nonstiff, rhs_full, classical_rhs and step take one as work= and
+    then allocate no field; the rows the right-hand sides return live in
+    work.k and are overwritten by the next call that uses the workspace.
     """
 
     def __init__(self, grid):
@@ -262,7 +262,10 @@ def rhs_nonstiff(state, grid, params, outer_bc="extrapolate", include_production
 
 
 def rhs_full(state, grid, params, outer_bc="extrapolate", work=None):
-    """Complete discrete right-hand side including the relaxation sources."""
+    """Complete discrete right-hand side including the relaxation sources.
+
+    With work= the rows are work.k.
+    """
     w = Workspace(grid) if work is None else work
     drho, dv, ds1, ds2 = rhs_nonstiff(state, grid, params, outer_bc, include_production=True, work=w)
     trho, decay = w.cell[:2]
@@ -405,7 +408,8 @@ def classical_rhs(state, grid, params, outer_bc="extrapolate", work=None):
     Reuses the relaxed momentum operator with s1, s2 replaced by the
     Newtonian values of v, so the baseline is spatially identical to the
     relaxed scheme's tau -> 0 limit.  The stress rows are the Newtonian
-    values of dv/dt, the time derivative of eq(v) by linearity.
+    values of dv/dt, the time derivative of eq(v) by linearity.  With work=
+    the rows are work.k.
     """
     w = Workspace(grid) if work is None else work
     pinned = _pin_stresses(State(state.rho, state.v, *w.stress), grid, params, w.cell[0])
