@@ -321,35 +321,19 @@ def _cmd_sweep_tau(args, config, say):
 
 def _cmd_check_structure(args, config, say):
     params, grid, _, _, resolved = config
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     out_dir = Path(args.out)
     finish = _start(out_dir, resolved, grid, params, seed=args.seed)
     audit = structure_audit(n_states=1000, seed=args.seed)
     # rho != 1 so the two closed-form candidates for det/eps^2 differ
     det = noncharacteristic_report(1.2, params)
-    rows = [
-        (audit.a0_spd, f"A0 symmetric positive definite over {audit.n_states} random states"),
-        (audit.a1_symmetry_max <= 1e-14, f"A1 symmetric (max asymmetry {audit.a1_symmetry_max:.2e})"),
-        (audit.speeds_max_imag <= 1e-8, f"characteristic speeds real (max imag/scale {audit.speeds_max_imag:.2e})"),
-        (
-            audit.kernel_form_min >= -1e-12 and audit.kernel_form_max_error <= 1e-12,
-            f"kernel boundary form nonnegative and matches closed form (max err {audit.kernel_form_max_error:.2e})",
-        ),
-        (audit.q_form_max_error <= 1e-12, f"witness form equals -2 P'(rho) (max err {audit.q_form_max_error:.2e})"),
-        (abs(det["det_eps0"]) <= 1e-12, f"boundary determinant at eps=0: {det['det_eps0']:.2e}"),
-        (
-            det["det_over_eps2_spread"] <= 1e-10,
-            f"det/eps^2 independent of eps (rel spread {det['det_over_eps2_spread']:.2e})",
-        ),
-        (
-            max(r["cofactor_rel_err"] for r in det["rows"]) <= 1e-12,
-            "LU determinant matches the cofactor oracle",
-        ),
-    ]
-    lines = [f"[{'PASS' if ok else 'FAIL'}] {text}" for ok, text in rows]
+    checks = audit.checks + det["checks"]
+    lines = [f"[{'PASS' if ok else 'FAIL'}] {text}" for ok, text in checks]
     for name, matched in det["candidate_matches"].items():
         lines.append(f"[INFO] det/eps^2 matches {name}: {'yes' if matched else 'no'}")
     _write_report(out_dir / "structure_report.txt", lines, say)
-    all_ok = all(ok for ok, _ in rows)
+    all_ok = all(ok for ok, _ in checks)
     finish([] if all_ok else ["structure audit failed"])
     return 0 if all_ok else 2
 

@@ -14,12 +14,26 @@ over the relaxation time tau.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, FieldError
 from .numerics import derivative
+
+
+def integer_field(name, value):
+    """value as an int; a Python or numpy integer, else FieldError naming `name`.
+
+    Floats are refused even when integral (800.0): numpy refuses them as
+    sizes, and a fractional or non-finite count would silently change the grid
+    or the snapshot cadence.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise FieldError(name, f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -71,6 +85,7 @@ class RadialGrid:
     def __post_init__(self):
         if not self.r_min < self.r_max < math.inf:
             raise FieldError("r_max", f"r_max must be finite and exceed {self.r_min}, got {self.r_max}")
+        object.__setattr__(self, "n_cells", integer_field("n_cells", self.n_cells))
         if self.n_cells < 8:
             raise FieldError("n_cells", f"n_cells must be at least 8, got {self.n_cells}")
         dr = (self.r_max - self.r_min) / self.n_cells

@@ -83,8 +83,8 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=10):
     """
     taus = sorted(float(t) for t in taus)
     taus = taus[::-1]
-    if any(t <= 0.0 for t in taus):
-        raise ValueError("tau sweep requires strictly positive taus")
+    if not taus or any(t <= 0.0 for t in taus):
+        raise ValueError("tau sweep requires one or more taus, all strictly positive")
     out_times = np.linspace(0.0, base_cfg.t_end, n_outputs + 1)
 
     probe = make_initial_data(init_cfg, grid, replace(params_template, tau=taus[0]))

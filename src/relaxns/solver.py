@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldError, NumericalAbort
-from .model import State, equilibrium_stress, pressure_prime
+from .model import State, equilibrium_stress, integer_field, pressure_prime
 from .structure import max_char_speed
 
 _OUTER_BCS = ("extrapolate", "reflect")
@@ -59,6 +59,7 @@ class SolverConfig:
             raise FieldError("t_end", f"t_end must be finite and nonnegative, got {self.t_end}")
         if self.outer_bc not in _OUTER_BCS:
             raise FieldError("outer_bc", f"outer_bc must be one of {_OUTER_BCS}, got {self.outer_bc!r}")
+        object.__setattr__(self, "output_every", integer_field("output_every", self.output_every))
         if self.output_every < 1:
             raise FieldError("output_every", f"output_every must be >= 1, got {self.output_every}")
 

@@ -1,14 +1,17 @@
 import hashlib
-from dataclasses import fields
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from relaxns import cli
 from relaxns.cli import main, parse_config, read_snapshot, write_diagnostics, write_snapshot
 from relaxns.energy import EnergySnapshot, energy_series
 from relaxns.errors import ConfigError
 from relaxns.model import FluidParams, InitConfig, RadialGrid, State
 from relaxns.solver import SolverConfig, run
+from relaxns.structure import structure_audit
 
 from conftest import equilibrium_state
 
@@ -213,6 +216,24 @@ def test_main_check_structure(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "[PASS]" in text and "[FAIL]" not in text
     assert (out / "structure_report.txt").is_file()
+
+
+def test_check_structure_rejects_negative_seed_before_output(tmp_path, capsys):
+    out = tmp_path / "os"
+    assert main(["check-structure", "--config", "default", "--out", str(out), "--seed", "-1", "--quiet"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_check_structure_fail_path(tmp_path, capsys, monkeypatch):
+    audit = replace(structure_audit(n_states=10, seed=0), q_form_max_error=1.0)
+    monkeypatch.setattr(cli, "structure_audit", lambda n_states, seed: audit)
+    out = tmp_path / "os"
+    assert main(["check-structure", "--config", "default", "--out", str(out)]) == 2
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == [f"[FAIL] {text}" for ok, text in audit.checks if not ok]
+    assert failed == ["[FAIL] witness form equals -2 P'(rho) (max err 1.00e+00)"]
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == ["structure audit failed"]
 
 
 def test_main_sweep_tau(tmp_path):

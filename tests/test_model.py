@@ -233,3 +233,18 @@ def test_nan_rejected_by_validator(cls, field):
         with pytest.raises(FieldError) as info:
             cls(**{field: value})
         assert info.value.field == field
+
+
+@pytest.mark.parametrize("value", [800.5, 800.0, math.nan, math.inf], ids=["fraction", "integral-float", "nan", "inf"])
+@pytest.mark.parametrize("cls, field", [(RadialGrid, "n_cells"), (SolverConfig, "output_every")])
+def test_integer_field_rejects_non_integers(cls, field, value):
+    # 800.5 would build 801 centres; 800.0 would reach numpy as a float size
+    with pytest.raises(FieldError, match=f"^{field} must be an integer") as info:
+        cls(**{field: value})
+    assert info.value.field == field
+
+
+def test_integer_field_accepts_numpy_integers():
+    grid = RadialGrid(n_cells=np.int64(64))
+    assert type(grid.n_cells) is int and grid.centers.size == 64
+    assert type(SolverConfig(output_every=np.int32(5)).output_every) is int

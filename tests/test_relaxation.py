@@ -93,3 +93,9 @@ def test_tau_sweep_slopes_grid_stable(params):
         res = tau_sweep(cfg, INIT, g, params, [1e-2, 1e-3, 1e-4], n_outputs=6)
         slopes.append(res.stress_slope)
     assert abs(slopes[0] - slopes[1]) <= 0.2
+
+
+def test_tau_sweep_rejects_empty_or_nonpositive_taus(grid, params):
+    for taus in ([], [1e-2, 0.0]):
+        with pytest.raises(ValueError, match="^tau sweep requires one or more taus, all strictly positive$"):
+            tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, taus)

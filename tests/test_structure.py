@@ -1,9 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from relaxns.errors import DomainError, StructureError
 from relaxns.model import FluidParams, pressure_prime
 from relaxns.structure import (
+    A1_SYMMETRY_TOL,
+    FORM_TOL,
+    SPEEDS_IMAG_TOL,
+    StructureAuditReport,
     assemble_a0,
     assemble_a1,
     assemble_b,
@@ -241,3 +247,32 @@ def test_structure_audit_small():
     rep = structure_audit(n_states=200, seed=0)
     assert rep.passed
     assert rep.a1_symmetry_max == 0.0
+
+
+CLEAN_AUDIT = StructureAuditReport(
+    n_states=1,
+    a0_spd=True,
+    a1_symmetry_max=0.0,
+    speeds_max_imag=0.0,
+    kernel_form_min=0.0,
+    kernel_form_max_error=0.0,
+    q_form_max_error=0.0,
+)
+
+# (field, value at its tolerance, value just past it)
+AUDIT_LIMITS = [
+    ("a0_spd", True, False),
+    ("a1_symmetry_max", A1_SYMMETRY_TOL, np.nextafter(A1_SYMMETRY_TOL, np.inf)),
+    ("speeds_max_imag", SPEEDS_IMAG_TOL, np.nextafter(SPEEDS_IMAG_TOL, np.inf)),
+    ("kernel_form_min", -FORM_TOL, np.nextafter(-FORM_TOL, -np.inf)),
+    ("kernel_form_max_error", FORM_TOL, np.nextafter(FORM_TOL, np.inf)),
+    ("q_form_max_error", FORM_TOL, np.nextafter(FORM_TOL, np.inf)),
+]
+
+
+@pytest.mark.parametrize("field, at, past", AUDIT_LIMITS, ids=[f for f, _, _ in AUDIT_LIMITS])
+def test_audit_verdict_flips_just_past_each_tolerance(field, at, past):
+    assert replace(CLEAN_AUDIT, **{field: at}).passed
+    rep = replace(CLEAN_AUDIT, **{field: past})
+    assert not rep.passed
+    assert [ok for ok, _ in rep.checks].count(False) == 1
