@@ -17,10 +17,10 @@ Config files are flat sectioned key=value text::
     cfl = 0.4
     t_end = 1.0
 
-Unknown sections or keys are rejected with the offending line number, as are
-malformed values and violated invariants.  Snapshots and diagnostics are CSV
-with full double precision (17 significant digits) and LF line endings, so
-identical configs reproduce byte-identical numerical outputs.
+Unknown sections or keys, keys given twice, malformed values and violated
+invariants are rejected with the offending line number.  Snapshots and
+diagnostics are CSV with full double precision (17 significant digits) and LF
+line endings, so identical configs reproduce byte-identical numerical outputs.
 """
 
 import argparse
@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .energy import (
+    PINCH_BOX,
     apriori_report,
     boundary_stress_trace,
     energy_identity_residual,
@@ -61,7 +62,7 @@ def _defaults():
 
 
 def _parse_text(text):
-    """key -> (raw value, line number) per section; rejects unknown keys."""
+    """key -> (raw value, line number) per section; rejects unknown and repeated keys."""
     values = {sec: {} for sec in _KEYS}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -82,6 +83,11 @@ def _parse_text(text):
         value = value.strip()
         if key not in _KEYS[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", line=lineno)
+        if key in values[section]:
+            first = values[section][key][1]
+            raise ConfigError(
+                f"duplicate key {key!r} in section [{section}], first set on line {first}", line=lineno
+            )
         values[section][key] = (value, lineno)
     return values
 
@@ -185,7 +191,10 @@ def _start(out_dir, resolved, grid, params, **extra):
     Returns finish(warnings), which rewrites the manifest with the wall time
     and the warnings.  A run that aborts in between keeps its config echo.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {str(out_dir)!r} cannot be used as the output directory: {exc}") from None
     manifest = {
         "code_version": __version__,
         "config_echo": resolved,
@@ -268,7 +277,7 @@ def _cmd_energy_report(args, config, say):
             f"final-quarter growth rate = {rep.growth_rate_final_quarter:.3g} per unit time",
             f"rho range [{rep.rho_min:.6g}, {rep.rho_max:.6g}] "
             + ("inside" if rep.pinch_ok else "OUTSIDE")
-            + " [0.75, 1.25]",
+            + " [{:g}, {:g}]".format(*PINCH_BOX),
         ]
         if params.eps > 0.0:
             tr1, tr2 = boundary_stress_trace(traj.snapshots[-1], grid, params)

@@ -39,6 +39,7 @@ from .numerics import (
 )
 
 _FLOOR = 1e-30
+PINCH_BOX = (0.75, 1.25)  # the density range the a-priori report checks
 
 
 @dataclass
@@ -175,6 +176,14 @@ def boundary_stress_trace(state, grid, params):
     )
 
 
+def _cumulative_trapezoid(f, t):
+    """Trapezoid-rule integral of f over t from t[0] to each t[j]; 0 at t[0]."""
+    f = np.asarray(f, dtype=float)
+    acc = np.zeros_like(f)
+    acc[1:] = np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))
+    return acc
+
+
 def mass_balance_residual(traj, grid):
     """|mass(t) - mass(0) + accumulated outer-face flux| / mass(0).
 
@@ -190,10 +199,7 @@ def mass_balance_residual(traj, grid):
         flux = np.array(
             [grid.face_r2[-1] * s.rho[-1] * s.v[-1] for s in traj.snapshots]
         )
-    acc = np.zeros_like(series_mass)
-    if len(times) > 1:
-        mid = 0.5 * (flux[1:] + flux[:-1]) * np.diff(times)
-        acc[1:] = np.cumsum(mid)
+    acc = _cumulative_trapezoid(flux, times)
     return np.abs(series_mass - series_mass[0] + acc) / series_mass[0]
 
 
@@ -206,8 +212,6 @@ class AprioriReport:
     rho_max: float
     pinch_ok: bool
     degenerate: bool
-    ratios: np.ndarray
-    times: np.ndarray
 
 
 def apriori_report(traj, grid, params, series=None):
@@ -215,34 +219,19 @@ def apriori_report(traj, grid, params, series=None):
 
     No hard constant is asserted; the report exposes the final ratio, its
     relative growth rate per unit time over the last quarter of the run, and
-    whether rho stayed inside [3/4, 5/4].  An equilibrium run (E(0) ~ 0) is a
-    degenerate pass.
+    whether rho stayed inside PINCH_BOX.  An equilibrium run (E(0) ~ 0) is a
+    degenerate pass with ratio 0 throughout.
     """
     if series is None:
         series = energy_series(traj, grid, params)
     times = traj.times
     e_run = np.array([s.e_running for s in series])
-    d = np.array([s.d_inst for s in series])
-    int_d = np.zeros_like(d)
-    if len(times) > 1:
-        int_d[1:] = np.cumsum(0.5 * (d[1:] + d[:-1]) * np.diff(times))
+    int_d = _cumulative_trapezoid([s.d_inst for s in series], times)
     e0 = series[0].e_inst
     rho_min = min(float(np.min(s.rho)) for s in traj.snapshots)
     rho_max = max(float(np.max(s.rho)) for s in traj.snapshots)
-    pinch_ok = 0.75 <= rho_min and rho_max <= 1.25
-    if e0 < _FLOOR:
-        return AprioriReport(
-            e0=e0,
-            final_ratio=0.0,
-            growth_rate_final_quarter=0.0,
-            rho_min=rho_min,
-            rho_max=rho_max,
-            pinch_ok=pinch_ok,
-            degenerate=True,
-            ratios=np.zeros_like(times),
-            times=times,
-        )
-    ratios = (e_run + int_d) / e0
+    degenerate = bool(e0 < _FLOOR)
+    ratios = np.zeros_like(times) if degenerate else (e_run + int_d) / e0
     t0, t1 = times[0], times[-1]
     tq = t1 - 0.25 * (t1 - t0)
     mask = times >= tq - 1e-12 * max(1.0, t1)
@@ -256,8 +245,6 @@ def apriori_report(traj, grid, params, series=None):
         growth_rate_final_quarter=float(rate),
         rho_min=rho_min,
         rho_max=rho_max,
-        pinch_ok=pinch_ok,
-        degenerate=False,
-        ratios=ratios,
-        times=times,
+        pinch_ok=PINCH_BOX[0] <= rho_min and rho_max <= PINCH_BOX[1],
+        degenerate=degenerate,
     )

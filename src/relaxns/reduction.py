@@ -19,11 +19,11 @@ from .errors import DomainError
 from .model import pressure, time_derivatives
 
 
-def reduction_residual(state, grid, params, sample_points, h=None, time_derivs=None):
+def reduction_residual(state, grid, params, sample_points, h=None):
     """Residual 4-tuples (mass, mom_x, mom_y, mom_z) at each sample point.
 
-    The time-derivative snapshot defaults to the central evaluation of the
-    radial right-hand side; h defaults to the mesh spacing.
+    The time derivatives are the central evaluation of the radial right-hand
+    side; h defaults to the mesh spacing.
     """
     h = grid.dr if h is None else float(h)
     pts = [np.asarray(p, dtype=float) for p in sample_points]
@@ -36,9 +36,7 @@ def reduction_residual(state, grid, params, sample_points, h=None, time_derivs=N
                 f"sample point at radius {radius:.6g} outside the safe interior "
                 f"({lo:.6g}, {hi:.6g})"
             )
-    if time_derivs is None:
-        time_derivs = time_derivatives(state, grid, params)
-    drho_dt, dv_dt = time_derivs[0], time_derivs[1]
+    drho_dt, dv_dt = time_derivatives(state, grid, params)[:2]
 
     r = grid.centers
     sp = {

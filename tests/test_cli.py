@@ -127,6 +127,25 @@ def test_bad_tau_list_rejected_before_output(tmp_path, capsys, tau_list, entry):
     assert not out.exists()
 
 
+def test_duplicate_key_rejected_naming_both_lines(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[params]\ntau = 0.01\ngamma = 1.4\ntau = 0.5\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 4: duplicate key 'tau'") and "first set on line 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-tau", "check-structure"])
+def test_out_naming_a_file_rejected(tmp_path, capsys, command):
+    target = tmp_path / "taken"
+    target.write_bytes(b"keep me\n")
+    assert main([command, "--config", "default", "--out", str(target), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out ") and str(target) in err
+    assert target.read_bytes() == b"keep me\n"
+
+
 def test_missing_file_rejected():
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/no/such/file.cfg")
@@ -264,6 +283,15 @@ def test_main_energy_report(tmp_path):
     out = tmp_path / "oe"
     assert main(["energy-report", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     assert (out / "energy_report.txt").is_file()
+
+
+def test_energy_report_names_the_pinch_box(tmp_path):
+    cfg = write_cfg(tmp_path, "[grid]\nr_max = 11\nn_cells = 32\n[solver]\nt_end = 0.05\n")
+    out = tmp_path / "oe"
+    assert main(["energy-report", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    lines = (out / "energy_report.txt").read_text().splitlines()
+    assert lines[1] == "degenerate equilibrium run"
+    assert lines[3] == "rho range [1, 1] inside [0.75, 1.25]"
 
 
 def test_energy_report_prints_contamination_warning(tmp_path, capsys):

@@ -128,6 +128,14 @@ def test_apriori_equilibrium_degenerate(grid, params, equilibrium):
     assert rep.degenerate and rep.pinch_ok
 
 
+def test_apriori_degenerate_report_is_zero(grid, params, equilibrium):
+    traj = run(equilibrium, grid, params, SolverConfig(t_end=0.1, output_every=5))
+    rep = apriori_report(traj, grid, params)
+    assert rep.degenerate and rep.e0 == 0.0
+    assert rep.final_ratio == 0.0 and rep.growth_rate_final_quarter == 0.0
+    assert rep.rho_min == rep.rho_max == 1.0
+
+
 def test_apriori_monotone_in_amplitude(grid, params):
     ratios = []
     for amp in (0.002, 0.006, 0.02):

@@ -1,10 +1,15 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from relaxns import relaxation
+from relaxns.errors import NumericalAbort
 from relaxns.model import FluidParams, InitConfig, RadialGrid, equilibrium_stress, make_initial_data
+from relaxns.numerics import weighted_l2_sq
 from relaxns.relaxation import limit_relation_error, tau_sweep, well_prepared_deviation
-from relaxns.solver import SolverConfig
+from relaxns.solver import SolverConfig, run, run_classical
 
 INIT = InitConfig(bump_amp=0.01, bump_center=5.0, bump_width=0.7, vel_amp=0.01)
 
@@ -99,3 +104,58 @@ def test_tau_sweep_rejects_empty_or_nonpositive_taus(grid, params):
     for taus in ([], [1e-2, 0.0]):
         with pytest.raises(ValueError, match="^tau sweep requires one or more taus, all strictly positive$"):
             tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, taus)
+
+
+def test_tau_sweep_members_run_at_the_template_eps(grid, params):
+    cfg = SolverConfig(t_end=0.05)
+    shifted = replace(params, eps=0.1)
+    res = tau_sweep(cfg, INIT, grid, shifted, [1e-2], n_outputs=4)
+    out_times = np.linspace(0.0, cfg.t_end, 5)
+    member = run(make_initial_data(INIT, grid, shifted), grid, shifted, cfg, output_times=out_times)
+    classical = replace(shifted, tau=0.0)
+    base = run_classical(make_initial_data(INIT, grid, classical), grid, classical, cfg, output_times=out_times)
+    assert len(member.snapshots) == len(base.snapshots) == 5
+    expected = 0.0
+    for a, b in zip(member.snapshots, base.snapshots):
+        dist = math.sqrt(weighted_l2_sq(a.rho - b.rho, grid)) + math.sqrt(weighted_l2_sq(a.v - b.v, grid))
+        expected = max(expected, dist)
+    assert res.field_errors[0] == expected
+    assert res.stress_errors[0] == limit_relation_error(member.snapshots[-1], grid, shifted)
+    unshifted = tau_sweep(cfg, INIT, grid, replace(params, eps=0.0), [1e-2], n_outputs=4)
+    assert unshifted.field_errors[0] != res.field_errors[0]
+
+
+def test_tau_sweep_member_abort_is_its_failure_row(grid, params, monkeypatch):
+    cfg = SolverConfig(t_end=0.1)
+    taus = [1e-2, 1e-3, 1e-4]
+    clean = tau_sweep(cfg, INIT, grid, params, taus, n_outputs=4)
+
+    def aborting_run(initial, grid, params, cfg, output_times=None):
+        if params.tau == 1e-3:
+            raise NumericalAbort("rho <= 0 at cell 7", step=3, cell=7)
+        return run(initial, grid, params, cfg, output_times=output_times)
+
+    monkeypatch.setattr(relaxation, "run", aborting_run)
+    res = tau_sweep(cfg, INIT, grid, params, taus, n_outputs=4)
+    assert res.taus == taus
+    assert math.isnan(res.field_errors[1])
+    assert all(math.isnan(e) for e in res.stress_errors[1])
+    assert res.failures == [None, "tau=0.001: rho <= 0 at cell 7", None]
+    assert len(res.runtimes) == 3 and all(t >= 0.0 for t in res.runtimes)
+    assert res.baseline_runtime >= 0.0
+    for k in (0, 2):
+        assert res.field_errors[k] == clean.field_errors[k]
+        assert res.stress_errors[k] == clean.stress_errors[k]
+
+
+def test_tau_sweep_baseline_abort_propagates(grid, params, monkeypatch):
+    def aborting_baseline(*args, **kwargs):
+        raise NumericalAbort("baseline collapsed")
+
+    def unreachable_member(*args, **kwargs):
+        raise AssertionError("a member ran after the baseline aborted")
+
+    monkeypatch.setattr(relaxation, "run_classical", aborting_baseline)
+    monkeypatch.setattr(relaxation, "run", unreachable_member)
+    with pytest.raises(NumericalAbort, match="^baseline collapsed$"):
+        tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, [1e-2, 1e-3], n_outputs=4)
