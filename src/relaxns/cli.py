@@ -149,9 +149,25 @@ def _write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
+_SNAPSHOT_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"  # the bytes of _fmt for finite floats
+_SNAPSHOT_CHUNK = 512  # rows formatted per write, so no snapshot is held as one string
+
+
 def write_snapshot(state, grid, path):
-    """CSV snapshot: header r,rho,v,s1,s2; one row per cell; LF endings."""
-    _write_csv(path, "r,rho,v,s1,s2", zip(grid.centers, state.rho, state.v, state.s1, state.s2))
+    """CSV snapshot: header r,rho,v,s1,s2; one row per cell; LF endings.
+
+    Every value is finite: a non-finite field is refused with a ValueError
+    naming it, before the file is opened.
+    """
+    for name in ("rho", "v", "s1", "s2"):
+        if not np.isfinite(getattr(state, name)).all():
+            raise ValueError(f"snapshot field {name} at t = {state.t:.17g} is not finite")
+    columns = (grid.centers, state.rho, state.v, state.s1, state.s2)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("r,rho,v,s1,s2\n")
+        for lo in range(0, grid.n_cells, _SNAPSHOT_CHUNK):
+            rows = zip(*(c[lo : lo + _SNAPSHOT_CHUNK].tolist() for c in columns))
+            fh.write("".join([_SNAPSHOT_ROW % row for row in rows]))
 
 
 def read_snapshot(path):

@@ -162,12 +162,17 @@ def pressure(rho, params):
     return float(p) if p.ndim == 0 else p
 
 
-def pressure_prime(rho, params):
-    """dP/drho = a_coef * gamma * rho**(gamma-1); strictly positive."""
+def pressure_prime(rho, params, out=None):
+    """dP/drho = a_coef * gamma * rho**(gamma-1); strictly positive.
+
+    out, an array of rho's shape distinct from rho, receives P' and is
+    returned, so nothing of rho's length is allocated.
+    """
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise DomainError("pressure_prime requires rho > 0")
-    dp = params.a_coef * params.gamma * rho ** (params.gamma - 1.0)
+    dp = np.power(rho, params.gamma - 1.0, out=out)
+    dp = np.multiply(params.a_coef * params.gamma, dp, out=out)
     return float(dp) if dp.ndim == 0 else dp
 
 

@@ -20,16 +20,19 @@ fields pinned to their Newtonian equilibrium values, sharing every spatial
 operator and the SSP-RK2 stage with the relaxed path.
 
 Both systems run through one driver, _advance, and differ only in three
-module-level rules with one signature per role: the CFL step (compute_dt,
-compute_dt_classical), the step (step, _step_classical) and the right-hand
-side stored with each snapshot (rhs_full, classical_rhs).
+module-level rules with one signature per role: the CFL step
+dt_rule(state, grid, params, cfl, work=) (compute_dt, compute_dt_classical),
+the step step_rule(state, grid, params, cfg, dt, step_idx, out=, work=)
+(step, _step_classical) and the right-hand side stored with each snapshot
+rhs(state, grid, params, outer_bc, work=) (rhs_full, classical_rhs).
 
-The driver builds one Workspace per run, sized from the grid, and every stage
-computes into its buffers with out= ufuncs; two State buffers take turns as a
-step's input and output, so a step allocates no field.  Each operation runs
-in the order of the formula it implements, so the allocating public entry
-points (rhs_nonstiff, rhs_full, classical_rhs, relax_substep, step without
-out= and work=) and the driver give the same bits.
+The driver builds one Workspace per run, sized from the grid, and the dt rule
+and every stage compute into its buffers with out= ufuncs; two State buffers
+take turns as a step's input and output, so neither the dt rule nor a step
+allocates a field.  Each operation runs in the order of the formula it
+implements, so the allocating public entry points (compute_dt,
+compute_dt_classical, rhs_nonstiff, rhs_full, classical_rhs, relax_substep,
+step without out= and work=) and the driver give the same bits.
 """
 
 import math
@@ -305,18 +308,28 @@ def relax_substep(state, dt, grid, params):
     return out
 
 
-def compute_dt(state, grid, params, cfl):
-    """CFL step from the fastest characteristic speed over all cells."""
-    smax = max_char_speed(state.rho, state.v, params)
+def compute_dt(state, grid, params, cfl, work=None):
+    """CFL step from the fastest characteristic speed over all cells.
+
+    With work= the speed is computed in work.k and nothing of the grid's
+    length is allocated.
+    """
+    scratch = None if work is None else work.k[:3]
+    smax = max_char_speed(state.rho, state.v, params, out=scratch)
     if smax <= 0.0:
         raise NumericalAbort("vanishing characteristic speeds; cannot set dt")
     return cfl * grid.dr / smax
 
 
-def compute_dt_classical(state, grid, params, cfl):
-    """Acoustic CFL combined with the explicit parabolic bound for the baseline."""
-    c = np.sqrt(pressure_prime(state.rho, params))
-    adv = grid.dr / float(np.max(np.abs(state.v) + c))
+def compute_dt_classical(state, grid, params, cfl, work=None):
+    """Acoustic CFL combined with the explicit parabolic bound for the baseline.
+
+    With work= the sound speed is computed in work.k.
+    """
+    c, speed = (None, None) if work is None else work.k[:2]
+    c = np.sqrt(pressure_prime(state.rho, params, out=c), out=c)
+    speed = np.add(np.abs(state.v, out=speed), c, out=speed)
+    adv = grid.dr / float(speed.max())
     diff = grid.dr**2 * float(np.min(state.rho)) / (2.0 * (4.0 * params.mu / 3.0 + params.lambda_))
     return cfl * min(adv, diff)
 
@@ -385,9 +398,9 @@ def step(state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None):
     """
     if out is state:
         raise ValueError("step cannot write its input state")
-    if dt is None:
-        dt = compute_dt(state, grid, params, cfg.cfl)
     w = Workspace(grid) if work is None else work
+    if dt is None:
+        dt = compute_dt(state, grid, params, cfg.cfl, work=w)
     out = _empty_state(grid.n_cells) if out is None else out
     half = State(state.rho, state.v, *w.stress, state.t)
     _relax(state, 0.5 * dt, grid, params, half, w)
@@ -447,11 +460,12 @@ def _record(traj, state, grid, params, rhs, work):
 
 
 def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs):
-    # the one driver: dt_rule(state, grid, params, cfl) proposes the step,
-    # step_rule(state, grid, params, cfg, dt, step_idx, out=, work=) takes
-    # it, and rhs(state, grid, params, outer_bc, work=) is stored with every
-    # snapshot.  Two State buffers take turns as the step's input and output,
-    # and one Workspace serves every stage, so a step allocates no field
+    # the one driver: dt_rule(state, grid, params, cfl, work=) proposes the
+    # step, step_rule(state, grid, params, cfg, dt, step_idx, out=, work=)
+    # takes it, and rhs(state, grid, params, outer_bc, work=) is stored with
+    # every snapshot.  Two State buffers take turns as the step's input and
+    # output, and one Workspace serves the dt rule and every stage (its k
+    # rows are free between steps), so a step allocates no field
     t_end = cfg.t_end
     horizon = max(t_end, 1.0)
     tol = _TIME_EPS * horizon
@@ -472,7 +486,7 @@ def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs):
                 pending.append(t)
     step_idx = 0
     while state.t < t_end - tol:
-        dt = dt_rule(state, grid, params, cfg.cfl)
+        dt = dt_rule(state, grid, params, cfg.cfl, work=work)
         if not np.isfinite(dt) or dt <= tol:
             raise NumericalAbort(
                 f"time step collapsed to {dt:.3g} at t = {state.t:.6g}", step=step_idx

@@ -106,7 +106,7 @@ def char_speeds(rho, v, params):
     return np.linalg.eigvalsh(d[:, None] * assemble_a1(rho, v, params) * d)
 
 
-def max_char_speed(rho, v, params):
+def max_char_speed(rho, v, params, out=None):
     """max |s| over all cells; closed form and vectorized for per-step CFL control.
 
     The scaled pencil D A1 D of `char_speeds` has diagonal (v, v, v - eps,
@@ -131,22 +131,63 @@ def max_char_speed(rho, v, params):
     order as y_min <= -eps <= y_mid < 0 < y_max.  All four speeds therefore
     lie in [v + y_min, v + y_max], and the largest |s| is
     max(v + y_max, -(v + y_min)).
+
+    out = (a, b, c), three arrays of the shape of rho and v distinct from
+    both, serves as scratch, so nothing of their length is allocated.  Each
+    operation runs in the order of the formulas above, so the result has the
+    same bits with or without out.
     """
     _require_relaxed(params)
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    dp = pressure_prime(rho, params)
-    s = dp + (4.0 * params.mu / 3.0 + params.lambda_) / (params.tau * rho**2)
+    if out is None:
+        shape = np.broadcast_shapes(rho.shape, v.shape)
+        out = (np.empty(shape), np.empty(shape), np.empty(shape))
+    a, b, c = out
+    # a = P', b = S = P' + (4mu/3 + lambda) / (tau rho^2)
+    dp = pressure_prime(rho, params, out=a)
+    np.power(rho, 2, out=b)
+    np.multiply(params.tau, b, out=b)
+    np.divide(4.0 * params.mu / 3.0 + params.lambda_, b, out=b)
+    s = np.add(dp, b, out=b)
     eps = params.eps
     if eps == 0.0:
-        return float(np.max(np.abs(v) + np.sqrt(s)))
-    p = -s - eps**2 / 3.0
-    q = 2.0 * eps**3 / 27.0 + eps * s / 3.0 - dp * eps
-    amp = 2.0 * np.sqrt(-p / 3.0)
-    phi = np.arccos(np.clip(1.5 * q / p * np.sqrt(-3.0 / p), -1.0, 1.0)) / 3.0
-    y_max = amp * np.cos(phi) - eps / 3.0
-    y_min = amp * np.cos(phi + 2.0 * np.pi / 3.0) - eps / 3.0
-    return float(np.max(np.maximum(v + y_max, -(v + y_min))))
+        np.sqrt(s, out=s)
+        np.abs(v, out=a)
+        return float(np.add(a, s, out=a).max())
+    # c = p, then b = q; a is free once q has taken P' eps
+    p = np.negative(s, out=c)
+    np.subtract(p, eps**2 / 3.0, out=p)
+    np.multiply(eps, s, out=b)
+    np.divide(b, 3.0, out=b)
+    np.add(2.0 * eps**3 / 27.0, b, out=b)
+    np.multiply(dp, eps, out=a)
+    q = np.subtract(b, a, out=b)
+    # a = amp; b = phi, with c free once it has held -3/p
+    amp = np.negative(p, out=a)
+    np.divide(amp, 3.0, out=amp)
+    np.sqrt(amp, out=amp)
+    np.multiply(2.0, amp, out=amp)
+    np.multiply(1.5, q, out=q)
+    np.divide(q, p, out=q)
+    np.divide(-3.0, p, out=p)
+    np.sqrt(p, out=p)
+    phi = np.multiply(q, p, out=b)
+    np.clip(phi, -1.0, 1.0, out=phi)
+    np.arccos(phi, out=phi)
+    np.divide(phi, 3.0, out=phi)
+    # c = v + y_max, b = -(v + y_min)
+    y_max = np.cos(phi, out=c)
+    np.multiply(amp, y_max, out=y_max)
+    np.subtract(y_max, eps / 3.0, out=y_max)
+    np.add(v, y_max, out=y_max)
+    y_min = np.add(phi, 2.0 * np.pi / 3.0, out=b)
+    np.cos(y_min, out=y_min)
+    np.multiply(amp, y_min, out=y_min)
+    np.subtract(y_min, eps / 3.0, out=y_min)
+    np.add(v, y_min, out=y_min)
+    np.negative(y_min, out=y_min)
+    return float(np.maximum(y_max, y_min, out=y_max).max())
 
 
 def det4_cofactor(m):

@@ -389,3 +389,31 @@ def test_diagnostics_golden_bytes(tmp_path):
     )
     assert sha256(bare) == "704cb12a1586d151b09b0f9cd1d7f189fcd73d6f29f03b94e651859e8f022623"
     assert sha256(full) == "5bb6ceb25cbc8c76ccbaa7be687081c4b757ff3a5e3bc2ccc5b39e7590efe978"
+
+
+def test_snapshot_bytes_match_per_value_format_across_chunks(tmp_path):
+    # the row template, written chunk by chunk, must give the bytes of the
+    # per-value f"{x:.17g}" join on rows that straddle every chunk boundary
+    n = 3 * cli._SNAPSHOT_CHUNK + 1
+    grid = RadialGrid(r_max=21.0, n_cells=n)
+    rng = np.random.default_rng(20261018)
+    state = State(*(rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(4)))
+    state.rho[0], state.v[cli._SNAPSHOT_CHUNK - 1], state.s1[cli._SNAPSHOT_CHUNK] = -0.0, 5e-324, 1e300
+    state.s2[-1] = -5e-324
+    path = tmp_path / "snap.csv"
+    write_snapshot(state, grid, path)
+    columns = (grid.centers, state.rho, state.v, state.s1, state.s2)
+    want = "r,rho,v,s1,s2\n" + "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in zip(*columns))
+    assert path.read_bytes() == want.encode()
+    for got, col in zip(read_snapshot(path), columns):
+        assert got.tobytes() == col.tobytes()
+
+
+@pytest.mark.parametrize("field, value", [("v", float("nan")), ("s1", float("inf"))], ids=["nan", "inf"])
+def test_snapshot_refuses_non_finite_field(tmp_path, field, value):
+    state = equilibrium_state(8)
+    getattr(state, field)[3] = value
+    path = tmp_path / "snap.csv"
+    with pytest.raises(ValueError, match=f"snapshot field {field} "):
+        write_snapshot(state, RadialGrid(r_max=3.0, n_cells=8), path)
+    assert not path.exists()

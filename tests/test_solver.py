@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -483,6 +485,46 @@ def test_rhs_in_workspace_matches_allocating_call(grid, rhs, eps):
     assert len(got) == 4
     assert all(same_bits(a, b) for a, b in zip(got, want))
     assert same_state(state, before)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("dt_rule", [compute_dt, compute_dt_classical], ids=["relaxed", "classical"])
+def test_dt_rule_in_workspace_matches_allocating_call(grid, dt_rule, eps):
+    p = FluidParams(tau=0.01, eps=eps)
+    state, _ = gaussian_state(grid)
+    before = state.copy()
+    want = dt_rule(state, grid, p, 0.4)
+    work = poisoned_workspace(grid)
+    for _ in range(2):  # the second pass starts from a used workspace
+        got = dt_rule(state, grid, p, 0.4, work=work)
+        assert same_bits(np.float64(got), np.float64(want))
+    assert same_state(state, before)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize(
+    "dt_rule, stepper, tau",
+    [(compute_dt, step, 0.01), (compute_dt_classical, _step_classical, 0.0)],
+    ids=["relaxed", "classical"],
+)
+def test_dt_rule_and_step_allocate_less_than_one_field(dt_rule, stepper, tau, eps):
+    # the driver's per-step work: one dt-rule call and one step, both in the
+    # run's workspace and into the spare State
+    grid = RadialGrid(r_max=21.0, n_cells=6400)
+    p = FluidParams(tau=tau, eps=eps)
+    init = make_initial_data(InitConfig(bump_amp=0.01, vel_amp=0.01), grid, FluidParams(tau=0.01))
+    state = init if tau > 0.0 else State(init.rho, init.v, *equilibrium_stress(init.v, grid, p))
+    cfg = SolverConfig(t_end=1.0)
+    work, spare = Workspace(grid), State(*(np.empty(grid.n_cells) for _ in range(4)))
+    stepper(state, grid, p, cfg, dt_rule(state, grid, p, cfg.cfl, work=work), 0, out=spare, work=work)
+    tracemalloc.start()
+    try:
+        dt = dt_rule(state, grid, p, cfg.cfl, work=work)
+        stepper(state, grid, p, cfg, dt, 1, out=spare, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.n_cells
 
 
 def test_step_rejects_writing_its_input(grid, params, equilibrium):

@@ -181,6 +181,16 @@ def test_max_char_speed_shifted_rejects_bad_input():
         max_char_speed(np.ones(3), np.zeros(3), FluidParams(tau=0.0, eps=0.1))
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_max_char_speed_into_scratch_rejects_bad_input(eps):
+    out = tuple(np.full(3, np.nan) for _ in range(3))
+    for rho in ([1.0, 0.0, 1.0], [1.0, -0.5, 1.0]):
+        with pytest.raises(DomainError):
+            max_char_speed(np.array(rho), np.zeros(3), FluidParams(tau=0.01, eps=eps), out=out)
+    with pytest.raises(StructureError):
+        max_char_speed(np.ones(3), np.zeros(3), FluidParams(tau=0.0, eps=eps), out=out)
+
+
 def test_boundary_matrix_kernel():
     bm = boundary_matrix()
     assert bm.nu == -1.0
