@@ -335,6 +335,8 @@ def _cmd_sweep_tau(args, config, say):
             f"field error log-log slope vs tau: {result.field_slope:.4g}",
             f"stress limit-relation log-log slope vs tau: {result.stress_slope:.4g}",
             f"baseline runtime: {result.baseline_runtime:.3g} s",
+            f"time steps: baseline {result.baseline_steps}, "
+            + ", ".join(f"tau={tau:g} {'aborted' if n is None else n}" for tau, n in zip(result.taus, result.steps)),
             f"note: {result.note}",
             *(f"FAILED member run: {f}" for f in failures),
         ],

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every type round-trips through pickle with its message and attributes, so an
+error raised in a worker process reaches the parent intact.
+"""
 
 
 class DomainError(ValueError):
@@ -16,15 +20,22 @@ class FieldError(ValueError):
         self.field = field
         super().__init__(message)
 
+    def __reduce__(self):
+        return type(self), (self.field, str(self))
+
 
 class ConfigError(ValueError):
     """A configuration file failed to parse or violated an invariant."""
 
     def __init__(self, message, line=None):
         self.line = line
+        self.message = message
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line)
 
 
 class NumericalAbort(RuntimeError):
@@ -34,3 +45,6 @@ class NumericalAbort(RuntimeError):
         self.step = step
         self.cell = cell
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (str(self), self.step, self.cell)

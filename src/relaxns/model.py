@@ -156,7 +156,7 @@ TAIL_TOL = 1e-12
 def pressure(rho, params):
     """gamma-law pressure P = a_coef * rho**gamma (scalar or array)."""
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0.0):
+    if not (rho > 0.0).all():
         raise DomainError("pressure requires rho > 0")
     p = params.a_coef * rho**params.gamma
     return float(p) if p.ndim == 0 else p
@@ -169,7 +169,7 @@ def pressure_prime(rho, params, out=None):
     returned, so nothing of rho's length is allocated.
     """
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0.0):
+    if not (rho > 0.0).all():
         raise DomainError("pressure_prime requires rho > 0")
     dp = np.power(rho, params.gamma - 1.0, out=out)
     dp = np.multiply(params.a_coef * params.gamma, dp, out=out)
@@ -183,7 +183,7 @@ def taylor_potential(rho, params):
     weight when integrating.
     """
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0.0):
+    if not (rho > 0.0).all():
         raise DomainError("taylor_potential requires rho > 0")
     g = params.gamma
     val = (rho**g - 1.0 - g * (rho - 1.0)) / (g - 1.0)

@@ -9,9 +9,16 @@ the end-time defect of the stress limit relations
 
 Log-log slopes of the errors against tau are fitted but asserted nowhere
 here; the lab reports, the acceptance tests judge.
+
+The baseline and the members do not depend on each other, so tau_sweep runs
+them at the same time, one job each, in a pool of worker processes made with
+`fork` (Linux or macOS): as many workers as there are jobs or CPUs this
+process may use, whichever is fewer.  Each member's runtime is its own wall
+time in its worker; the sweep's wall time is near that of the busiest worker.
 """
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -55,8 +62,10 @@ class SweepResult:
     stress_errors: list  # (s1, s2) pairs at t_end
     field_slope: float
     stress_slope: float
-    runtimes: list
+    runtimes: list  # each member's own wall time in its worker
     baseline_runtime: float
+    steps: list  # time steps per member; None for an aborted member
+    baseline_steps: int
     failures: list = field(default_factory=list)
     note: str = (
         "errors measured on a truncated radial domain in strong norms; "
@@ -73,6 +82,22 @@ def _loglog_slope(x, y):
     return float(np.polyfit(np.log(x[good]), np.log(y[good]), 1)[0])
 
 
+def _integrate(solver_name, initial, grid, params, cfg, out_times):
+    """One sweep job: (snapshots, runtime, steps), or (abort, runtime, None).
+
+    The solver is looked up in this module's globals where the job runs, so a
+    forked worker runs whatever the parent had bound to `run` or
+    `run_classical` when the pool forked it.
+    """
+    solver = globals()[solver_name]
+    t0 = time.perf_counter()
+    try:
+        traj = solver(initial, grid, params, cfg, output_times=out_times)
+    except NumericalAbort as exc:
+        return exc, time.perf_counter() - t0, None
+    return traj.snapshots, time.perf_counter() - t0, len(traj.dt_history)
+
+
 def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=10):
     """Run the sweep; returns a SweepResult and asserts nothing itself.
 
@@ -80,43 +105,60 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=10):
     well-prepared for each tau.  The baseline comes from run_classical on the
     same grid, and every run is sampled at the same output times (the stepper
     lands on them exactly), so no temporal interpolation enters the errors.
-    A member's NumericalAbort becomes its failure row; a baseline abort
-    propagates.
+    The baseline and the members are independent integrations; each is one
+    job in a pool of forked worker processes, and the errors are computed
+    here from the snapshots the workers return.  A member's NumericalAbort
+    becomes its failure row; a baseline abort propagates and cancels the
+    members that have not started.
     """
-    taus = sorted(float(t) for t in taus)
-    taus = taus[::-1]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    taus = [float(t) for t in taus]
+    for tau in taus:
+        if not math.isfinite(tau):
+            raise ValueError(f"tau sweep entry {tau!r} is not finite")
+    taus.sort(reverse=True)
     if not taus or any(t <= 0.0 for t in taus):
         raise ValueError("tau sweep requires one or more taus, all strictly positive")
     out_times = np.linspace(0.0, base_cfg.t_end, n_outputs + 1)
-    runtimes = []  # the baseline's first, then one per member
-
-    def integrate(solver, params):
-        initial = make_initial_data(init_cfg, grid, params)
-        t0 = time.perf_counter()
+    members = [replace(params_template, tau=tau) for tau in taus]
+    # longest first: the classical baseline, then the members from the
+    # smallest tau (the stiffest, with the most steps) up
+    runs = [("run_classical", replace(params_template, tau=0.0))] + [("run", p) for p in reversed(members)]
+    jobs = [(name, make_initial_data(init_cfg, grid, p), grid, p, base_cfg, out_times) for name, p in runs]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+    # fork, not spawn: a worker inherits the parent's bindings of run and
+    # run_classical, and with fork the pool starts every worker before it
+    # starts its own threads (CPython's fix for gh-90622)
+    with ProcessPoolExecutor(min(len(jobs), cpus), mp_context=get_context("fork")) as pool:
+        futures = [pool.submit(_integrate, *job) for job in jobs]
         try:
-            return solver(initial, grid, params, base_cfg, output_times=out_times).snapshots
-        finally:
-            runtimes.append(time.perf_counter() - t0)
+            baseline, baseline_runtime, baseline_steps = futures[0].result()
+            if isinstance(baseline, NumericalAbort):
+                raise baseline
+            outcomes = [future.result() for future in reversed(futures[1:])]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
-    baseline = integrate(run_classical, replace(params_template, tau=0.0))
-    field_errors, stress_errors, failures = [], [], []
-    for tau in taus:
-        params = replace(params_template, tau=tau)
-        try:
-            snapshots = integrate(run, params)
-        except NumericalAbort as exc:
+    field_errors, stress_errors, failures, runtimes, steps = [], [], [], [], []
+    for params, (outcome, runtime, n_steps) in zip(members, outcomes, strict=True):
+        runtimes.append(runtime)
+        steps.append(n_steps)
+        if isinstance(outcome, NumericalAbort):
             field_errors.append(float("nan"))
             stress_errors.append((float("nan"), float("nan")))
-            failures.append(f"tau={tau:g}: {exc}")
+            failures.append(f"tau={params.tau:g}: {outcome}")
             continue
         field_errors.append(
             max(
                 math.sqrt(weighted_l2_sq(srel.rho - sbase.rho, grid))
                 + math.sqrt(weighted_l2_sq(srel.v - sbase.v, grid))
-                for srel, sbase in zip(snapshots, baseline, strict=True)
+                for srel, sbase in zip(outcome, baseline, strict=True)
             )
         )
-        stress_errors.append(limit_relation_error(snapshots[-1], grid, params))
+        stress_errors.append(limit_relation_error(outcome[-1], grid, params))
         failures.append(None)
 
     stress_totals = [e[0] + e[1] for e in stress_errors]
@@ -126,7 +168,9 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=10):
         stress_errors=stress_errors,
         field_slope=_loglog_slope(taus, field_errors),
         stress_slope=_loglog_slope(taus, stress_totals),
-        runtimes=runtimes[1:],
-        baseline_runtime=runtimes[0],
+        runtimes=runtimes,
+        baseline_runtime=baseline_runtime,
+        steps=steps,
+        baseline_steps=baseline_steps,
         failures=failures,
     )

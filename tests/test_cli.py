@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -270,6 +271,17 @@ def test_main_sweep_tau(tmp_path):
     assert lines[0] == "tau,field_err,s1_limit_err,s2_limit_err,runtime_s"
     assert len(lines) == 3
     assert (out / "sweep_summary.txt").is_file()
+
+
+def test_sweep_summary_reports_time_steps(tmp_path):
+    out = tmp_path / "osw"
+    cfg = write_cfg(tmp_path, "[grid]\nr_max = 11\nn_cells = 64\n[solver]\nt_end = 0.05\n")
+    assert main(["sweep-tau", "--config", cfg, "--out", str(out), "--tau-list", "1e-3,1e-2", "--quiet"]) == 0
+    lines = (out / "sweep_summary.txt").read_text().splitlines()
+    steps = [line for line in lines if line.startswith("time steps: ")]
+    assert len(steps) == 1
+    m = re.fullmatch(r"time steps: baseline (\d+), tau=0\.01 (\d+), tau=0\.001 (\d+)", steps[0])
+    assert m and 0 < int(m[2]) < int(m[3])
 
 
 def test_main_energy_report(tmp_path):

@@ -44,6 +44,14 @@ def test_pressure_rejects_nonpositive_density(params):
         taylor_potential(0.0, params)
 
 
+@pytest.mark.parametrize("fn", [pressure, pressure_prime, taylor_potential])
+def test_pressure_rejects_nan_density(fn, params):
+    # NaN compares false with 0, so a guard written as any(rho <= 0) lets it through
+    for rho in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(DomainError, match="requires rho > 0"):
+            fn(rho, params)
+
+
 def test_pressure_prime_values():
     assert pressure_prime(1.0, FluidParams(gamma=2.0)) == 2.0
     assert pressure_prime(1.0, FluidParams(gamma=1.4)) == pytest.approx(1.4, rel=1e-15)

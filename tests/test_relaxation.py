@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -159,3 +160,63 @@ def test_tau_sweep_baseline_abort_propagates(grid, params, monkeypatch):
     monkeypatch.setattr(relaxation, "run", unreachable_member)
     with pytest.raises(NumericalAbort, match="^baseline collapsed$"):
         tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, [1e-2, 1e-3], n_outputs=4)
+
+
+def _in_process_sweep(cfg, grid, params, taus, n_outputs):
+    """The sweep's errors and step counts from plain in-process runs, in tau order."""
+    out_times = np.linspace(0.0, cfg.t_end, n_outputs + 1)
+    classical = replace(params, tau=0.0)
+    base = run_classical(make_initial_data(INIT, grid, classical), grid, classical, cfg, output_times=out_times)
+    field_errors, stress_errors, steps = [], [], []
+    for tau in taus:
+        member_params = replace(params, tau=tau)
+        member = run(make_initial_data(INIT, grid, member_params), grid, member_params, cfg, output_times=out_times)
+        field_errors.append(max(
+            math.sqrt(weighted_l2_sq(a.rho - b.rho, grid)) + math.sqrt(weighted_l2_sq(a.v - b.v, grid))
+            for a, b in zip(member.snapshots, base.snapshots, strict=True)
+        ))
+        stress_errors.append(limit_relation_error(member.snapshots[-1], grid, member_params))
+        steps.append(len(member.dt_history))
+    return field_errors, stress_errors, steps, len(base.dt_history)
+
+
+def test_tau_sweep_pool_matches_in_process_runs_bit_for_bit(grid, params):
+    # six jobs (baseline + five members) against at most a few worker processes
+    cfg = SolverConfig(t_end=0.1)
+    taus = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+    res = tau_sweep(cfg, INIT, grid, params, [1e-2, 1e-3, 1e-1, 3e-3, 3e-2], n_outputs=4)
+    field_errors, stress_errors, steps, baseline_steps = _in_process_sweep(cfg, grid, params, taus, 4)
+    assert res.taus == taus
+    assert res.field_errors == field_errors
+    assert res.stress_errors == stress_errors
+    assert res.steps == steps and res.baseline_steps == baseline_steps
+    assert steps[0] < steps[-1] and all(n > 0 for n in steps)
+    assert len(res.runtimes) == 5 and all(t >= 0.0 for t in res.runtimes)
+
+
+def test_tau_sweep_member_abort_in_worker_is_its_failure_row(grid, params, monkeypatch):
+    parent = os.getpid()
+
+    def aborting_run(initial, grid, params, cfg, output_times=None):
+        if params.tau == 1e-3:
+            raise NumericalAbort(f"rho <= 0 in process {os.getpid()}", step=3, cell=7)
+        return run(initial, grid, params, cfg, output_times=output_times)
+
+    monkeypatch.setattr(relaxation, "run", aborting_run)
+    res = tau_sweep(SolverConfig(t_end=0.05), INIT, grid, params, [1e-2, 1e-3], n_outputs=2)
+    assert res.failures[0] is None and res.steps[0] > 0
+    prefix = "tau=0.001: rho <= 0 in process "
+    assert res.failures[1].startswith(prefix) and int(res.failures[1][len(prefix):]) != parent
+    assert math.isnan(res.field_errors[1]) and res.steps[1] is None
+    assert res.runtimes[1] >= 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tau_sweep_rejects_non_finite_tau_before_any_run(grid, params, monkeypatch, bad):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an integration ran")
+
+    monkeypatch.setattr(relaxation, "run_classical", unreachable)
+    monkeypatch.setattr(relaxation, "run", unreachable)
+    with pytest.raises(ValueError, match=f"^tau sweep entry {bad!r} is not finite$"):
+        tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, [1e-2, bad])
