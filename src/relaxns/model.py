@@ -207,10 +207,10 @@ def equilibrium_stress(v, grid, params, out=None):
     derivative(v, grid.dr, out=dv)
     r = grid.centers
     np.divide(v, r, out=s1)
+    # 2 (v / r) is exactly (2 v) / r, so one division serves both stresses
+    np.multiply(2.0, s1, out=s2)
     np.subtract(dv, s1, out=s1)
     np.multiply(2.0 * params.mu, s1, out=s1)
-    np.multiply(2.0, v, out=s2)
-    np.divide(s2, r, out=s2)
     np.add(dv, s2, out=s2)
     np.multiply(params.lambda_, s2, out=s2)
     return s1, s2

@@ -29,10 +29,14 @@ rhs(state, grid, params, outer_bc, work=) (rhs_full, classical_rhs).
 The driver builds one Workspace per run, sized from the grid, and the dt rule
 and every stage compute into its buffers with out= ufuncs; two State buffers
 take turns as a step's input and output, so neither the dt rule nor a step
-allocates a field.  Each operation runs in the order of the formula it
-implements, so the allocating public entry points (compute_dt,
-compute_dt_classical, rhs_nonstiff, rhs_full, classical_rhs, relax_substep,
-step without out= and work=) and the driver give the same bits.
+allocates a field.  The stage kernel folds the constant factors of its
+formulas (the 0.5 of the mass flux and of the face density, 1/dr, 1/(2 dr),
+2/3, -a_coef, 2/r, the upwind minus sign) into one scalar or one coefficient
+array built with the Workspace, so each term costs one pass over the grid;
+it agrees with the formulas as written to rounding.  An allocating public entry point
+(compute_dt, compute_dt_classical, rhs_nonstiff, rhs_full, classical_rhs,
+relax_substep, step without out= and work=) runs the same kernel in a fresh
+Workspace, so it and the driver give the same bits.
 """
 
 import math
@@ -54,6 +58,7 @@ class SolverConfig:
     t_end: float = 1.0
     outer_bc: str = "extrapolate"
     output_every: int = 50
+    n_outputs: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
@@ -65,6 +70,9 @@ class SolverConfig:
         object.__setattr__(self, "output_every", integer_field("output_every", self.output_every))
         if self.output_every < 1:
             raise FieldError("output_every", f"output_every must be >= 1, got {self.output_every}")
+        object.__setattr__(self, "n_outputs", integer_field("n_outputs", self.n_outputs))
+        if self.n_outputs < 0:
+            raise FieldError("n_outputs", f"n_outputs must be >= 0, got {self.n_outputs}")
 
 
 @dataclass
@@ -98,8 +106,11 @@ class Workspace:
         # the stresses of the first Strang half step, or the pinned stresses
         # of classical_rhs
         self.stress = (np.empty(n), np.empty(n))
-        # -(x / c) is exactly x / (-c), so the mass row divides once
-        self.neg_center_r2_dr = -(grid.center_r2 * grid.dr)
+        # constant coefficients of rhs_nonstiff: the divisor of the mass row,
+        # which carries the flux's 0.5 and the minus sign (scaling by 2 is
+        # exact), and the 2/r of the momentum row
+        self.mass_div = -2.0 * grid.dr * grid.center_r2
+        self.two_over_r = 2.0 / grid.centers
 
 
 def _empty_state(n):
@@ -109,15 +120,16 @@ def _empty_state(n):
 def _fill_ghosts(f, g, odd, outer_bc):
     # g (n+4,) <- f (n,) with two ghost cells per side; see apply_bc
     g[2:-2] = f
-    sign = -1.0 if odd else 1.0
-    g[1] = sign * f[0]
-    g[0] = sign * f[1]
-    if outer_bc == "extrapolate":
-        g[-2] = f[-1]
-        g[-1] = f[-1]
+    if odd:
+        np.negative(f[1::-1], out=g[:2])
     else:
-        g[-2] = sign * f[-1]
-        g[-1] = sign * f[-2]
+        g[:2] = f[1::-1]
+    if outer_bc == "extrapolate":
+        g[-2:] = f[-1]
+    elif odd:
+        np.negative(f[:-3:-1], out=g[-2:])
+    else:
+        g[-2:] = f[:-3:-1]
     return g
 
 
@@ -144,22 +156,30 @@ def apply_bc(state, grid, params, outer_bc="extrapolate"):
 _KAPPA4 = 1.0 / 16.0  # fourth-difference dissipation strength
 
 
-def _upwind_into(out, lo, hi, g, dr, diff, tmp):
-    # out <- a dg/dr upwinded, lo * backward + hi * forward, for the
-    # ghost-augmented field g with lo = max(a, 0) and hi = min(a, 0); the
-    # backward and forward differences are two slices of one one-sided
-    # difference array
+def _upwind_split(a, dr, lo, hi):
+    # lo <- -max(a, 0) / dr and hi <- -min(a, 0) / dr, the coefficients of
+    # _upwind_into; a may be hi itself
+    np.multiply(-1.0 / dr, a, out=hi)
+    np.minimum(hi, 0.0, out=lo)
+    np.maximum(hi, 0.0, out=hi)
+
+
+def _upwind_into(out, lo, hi, g, diff, tmp):
+    # out <- -a dg/dr upwinded, lo * backward + hi * forward, for the
+    # ghost-augmented field g with lo, hi from _upwind_split; the backward
+    # and forward differences are two slices of one one-sided difference
+    # array
     np.subtract(g[2:-1], g[1:-2], out=diff)
-    np.divide(diff, dr, out=diff)
     np.multiply(lo, diff[:-1], out=out)
     np.multiply(hi, diff[1:], out=tmp)
     np.add(out, tmp, out=out)
 
 
-def _central_into(out, g, dr):
-    # first derivative at the n interior cells of a ghost-augmented array
+def _central_into(out, g, scale):
+    # scale times the undivided central difference at the n interior cells
+    # of a ghost-augmented array; scale carries the 1/(2 dr)
     np.subtract(g[3:-1], g[1:-3], out=out)
-    np.divide(out, 2.0 * dr, out=out)
+    np.multiply(scale, out, out=out)
 
 
 def rhs_nonstiff(state, grid, params, outer_bc="extrapolate", include_production=True, work=None):
@@ -171,9 +191,11 @@ def rhs_nonstiff(state, grid, params, outer_bc="extrapolate", include_production
     """
     _check_outer_bc(outer_bc)
     w = Workspace(grid) if work is None else work
-    n, dr, r = grid.n_cells, grid.dr, grid.centers
+    n, dr, gamma = grid.n_cells, grid.dr, params.gamma
     # each buffer is reused once the value it holds is spent, so a name
-    # below may alias an earlier one (tmp is speed[:n], face_tmp is g2[:n+1])
+    # below may alias an earlier one (tmp is speed[:n], face_tmp is g2[:n+1]).
+    # Every constant factor rides in one scalar or coefficient array, so each
+    # term costs one pass over the grid
     rho, v, s1, s2 = state.rho, state.v, state.s1, state.s2
     g0, g1, g2 = w.ghost
     flux, speed, sound, jump = w.face
@@ -189,72 +211,61 @@ def rhs_nonstiff(state, grid, params, outer_bc="extrapolate", include_production
     # pressure gradient cannot see (it annihilates odd-even modes) while
     # staying O(dr^3) on smooth fields.  Odd v / even rho ghosts zero every
     # boundary face flux exactly, so the cell sum of r^2 rho telescopes.
-    #   flux = face_r2 (0.5 (m_l + m_r) - 0.5 |v_f| (rho_r - rho_l)
-    #                   + 0.5 (|v_f| + c_f) KAPPA4 d3)
+    #   flux = 0.5 face_r2 ((m_l + m_r) - |v_f| (rho_r - rho_l)
+    #                       + KAPPA4 (|v_f| + c_f) d3)
     # with m = rho v, v_f = 0.5 (v_l + v_r), c_f = sqrt(P'(0.5 (rho_l + rho_r)))
-    # and d3 the third difference of rho across the face;
+    # and d3 = (rho[i+2] - rho[i-1]) - 3 (rho_r - rho_l), the third
+    # difference of rho across the face;
     #   drho = -(flux_right - flux_left) / (r^2 dr)
+    # c_f is sqrt(a gamma 0.5^(gamma-1)) (rho_l + rho_r)^((gamma-1)/2), and
+    # the 0.5 of the flux rides in w.mass_div
     m = np.multiply(rho_e, v_e, out=g2)
     np.add(m[1:-2], m[2:-1], out=flux)
-    np.multiply(0.5, flux, out=flux)
     np.add(v_e[1:-2], v_e[2:-1], out=speed)
     np.multiply(0.5, speed, out=speed)
     np.abs(speed, out=speed)
     np.add(rho_e[1:-2], rho_e[2:-1], out=sound)
-    np.multiply(0.5, sound, out=sound)
-    np.power(sound, params.gamma - 1.0, out=sound)
-    np.multiply(params.a_coef * params.gamma, sound, out=sound)
-    np.sqrt(sound, out=sound)
+    np.power(sound, 0.5 * (gamma - 1.0), out=sound)
+    np.multiply(math.sqrt(params.a_coef * gamma * 0.5 ** (gamma - 1.0)), sound, out=sound)
     face_tmp = g2[: n + 1]
     np.subtract(rho_e[2:-1], rho_e[1:-2], out=jump)
-    np.multiply(0.5, speed, out=face_tmp)
-    np.multiply(face_tmp, jump, out=face_tmp)
+    np.multiply(speed, jump, out=face_tmp)
     np.subtract(flux, face_tmp, out=flux)
-    np.add(speed, sound, out=jump)
-    np.multiply(0.5, jump, out=jump)
-    np.multiply(jump, _KAPPA4, out=jump)
     d3 = face_tmp
-    np.multiply(3.0, rho_e[2:-1], out=d3)
-    np.subtract(rho_e[3:], d3, out=d3)
-    np.multiply(3.0, rho_e[1:-2], out=speed)
-    np.add(d3, speed, out=d3)
-    np.subtract(d3, rho_e[:-3], out=d3)
-    np.multiply(jump, d3, out=jump)
-    np.add(flux, jump, out=flux)
+    np.subtract(rho_e[3:], rho_e[:-3], out=d3)
+    np.multiply(3.0, jump, out=jump)
+    np.subtract(d3, jump, out=d3)
+    np.add(speed, sound, out=sound)
+    np.multiply(_KAPPA4, sound, out=sound)
+    np.multiply(sound, d3, out=sound)
+    np.add(flux, sound, out=flux)
     np.multiply(grid.face_r2, flux, out=flux)
     np.subtract(flux[1:], flux[:-1], out=drho)
-    np.divide(drho, w.neg_center_r2_dr, out=drho)
+    np.divide(drho, w.mass_div, out=drho)
 
     # momentum: dv = -(v dv/dr)_upwind + (-dP/dr + 2/3 ds1/dr + 2 s1/r + ds2/dr) / rho
-    p = np.power(rho_e, params.gamma, out=g2)
-    np.multiply(params.a_coef, p, out=p)
-    _central_into(grad, p, dr)
-    np.negative(grad, out=grad)
-    np.maximum(v, 0.0, out=lo)
-    np.minimum(v, 0.0, out=hi)
-    _upwind_into(dv, lo, hi, v_e, dr, flux, tmp)
+    p = np.power(rho_e, gamma, out=g2)
+    _central_into(grad, p, -params.a_coef / (2.0 * dr))
+    _upwind_split(v, dr, lo, hi)
+    _upwind_into(dv, lo, hi, v_e, flux, tmp)
     s1_e = _fill_ghosts(s1, g0, False, outer_bc)
     s2_e = _fill_ghosts(s2, g1, False, outer_bc)
-    _central_into(tmp, s1_e, dr)
-    np.multiply(2.0 / 3.0, tmp, out=tmp)
+    _central_into(tmp, s1_e, 1.0 / (3.0 * dr))  # 2/3 times 1/(2 dr)
     np.add(grad, tmp, out=grad)
-    np.multiply(2.0, s1, out=tmp)
-    np.divide(tmp, r, out=tmp)
+    np.multiply(w.two_over_r, s1, out=tmp)
     np.add(grad, tmp, out=grad)
-    _central_into(tmp, s2_e, dr)
+    _central_into(tmp, s2_e, 0.5 / dr)
     np.add(grad, tmp, out=grad)
     np.divide(grad, rho, out=grad)
-    np.subtract(grad, dv, out=dv)  # -convection + grad, exactly
+    np.add(dv, grad, out=dv)
 
     # stress transport at speed v - eps; at eps = 0 that is v itself, whose
     # upwind split is already in lo, hi
     if params.eps != 0.0:
-        np.subtract(v, params.eps, out=lo)
-        np.minimum(lo, 0.0, out=hi)
-        np.maximum(lo, 0.0, out=lo)
-    for g, ds in ((s1_e, ds1), (s2_e, ds2)):
-        _upwind_into(ds, lo, hi, g, dr, flux, tmp)
-        np.negative(ds, out=ds)
+        np.subtract(v, params.eps, out=hi)
+        _upwind_split(hi, dr, lo, hi)
+    _upwind_into(ds1, lo, hi, s1_e, flux, tmp)
+    _upwind_into(ds2, lo, hi, s2_e, flux, tmp)
     if include_production:
         eq1, eq2 = equilibrium_stress(v, grid, params, out=(lo, hi, tmp))
         trho = np.multiply(params.tau, rho, out=grad)
@@ -288,8 +299,7 @@ def _relax(state, dt, grid, params, out, work):
         raise ValueError("relax_substep requires tau > 0")
     eq1, eq2, dv, decay = work.k
     equilibrium_stress(state.v, grid, params, out=(eq1, eq2, dv))
-    np.multiply(params.tau, state.rho, out=decay)
-    np.divide(-dt, decay, out=decay)
+    np.divide(-dt / params.tau, state.rho, out=decay)
     np.exp(decay, out=decay)
     for s, dst, eq in ((state.s1, out.s1, eq1), (state.s2, out.s2, eq2)):
         np.subtract(s, eq, out=dst)
@@ -335,10 +345,16 @@ def compute_dt_classical(state, grid, params, cfl, work=None):
 
 
 def _check(state, step_idx, stage):
-    fields = (state.rho, state.v, state.s1, state.s2)
-    if all(np.isfinite(f).all() for f in fields) and (state.rho > 0.0).all():
-        return
-    bad = ~np.isfinite(state.rho) | ~np.isfinite(state.v) | ~np.isfinite(state.s1) | ~np.isfinite(state.s2)
+    # admissible: every field finite and rho > 0.  A NaN or inf in any field
+    # makes the sum of squares non-finite, and a NaN rho fails the min test,
+    # so an admissible state passes in five reductions.  A huge but finite
+    # state can overflow the sum; the exact per-field test below then finds
+    # no fault and returns
+    rho, v, s1, s2 = state.rho, state.v, state.s1, state.s2
+    with np.errstate(over="ignore"):
+        if rho.min() > 0.0 and math.isfinite(rho @ rho + v @ v + s1 @ s1 + s2 @ s2):
+            return
+    bad = ~np.isfinite(rho) | ~np.isfinite(v) | ~np.isfinite(s1) | ~np.isfinite(s2)
     if np.any(bad):
         cell = int(np.argmax(bad))
         raise NumericalAbort(
@@ -346,7 +362,9 @@ def _check(state, step_idx, stage):
             step=step_idx,
             cell=cell,
         )
-    cell = int(np.argmin(state.rho))
+    if rho.min() > 0.0:
+        return
+    cell = int(np.argmin(rho))
     raise NumericalAbort(
         f"rho = {state.rho[cell]:.3g} <= 0 after {stage} at step {step_idx}, cell {cell}",
         step=step_idx,
@@ -467,6 +485,8 @@ def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs):
     # output, and one Workspace serves the dt rule and every stage (its k
     # rows are free between steps), so a step allocates no field
     t_end = cfg.t_end
+    if output_times is None and cfg.n_outputs > 0:
+        output_times = np.linspace(0.0, t_end, cfg.n_outputs + 1)
     horizon = max(t_end, 1.0)
     tol = _TIME_EPS * horizon
     traj = Trajectory(outer_bc=cfg.outer_bc)
@@ -514,6 +534,8 @@ def run(initial, grid, params, cfg, output_times=None):
     Snapshots are taken every cfg.output_every steps plus the final time, or
     exactly at the requested output_times (the step size is clipped to land
     on them, so sweeps share a common snapshot grid without interpolation).
+    Without output_times, cfg.n_outputs > 0 requests the times
+    linspace(0, t_end, n_outputs + 1).
     """
     if params.tau <= 0.0:
         raise ValueError("run requires tau > 0; use run_classical for tau = 0")

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +48,7 @@ def test_default_keyword_config():
         "params": {"gamma": 1.4, "mu": 1.0, "lambda": 1.0, "tau": 0.01, "eps": 0.0, "a_coef": 1.0},
         "grid": {"r_max": 21.0, "n_cells": 800},
         "init": {"bump_amp": 0.0, "bump_center": 7.0, "bump_width": 1.0, "vel_amp": 0.0, "stress_perturb_amp": 0.0},
-        "solver": {"cfl": 0.4, "t_end": 1.0, "outer_bc": "extrapolate", "output_every": 50},
+        "solver": {"cfl": 0.4, "t_end": 1.0, "outer_bc": "extrapolate", "output_every": 50, "n_outputs": 0},
     }
 
 
@@ -157,6 +161,38 @@ def test_tau_zero_run_directs_to_classical(tmp_path, capsys):
     code = main(["run", "--config", path, "--out", str(tmp_path / "o"), "--quiet"])
     assert code == 2
     assert "run-classical" in capsys.readouterr().err
+
+
+def test_negative_n_outputs_rejected_with_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[solver]\nt_end = 0.1\nn_outputs = -1\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "line 3: " in err and "n_outputs must be >= 0" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_run_snapshots_at_n_outputs_times(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        "[grid]\nr_max = 6\nn_cells = 48\n"
+        "[init]\nbump_amp = 0.01\nbump_center = 3.5\nbump_width = 0.45\n"
+        "[solver]\nt_end = 0.05\noutput_every = 1\nn_outputs = 3\n",
+    )
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == np.linspace(0.0, 0.05, 4).tolist()
+    assert len(list(out.glob("snapshot_*.csv"))) == 4
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs about 0.3 s and 28 MiB to import; no run path needs it
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, relaxns.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_snapshot_roundtrip(tmp_path):

@@ -244,7 +244,9 @@ def test_nan_rejected_by_validator(cls, field):
 
 
 @pytest.mark.parametrize("value", [800.5, 800.0, math.nan, math.inf], ids=["fraction", "integral-float", "nan", "inf"])
-@pytest.mark.parametrize("cls, field", [(RadialGrid, "n_cells"), (SolverConfig, "output_every")])
+@pytest.mark.parametrize(
+    "cls, field", [(RadialGrid, "n_cells"), (SolverConfig, "output_every"), (SolverConfig, "n_outputs")]
+)
 def test_integer_field_rejects_non_integers(cls, field, value):
     # 800.5 would build 801 centres; 800.0 would reach numpy as a float size
     with pytest.raises(FieldError, match=f"^{field} must be an integer") as info:

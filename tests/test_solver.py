@@ -17,6 +17,7 @@ from relaxns.numerics import cell_sum_r2
 from relaxns.solver import (
     SolverConfig,
     Workspace,
+    _check,
     _step_classical,
     apply_bc,
     classical_rhs,
@@ -85,6 +86,98 @@ def analytic_rhs(grid, params, amp, vamp, s1a, s2a, center, width, production=Tr
         ds1 = ds1 - s1 / (params.tau * rho)
         ds2 = ds2 - s2 / (params.tau * rho)
     return drho, dv, ds1, ds2
+
+
+def ghosted(f, odd, outer_bc):
+    # two ghost cells per side: mirror at r = 1 (v odd), and at r_max either
+    # zero-order extrapolation or a mirror
+    sign = -1.0 if odd else 1.0
+    outer = [f[-1], f[-1]] if outer_bc == "extrapolate" else [sign * f[-1], sign * f[-2]]
+    return np.concatenate(([sign * f[1], sign * f[0]], f, outer))
+
+
+def reference_rhs_nonstiff(state, grid, params, outer_bc, include_production):
+    """rhs_nonstiff written term by term as its formulas read, allocating each.
+
+    The oracle for the workspace kernel, which folds the constant factors of
+    these formulas into fewer passes: the two agree to rounding.
+    """
+    dr, r = grid.dr, grid.centers
+    rho, v, s1, s2 = state.rho, state.v, state.s1, state.s2
+    rho_e, v_e = ghosted(rho, False, outer_bc), ghosted(v, True, outer_bc)
+    s1_e, s2_e = ghosted(s1, False, outer_bc), ghosted(s2, False, outer_bc)
+    left, right = slice(1, -2), slice(2, -1)  # the two cells of each face
+
+    m = rho_e * v_e
+    v_f = 0.5 * (v_e[left] + v_e[right])
+    c_f = np.sqrt(params.a_coef * params.gamma * (0.5 * (rho_e[left] + rho_e[right])) ** (params.gamma - 1.0))
+    d3 = rho_e[3:] - 3.0 * rho_e[2:-1] + 3.0 * rho_e[1:-2] - rho_e[:-3]
+    kappa4 = 1.0 / 16.0
+    flux = grid.face_r2 * (
+        0.5 * (m[left] + m[right])
+        - 0.5 * np.abs(v_f) * (rho_e[right] - rho_e[left])
+        + 0.5 * (np.abs(v_f) + c_f) * kappa4 * d3
+    )
+    drho = -(flux[1:] - flux[:-1]) / (grid.center_r2 * dr)
+
+    def central(g):
+        return (g[3:-1] - g[1:-3]) / (2.0 * dr)
+
+    def upwind(a, g):
+        backward = (g[2:-2] - g[1:-3]) / dr
+        forward = (g[3:-1] - g[2:-2]) / dr
+        return np.maximum(a, 0.0) * backward + np.minimum(a, 0.0) * forward
+
+    p = params.a_coef * rho_e**params.gamma
+    dv = -upwind(v, v_e) + (-central(p) + (2.0 / 3.0) * central(s1_e) + 2.0 * s1 / r + central(s2_e)) / rho
+    a = v - params.eps
+    ds1 = -upwind(a, s1_e)
+    ds2 = -upwind(a, s2_e)
+    if include_production:
+        eq1, eq2 = equilibrium_stress(v, grid, params)
+        ds1 = ds1 + eq1 / (params.tau * rho)
+        ds2 = ds2 + eq2 / (params.tau * rho)
+    return drho, dv, ds1, ds2
+
+
+def reference_rhs(kind, state, grid, params, outer_bc):
+    if kind in ("transport", "production"):
+        return reference_rhs_nonstiff(state, grid, params, outer_bc, kind == "production")
+    if kind == "full":
+        drho, dv, ds1, ds2 = reference_rhs_nonstiff(state, grid, params, outer_bc, True)
+        trho = params.tau * state.rho
+        return drho, dv, ds1 - state.s1 / trho, ds2 - state.s2 / trho
+    pinned = State(state.rho, state.v, *equilibrium_stress(state.v, grid, params))
+    drho, dv, _, _ = reference_rhs_nonstiff(pinned, grid, params, outer_bc, False)
+    return (drho, dv, *equilibrium_stress(dv, grid, params))
+
+
+def rough_state(n, seed=11):
+    # O(1) values up to both walls, so every ghost cell and both upwind
+    # directions carry weight
+    rng = np.random.default_rng(seed)
+    return State(1.0 + 0.3 * rng.random(n), *(0.2 * rng.standard_normal(n) for _ in range(3)))
+
+
+@pytest.mark.parametrize("n", [8, 800])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("outer_bc", ["extrapolate", "reflect"])
+@pytest.mark.parametrize("kind", ["transport", "production", "full", "classical"])
+def test_rhs_matches_term_by_term_reference(kind, outer_bc, eps, n):
+    grid = RadialGrid(r_max=11.0, n_cells=n)
+    p = FluidParams(gamma=1.4, tau=0.01, eps=eps, a_coef=1.3)
+    state = rough_state(n)
+    if kind == "classical":
+        got = classical_rhs(state, grid, p, outer_bc)
+    elif kind == "full":
+        got = rhs_full(state, grid, p, outer_bc)
+    else:
+        got = rhs_nonstiff(state, grid, p, outer_bc, include_production=kind == "production")
+    want = reference_rhs(kind, state, grid, p, outer_bc)
+    for row, (a, b) in zip(("rho", "v", "s1", "s2"), zip(got, want)):
+        scale = np.max(np.abs(b))
+        assert scale > 0.0
+        assert np.max(np.abs(a - b)) <= 1e-12 * scale, row
 
 
 def test_apply_bc_ghost_layout(grid, params):
@@ -356,6 +449,35 @@ def test_step_aborts_on_vacuum(grid, params):
     assert err.value.cell is not None
 
 
+def test_check_passes_a_huge_finite_state(grid):
+    # the sum of squares overflows; the exact test finds nothing wrong
+    n = grid.n_cells
+    _check(State(np.ones(n), np.zeros(n), np.full(n, 1e200), np.full(n, -1e200)), 4, "rk2 stage 1")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["rho", "v", "s1", "s2"])
+def test_check_names_the_non_finite_cell(grid, name, value):
+    for cell in (0, grid.n_cells // 2, grid.n_cells - 1):
+        state = equilibrium_state(grid.n_cells)
+        getattr(state, name)[cell] = value
+        with pytest.raises(NumericalAbort) as err:
+            _check(state, 7, "rk2 stage 2")
+        assert str(err.value) == f"non-finite field after rk2 stage 2 at step 7, cell {cell}"
+        assert err.value.step == 7 and err.value.cell == cell
+
+
+@pytest.mark.parametrize("value, text", [(0.0, "0"), (-1e-300, "-1e-300")], ids=["zero", "negative"])
+def test_check_names_the_non_positive_density(grid, value, text):
+    for cell in (0, grid.n_cells // 2, grid.n_cells - 1):
+        state = equilibrium_state(grid.n_cells)
+        state.rho[cell] = value
+        with pytest.raises(NumericalAbort) as err:
+            _check(state, 2, "step")
+        assert str(err.value) == f"rho = {text} <= 0 after step at step 2, cell {cell}"
+        assert err.value.step == 2 and err.value.cell == cell
+
+
 def test_classical_equilibrium_stationary(grid):
     p = FluidParams(tau=0.0)
     n = grid.n_cells
@@ -525,6 +647,19 @@ def test_dt_rule_and_step_allocate_less_than_one_field(dt_rule, stepper, tau, ep
     finally:
         tracemalloc.stop()
     assert peak < 8 * grid.n_cells
+
+
+@pytest.mark.parametrize("integrate", [run, run_classical], ids=["relaxed", "classical"])
+def test_n_outputs_snapshots_fall_on_linspace(grid, bump_cfg, integrate):
+    p = FluidParams(tau=0.01 if integrate is run else 0.0)
+    state = make_initial_data(bump_cfg, grid, FluidParams(tau=0.01))
+    want = np.linspace(0.0, 0.2, 5)
+    for every in (1, 7, 50):
+        traj = integrate(state, grid, p, SolverConfig(t_end=0.2, output_every=every, n_outputs=4))
+        assert same_bits(traj.times, want)
+    # an explicit output_times wins over n_outputs
+    traj = integrate(state, grid, p, SolverConfig(t_end=0.2, n_outputs=4), output_times=[0.1])
+    assert same_bits(traj.times, np.array([0.0, 0.1, 0.2]))
 
 
 def test_step_rejects_writing_its_input(grid, params, equilibrium):
