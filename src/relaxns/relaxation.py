@@ -98,13 +98,18 @@ def _integrate(solver_name, initial, grid, params, cfg, out_times):
     return traj.snapshots, time.perf_counter() - t0, len(traj.dt_history)
 
 
-def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=10):
+SWEEP_OUTPUTS = 10  # a sweep's snapshot count when neither the call nor the config sets one
+
+
+def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
     """Run the sweep; returns a SweepResult and asserts nothing itself.
 
     All members share (rho0, v0) and the template's eps; stresses are rebuilt
     well-prepared for each tau.  The baseline comes from run_classical on the
     same grid, and every run is sampled at the same output times (the stepper
     lands on them exactly), so no temporal interpolation enters the errors.
+    Those times are base_cfg.snapshot_times(n) for n = n_outputs if given,
+    else base_cfg.n_outputs if positive, else SWEEP_OUTPUTS.
     The baseline and the members are independent integrations; each is one
     job in a pool of forked worker processes, and the errors are computed
     here from the snapshots the workers return.  A member's NumericalAbort
@@ -121,7 +126,7 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=10):
     taus.sort(reverse=True)
     if not taus or any(t <= 0.0 for t in taus):
         raise ValueError("tau sweep requires one or more taus, all strictly positive")
-    out_times = np.linspace(0.0, base_cfg.t_end, n_outputs + 1)
+    out_times = base_cfg.snapshot_times(n_outputs or base_cfg.n_outputs or SWEEP_OUTPUTS)
     members = [replace(params_template, tau=tau) for tau in taus]
     # longest first: the classical baseline, then the members from the
     # smallest tau (the stiffest, with the most steps) up

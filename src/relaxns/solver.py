@@ -74,6 +74,12 @@ class SolverConfig:
         if self.n_outputs < 0:
             raise FieldError("n_outputs", f"n_outputs must be >= 0, got {self.n_outputs}")
 
+    def snapshot_times(self, n_outputs=None):
+        """The times linspace(0, t_end, n + 1), n = n_outputs if given, else
+        self.n_outputs; None when n is 0 (snapshots by output_every)."""
+        n = self.n_outputs if n_outputs is None else n_outputs
+        return np.linspace(0.0, self.t_end, n + 1) if n > 0 else None
+
 
 @dataclass
 class Trajectory:
@@ -485,8 +491,8 @@ def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs):
     # output, and one Workspace serves the dt rule and every stage (its k
     # rows are free between steps), so a step allocates no field
     t_end = cfg.t_end
-    if output_times is None and cfg.n_outputs > 0:
-        output_times = np.linspace(0.0, t_end, cfg.n_outputs + 1)
+    if output_times is None:
+        output_times = cfg.snapshot_times()
     horizon = max(t_end, 1.0)
     tol = _TIME_EPS * horizon
     traj = Trajectory(outer_bc=cfg.outer_bc)
@@ -534,8 +540,7 @@ def run(initial, grid, params, cfg, output_times=None):
     Snapshots are taken every cfg.output_every steps plus the final time, or
     exactly at the requested output_times (the step size is clipped to land
     on them, so sweeps share a common snapshot grid without interpolation).
-    Without output_times, cfg.n_outputs > 0 requests the times
-    linspace(0, t_end, n_outputs + 1).
+    Without output_times, cfg.n_outputs > 0 requests cfg.snapshot_times().
     """
     if params.tau <= 0.0:
         raise ValueError("run requires tau > 0; use run_classical for tau = 0")

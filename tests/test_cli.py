@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relaxns import cli
+from relaxns import cli, relaxation
 from relaxns.cli import main, parse_config, read_snapshot, write_diagnostics, write_snapshot
 from relaxns.energy import EnergySnapshot, energy_series
-from relaxns.errors import ConfigError
+from relaxns.errors import ConfigError, NumericalAbort
 from relaxns.model import FluidParams, InitConfig, RadialGrid, State
 from relaxns.solver import SolverConfig, run
 from relaxns.structure import structure_audit
@@ -318,6 +318,19 @@ def test_sweep_summary_reports_time_steps(tmp_path):
     assert len(steps) == 1
     m = re.fullmatch(r"time steps: baseline (\d+), tau=0\.01 (\d+), tau=0\.001 (\d+)", steps[0])
     assert m and 0 < int(m[2]) < int(m[3])
+
+
+def test_sweep_tau_samples_at_the_config_n_outputs(tmp_path, monkeypatch):
+    def times_reporting_run(initial, grid, params, cfg, output_times=None):
+        raise NumericalAbort(repr(output_times.tolist()))
+
+    # the members run in forked workers, which inherit the patched binding
+    monkeypatch.setattr(relaxation, "run", times_reporting_run)
+    out = tmp_path / "osw"
+    cfg = write_cfg(tmp_path, "[grid]\nr_max = 11\nn_cells = 64\n[solver]\nt_end = 0.05\nn_outputs = 2\n")
+    assert main(["sweep-tau", "--config", cfg, "--out", str(out), "--tau-list", "1e-2", "--quiet"]) == 3
+    lines = (out / "sweep_summary.txt").read_text().splitlines()
+    assert f"FAILED member run: tau=0.01: {np.linspace(0.0, 0.05, 3).tolist()!r}" in lines
 
 
 def test_main_energy_report(tmp_path):

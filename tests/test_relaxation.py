@@ -211,6 +211,18 @@ def test_tau_sweep_member_abort_in_worker_is_its_failure_row(grid, params, monke
     assert res.runtimes[1] >= 0.0
 
 
+def _times_reporting_run(initial, grid, params, cfg, output_times=None):
+    # a member that reports the output times it was given as its failure
+    raise NumericalAbort(repr(output_times.tolist()))
+
+
+@pytest.mark.parametrize("cfg_n, arg_n, want", [(0, None, 10), (2, None, 2), (2, 3, 3)])
+def test_tau_sweep_output_times_from_the_call_then_the_config(grid, params, monkeypatch, cfg_n, arg_n, want):
+    monkeypatch.setattr(relaxation, "run", _times_reporting_run)
+    res = tau_sweep(SolverConfig(t_end=0.05, n_outputs=cfg_n), INIT, grid, params, [1e-2], n_outputs=arg_n)
+    assert res.failures == [f"tau=0.01: {np.linspace(0.0, 0.05, want + 1).tolist()!r}"]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_tau_sweep_rejects_non_finite_tau_before_any_run(grid, params, monkeypatch, bad):
     def unreachable(*args, **kwargs):
