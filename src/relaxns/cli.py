@@ -21,6 +21,9 @@ Unknown sections or keys, keys given twice, malformed values and violated
 invariants are rejected with the offending line number.  Snapshots and
 diagnostics are CSV with full double precision (17 significant digits) and LF
 line endings, so identical configs reproduce byte-identical numerical outputs.
+run, run-classical and energy-report hand each snapshot to one forked writer
+process as soon as the solver records it, so the CSV formatting overlaps the
+integration.
 """
 
 import argparse
@@ -204,8 +207,9 @@ def _write_report(path, lines, say):
 def _start(out_dir, resolved, grid, params, **extra):
     """Make out_dir and write its manifest (wall_time null), then start the clock.
 
-    Returns finish(warnings), which rewrites the manifest with the wall time
-    and the warnings.  A run that aborts in between keeps its config echo.
+    Returns finish(warnings, **fields), which rewrites the manifest with the
+    wall time, the warnings and any further fields.  A run that aborts in
+    between keeps its config echo.
     """
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -228,9 +232,10 @@ def _start(out_dir, resolved, grid, params, **extra):
     write()
     t0 = time.perf_counter()
 
-    def finish(warnings):
+    def finish(warnings, **fields):
         manifest["wall_time"] = time.perf_counter() - t0
         manifest["warnings"] = list(warnings)
+        manifest.update(fields)
         write()
 
     return finish
@@ -243,34 +248,79 @@ def _relaxed(params):
     return run
 
 
+def _write_snapshot_job(state, grid, path):
+    # the writer process's job; write_snapshot is looked up in this module's
+    # globals where the job runs, so a forked writer calls whatever the
+    # parent had bound to it when the pool forked
+    write_snapshot(state, grid, path)
+
+
+def _step_stats(dt_history):
+    """The manifest's step count and dt {min, mean, max} (null without steps)."""
+    n = len(dt_history)
+    if n == 0:
+        return {"steps": 0, "dt": {"min": None, "mean": None, "max": None}}
+    return {"steps": n, "dt": {"min": min(dt_history), "mean": math.fsum(dt_history) / n, "max": max(dt_history)}}
+
+
 def _run_and_emit(out, config, integrate, say, summarize=None):
     """The path of run, run-classical and energy-report.
 
     Builds the initial state, integrates it with integrate(state, grid,
-    params, solver), writes snapshot_NNNN.csv and diagnostics.csv, and prints
-    the trajectory warnings.  summarize(traj, series), if given, returns the
-    lines of energy_report.txt.
+    params, solver, on_snapshot=), writes snapshot_NNNN.csv and
+    diagnostics.csv, and prints the trajectory warnings.
+    summarize(traj, series), if given, returns the lines of
+    energy_report.txt.
+
+    The snapshots are written by one writer process, forked when the first
+    snapshot is recorded: each is handed to it as soon as the solver records
+    it, and the writer formats it while the solver runs on.  The diagnostics
+    are computed and written here while the writer drains; every write is
+    then awaited in record order, and a failed write raises here with its
+    own type and message.  On a NumericalAbort the writes already handed
+    over are finished first, so the snapshots recorded before the abort are
+    left; on any other exception the writes not yet started are cancelled.
     """
+    from concurrent.futures import ProcessPoolExecutor, wait
+    from multiprocessing import get_context
+
     params, grid, init, solver, resolved = config
     out_dir = Path(out)
     finish = _start(out_dir, resolved, grid, params)
-    traj = integrate(make_initial_data(init, grid, params), grid, params, solver)
-    series = energy_series(traj, grid, params)
-    for j, snap in enumerate(traj.snapshots):
-        write_snapshot(snap, grid, out_dir / f"snapshot_{j:04d}.csv")
-    write_diagnostics(
-        series,
-        out_dir / "diagnostics.csv",
-        energy_residual=energy_identity_residual(traj, grid, params, series=series),
-        mass_residual=mass_balance_residual(traj, grid),
-        limit_errors=[limit_relation_error(s, grid, params) for s in traj.snapshots],
-    )
+    # fork, as in tau_sweep: the writer inherits the parent's binding of
+    # write_snapshot, and the pool forks it before starting its own threads
+    with ProcessPoolExecutor(1, mp_context=get_context("fork")) as writer:
+        writes = []
+
+        def emit(snap):
+            path = out_dir / f"snapshot_{len(writes):04d}.csv"
+            writes.append(writer.submit(_write_snapshot_job, snap, grid, path))
+
+        try:
+            try:
+                traj = integrate(make_initial_data(init, grid, params), grid, params, solver, on_snapshot=emit)
+            except NumericalAbort:
+                wait(writes)
+                raise
+            series = energy_series(traj, grid, params)
+            write_diagnostics(
+                series,
+                out_dir / "diagnostics.csv",
+                energy_residual=energy_identity_residual(traj, grid, params, series=series),
+                mass_residual=mass_balance_residual(traj, grid),
+                limit_errors=[limit_relation_error(s, grid, params) for s in traj.snapshots],
+            )
+            for done in writes:
+                done.result()
+        except BaseException:
+            writer.shutdown(cancel_futures=True)
+            raise
     say(f"wrote {len(traj.snapshots)} snapshots and diagnostics.csv to {out_dir}")
     for w in traj.warnings:
         say(f"warning: {w}")
     if summarize is not None:
         _write_report(out_dir / "energy_report.txt", summarize(traj, series), say)
-    finish(traj.warnings)
+    finish(traj.warnings, **_step_stats(traj.dt_history))
     return 0
 
 

@@ -467,8 +467,11 @@ def _wavefront_clear(state, grid):
     return dev <= 1e-8
 
 
-def _record(traj, state, grid, params, rhs, work):
-    traj.snapshots.append(state.copy())
+def _record(traj, state, grid, params, rhs, work, on_snapshot):
+    snap = state.copy()
+    traj.snapshots.append(snap)
+    if on_snapshot is not None:
+        on_snapshot(snap)
     rows = rhs(state, grid, params, traj.outer_bc, work=work)
     traj.rhs_cache.append(tuple(row.copy() for row in rows))
     # boundary interaction is intended with a reflecting outer wall; the
@@ -483,11 +486,12 @@ def _record(traj, state, grid, params, rhs, work):
         )
 
 
-def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs):
+def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs, on_snapshot=None):
     # the one driver: dt_rule(state, grid, params, cfl, work=) proposes the
     # step, step_rule(state, grid, params, cfg, dt, step_idx, out=, work=)
     # takes it, and rhs(state, grid, params, outer_bc, work=) is stored with
-    # every snapshot.  Two State buffers take turns as the step's input and
+    # every snapshot; on_snapshot, if given, is called with each snapshot as
+    # it is recorded.  Two State buffers take turns as the step's input and
     # output, and one Workspace serves the dt rule and every stage (its k
     # rows are free between steps), so a step allocates no field
     t_end = cfg.t_end
@@ -500,7 +504,7 @@ def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs):
     state = initial.copy()
     spare = _empty_state(grid.n_cells)
     _check(state, 0, "initial state")
-    _record(traj, state, grid, params, rhs, work)
+    _record(traj, state, grid, params, rhs, work, on_snapshot)
 
     pending = None
     if output_times is not None:
@@ -528,33 +532,38 @@ def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs):
         at_end = state.t >= t_end - tol
         if output_times is not None:
             if hit_output or at_end:
-                _record(traj, state, grid, params, rhs, work)
+                _record(traj, state, grid, params, rhs, work, on_snapshot)
         elif step_idx % cfg.output_every == 0 or at_end:
-            _record(traj, state, grid, params, rhs, work)
+            _record(traj, state, grid, params, rhs, work, on_snapshot)
     return traj
 
 
-def run(initial, grid, params, cfg, output_times=None):
+def run(initial, grid, params, cfg, output_times=None, on_snapshot=None):
     """Integrate the relaxed system to cfg.t_end and collect snapshots.
 
     Snapshots are taken every cfg.output_every steps plus the final time, or
     exactly at the requested output_times (the step size is clipped to land
     on them, so sweeps share a common snapshot grid without interpolation).
     Without output_times, cfg.n_outputs > 0 requests cfg.snapshot_times().
+    on_snapshot(state), if given, is called with each snapshot, from t = 0
+    to the final one, as soon as it is recorded, while the integration goes
+    on; an exception it raises ends the run.  The command line uses it to
+    hand each snapshot to one writer process while the solver runs, so a run
+    that aborts leaves the snapshots recorded before the abort.
     """
     if params.tau <= 0.0:
         raise ValueError("run requires tau > 0; use run_classical for tau = 0")
-    return _advance(initial, grid, params, cfg, output_times, compute_dt, step, rhs_full)
+    return _advance(initial, grid, params, cfg, output_times, compute_dt, step, rhs_full, on_snapshot)
 
 
-def run_classical(initial, grid, params, cfg, output_times=None):
+def run_classical(initial, grid, params, cfg, output_times=None, on_snapshot=None):
     """Integrate the classical baseline (mass + Newtonian momentum).
 
-    Snapshots as for run.  tau and the stresses of initial are ignored: the
-    stresses start, and stay, at their Newtonian values, so trajectories from
-    both solvers share one format.
+    Snapshots and on_snapshot as for run.  tau and the stresses of initial
+    are ignored: the stresses start, and stay, at their Newtonian values, so
+    trajectories from both solvers share one format.
     """
     pinned = _pin_stresses(initial.copy(), grid, params, np.empty(grid.n_cells))
     return _advance(
-        pinned, grid, params, cfg, output_times, compute_dt_classical, _step_classical, classical_rhs
+        pinned, grid, params, cfg, output_times, compute_dt_classical, _step_classical, classical_rhs, on_snapshot
     )

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -10,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relaxns import cli, relaxation
+from relaxns import cli, relaxation, solver
 from relaxns.cli import main, parse_config, read_snapshot, write_diagnostics, write_snapshot
 from relaxns.energy import EnergySnapshot, energy_series
 from relaxns.errors import ConfigError, NumericalAbort
-from relaxns.model import FluidParams, InitConfig, RadialGrid, State
-from relaxns.solver import SolverConfig, run
+from relaxns.model import FluidParams, InitConfig, RadialGrid, State, make_initial_data
+from relaxns.solver import SolverConfig, run, run_classical
 from relaxns.structure import structure_audit
 
 from conftest import equilibrium_state
@@ -478,3 +480,128 @@ def test_snapshot_refuses_non_finite_field(tmp_path, field, value):
     with pytest.raises(ValueError, match=f"snapshot field {field} "):
         write_snapshot(state, RadialGrid(r_max=3.0, n_cells=8), path)
     assert not path.exists()
+
+
+# The configs of acceptance criterion 10 and of test_main_run_classical.
+CRITERION_10_CFG = (
+    "[params]\ntau = 0.01\n"
+    "[grid]\nr_max = 11\nn_cells = 128\n"
+    "[init]\nbump_amp = 0.01\nbump_center = 5.0\nbump_width = 0.7\nvel_amp = 0.01\n"
+    "[solver]\nt_end = 0.3\noutput_every = 50\n"
+)
+CLASSICAL_CFG = (
+    "[params]\ntau = 0\n"
+    "[grid]\nr_max = 6\nn_cells = 48\n"
+    "[init]\nbump_amp = 0.01\nbump_center = 3.5\nbump_width = 0.45\n"
+    "[solver]\nt_end = 0.05\noutput_every = 100\n"
+)
+
+
+def run_digest(out):
+    """SHA-256 over the names and bytes of the snapshots, in name order, then
+    diagnostics.csv."""
+    digest = hashlib.sha256()
+    for path in sorted(out.glob("snapshot_*.csv")) + [out / "diagnostics.csv"]:
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+# Recorded when every snapshot was still written in the main process, one
+# after the other, after the integration; the numbers go through pow and exp,
+# so the digests pin this build's libm and numpy as well as the writers.
+@pytest.mark.parametrize(
+    "command, text, n_snapshots, want",
+    [
+        ("run", CRITERION_10_CFG, 4, "0d306a498f658210b74e90633ad97465e16ed2a37b7d6a74c9baef2857bfcace"),
+        ("run-classical", CLASSICAL_CFG, 2, "2cf690ce69e68d71a3cdca1881e1cd174bc7958c7708ea85f7087a2264370c87"),
+    ],
+    ids=["run", "run-classical"],
+)
+def test_whole_run_bytes_are_pinned(tmp_path, command, text, n_snapshots, want):
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["diagnostics.csv", "manifest.json"] + [f"snapshot_{j:04d}.csv" for j in range(n_snapshots)]
+    assert run_digest(out) == want
+
+
+SMALL_CFG = (
+    "[grid]\nr_max = 11\nn_cells = 64\n"
+    "[init]\nbump_amp = 0.01\nbump_center = 5.0\nbump_width = 0.7\n"
+    "[solver]\nt_end = 0.2\noutput_every = 1\n"
+)
+
+
+def test_abort_leaves_the_snapshots_recorded_before_it(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path, SMALL_CFG)
+    full = tmp_path / "full"
+    assert main(["run", "--config", cfg, "--out", str(full), "--quiet"]) == 0
+    real_step = solver.step
+
+    def step_aborting_at_12(state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None):
+        if step_idx == 12:
+            raise NumericalAbort("forced abort", step=step_idx)
+        return real_step(state, grid, params, cfg, dt, step_idx, out=out, work=work)
+
+    monkeypatch.setattr(solver, "step", step_aborting_at_12)
+    outs = [tmp_path / "a1", tmp_path / "a2"]
+    for out in outs:
+        assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+        assert capsys.readouterr().err == "numerical abort: forced abort\n"
+        # snapshots at t = 0 and after each of the 12 steps, more than the
+        # writer takes in before the abort; no diagnostics
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["manifest.json"] + [f"snapshot_{j:04d}.csv" for j in range(13)]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["wall_time"] is None and "steps" not in manifest
+    for name in names[1:]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes() == (full / name).read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_snapshot_write_exits_2_with_its_message(tmp_path, capsys, monkeypatch):
+    real_write = cli.write_snapshot
+
+    def write_failing_on_2(state, grid, path):
+        if Path(path).name == "snapshot_0002.csv":
+            raise ValueError("refused snapshot_0002.csv")
+        real_write(state, grid, path)
+
+    # the writer process is forked after this, so it runs the patched binding
+    monkeypatch.setattr(cli, "write_snapshot", write_failing_on_2)
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_cfg(tmp_path, SMALL_CFG), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "validation error: refused snapshot_0002.csv\n"
+    assert json.loads((out / "manifest.json").read_text())["wall_time"] is None
+    assert not (out / "snapshot_0002.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "command, text, integrate",
+    [
+        ("run", CRITERION_10_CFG, run),
+        ("run-classical", CLASSICAL_CFG, run_classical),
+        ("energy-report", SMALL_CFG, run),
+    ],
+    ids=["run", "run-classical", "energy-report"],
+)
+def test_manifest_records_step_statistics(tmp_path, command, text, integrate):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    params, grid, init, solver_cfg, _ = parse_config(cfg)
+    dts = integrate(make_initial_data(init, grid, params), grid, params, solver_cfg).dt_history
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["steps"] == len(dts) > 0
+    assert manifest["dt"] == {"min": min(dts), "mean": math.fsum(dts) / len(dts), "max": max(dts)}
+
+
+def test_manifest_step_statistics_of_a_zero_step_run(tmp_path):
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, "[grid]\nr_max = 6\nn_cells = 48\n[solver]\nt_end = 0\n")
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["steps"] == 0 and manifest["dt"] == {"min": None, "mean": None, "max": None}
+    assert sorted(p.name for p in out.glob("snapshot_*.csv")) == ["snapshot_0000.csv"]

@@ -665,3 +665,40 @@ def test_n_outputs_snapshots_fall_on_linspace(grid, bump_cfg, integrate):
 def test_step_rejects_writing_its_input(grid, params, equilibrium):
     with pytest.raises(ValueError):
         step(equilibrium, grid, params, SolverConfig(t_end=1.0), dt=1e-3, out=equilibrium)
+
+
+@pytest.mark.parametrize("integrate", [run, run_classical], ids=["relaxed", "classical"])
+@pytest.mark.parametrize("output_times", [None, [0.01, 0.03, 0.05]], ids=["output_every", "output_times"])
+def test_on_snapshot_sees_each_snapshot_as_recorded(grid, bump_cfg, integrate, output_times):
+    p = FluidParams(tau=0.01 if integrate is run else 0.0)
+    state = make_initial_data(bump_cfg, grid, FluidParams(tau=0.01))
+    cfg = SolverConfig(t_end=0.05, output_every=7)
+    seen = []
+
+    def on_snapshot(snap):
+        seen.append(snap)
+
+    traj = integrate(state, grid, p, cfg, output_times=output_times, on_snapshot=on_snapshot)
+    assert len(seen) == len(traj.snapshots) > 2
+    assert all(a is b for a, b in zip(seen, traj.snapshots))
+    assert seen[0].t == 0.0 and seen[-1].t == traj.snapshots[-1].t
+    # the hook changes nothing of the run
+    plain = integrate(state, grid, p, cfg, output_times=output_times)
+    assert plain.dt_history == traj.dt_history
+    assert all(same_state(a, b) for a, b in zip(plain.snapshots, traj.snapshots, strict=True))
+
+
+@pytest.mark.parametrize("integrate", [run, run_classical], ids=["relaxed", "classical"])
+def test_on_snapshot_exception_ends_the_run(grid, bump_cfg, integrate):
+    p = FluidParams(tau=0.01 if integrate is run else 0.0)
+    state = make_initial_data(bump_cfg, grid, FluidParams(tau=0.01))
+    times = []
+
+    def on_snapshot(snap):
+        times.append(snap.t)
+        if len(times) == 3:
+            raise KeyError("stop after the third snapshot")
+
+    with pytest.raises(KeyError, match="stop after the third snapshot"):
+        integrate(state, grid, p, SolverConfig(t_end=0.05, output_every=2), on_snapshot=on_snapshot)
+    assert len(times) == 3 and times[0] == 0.0 < times[1] < times[2] < 0.05
