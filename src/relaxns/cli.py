@@ -159,11 +159,14 @@ _SNAPSHOT_CHUNK = 512  # rows formatted per write, so no snapshot is held as one
 def write_snapshot(state, grid, path):
     """CSV snapshot: header r,rho,v,s1,s2; one row per cell; LF endings.
 
-    Every value is finite: a non-finite field is refused with a ValueError
-    naming it, before the file is opened.
+    Every field has one finite value per cell: any other is refused with a
+    ValueError naming it, before the file is opened.
     """
     for name in ("rho", "v", "s1", "s2"):
-        if not np.isfinite(getattr(state, name)).all():
+        values = getattr(state, name)
+        if len(values) != grid.n_cells:
+            raise ValueError(f"snapshot field {name} has {len(values)} values for a grid of {grid.n_cells} cells")
+        if not np.isfinite(values).all():
             raise ValueError(f"snapshot field {name} at t = {state.t:.17g} is not finite")
     columns = (grid.centers, state.rho, state.v, state.s1, state.s2)
     with open(path, "w", newline="\n") as fh:

@@ -6,9 +6,9 @@ H^2 of the fields, H^1 of their first time derivatives, and tau^2 times the
 L^2 of the second time derivatives.  The dissipation functional gathers the
 first- and second-order derivatives of (rho, v) plus the stress norms without
 the sqrt(tau) weight.  Spatial derivatives use central stencils (one-sided at
-the ends); time derivatives come from the cached right-hand sides, and second
-time derivatives from differencing those caches across snapshots (interior
-snapshot times only).
+the ends); time derivatives are the trajectory's right-hand side (traj.rhs)
+evaluated at each snapshot, and second time derivatives centered differences
+of those across snapshots (interior snapshot times only).
 
 Also computes the exact lower-order energy balance
 
@@ -109,19 +109,22 @@ def weighted_norms(state, rhs, rhs_t, grid, params):
 def energy_series(traj, grid, params):
     """EnergySnapshot per trajectory snapshot, with the running sup filled in.
 
-    Second time derivatives are centered differences of the cached right-hand
-    sides, defined at interior snapshot times only.
+    Time derivatives are traj.rhs at each snapshot; the second ones are their
+    centered differences, at interior snapshot times only.
     """
     times = traj.times
+    derivs = (traj.rhs(state, grid, params, traj.outer_bc) for state in traj.snapshots)
+    cur, nxt = None, next(derivs, None)
     out = []
     for j, state in enumerate(traj.snapshots):
-        rhs_t = None
-        if 0 < j < len(traj.snapshots) - 1:
+        # free the rows of j - 2 and the differences of j - 1 before the rows
+        # of j + 1 are made, which bounds the peak memory of the series
+        prev, cur, nxt, rhs_t = cur, nxt, None, None
+        nxt = next(derivs, None)
+        if prev is not None and nxt is not None:
             dtw = times[j + 1] - times[j - 1]
-            rhs_t = tuple(
-                (traj.rhs_cache[j + 1][k] - traj.rhs_cache[j - 1][k]) / dtw for k in range(4)
-            )
-        snap = weighted_norms(state, traj.rhs_cache[j], rhs_t, grid, params)
+            rhs_t = tuple((b - a) / dtw for a, b in zip(prev, nxt))
+        snap = weighted_norms(state, cur, rhs_t, grid, params)
         if out:
             snap.e_running = max(out[-1].e_running, snap.e_inst)
         out.append(snap)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NumericalAbort
-from .model import equilibrium_stress, make_initial_data
+from .errors import FieldError, NumericalAbort
+from .model import equilibrium_stress, integer_field, make_initial_data
 from .numerics import weighted_h1_sq, weighted_l2_sq
 from .solver import run, run_classical
 
@@ -126,6 +126,8 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
     taus.sort(reverse=True)
     if not taus or any(t <= 0.0 for t in taus):
         raise ValueError("tau sweep requires one or more taus, all strictly positive")
+    if n_outputs is not None and integer_field("n_outputs", n_outputs) < 0:
+        raise FieldError("n_outputs", f"n_outputs must be >= 0, got {n_outputs}")
     out_times = base_cfg.snapshot_times(n_outputs or base_cfg.n_outputs or SWEEP_OUTPUTS)
     members = [replace(params_template, tau=tau) for tau in taus]
     # longest first: the classical baseline, then the members from the

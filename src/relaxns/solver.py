@@ -23,8 +23,10 @@ Both systems run through one driver, _advance, and differ only in three
 module-level rules with one signature per role: the CFL step
 dt_rule(state, grid, params, cfl, work=) (compute_dt, compute_dt_classical),
 the step step_rule(state, grid, params, cfg, dt, step_idx, out=, work=)
-(step, _step_classical) and the right-hand side stored with each snapshot
-rhs(state, grid, params, outer_bc, work=) (rhs_full, classical_rhs).
+(step, _step_classical) and the right-hand side
+rhs(state, grid, params, outer_bc) (rhs_full, classical_rhs).  _advance
+records only the snapshots and the step sizes; readers derive the rest from
+the snapshots and the Trajectory's rhs.
 
 The driver builds one Workspace per run, sized from the grid, and the dt rule
 and every stage compute into its buffers with out= ufuncs; two State buffers
@@ -85,14 +87,26 @@ class SolverConfig:
 class Trajectory:
     snapshots: list = field(default_factory=list)
     dt_history: list = field(default_factory=list)
-    rhs_cache: list = field(default_factory=list)
     outer_bc: str = "extrapolate"
-    warnings: list = field(default_factory=list)
-    contaminated: bool = False
+    rhs: object = None  # the right-hand side of the run's system: rhs_full or classical_rhs
 
     @property
     def times(self):
         return np.array([s.t for s in self.snapshots])
+
+    @property
+    def warnings(self):
+        # boundary interaction is intended with a reflecting outer wall; the
+        # check guards the interpretation of extrapolating (open) runs only
+        if self.outer_bc == "reflect":
+            return []
+        for state in self.snapshots:
+            if not _wavefront_clear(state):
+                return [
+                    f"outer-boundary contamination: fields deviate from the far-field "
+                    f"equilibrium within 2 cells of r_max at t = {state.t:.6g}"
+                ]
+        return []
 
 
 class Workspace:
@@ -456,41 +470,24 @@ def classical_rhs(state, grid, params, outer_bc="extrapolate", work=None):
     return drho, dv, ds1, ds2
 
 
-def _wavefront_clear(state, grid):
-    tail = slice(-2, None)
-    dev = max(
-        float(np.max(np.abs(state.rho[tail] - 1.0))),
-        float(np.max(np.abs(state.v[tail]))),
-        float(np.max(np.abs(state.s1[tail]))),
-        float(np.max(np.abs(state.s2[tail]))),
-    )
-    return dev <= 1e-8
+def _wavefront_clear(state):
+    # every field within 1e-8 of the far-field equilibrium in the last 2 cells
+    tails = (state.rho[-2:] - 1.0, state.v[-2:], state.s1[-2:], state.s2[-2:])
+    return max(float(np.max(np.abs(f))) for f in tails) <= 1e-8
 
 
-def _record(traj, state, grid, params, rhs, work, on_snapshot):
+def _record(traj, state, on_snapshot):
     snap = state.copy()
     traj.snapshots.append(snap)
     if on_snapshot is not None:
         on_snapshot(snap)
-    rows = rhs(state, grid, params, traj.outer_bc, work=work)
-    traj.rhs_cache.append(tuple(row.copy() for row in rows))
-    # boundary interaction is intended with a reflecting outer wall; the
-    # monitor guards the interpretation of extrapolating (open) runs only
-    if traj.outer_bc == "reflect":
-        return
-    if not traj.contaminated and not _wavefront_clear(state, grid):
-        traj.contaminated = True
-        traj.warnings.append(
-            f"outer-boundary contamination: fields deviate from the far-field "
-            f"equilibrium within 2 cells of r_max at t = {state.t:.6g}"
-        )
 
 
 def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs, on_snapshot=None):
     # the one driver: dt_rule(state, grid, params, cfl, work=) proposes the
     # step, step_rule(state, grid, params, cfg, dt, step_idx, out=, work=)
-    # takes it, and rhs(state, grid, params, outer_bc, work=) is stored with
-    # every snapshot; on_snapshot, if given, is called with each snapshot as
+    # takes it, and rhs(state, grid, params, outer_bc) is stored, unevaluated,
+    # in the Trajectory; on_snapshot, if given, is called with each snapshot as
     # it is recorded.  Two State buffers take turns as the step's input and
     # output, and one Workspace serves the dt rule and every stage (its k
     # rows are free between steps), so a step allocates no field
@@ -499,12 +496,12 @@ def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs, 
         output_times = cfg.snapshot_times()
     horizon = max(t_end, 1.0)
     tol = _TIME_EPS * horizon
-    traj = Trajectory(outer_bc=cfg.outer_bc)
+    traj = Trajectory(outer_bc=cfg.outer_bc, rhs=rhs)
     work = Workspace(grid)
     state = initial.copy()
     spare = _empty_state(grid.n_cells)
     _check(state, 0, "initial state")
-    _record(traj, state, grid, params, rhs, work, on_snapshot)
+    _record(traj, state, on_snapshot)
 
     pending = None
     if output_times is not None:
@@ -532,9 +529,9 @@ def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs, 
         at_end = state.t >= t_end - tol
         if output_times is not None:
             if hit_output or at_end:
-                _record(traj, state, grid, params, rhs, work, on_snapshot)
+                _record(traj, state, on_snapshot)
         elif step_idx % cfg.output_every == 0 or at_end:
-            _record(traj, state, grid, params, rhs, work, on_snapshot)
+            _record(traj, state, on_snapshot)
     return traj
 
 

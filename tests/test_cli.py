@@ -482,6 +482,14 @@ def test_snapshot_refuses_non_finite_field(tmp_path, field, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("n_state", [100, 300])
+def test_snapshot_refuses_a_state_not_of_the_grids_length(tmp_path, n_state):
+    path = tmp_path / "snap.csv"
+    with pytest.raises(ValueError, match=f"^snapshot field rho has {n_state} values for a grid of 200 cells$"):
+        write_snapshot(equilibrium_state(n_state), RadialGrid(r_max=3.0, n_cells=200), path)
+    assert not path.exists()
+
+
 # The configs of acceptance criterion 10 and of test_main_run_classical.
 CRITERION_10_CFG = (
     "[params]\ntau = 0.01\n"

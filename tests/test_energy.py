@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relaxns import solver
 from relaxns.energy import (
     apriori_report,
     energy_identity_residual,
@@ -9,7 +10,7 @@ from relaxns.energy import (
     weighted_norms,
 )
 from relaxns.model import FluidParams, InitConfig, RadialGrid, State, make_initial_data
-from relaxns.solver import SolverConfig, rhs_full, run
+from relaxns.solver import SolverConfig, classical_rhs, rhs_full, run, run_classical
 
 
 def bump_traj(grid, params, amp=0.01, t_end=0.5, every=10, outer_bc="extrapolate", vel_amp=0.01):
@@ -108,18 +109,87 @@ def test_mass_balance_reflect_tight(grid, params):
     assert np.max(mass_balance_residual(traj, grid)) <= 1e-12
 
 
+CONTAMINATING = InitConfig(bump_amp=0.02, bump_center=3.5, bump_width=0.45, vel_amp=0.02)
+
+
 def test_mass_balance_flags_boundary_contamination(params):
     # narrow domain so the pulse reaches the outer edge: extrapolation leaks
-    # mass, the snapshot-level flux integral cannot keep up, and the monitor
-    # marks the trajectory contaminated
+    # mass, the snapshot-level flux integral cannot keep up, and the
+    # trajectory warns once, naming the first snapshot that reached the edge
     grid = RadialGrid(r_max=6.0, n_cells=120)
-    cfg = InitConfig(bump_amp=0.02, bump_center=3.5, bump_width=0.45, vel_amp=0.02)
-    state = make_initial_data(cfg, grid, params)
+    state = make_initial_data(CONTAMINATING, grid, params)
     traj = run(state, grid, params, SolverConfig(t_end=4.0, output_every=100))
-    assert traj.contaminated
-    assert len(traj.warnings) >= 1
+    reached = [
+        s for s in traj.snapshots
+        if max(np.max(np.abs(s.rho[-2:] - 1.0)), *(np.max(np.abs(f[-2:])) for f in (s.v, s.s1, s.s2))) > 1e-8
+    ]
+    assert 0.0 < reached[0].t
+    assert traj.warnings == [
+        "outer-boundary contamination: fields deviate from the far-field "
+        f"equilibrium within 2 cells of r_max at t = {reached[0].t:.6g}"
+    ]
     res = mass_balance_residual(traj, grid)
     assert res[-1] > 1e-9
+
+
+def test_reflecting_run_gives_no_contamination_warning(params):
+    # the same pulse reaches a reflecting wall, where boundary interaction is
+    # intended
+    grid = RadialGrid(r_max=6.0, n_cells=120)
+    state = make_initial_data(CONTAMINATING, grid, params)
+    traj = run(state, grid, params, SolverConfig(t_end=4.0, output_every=100, outer_bc="reflect"))
+    assert max(np.max(np.abs(s.v[-2:])) for s in traj.snapshots) > 1e-8
+    assert traj.warnings == []
+
+
+@pytest.mark.parametrize(
+    "integrate, rhs", [(run, rhs_full), (run_classical, classical_rhs)], ids=["relaxed", "classical"]
+)
+def test_energy_series_is_weighted_norms_of_rhs_rows(grid, params, bump_cfg, integrate, rhs):
+    # each entry is weighted_norms on the rows of the system's right-hand
+    # side at its snapshot and, at interior snapshots, on their centered
+    # differences in time, bit for bit
+    state = make_initial_data(bump_cfg, grid, params)
+    traj = integrate(state, grid, params, SolverConfig(t_end=0.2, output_every=40))
+    assert traj.rhs is rhs
+    snaps, times = traj.snapshots, traj.times
+    assert len(snaps) > 2
+    rows = [rhs(s, grid, params, traj.outer_bc) for s in snaps]
+    want = []
+    for j, snap in enumerate(snaps):
+        rhs_t = None
+        if 0 < j < len(snaps) - 1:
+            dtw = times[j + 1] - times[j - 1]
+            rhs_t = tuple((b - a) / dtw for a, b in zip(rows[j - 1], rows[j + 1]))
+        entry = weighted_norms(snap, rows[j], rhs_t, grid, params)
+        if want:
+            entry.e_running = max(want[-1].e_running, entry.e_inst)
+        want.append(entry)
+    assert energy_series(traj, grid, params) == want
+
+
+@pytest.mark.parametrize("integrate", [run, run_classical], ids=["relaxed", "classical"])
+def test_run_evaluates_no_rhs_and_energy_series_one_per_snapshot(grid, params, bump_cfg, monkeypatch, integrate):
+    calls = {"rhs_full": [], "classical_rhs": []}
+
+    def counted(name):
+        real = getattr(solver, name)
+
+        def rhs(state, *args, **kwargs):
+            calls[name].append(state.t)
+            return real(state, *args, **kwargs)
+
+        return rhs
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counted(name))
+    state = make_initial_data(bump_cfg, grid, params)
+    traj = integrate(state, grid, params, SolverConfig(t_end=0.2, output_every=40))
+    assert len(traj.snapshots) > 2
+    assert calls == {"rhs_full": [], "classical_rhs": []}
+    energy_series(traj, grid, params)
+    used = "rhs_full" if integrate is run else "classical_rhs"
+    assert calls == {"rhs_full": [], "classical_rhs": [], used: [s.t for s in traj.snapshots]}
 
 
 def test_apriori_equilibrium_degenerate(grid, params, equilibrium):

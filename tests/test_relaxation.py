@@ -232,3 +232,14 @@ def test_tau_sweep_rejects_non_finite_tau_before_any_run(grid, params, monkeypat
     monkeypatch.setattr(relaxation, "run", unreachable)
     with pytest.raises(ValueError, match=f"^tau sweep entry {bad!r} is not finite$"):
         tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, [1e-2, bad])
+
+
+@pytest.mark.parametrize("bad, message", [(-1, "n_outputs must be >= 0, got -1"), (2.5, "n_outputs must be an integer, got 2.5")])
+def test_tau_sweep_rejects_a_bad_n_outputs_before_any_run(grid, params, monkeypatch, bad, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an integration ran")
+
+    monkeypatch.setattr(relaxation, "run_classical", unreachable)
+    monkeypatch.setattr(relaxation, "run", unreachable)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, [1e-2], n_outputs=bad)

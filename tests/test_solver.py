@@ -394,20 +394,6 @@ def test_run_small_bump_no_blowup(grid, params, bump_cfg):
     assert ampT <= 2.0 * amp0
 
 
-@pytest.mark.parametrize(
-    "integrate, rhs", [(run, rhs_full), (run_classical, classical_rhs)], ids=["relaxed", "classical"]
-)
-def test_run_rhs_cache_consistent(grid, params, bump_cfg, integrate, rhs):
-    state = make_initial_data(bump_cfg, grid, params)
-    traj = integrate(state, grid, params, SolverConfig(t_end=0.2, output_every=40))
-    assert len(traj.rhs_cache) == len(traj.snapshots) > 2
-    for snap, cached in zip(traj.snapshots, traj.rhs_cache):
-        again = rhs(snap, grid, params, traj.outer_bc)
-        assert len(cached) == len(again) == 4
-        for a, b in zip(cached, again):
-            assert np.array_equal(a, b)
-
-
 def test_run_mass_conservation_reflect(grid, params, bump_cfg):
     state = make_initial_data(bump_cfg, grid, params)
     cfg = SolverConfig(t_end=0.5, outer_bc="reflect", output_every=500)
