@@ -21,9 +21,9 @@ Unknown sections or keys, keys given twice, malformed values and violated
 invariants are rejected with the offending line number.  Snapshots and
 diagnostics are CSV with full double precision (17 significant digits) and LF
 line endings, so identical configs reproduce byte-identical numerical outputs.
-run, run-classical and energy-report hand each snapshot to one forked writer
-process as soon as the solver records it, so the CSV formatting overlaps the
-integration.
+run, run-classical (run at tau = 0) and energy-report integrate with solver.run
+and hand each snapshot to one forked writer process as soon as the solver
+records it, so the CSV formatting overlaps the integration.
 """
 
 import argparse
@@ -31,7 +31,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ from .energy import (
 from .errors import ConfigError, DomainError, FieldError, NumericalAbort
 from .model import FluidParams, InitConfig, RadialGrid, make_initial_data
 from .relaxation import limit_relation_error, tau_sweep
-from .solver import SolverConfig, run, run_classical
+from .solver import SolverConfig, run
 from .structure import noncharacteristic_report, structure_audit
 
 _SECTIONS = {"params": FluidParams, "grid": RadialGrid, "init": InitConfig, "solver": SolverConfig}
@@ -244,13 +244,6 @@ def _start(out_dir, resolved, grid, params, **extra):
     return finish
 
 
-def _relaxed(params):
-    """The relaxed integrator; tau = 0 is refused before anything is written."""
-    if params.tau == 0.0:
-        raise ConfigError("tau = 0 selects the classical system; use the run-classical subcommand")
-    return run
-
-
 def _write_snapshot_job(state, grid, path):
     # the writer process's job; write_snapshot is looked up in this module's
     # globals where the job runs, so a forked writer calls whatever the
@@ -266,11 +259,11 @@ def _step_stats(dt_history):
     return {"steps": n, "dt": {"min": min(dt_history), "mean": math.fsum(dt_history) / n, "max": max(dt_history)}}
 
 
-def _run_and_emit(out, config, integrate, say, summarize=None):
-    """The path of run, run-classical and energy-report.
+def _run_and_emit(args, config, say, summarize=None):
+    """The run command, and the path of run-classical and energy-report.
 
-    Builds the initial state, integrates it with integrate(state, grid,
-    params, solver, on_snapshot=), writes snapshot_NNNN.csv and
+    Builds the initial state, integrates it with solver.run at the config's
+    params (tau = 0 is the classical system), writes snapshot_NNNN.csv and
     diagnostics.csv, and prints the trajectory warnings.
     summarize(traj, series), if given, returns the lines of
     energy_report.txt.
@@ -288,7 +281,7 @@ def _run_and_emit(out, config, integrate, say, summarize=None):
     from multiprocessing import get_context
 
     params, grid, init, solver, resolved = config
-    out_dir = Path(out)
+    out_dir = Path(args.out)
     finish = _start(out_dir, resolved, grid, params)
     # fork, as in tau_sweep: the writer inherits the parent's binding of
     # write_snapshot, and the pool forks it before starting its own threads
@@ -301,7 +294,7 @@ def _run_and_emit(out, config, integrate, say, summarize=None):
 
         try:
             try:
-                traj = integrate(make_initial_data(init, grid, params), grid, params, solver, on_snapshot=emit)
+                traj = run(make_initial_data(init, grid, params), grid, params, solver, on_snapshot=emit)
             except NumericalAbort:
                 wait(writes)
                 raise
@@ -327,12 +320,8 @@ def _run_and_emit(out, config, integrate, say, summarize=None):
     return 0
 
 
-def _cmd_run(args, config, say):
-    return _run_and_emit(args.out, config, _relaxed(config[0]), say)
-
-
 def _cmd_run_classical(args, config, say):
-    return _run_and_emit(args.out, config, run_classical, say)
+    return _run_and_emit(args, (replace(config[0], tau=0.0), *config[1:]), say)
 
 
 def _cmd_energy_report(args, config, say):
@@ -353,11 +342,11 @@ def _cmd_energy_report(args, config, say):
             lines.append(f"wall stress traces at t_end (no threshold): s1-type {tr1:.6g}, s2-type {tr2:.6g}")
         return lines
 
-    return _run_and_emit(args.out, config, _relaxed(params), say, summarize)
+    return _run_and_emit(args, config, say, summarize)
 
 
 def _parse_taus(text):
-    """The --tau-list entries as floats; each must be finite and positive."""
+    """The --tau-list entries as floats; each must be finite, positive and new."""
     taus = []
     for entry in filter(None, (x.strip() for x in text.split(","))):
         try:
@@ -366,6 +355,8 @@ def _parse_taus(text):
             raise ConfigError(f"--tau-list entry {entry!r} is not a number") from None
         if not 0.0 < tau < math.inf:
             raise ConfigError(f"--tau-list entry {entry!r} must be finite and positive")
+        if tau in taus:
+            raise ConfigError(f"--tau-list entry {entry!r} repeats tau = {tau:g}")
         taus.append(tau)
     if not taus:
         raise ConfigError("--tau-list must name at least one tau")
@@ -425,7 +416,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (
-        ("run", _cmd_run),
+        ("run", _run_and_emit),
         ("run-classical", _cmd_run_classical),
         ("sweep-tau", _cmd_sweep_tau),
         ("check-structure", _cmd_check_structure),

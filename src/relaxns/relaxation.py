@@ -120,9 +120,11 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
     from multiprocessing import get_context
 
     taus = [float(t) for t in taus]
-    for tau in taus:
+    for k, tau in enumerate(taus):
         if not math.isfinite(tau):
             raise ValueError(f"tau sweep entry {tau!r} is not finite")
+        if tau in taus[:k]:
+            raise ValueError(f"tau sweep entry {tau!r} is repeated")
     taus.sort(reverse=True)
     if not taus or any(t <= 0.0 for t in taus):
         raise ValueError("tau sweep requires one or more taus, all strictly positive")

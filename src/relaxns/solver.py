@@ -15,9 +15,9 @@ The substep solves ds/dt = (eq - s)/(tau rho) with rho, v held fixed, which is
 the exact flow of the relaxation operator, so the composition stays stable for
 any dt/tau ratio and drives the stresses to equilibrium as tau -> 0.
 
-The classical (tau = 0) baseline integrates mass and momentum with the stress
-fields pinned to their Newtonian equilibrium values, sharing every spatial
-operator and the SSP-RK2 stage with the relaxed path.
+The classical baseline, which run integrates at tau = 0, carries mass and
+momentum with the stress fields pinned to their Newtonian equilibrium values,
+sharing every spatial operator and the SSP-RK2 stage with the relaxed path.
 
 Both systems run through one driver, _advance, and differ only in three
 module-level rules with one signature per role: the CFL step
@@ -301,6 +301,8 @@ def rhs_full(state, grid, params, outer_bc="extrapolate", work=None):
 
     With work= the rows are work.k.
     """
+    if params.tau <= 0.0:
+        raise ValueError("rhs_full requires tau > 0; use classical_rhs for tau = 0")
     w = Workspace(grid) if work is None else work
     drho, dv, ds1, ds2 = rhs_nonstiff(state, grid, params, outer_bc, include_production=True, work=w)
     trho, decay = w.cell[:2]
@@ -345,10 +347,7 @@ def compute_dt(state, grid, params, cfl, work=None):
     length is allocated.
     """
     scratch = None if work is None else work.k[:3]
-    smax = max_char_speed(state.rho, state.v, params, out=scratch)
-    if smax <= 0.0:
-        raise NumericalAbort("vanishing characteristic speeds; cannot set dt")
-    return cfl * grid.dr / smax
+    return cfl * grid.dr / max_char_speed(state.rho, state.v, params, out=scratch)
 
 
 def compute_dt_classical(state, grid, params, cfl, work=None):
@@ -535,31 +534,39 @@ def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs, 
     return traj
 
 
-def run(initial, grid, params, cfg, output_times=None, on_snapshot=None):
-    """Integrate the relaxed system to cfg.t_end and collect snapshots.
+def _check_length(initial, grid):
+    if initial.rho.size != grid.n_cells:
+        raise ValueError(f"initial state has {initial.rho.size} values per field for a grid of {grid.n_cells} cells")
 
+
+def run(initial, grid, params, cfg, output_times=None, on_snapshot=None):
+    """Integrate the system at params.tau to cfg.t_end and collect snapshots.
+
+    At tau = 0 this is run_classical with the same arguments, bit for bit.
+    An initial state not of the grid's length is refused with a ValueError.
     Snapshots are taken every cfg.output_every steps plus the final time, or
     exactly at the requested output_times (the step size is clipped to land
     on them, so sweeps share a common snapshot grid without interpolation).
     Without output_times, cfg.n_outputs > 0 requests cfg.snapshot_times().
     on_snapshot(state), if given, is called with each snapshot, from t = 0
     to the final one, as soon as it is recorded, while the integration goes
-    on; an exception it raises ends the run.  The command line uses it to
-    hand each snapshot to one writer process while the solver runs, so a run
-    that aborts leaves the snapshots recorded before the abort.
+    on; an exception it raises ends the run: the command line hands each
+    snapshot to its writer process this way, so an aborted run leaves them.
     """
-    if params.tau <= 0.0:
-        raise ValueError("run requires tau > 0; use run_classical for tau = 0")
+    if params.tau == 0.0:
+        return run_classical(initial, grid, params, cfg, output_times, on_snapshot)
+    _check_length(initial, grid)
     return _advance(initial, grid, params, cfg, output_times, compute_dt, step, rhs_full, on_snapshot)
 
 
 def run_classical(initial, grid, params, cfg, output_times=None, on_snapshot=None):
-    """Integrate the classical baseline (mass + Newtonian momentum).
+    """Integrate the classical baseline (mass + Newtonian momentum): run at tau = 0.
 
     Snapshots and on_snapshot as for run.  tau and the stresses of initial
     are ignored: the stresses start, and stay, at their Newtonian values, so
-    trajectories from both solvers share one format.
+    trajectories from both systems share one format.
     """
+    _check_length(initial, grid)
     pinned = _pin_stresses(initial.copy(), grid, params, np.empty(grid.n_cells))
     return _advance(
         pinned, grid, params, cfg, output_times, compute_dt_classical, _step_classical, classical_rhs, on_snapshot

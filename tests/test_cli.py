@@ -123,8 +123,16 @@ def test_non_finite_value_rejected_with_line(tmp_path, capsys, text, line):
 
 @pytest.mark.parametrize(
     "tau_list, entry",
-    [("nan,1e-2", "nan"), ("inf", "inf"), ("1e-2,-1", "-1"), ("1e-2,0", "0"), ("1e-2, abc", "abc")],
-    ids=["nan", "inf", "negative", "zero", "word"],
+    [
+        ("nan,1e-2", "nan"),
+        ("inf", "inf"),
+        ("1e-2,-1", "-1"),
+        ("1e-2,0", "0"),
+        ("1e-2, abc", "abc"),
+        ("1e-2,1e-2,1e-3", "1e-2"),
+        ("1e-2,1e-3,0.01", "0.01"),
+    ],
+    ids=["nan", "inf", "negative", "zero", "word", "repeated", "repeated-spelled-differently"],
 )
 def test_bad_tau_list_rejected_before_output(tmp_path, capsys, tau_list, entry):
     out = tmp_path / "o"
@@ -158,11 +166,10 @@ def test_missing_file_rejected():
         parse_config("/no/such/file.cfg")
 
 
-def test_tau_zero_run_directs_to_classical(tmp_path, capsys):
-    path = write_cfg(tmp_path, "[params]\ntau = 0\n[grid]\nn_cells = 16\nr_max = 3\n[solver]\nt_end = 0.01\n")
-    code = main(["run", "--config", path, "--out", str(tmp_path / "o"), "--quiet"])
-    assert code == 2
-    assert "run-classical" in capsys.readouterr().err
+def test_energy_report_at_tau_zero(tmp_path):
+    out = tmp_path / "o"
+    assert main(["energy-report", "--config", write_cfg(tmp_path, CLASSICAL_CFG), "--out", str(out), "--quiet"]) == 0
+    assert (out / "energy_report.txt").is_file()
 
 
 def test_negative_n_outputs_rejected_with_line(tmp_path, capsys):
@@ -357,6 +364,17 @@ def test_energy_report_names_the_pinch_box(tmp_path):
     assert lines[3] == "rho range [1, 1] inside [0.75, 1.25]"
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_energy_report_traces_the_wall_stresses_only_when_shifted(tmp_path, eps):
+    cfg = write_cfg(tmp_path, f"[params]\neps = {eps}\n[grid]\nr_max = 11\nn_cells = 32\n[solver]\nt_end = 0.05\n")
+    out = tmp_path / "oe"
+    assert main(["energy-report", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    traces = [line for line in (out / "energy_report.txt").read_text().splitlines() if line.startswith("wall stress")]
+    assert len(traces) == (eps > 0.0)
+    if traces:
+        assert re.fullmatch(r"wall stress traces at t_end \(no threshold\): s1-type \S+, s2-type \S+", traces[0])
+
+
 def test_energy_report_prints_contamination_warning(tmp_path, capsys):
     # the pulse reaches r_max = 6 well before t_end, as in
     # test_mass_balance_flags_boundary_contamination
@@ -523,8 +541,9 @@ def run_digest(out):
     [
         ("run", CRITERION_10_CFG, 4, "0d306a498f658210b74e90633ad97465e16ed2a37b7d6a74c9baef2857bfcace"),
         ("run-classical", CLASSICAL_CFG, 2, "2cf690ce69e68d71a3cdca1881e1cd174bc7958c7708ea85f7087a2264370c87"),
+        ("run", CLASSICAL_CFG, 2, "2cf690ce69e68d71a3cdca1881e1cd174bc7958c7708ea85f7087a2264370c87"),
     ],
-    ids=["run", "run-classical"],
+    ids=["run", "run-classical", "run-at-tau-0"],
 )
 def test_whole_run_bytes_are_pinned(tmp_path, command, text, n_snapshots, want):
     out = tmp_path / "o"
@@ -532,6 +551,16 @@ def test_whole_run_bytes_are_pinned(tmp_path, command, text, n_snapshots, want):
     names = sorted(p.name for p in out.iterdir())
     assert names == ["diagnostics.csv", "manifest.json"] + [f"snapshot_{j:04d}.csv" for j in range(n_snapshots)]
     assert run_digest(out) == want
+
+
+def test_run_classical_integrates_and_reports_tau_zero(tmp_path):
+    # the run and its diagnostics are those of the tau = 0 config, whatever tau the config sets
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, CLASSICAL_CFG.replace("tau = 0\n", "tau = 0.05\n"))
+    assert main(["run-classical", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert run_digest(out) == "2cf690ce69e68d71a3cdca1881e1cd174bc7958c7708ea85f7087a2264370c87"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["params_summary"]["tau"] == 0.0 and manifest["config_echo"]["params"]["tau"] == 0.05
 
 
 SMALL_CFG = (
@@ -566,6 +595,16 @@ def test_abort_leaves_the_snapshots_recorded_before_it(tmp_path, capsys, monkeyp
     for name in names[1:]:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes() == (full / name).read_bytes()
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("dt", [0.0, math.nan], ids=["zero", "nan"])
+def test_collapsed_time_step_aborts_leaving_the_first_snapshot(tmp_path, capsys, monkeypatch, dt):
+    monkeypatch.setattr(solver, "compute_dt", lambda state, grid, params, cfl, work=None: dt)
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_cfg(tmp_path, SMALL_CFG), "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err == f"numerical abort: time step collapsed to {dt:.3g} at t = 0\n"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "snapshot_0000.csv"]
+    assert json.loads((out / "manifest.json").read_text())["wall_time"] is None
 
 
 def test_failed_snapshot_write_exits_2_with_its_message(tmp_path, capsys, monkeypatch):

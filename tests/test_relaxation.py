@@ -234,6 +234,17 @@ def test_tau_sweep_rejects_non_finite_tau_before_any_run(grid, params, monkeypat
         tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, [1e-2, bad])
 
 
+@pytest.mark.parametrize("taus", [[1e-2, 1e-2], [1e-2, 1e-3, 0.01]], ids=["adjacent", "spelled-differently"])
+def test_tau_sweep_rejects_a_repeated_tau_before_any_run(grid, params, monkeypatch, taus):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an integration ran")
+
+    monkeypatch.setattr(relaxation, "run_classical", unreachable)
+    monkeypatch.setattr(relaxation, "run", unreachable)
+    with pytest.raises(ValueError, match=r"^tau sweep entry 0\.01 is repeated$"):
+        tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, taus)
+
+
 @pytest.mark.parametrize("bad, message", [(-1, "n_outputs must be >= 0, got -1"), (2.5, "n_outputs must be an integer, got 2.5")])
 def test_tau_sweep_rejects_a_bad_n_outputs_before_any_run(grid, params, monkeypatch, bad, message):
     def unreachable(*args, **kwargs):

@@ -512,6 +512,34 @@ def test_classical_ignores_initial_stresses(grid, bump_cfg):
             assert np.array_equal(getattr(sa, f), getattr(sb, f))
 
 
+@pytest.mark.parametrize("output_times", [None, [0.01, 0.03, 0.05]], ids=["output_every", "output_times"])
+def test_run_at_tau_zero_is_run_classical_bit_for_bit(grid, bump_cfg, output_times):
+    p = FluidParams(tau=0.0)
+    state = make_initial_data(InitConfig(**{**vars(bump_cfg), "stress_perturb_amp": 0.5}), grid, FluidParams())
+    cfg = SolverConfig(t_end=0.05, output_every=7)
+    got, want = run(state, grid, p, cfg, output_times), run_classical(state, grid, p, cfg, output_times)
+    assert got.rhs is want.rhs is classical_rhs
+    assert got.dt_history == want.dt_history and len(got.dt_history) > 0
+    assert len(got.snapshots) == len(want.snapshots) > 2
+    assert all(same_state(a, b) for a, b in zip(got.snapshots, want.snapshots))
+
+
+@pytest.mark.parametrize("integrate", [run, run_classical], ids=["relaxed", "classical"])
+@pytest.mark.parametrize("n_state", [32, 128])
+def test_run_refuses_a_state_not_of_the_grids_length(integrate, n_state):
+    grid = RadialGrid(r_max=11.0, n_cells=64)
+    p = FluidParams(tau=0.01 if integrate is run else 0.0)
+    seen = []
+    with pytest.raises(ValueError, match=f"^initial state has {n_state} values per field for a grid of 64 cells$"):
+        integrate(equilibrium_state(n_state), grid, p, SolverConfig(t_end=0.05), on_snapshot=seen.append)
+    assert seen == []
+
+
+def test_rhs_full_refuses_tau_zero(grid, equilibrium):
+    with pytest.raises(ValueError, match="^rhs_full requires tau > 0; use classical_rhs for tau = 0$"):
+        rhs_full(equilibrium, grid, FluidParams(tau=0.0))
+
+
 def test_compute_dt_classical_parabolic_bound(grid):
     p = FluidParams(tau=0.0)
     dt = compute_dt_classical(equilibrium_state(grid.n_cells), grid, p, 0.4)
