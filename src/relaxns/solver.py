@@ -18,6 +18,12 @@ any dt/tau ratio and drives the stresses to equilibrium as tau -> 0.
 The classical baseline, which run integrates at tau = 0, carries mass and
 momentum with the stress fields pinned to their Newtonian equilibrium values,
 sharing every spatial operator and the SSP-RK2 stage with the relaxed path.
+Its step is the acoustic CFL step or dr^2 rho_min / K, K = 4 mu/3 + lambda,
+whichever is smaller.  The momentum row takes a central difference of stresses
+that are central differences of v, so its viscous operator is the stride-2
+Laplacian, of spectral radius K/(rho dr^2) (not the compact Laplacian's
+4K/(rho dr^2)); Heun's real stability interval [-2, 0] then leaves about a 2x
+margin at cfl = 1.
 
 Both systems run through one driver, _advance, and differ only in three
 module-level rules with one signature per role: the CFL step
@@ -173,6 +179,11 @@ def apply_bc(state, grid, params, outer_bc="extrapolate"):
     )
 
 
+def _refuse_tau_zero(name, params):
+    if params.tau <= 0.0:
+        raise ValueError(f"{name} requires tau > 0; use classical_rhs for tau = 0")
+
+
 _KAPPA4 = 1.0 / 16.0  # fourth-difference dissipation strength
 
 
@@ -207,8 +218,11 @@ def rhs_nonstiff(state, grid, params, outer_bc="extrapolate", include_production
 
     With include_production=False the stress rows carry transport only; the
     split integrator uses that variant and hands the whole relaxation source
-    to relax_substep.  Returns the four rows; with work= they are work.k.
+    to relax_substep.  The production needs tau > 0: at tau = 0 it is refused
+    with a ValueError.  Returns the four rows; with work= they are work.k.
     """
+    if include_production:
+        _refuse_tau_zero("rhs_nonstiff with include_production=True", params)
     _check_outer_bc(outer_bc)
     w = Workspace(grid) if work is None else work
     n, dr, gamma = grid.n_cells, grid.dr, params.gamma
@@ -301,8 +315,7 @@ def rhs_full(state, grid, params, outer_bc="extrapolate", work=None):
 
     With work= the rows are work.k.
     """
-    if params.tau <= 0.0:
-        raise ValueError("rhs_full requires tau > 0; use classical_rhs for tau = 0")
+    _refuse_tau_zero("rhs_full", params)
     w = Workspace(grid) if work is None else work
     drho, dv, ds1, ds2 = rhs_nonstiff(state, grid, params, outer_bc, include_production=True, work=w)
     trho, decay = w.cell[:2]
@@ -353,13 +366,16 @@ def compute_dt(state, grid, params, cfl, work=None):
 def compute_dt_classical(state, grid, params, cfl, work=None):
     """Acoustic CFL combined with the explicit parabolic bound for the baseline.
 
-    With work= the sound speed is computed in work.k.
+    The parabolic bound is dr^2 rho_min / K, K = 4 mu/3 + lambda: one over the
+    spectral radius K/(rho dr^2) of the classical momentum row's stride-2
+    viscous operator, half of Heun's real stability limit.  With work= the
+    sound speed is computed in work.k.
     """
     c, speed = (None, None) if work is None else work.k[:2]
     c = np.sqrt(pressure_prime(state.rho, params, out=c), out=c)
     speed = np.add(np.abs(state.v, out=speed), c, out=speed)
     adv = grid.dr / float(speed.max())
-    diff = grid.dr**2 * float(np.min(state.rho)) / (2.0 * (4.0 * params.mu / 3.0 + params.lambda_))
+    diff = grid.dr**2 * float(np.min(state.rho)) / (4.0 * params.mu / 3.0 + params.lambda_)
     return cfl * min(adv, diff)
 
 
@@ -402,9 +418,11 @@ def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, out, work, pin_s
     # SSP-RK2 (Heun) on the non-stiff part, production excluded, from t to
     # t + dt into out, which holds the middle stage on the way; state is not
     # written.  pin_stresses puts each stage on equilibrium before it is
-    # checked
-    fields = (state.rho, state.v, state.s1, state.s2)
-    stage = (out.rho, out.v, out.s1, out.s2)
+    # checked, so then only rho and v are stepped: the zips below stop at the
+    # shorter field tuples
+    n_stepped = 2 if pin_stresses else 4
+    fields = (state.rho, state.v, state.s1, state.s2)[:n_stepped]
+    stage = (out.rho, out.v, out.s1, out.s2)[:n_stepped]
     k1 = rhs_nonstiff(state, grid, params, outer_bc, include_production=False, work=work)
     for f, g, k in zip(fields, stage, k1):
         np.multiply(dt, k, out=k)

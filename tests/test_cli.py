@@ -534,14 +534,15 @@ def run_digest(out):
 
 
 # Recorded when every snapshot was still written in the main process, one
-# after the other, after the integration; the numbers go through pow and exp,
+# after the other, after the integration; the classical digest since the
+# baseline steps at dr^2 rho_min / K.  The numbers go through pow and exp,
 # so the digests pin this build's libm and numpy as well as the writers.
 @pytest.mark.parametrize(
     "command, text, n_snapshots, want",
     [
         ("run", CRITERION_10_CFG, 4, "0d306a498f658210b74e90633ad97465e16ed2a37b7d6a74c9baef2857bfcace"),
-        ("run-classical", CLASSICAL_CFG, 2, "2cf690ce69e68d71a3cdca1881e1cd174bc7958c7708ea85f7087a2264370c87"),
-        ("run", CLASSICAL_CFG, 2, "2cf690ce69e68d71a3cdca1881e1cd174bc7958c7708ea85f7087a2264370c87"),
+        ("run-classical", CLASSICAL_CFG, 2, "56ee6316d6d2bf32f48354de77925729d5b57701aea31365a060e3682edf207e"),
+        ("run", CLASSICAL_CFG, 2, "56ee6316d6d2bf32f48354de77925729d5b57701aea31365a060e3682edf207e"),
     ],
     ids=["run", "run-classical", "run-at-tau-0"],
 )
@@ -558,7 +559,7 @@ def test_run_classical_integrates_and_reports_tau_zero(tmp_path):
     out = tmp_path / "o"
     cfg = write_cfg(tmp_path, CLASSICAL_CFG.replace("tau = 0\n", "tau = 0.05\n"))
     assert main(["run-classical", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert run_digest(out) == "2cf690ce69e68d71a3cdca1881e1cd174bc7958c7708ea85f7087a2264370c87"
+    assert run_digest(out) == "56ee6316d6d2bf32f48354de77925729d5b57701aea31365a060e3682edf207e"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["params_summary"]["tau"] == 0.0 and manifest["config_echo"]["params"]["tau"] == 0.05
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -540,11 +541,64 @@ def test_rhs_full_refuses_tau_zero(grid, equilibrium):
         rhs_full(equilibrium, grid, FluidParams(tau=0.0))
 
 
+def test_rhs_nonstiff_refuses_production_at_tau_zero():
+    # the production divides by tau rho; it is refused before the workspace
+    # is touched, while the transport-only rows stay available at tau = 0
+    grid = RadialGrid(r_max=3.0, n_cells=16)
+    p = FluidParams(tau=0.0)
+    work = Workspace(grid)
+    for row in work.k:
+        row.fill(7.0)
+    message = "^rhs_nonstiff with include_production=True requires tau > 0; use classical_rhs for tau = 0$"
+    with pytest.raises(ValueError, match=message):
+        rhs_nonstiff(equilibrium_state(16), grid, p, work=work)
+    assert all((row == 7.0).all() for row in work.k)
+    rows = rhs_nonstiff(equilibrium_state(16), grid, p, include_production=False)
+    assert all((row == 0.0).all() for row in rows)
+
+
 def test_compute_dt_classical_parabolic_bound(grid):
     p = FluidParams(tau=0.0)
     dt = compute_dt_classical(equilibrium_state(grid.n_cells), grid, p, 0.4)
-    parabolic = 0.4 * grid.dr**2 / (2.0 * (4.0 / 3.0 + 1.0))
+    parabolic = 0.4 * grid.dr**2 / (4.0 / 3.0 + 1.0)
     assert dt == pytest.approx(parabolic, rel=1e-12)
+
+
+def classical_jacobian_at_rest(grid, params, outer_bc, h=1e-6):
+    # central-difference Jacobian of classical_rhs's (rho, v) rows in
+    # (rho, v) at rho = 1, v = 0; the stresses are pinned to eq(v), so
+    # (rho, v) is the whole classical state
+    n = grid.n_cells
+    x0 = np.concatenate([np.ones(n), np.zeros(n)])
+    jac = np.empty((2 * n, 2 * n))
+    for j in range(2 * n):
+        rows = []
+        for sign in (1.0, -1.0):
+            x = x0.copy()
+            x[j] += sign * h
+            drho, dv, _, _ = classical_rhs(State(x[:n], x[n:], np.zeros(n), np.zeros(n)), grid, params, outer_bc)
+            rows.append(np.concatenate([drho, dv]))
+        jac[:, j] = (rows[0] - rows[1]) / (2.0 * h)
+    return jac
+
+
+@pytest.mark.parametrize("outer_bc", ["extrapolate", "reflect"])
+@pytest.mark.parametrize("n", [64, 65])
+def test_classical_step_is_heun_stable_at_cfl_one(n, outer_bc):
+    # the momentum row's viscous term is a central difference of central
+    # differences, the stride-2 Laplacian of radius K/(rho dr^2), which is
+    # what compute_dt_classical's dr^2 rho_min / K assumes.  At the cfl = 1
+    # step no mode of Heun's amplification 1 + z + z^2/2 may grow faster
+    # than the operator's own fastest mode, exp(max Re(lambda) dt): with a
+    # reflecting wall that growth is positive and does not shrink with dt
+    grid = RadialGrid(r_max=6.0, n_cells=n)
+    p = FluidParams(tau=0.0)
+    viscous_radius = (4.0 * p.mu / 3.0 + p.lambda_) / grid.dr**2
+    lam = np.linalg.eigvals(classical_jacobian_at_rest(grid, p, outer_bc))
+    assert np.abs(lam).max() <= 1.05 * viscous_radius
+    dt = compute_dt_classical(equilibrium_state(n), grid, p, 1.0)
+    z = lam * dt
+    assert np.abs(1.0 + z + 0.5 * z * z).max() <= math.exp(lam.real.max() * dt) + 1e-9
 
 
 @pytest.mark.parametrize("integrate", [run, run_classical], ids=["relaxed", "classical"])
