@@ -354,12 +354,13 @@ def relax_substep(state, dt, grid, params):
 
 
 def compute_dt(state, grid, params, cfl, work=None):
-    """CFL step from the fastest characteristic speed over all cells.
+    """CFL step from an upper bound of the fastest characteristic speed.
 
-    With work= the speed is computed in work.k and nothing of the grid's
-    length is allocated.
+    The bound (`max_char_speed`) is the exact speed at eps = 0 and at most
+    eps above it otherwise.  With work= the speed is computed in work.k and
+    nothing of the grid's length is allocated.
     """
-    scratch = None if work is None else work.k[:3]
+    scratch = None if work is None else work.k[:2]
     return cfl * grid.dr / max_char_speed(state.rho, state.v, params, out=scratch)
 
 

@@ -5,10 +5,11 @@ the lower-order matrix B for the unknown vector V = (rho, v, s1, s2), together
 with the boundary matrix M picking out v at r = 1.  `assemble_a0` and
 `assemble_a1` are the only place the pencil's entries are written:
 `char_speeds`, the wall matrix (A0)^-1 A1 and the audits all start from
-them, and the closed-form CFL speed `max_char_speed` is checked against
-`char_speeds`.  Provides the two boundary certificates: the
-non-characteristic determinant of (A0)^-1 A1 at the wall and the maximal
-nonnegativity of the boundary condition.
+them.  The CFL speed `max_char_speed` is Weyl's closed-form upper bound of
+the largest |speed|, exact at eps = 0 and at most eps above it otherwise;
+it is checked against `char_speeds`.  Provides the two boundary
+certificates: the non-characteristic determinant of (A0)^-1 A1 at the wall
+and the maximal nonnegativity of the boundary condition.
 
 Every structural tolerance is named once below.  `StructureAuditReport` and
 `noncharacteristic_report` each carry their verdicts as (ok, description)
@@ -107,87 +108,40 @@ def char_speeds(rho, v, params):
 
 
 def max_char_speed(rho, v, params, out=None):
-    """max |s| over all cells; closed form and vectorized for per-step CFL control.
+    """An upper bound of max |s| over all cells; vectorized for per-step CFL control.
 
-    The scaled pencil D A1 D of `char_speeds` has diagonal (v, v, v - eps,
-    v - eps) and, in row 2, off-diagonals a = sqrt(P'), -b and -c with
-    b = sqrt(4mu/(3tau))/rho and c = sqrt(lambda/tau)/rho.  With
-    S = a^2 + b^2 + c^2 = P' + (4mu/3 + lambda)/(tau rho^2), the vector
-    (0, 0, c, -b) is an exact eigenvector with eigenvalue v - eps.  The other
-    three speeds are v + y with y a root of the cubic
+    The scaled pencil D A1 D of `char_speeds` is diag(v, v, v - eps, v - eps)
+    plus an arrow matrix with the off-diagonals a = sqrt(P'), -b and -c of
+    row 2, b = sqrt(4mu/(3tau))/rho and c = sqrt(lambda/tau)/rho.  The arrow
+    matrix has eigenvalues {0, 0, +-sqrt(S)} with
+    S = a^2 + b^2 + c^2 = P' + (4mu/3 + lambda)/(tau rho^2), so by Weyl's
+    inequalities (Horn & Johnson, Matrix Analysis, Thm 4.3.1) every speed
+    lies in [v - eps - sqrt(S), v + sqrt(S)], and
 
-        f(y) = y^3 + eps y^2 - S y - P' eps,
+        max |s| <= sqrt(S) + |v - eps/2| + eps/2 <= max |s| + eps.
 
-    whose coefficients depend on rho only.  For eps = 0 the roots are
-    {0, +-sqrt(S)}.  For eps > 0, y = z - eps/3 gives the depressed cubic
-    z^3 + p z + q with p = -S - eps^2/3 and q = 2 eps^3/27 + eps S/3 - P' eps,
-    whose three real roots are Viete's trigonometric ones
+    At eps = 0 the bound is the exact |v| + sqrt(S).
 
-        z_k = 2 sqrt(-p/3) cos(phi - 2 pi k/3),
-        phi = arccos(3q/(2p) sqrt(-3/p)) / 3,
-
-    with k = 0 the largest and k = 2 the smallest (Smith, CACM 4 (1961) 168).
-    Since f(-eps) = eps (b^2 + c^2) >= 0 and f(0) = -P' eps < 0, the roots
-    order as y_min <= -eps <= y_mid < 0 < y_max.  All four speeds therefore
-    lie in [v + y_min, v + y_max], and the largest |s| is
-    max(v + y_max, -(v + y_min)).
-
-    out = (a, b, c), three arrays of the shape of rho and v distinct from
-    both, serves as scratch, so nothing of their length is allocated.  Each
-    operation runs in the order of the formulas above, so the result has the
-    same bits with or without out.
+    out = (a, b), two arrays of the shape of rho and v distinct from both,
+    serves as scratch, so nothing of their length is allocated.  The result
+    has the same bits with or without out.
     """
     _require_relaxed(params)
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if out is None:
         shape = np.broadcast_shapes(rho.shape, v.shape)
-        out = (np.empty(shape), np.empty(shape), np.empty(shape))
-    a, b, c = out
-    # a = P', b = S = P' + (4mu/3 + lambda) / (tau rho^2)
+        out = (np.empty(shape), np.empty(shape))
+    a, b = out
+    # b = sqrt(S), S = P' + (4mu/3 + lambda) / (tau rho^2)
     dp = pressure_prime(rho, params, out=a)
     np.power(rho, 2, out=b)
     np.multiply(params.tau, b, out=b)
     np.divide(4.0 * params.mu / 3.0 + params.lambda_, b, out=b)
-    s = np.add(dp, b, out=b)
-    eps = params.eps
-    if eps == 0.0:
-        np.sqrt(s, out=s)
-        np.abs(v, out=a)
-        return float(np.add(a, s, out=a).max())
-    # c = p, then b = q; a is free once q has taken P' eps
-    p = np.negative(s, out=c)
-    np.subtract(p, eps**2 / 3.0, out=p)
-    np.multiply(eps, s, out=b)
-    np.divide(b, 3.0, out=b)
-    np.add(2.0 * eps**3 / 27.0, b, out=b)
-    np.multiply(dp, eps, out=a)
-    q = np.subtract(b, a, out=b)
-    # a = amp; b = phi, with c free once it has held -3/p
-    amp = np.negative(p, out=a)
-    np.divide(amp, 3.0, out=amp)
-    np.sqrt(amp, out=amp)
-    np.multiply(2.0, amp, out=amp)
-    np.multiply(1.5, q, out=q)
-    np.divide(q, p, out=q)
-    np.divide(-3.0, p, out=p)
-    np.sqrt(p, out=p)
-    phi = np.multiply(q, p, out=b)
-    np.clip(phi, -1.0, 1.0, out=phi)
-    np.arccos(phi, out=phi)
-    np.divide(phi, 3.0, out=phi)
-    # c = v + y_max, b = -(v + y_min)
-    y_max = np.cos(phi, out=c)
-    np.multiply(amp, y_max, out=y_max)
-    np.subtract(y_max, eps / 3.0, out=y_max)
-    np.add(v, y_max, out=y_max)
-    y_min = np.add(phi, 2.0 * np.pi / 3.0, out=b)
-    np.cos(y_min, out=y_min)
-    np.multiply(amp, y_min, out=y_min)
-    np.subtract(y_min, eps / 3.0, out=y_min)
-    np.add(v, y_min, out=y_min)
-    np.negative(y_min, out=y_min)
-    return float(np.maximum(y_max, y_min, out=y_max).max())
+    s = np.sqrt(np.add(dp, b, out=b), out=b)
+    half = params.eps / 2.0
+    np.abs(np.subtract(v, half, out=a), out=a)
+    return float(np.add(a, s, out=a).max()) + half
 
 
 def det4_cofactor(m):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from relaxns.model import (
     State,
     equilibrium_stress,
     make_initial_data,
+    pressure_prime,
 )
 from relaxns.numerics import cell_sum_r2
 from relaxns.solver import (
@@ -314,6 +316,29 @@ def test_compute_dt_matches_eigenvalue_oracle():
     smax = np.max(np.abs(char_speeds(1.0, 0.0, p)))
     dt = compute_dt(eq, g, p, cfl=0.4)
     assert dt == pytest.approx(0.4 * 0.05 / smax, rel=1e-12)
+    # eps > 0: the speed is an upper bound at most eps above the eigensolve,
+    # on a state whose v takes both signs
+    p = replace(p, eps=0.1)
+    rng = np.random.default_rng(12)
+    rho, v = rng.uniform(0.9, 1.1, size=100), rng.uniform(-0.3, 0.3, size=100)
+    state = State(rho, v, np.zeros(100), np.zeros(100))
+    exact = max(np.max(np.abs(char_speeds(r, w, p))) for r, w in zip(rho, v))
+    dt = compute_dt(state, g, p, cfl=0.4)
+    assert 0.4 * 0.05 / (exact + p.eps) * (1.0 - 1e-12) <= dt <= 0.4 * 0.05 / exact * (1.0 + 1e-12)
+
+
+def test_compute_dt_at_eps_zero_is_the_acoustic_plus_stress_speed_bit_for_bit(grid, params):
+    # the eps = 0 step of every relaxed run: cfl dr / max(|v| + sqrt(P' + K/(tau rho^2)));
+    # one ulp moves the maximum of one state only now and then, so try many
+    rng = np.random.default_rng(13)
+    n = grid.n_cells
+    k = 4.0 * params.mu / 3.0 + params.lambda_
+    for _ in range(32):
+        state = State(rng.uniform(0.8, 1.2, size=n), rng.uniform(-0.3, 0.3, size=n), np.zeros(n), np.zeros(n))
+        speed = np.abs(state.v) + np.sqrt(pressure_prime(state.rho, params) + k / (params.tau * state.rho**2))
+        expected = 0.4 * grid.dr / float(speed.max())
+        assert compute_dt(state, grid, params, 0.4) == expected
+        assert compute_dt(state, grid, params, 0.4, work=poisoned_workspace(grid)) == expected
 
 
 def test_compute_dt_scalings(params):
