@@ -25,6 +25,24 @@ Laplacian, of spectral radius K/(rho dr^2) (not the compact Laplacian's
 4K/(rho dr^2)); Heun's real stability interval [-2, 0] then leaves about a 2x
 margin at cfl = 1.
 
+The relaxed step is the larger of the fast-wave CFL step,
+cfl dr / max_char_speed, and that classical step with its acoustic cap
+widened by the stress transport speed: cfl min(dr / max(|v| + sqrt(P'),
+|v - eps|), dr^2 rho_min / K).  Linearized per Fourier mode of wave number
+sigma <= 1/dr, the stiff coupling of v and the stresses over one Strang step
+is a 2x2 map with det = exp(-dt/(tau rho)), stable iff
+
+    dt K sigma^2 / rho <= 2 coth(dt / (2 tau rho)),
+
+and since coth(x) >= max(1, 1/x) both steps lie in that region (the
+Stormer-Verlet, or asymptotic-preserving, argument: Hairer, Lubich & Wanner,
+Acta Numerica 12 (2003) 399; Jin, SISC 21 (1999) 441).  At eps = 0 the
+relaxed step is never smaller than the classical step of the same state, so
+the step count is capped at about the baseline's: below tau of about
+dr^2 rho / K a run steps at the classical step, where the fast-wave step alone
+would shrink like sqrt(tau).  There its distance to the baseline is the
+Strang step's first-order stiff-limit error, which falls with dt, not tau.
+
 Both systems run through one driver, _advance, and differ only in three
 module-level rules with one signature per role: the CFL step
 dt_rule(state, grid, params, cfl, work=) (compute_dt, compute_dt_classical),
@@ -353,15 +371,45 @@ def relax_substep(state, dt, grid, params):
     return out
 
 
-def compute_dt(state, grid, params, cfl, work=None):
-    """CFL step from an upper bound of the fastest characteristic speed.
+def _viscous_dt(state, grid, params):
+    # dr^2 rho_min / K, K = 4 mu/3 + lambda: one over the spectral radius
+    # K/(rho dr^2) of the stride-2 viscous operator of the momentum row
+    return grid.dr**2 * float(np.min(state.rho)) / (4.0 * params.mu / 3.0 + params.lambda_)
 
-    The bound (`max_char_speed`) is the exact speed at eps = 0 and at most
-    eps above it otherwise.  With work= the speed is computed in work.k and
-    nothing of the grid's length is allocated.
+
+def _acoustic_dt(state, grid, params, eps, work):
+    # dr / max(|v| + sqrt(P'), |v - eps|); at eps = 0 the second speed never
+    # wins and is not computed
+    c, speed = (None, None) if work is None else work.k[:2]
+    c = np.sqrt(pressure_prime(state.rho, params, out=c), out=c)
+    speed = np.add(np.abs(state.v, out=speed), c, out=speed)
+    if eps != 0.0:
+        np.abs(np.subtract(state.v, eps, out=c), out=c)
+        np.maximum(speed, c, out=speed)
+    return grid.dr / float(speed.max())
+
+
+def compute_dt(state, grid, params, cfl, work=None):
+    """The larger of the fast-wave CFL step and the classical step.
+
+    fast = cfl dr / max_char_speed (the exact speed at eps = 0, at most eps
+    above it otherwise); classical = cfl min(dr / max(|v| + sqrt(P'),
+    |v - eps|), dr^2 rho_min / K), K = 4 mu/3 + lambda, the baseline's step
+    with its acoustic cap widened by the stress transport speed.  Both are
+    stable: per Fourier mode sigma <= 1/dr the stiff part of a Strang step is
+    a 2x2 map of det exp(-dt/(tau rho)), stable iff
+    dt K sigma^2 / rho <= 2 coth(dt / (2 tau rho)), and coth(x) >= max(1, 1/x).
+    Where the fast step is the larger, the result is its bits; the acoustic
+    cap is computed only when the viscous bound beats it.  With work= the
+    speeds are computed in work.k and nothing of the grid's length is
+    allocated.
     """
     scratch = None if work is None else work.k[:2]
-    return cfl * grid.dr / max_char_speed(state.rho, state.v, params, out=scratch)
+    fast = cfl * grid.dr / max_char_speed(state.rho, state.v, params, out=scratch)
+    viscous = _viscous_dt(state, grid, params)
+    if cfl * viscous <= fast:
+        return fast
+    return max(fast, cfl * min(_acoustic_dt(state, grid, params, params.eps, work), viscous))
 
 
 def compute_dt_classical(state, grid, params, cfl, work=None):
@@ -372,12 +420,7 @@ def compute_dt_classical(state, grid, params, cfl, work=None):
     viscous operator, half of Heun's real stability limit.  With work= the
     sound speed is computed in work.k.
     """
-    c, speed = (None, None) if work is None else work.k[:2]
-    c = np.sqrt(pressure_prime(state.rho, params, out=c), out=c)
-    speed = np.add(np.abs(state.v, out=speed), c, out=speed)
-    adv = grid.dr / float(speed.max())
-    diff = grid.dr**2 * float(np.min(state.rho)) / (4.0 * params.mu / 3.0 + params.lambda_)
-    return cfl * min(adv, diff)
+    return cfl * min(_acoustic_dt(state, grid, params, 0.0, work), _viscous_dt(state, grid, params))
 
 
 def _check(state, step_idx, stage):

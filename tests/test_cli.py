@@ -326,7 +326,11 @@ def test_sweep_summary_reports_time_steps(tmp_path):
     steps = [line for line in lines if line.startswith("time steps: ")]
     assert len(steps) == 1
     m = re.fullmatch(r"time steps: baseline (\d+), tau=0\.01 (\d+), tau=0\.001 (\d+)", steps[0])
-    assert m and 0 < int(m[2]) < int(m[3])
+    assert m
+    baseline, loose, stiff = int(m[1]), int(m[2]), int(m[3])
+    # a smaller tau never takes fewer steps; at n = 64 both members may step
+    # at the baseline's step, since a relaxed step is never below the classical one
+    assert min(baseline, loose, stiff) > 0 and loose <= stiff
 
 
 def test_sweep_tau_samples_at_the_config_n_outputs(tmp_path, monkeypatch):

@@ -101,6 +101,26 @@ def test_tau_sweep_slopes_grid_stable(params):
     assert abs(slopes[0] - slopes[1]) <= 0.2
 
 
+def test_stiff_members_step_with_the_baseline_and_sit_at_the_strang_stiff_limit_error():
+    # the acceptance grid of criterion 6, to t = 0.1: far below tau = dr^2 rho/K
+    # (2.7e-4 here) a member takes the baseline's step, so its step count
+    # (940 at cfl 0.4); its distance to the baseline is then the first-order
+    # error of the Strang step's stiff limit, not a tau effect, and halves
+    # with dt (3.99e-5, 2.00e-5, 9.99e-6 at cfl 0.4, 0.2, 0.1)
+    grid = RadialGrid(r_max=21.0, n_cells=800)
+    pulse = InitConfig(bump_amp=0.01, bump_center=7.0, bump_width=1.0, vel_amp=0.01)
+    res = tau_sweep(SolverConfig(t_end=0.1), pulse, grid, FluidParams(), [1e-6, 1e-8], n_outputs=10)
+    assert all(f is None for f in res.failures)
+    assert res.steps == [res.baseline_steps] * 2
+    distances = [res.field_errors[1]]
+    for cfl in (0.2, 0.1):
+        res = tau_sweep(SolverConfig(t_end=0.1, cfl=cfl), pulse, grid, FluidParams(), [1e-8], n_outputs=10)
+        assert res.steps == [res.baseline_steps]
+        distances.append(res.field_errors[0])
+    for coarse, fine in zip(distances, distances[1:]):
+        assert 1.8 <= coarse / fine <= 2.2, distances
+
+
 def test_tau_sweep_rejects_empty_or_nonpositive_taus(grid, params):
     for taus in ([], [1e-2, 0.0]):
         with pytest.raises(ValueError, match="^tau sweep requires one or more taus, all strictly positive$"):

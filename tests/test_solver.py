@@ -33,7 +33,7 @@ from relaxns.solver import (
     run_classical,
     step,
 )
-from relaxns.structure import char_speeds
+from relaxns.structure import char_speeds, max_char_speed
 
 from conftest import equilibrium_state
 
@@ -348,6 +348,92 @@ def test_compute_dt_scalings(params):
     assert compute_dt(eq, g2, params, 0.4) == pytest.approx(0.5 * compute_dt(eq, g1, params, 0.4), rel=1e-14)
     stiff = FluidParams(tau=params.tau / 100.0)
     assert compute_dt(eq, g1, stiff, 0.4) < compute_dt(eq, g1, params, 0.4)
+
+
+def step_rule_reference(state, grid, p, cfl):
+    # the larger of the fast-wave step and the classical step with its
+    # acoustic cap widened by the stress transport speed v - eps
+    fast = cfl * grid.dr / max_char_speed(state.rho, state.v, p)
+    sound = np.abs(state.v) + np.sqrt(pressure_prime(state.rho, p))
+    acoustic = grid.dr / float(np.maximum(sound, np.abs(state.v - p.eps)).max())
+    viscous = grid.dr**2 * float(state.rho.min()) / (4.0 * p.mu / 3.0 + p.lambda_)
+    return max(fast, cfl * min(acoustic, viscous))
+
+
+def test_compute_dt_is_the_larger_of_the_fast_and_classical_steps_bit_for_bit():
+    # fine and coarse grids and a low viscosity, so that each of the fast,
+    # acoustic and viscous bounds sets the step somewhere
+    rng = np.random.default_rng(17)
+    winners = set()
+    for r_max, n, mu in ((11.0, 100, 1.0), (21.0, 40, 0.1)):
+        grid = RadialGrid(r_max=r_max, n_cells=n)
+        for tau in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8):
+            for eps in (0.0, 0.1):
+                p = FluidParams(tau=tau, eps=eps, mu=mu, lambda_=mu)
+                for _ in range(4):
+                    rho, v = rng.uniform(0.8, 1.2, size=n), rng.uniform(-0.3, 0.3, size=n)
+                    state = State(rho, v, np.zeros(n), np.zeros(n))
+                    expected = step_rule_reference(state, grid, p, 0.4)
+                    assert compute_dt(state, grid, p, 0.4) == expected
+                    assert compute_dt(state, grid, p, 0.4, work=poisoned_workspace(grid)) == expected
+                    fast = 0.4 * grid.dr / max_char_speed(rho, v, p)
+                    viscous = 0.4 * (grid.dr**2 * float(rho.min()) / (4.0 * p.mu / 3.0 + p.lambda_))
+                    winners.add("fast" if expected == fast else "viscous" if expected == viscous else "acoustic")
+    assert winners == {"fast", "acoustic", "viscous"}
+
+
+def test_compute_dt_caps_the_stiff_step_at_the_stress_transport_speed():
+    # tau -> 0 with a large eps: the classical step wins, and its acoustic cap
+    # is the CFL step of the stresses' transport at v - eps
+    grid = RadialGrid(r_max=21.0, n_cells=64)
+    p = FluidParams(tau=1e-8, eps=20.0)
+    rng = np.random.default_rng(19)
+    state = State(rng.uniform(0.8, 1.2, size=64), rng.uniform(-0.3, 0.3, size=64), np.zeros(64), np.zeros(64))
+    dt = compute_dt(state, grid, p, 0.4)
+    assert 0.4 * grid.dr / max_char_speed(state.rho, state.v, p) < dt
+    # (rounded as the rule rounds: cfl times the step)
+    assert dt <= 0.4 * (grid.dr / float(np.abs(state.v - p.eps).max()))
+
+
+def step_jacobian_at_rest(grid, params, cfg, dt, h=1e-7):
+    # forward-difference Jacobian of one Strang step at rho = 1, v = s = 0,
+    # in the stacked fields (rho, v, s1, s2)
+    n = grid.n_cells
+    work, out = Workspace(grid), State(*(np.empty(n) for _ in range(4)))
+
+    def stepped(x):
+        s = step(State(*np.split(x, 4)), grid, params, cfg, dt=dt, out=out, work=work)
+        return np.concatenate([s.rho, s.v, s.s1, s.s2])
+
+    x0 = np.concatenate([np.ones(n), np.zeros(3 * n)])
+    f0 = stepped(x0)
+    jac = np.empty((4 * n, 4 * n))
+    for j in range(4 * n):
+        x = x0.copy()
+        x[j] += h
+        jac[:, j] = (stepped(x) - f0) / h
+    return jac
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_strang_step_is_stable_at_the_compute_dt_step(n):
+    # linearized per mode, the stiff part of the step is a 2x2 map of
+    # det exp(-dt/(tau rho)), stable iff dt K sigma^2/rho <= 2 coth(dt/(2 tau rho)):
+    # the fast-wave step and the classical viscous step both lie inside, so
+    # at compute_dt's step no mode grows faster than the open boundary's own
+    # slow mode (a rate of about 0.007-0.009 here), for tau from the fast-wave
+    # regime (1e-1) to far below dr^2 rho/K (0.04); at 6x that step it blows up
+    grid = RadialGrid(r_max=21.0, n_cells=n)
+    rest = equilibrium_state(n)
+    for tau in (1e-1, 1e-2, 1e-4, 1e-8):
+        p = FluidParams(tau=tau)
+        for cfl in (0.4, 1.0):
+            cfg = SolverConfig(cfl=cfl)
+            dt = compute_dt(rest, grid, p, cfl)
+            for factor, stable in ((1.0, True), (6.0, False)):
+                radius = np.abs(np.linalg.eigvals(step_jacobian_at_rest(grid, p, cfg, factor * dt))).max()
+                rate = math.log(radius) / (factor * dt)
+                assert rate <= 0.02 if stable else rate >= 1.0, (tau, cfl, factor, rate)
 
 
 def test_step_keeps_equilibrium_bit_exact(grid, params, equilibrium):
@@ -719,8 +805,8 @@ def test_dt_rule_in_workspace_matches_allocating_call(grid, dt_rule, eps):
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize(
     "dt_rule, stepper, tau",
-    [(compute_dt, step, 0.01), (compute_dt_classical, _step_classical, 0.0)],
-    ids=["relaxed", "classical"],
+    [(compute_dt, step, 0.01), (compute_dt, step, 1e-8), (compute_dt_classical, _step_classical, 0.0)],
+    ids=["relaxed", "relaxed-stiff", "classical"],
 )
 def test_dt_rule_and_step_allocate_less_than_one_field(dt_rule, stepper, tau, eps):
     # the driver's per-step work: one dt-rule call and one step, both in the
