@@ -171,9 +171,16 @@ def pressure_prime(rho, params, out=None):
     rho = np.asarray(rho, dtype=float)
     if not (rho > 0.0).all():
         raise DomainError("pressure_prime requires rho > 0")
-    dp = np.power(rho, params.gamma - 1.0, out=out)
-    dp = np.multiply(params.a_coef * params.gamma, dp, out=out)
+    dp = admissible_pressure_prime(rho, params, out=out)
     return float(dp) if dp.ndim == 0 else dp
+
+
+def admissible_pressure_prime(rho, params, out=None):
+    """pressure_prime without its rho > 0 test, for a density array already
+    known to be positive (the solver's states, which have passed its
+    admissibility check); the same bits, out as for pressure_prime."""
+    dp = np.power(rho, params.gamma - 1.0, out=out)
+    return np.multiply(params.a_coef * params.gamma, dp, out=out)
 
 
 def taylor_potential(rho, params):

@@ -15,15 +15,26 @@ The substep solves ds/dt = (eq - s)/(tau rho) with rho, v held fixed, which is
 the exact flow of the relaxation operator, so the composition stays stable for
 any dt/tau ratio and drives the stresses to equilibrium as tau -> 0.
 
+The driver relaxes once per step (first-same-as-last, as in Strang, SINUM 5
+(1968) 506).  The closing half of one step and the opening half of the next
+act on the same frozen rho and v, so they compose into one exact solve over
+(dt_n + dt_n+1)/2, equal to the two to rounding.  A step closes only when it
+ends on a snapshot or at t_end, so every snapshot is a full Strang state; a
+run that snapshots every step is a loop of public step calls bit for bit.
+dt_n+1 can be computed before step n is closed because the dt rules read only
+rho and v, which the relaxation leaves unchanged: the steps are the same
+whether or not the relaxation is fused.
+
 The classical baseline, which run integrates at tau = 0, carries mass and
 momentum with the stress fields pinned to their Newtonian equilibrium values,
-sharing every spatial operator and the SSP-RK2 stage with the relaxed path.
-Its step is the acoustic CFL step or dr^2 rho_min / K, K = 4 mu/3 + lambda,
-whichever is smaller.  The momentum row takes a central difference of stresses
-that are central differences of v, so its viscous operator is the stride-2
-Laplacian, of spectral radius K/(rho dr^2) (not the compact Laplacian's
-4K/(rho dr^2)); Heun's real stability interval [-2, 0] then leaves about a 2x
-margin at cfl = 1.
+sharing every spatial operator and the SSP-RK2 stage with the relaxed path;
+its stages compute only the mass and momentum rows, since the pinning
+overwrites the stresses.  Its step is the acoustic CFL step or
+dr^2 rho_min / K, K = 4 mu/3 + lambda, whichever is smaller.  The momentum
+row takes a central difference of stresses that are central differences of
+v, so its viscous operator is the stride-2 Laplacian, of spectral radius
+K/(rho dr^2) (not the compact Laplacian's 4K/(rho dr^2)); Heun's real
+stability interval [-2, 0] then leaves about a 2x margin at cfl = 1.
 
 The relaxed step is the larger of the fast-wave CFL step,
 cfl dr / max_char_speed, and that classical step with its acoustic cap
@@ -46,9 +57,10 @@ Strang step's first-order stiff-limit error, which falls with dt, not tau.
 Both systems run through one driver, _advance, and differ only in three
 module-level rules with one signature per role: the CFL step
 dt_rule(state, grid, params, cfl, work=) (compute_dt, compute_dt_classical),
-the step step_rule(state, grid, params, cfg, dt, step_idx, out=, work=)
-(step, _step_classical) and the right-hand side
-rhs(state, grid, params, outer_bc) (rhs_full, classical_rhs).  _advance
+the step step_rule(state, grid, params, cfg, dt, step_idx, out=, work=,
+owed=, close=) (step, _step_classical, which owes nothing) and the
+right-hand side rhs(state, grid, params, outer_bc) (rhs_full,
+classical_rhs).  _advance
 records only the snapshots and the step sizes; readers derive the rest from
 the snapshots and the Trajectory's rhs.
 
@@ -71,8 +83,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldError, NumericalAbort
-from .model import State, equilibrium_stress, integer_field, pressure_prime
-from .structure import max_char_speed
+from .model import State, admissible_pressure_prime, equilibrium_stress, integer_field
+from .structure import weyl_speed_bound
 
 _OUTER_BCS = ("extrapolate", "reflect")
 _TIME_EPS = 1e-12
@@ -197,9 +209,9 @@ def apply_bc(state, grid, params, outer_bc="extrapolate"):
     )
 
 
-def _refuse_tau_zero(name, params):
+def _refuse_tau_zero(name, params, instead="classical_rhs"):
     if params.tau <= 0.0:
-        raise ValueError(f"{name} requires tau > 0; use classical_rhs for tau = 0")
+        raise ValueError(f"{name} requires tau > 0; use {instead} for tau = 0")
 
 
 _KAPPA4 = 1.0 / 16.0  # fourth-difference dissipation strength
@@ -231,28 +243,20 @@ def _central_into(out, g, scale):
     np.multiply(scale, out, out=out)
 
 
-def rhs_nonstiff(state, grid, params, outer_bc="extrapolate", include_production=True, work=None):
-    """Discrete time derivatives of all terms except the -s/(tau rho) decay.
-
-    With include_production=False the stress rows carry transport only; the
-    split integrator uses that variant and hands the whole relaxation source
-    to relax_substep.  The production needs tau > 0: at tau = 0 it is refused
-    with a ValueError.  Returns the four rows; with work= they are work.k.
-    """
-    if include_production:
-        _refuse_tau_zero("rhs_nonstiff with include_production=True", params)
-    _check_outer_bc(outer_bc)
-    w = Workspace(grid) if work is None else work
+def _flow_rows(state, grid, params, outer_bc, w):
+    # the mass and momentum rows of rhs_nonstiff into w.k[:2], returned.  It
+    # leaves the stresses' ghost-augmented arrays in w.ghost[:2] and the
+    # upwind split of v in w.cell[1:] for _stress_rows
     n, dr, gamma = grid.n_cells, grid.dr, params.gamma
     # each buffer is reused once the value it holds is spent, so a name
     # below may alias an earlier one (tmp is speed[:n], face_tmp is g2[:n+1]).
     # Every constant factor rides in one scalar or coefficient array, so each
     # term costs one pass over the grid
-    rho, v, s1, s2 = state.rho, state.v, state.s1, state.s2
+    rho, v, s1 = state.rho, state.v, state.s1
     g0, g1, g2 = w.ghost
     flux, speed, sound, jump = w.face
     grad, lo, hi = w.cell
-    drho, dv, ds1, ds2 = w.k
+    drho, dv = w.k[:2]
     tmp = speed[:n]
     rho_e = _fill_ghosts(rho, g0, False, outer_bc)
     v_e = _fill_ghosts(v, g1, True, outer_bc)
@@ -301,7 +305,7 @@ def rhs_nonstiff(state, grid, params, outer_bc="extrapolate", include_production
     _upwind_split(v, dr, lo, hi)
     _upwind_into(dv, lo, hi, v_e, flux, tmp)
     s1_e = _fill_ghosts(s1, g0, False, outer_bc)
-    s2_e = _fill_ghosts(s2, g1, False, outer_bc)
+    s2_e = _fill_ghosts(state.s2, g1, False, outer_bc)
     _central_into(tmp, s1_e, 1.0 / (3.0 * dr))  # 2/3 times 1/(2 dr)
     np.add(grad, tmp, out=grad)
     np.multiply(w.two_over_r, s1, out=tmp)
@@ -310,17 +314,45 @@ def rhs_nonstiff(state, grid, params, outer_bc="extrapolate", include_production
     np.add(grad, tmp, out=grad)
     np.divide(grad, rho, out=grad)
     np.add(dv, grad, out=dv)
+    return drho, dv
 
-    # stress transport at speed v - eps; at eps = 0 that is v itself, whose
-    # upwind split is already in lo, hi
+
+def _stress_rows(state, grid, params, w):
+    # the stress transport at speed v - eps into w.k[2:], returned; it reads
+    # what _flow_rows, called on the same state and workspace, left in w.  At
+    # eps = 0 the speed is v itself, whose upwind split is already there
+    n, dr = grid.n_cells, grid.dr
+    s1_e, s2_e = w.ghost[:2]
+    flux, speed = w.face[:2]
+    lo, hi = w.cell[1:]
+    ds1, ds2 = w.k[2:]
+    tmp = speed[:n]
     if params.eps != 0.0:
-        np.subtract(v, params.eps, out=hi)
+        np.subtract(state.v, params.eps, out=hi)
         _upwind_split(hi, dr, lo, hi)
     _upwind_into(ds1, lo, hi, s1_e, flux, tmp)
     _upwind_into(ds2, lo, hi, s2_e, flux, tmp)
+    return ds1, ds2
+
+
+def rhs_nonstiff(state, grid, params, outer_bc="extrapolate", include_production=True, work=None):
+    """Discrete time derivatives of all terms except the -s/(tau rho) decay.
+
+    With include_production=False the stress rows carry transport only; the
+    split integrator uses that variant and hands the whole relaxation source
+    to relax_substep.  The production needs tau > 0: at tau = 0 it is refused
+    with a ValueError.  Returns the four rows; with work= they are work.k.
+    """
     if include_production:
-        eq1, eq2 = equilibrium_stress(v, grid, params, out=(lo, hi, tmp))
-        trho = np.multiply(params.tau, rho, out=grad)
+        _refuse_tau_zero("rhs_nonstiff with include_production=True", params)
+    _check_outer_bc(outer_bc)
+    w = Workspace(grid) if work is None else work
+    _flow_rows(state, grid, params, outer_bc, w)
+    ds1, ds2 = _stress_rows(state, grid, params, w)
+    if include_production:
+        grad, lo, hi = w.cell
+        eq1, eq2 = equilibrium_stress(state.v, grid, params, out=(lo, hi, w.face[1][: grid.n_cells]))
+        trho = np.multiply(params.tau, state.rho, out=grad)
         np.divide(eq1, trho, out=eq1)
         np.add(ds1, eq1, out=ds1)
         np.divide(eq2, trho, out=eq2)
@@ -377,14 +409,20 @@ def _viscous_dt(state, grid, params):
     return grid.dr**2 * float(np.min(state.rho)) / (4.0 * params.mu / 3.0 + params.lambda_)
 
 
-def _acoustic_dt(state, grid, params, eps, work):
-    # dr / max(|v| + sqrt(P'), |v - eps|); at eps = 0 the second speed never
-    # wins and is not computed
-    c, speed = (None, None) if work is None else work.k[:2]
-    c = np.sqrt(pressure_prime(state.rho, params, out=c), out=c)
-    speed = np.add(np.abs(state.v, out=speed), c, out=speed)
+def _dt_scratch(state, params, work):
+    # (P', a, b): P' of the state's rho, and two scratch arrays, in work.k or
+    # fresh.  The state has passed _check, so rho > 0 is not tested again
+    dp, a, b = (np.empty(state.rho.size) for _ in range(3)) if work is None else work.k[:3]
+    return admissible_pressure_prime(state.rho, params, out=dp), a, b
+
+
+def _acoustic_dt(v, dp, grid, eps, c, speed):
+    # dr / max(|v| + sqrt(P'), |v - eps|), dp = P', into the scratch arrays
+    # c and speed; at eps = 0 the second speed never wins and is not computed
+    np.sqrt(dp, out=c)
+    np.add(np.abs(v, out=speed), c, out=speed)
     if eps != 0.0:
-        np.abs(np.subtract(state.v, eps, out=c), out=c)
+        np.abs(np.subtract(v, eps, out=c), out=c)
         np.maximum(speed, c, out=speed)
     return grid.dr / float(speed.max())
 
@@ -400,16 +438,18 @@ def compute_dt(state, grid, params, cfl, work=None):
     a 2x2 map of det exp(-dt/(tau rho)), stable iff
     dt K sigma^2 / rho <= 2 coth(dt / (2 tau rho)), and coth(x) >= max(1, 1/x).
     Where the fast step is the larger, the result is its bits; the acoustic
-    cap is computed only when the viscous bound beats it.  With work= the
-    speeds are computed in work.k and nothing of the grid's length is
-    allocated.
+    cap is computed only when the viscous bound beats it.  P' is computed
+    once for both speeds, and rho > 0 is not tested: the driver's states have
+    passed its admissibility check.  With work= the speeds are computed in
+    work.k and nothing of the grid's length is allocated.
     """
-    scratch = None if work is None else work.k[:2]
-    fast = cfl * grid.dr / max_char_speed(state.rho, state.v, params, out=scratch)
+    _refuse_tau_zero("compute_dt", params, "compute_dt_classical")
+    dp, a, b = _dt_scratch(state, params, work)
+    fast = cfl * grid.dr / weyl_speed_bound(state.rho, state.v, dp, params, out=(a, b))
     viscous = _viscous_dt(state, grid, params)
     if cfl * viscous <= fast:
         return fast
-    return max(fast, cfl * min(_acoustic_dt(state, grid, params, params.eps, work), viscous))
+    return max(fast, cfl * min(_acoustic_dt(state.v, dp, grid, params.eps, a, b), viscous))
 
 
 def compute_dt_classical(state, grid, params, cfl, work=None):
@@ -417,22 +457,25 @@ def compute_dt_classical(state, grid, params, cfl, work=None):
 
     The parabolic bound is dr^2 rho_min / K, K = 4 mu/3 + lambda: one over the
     spectral radius K/(rho dr^2) of the classical momentum row's stride-2
-    viscous operator, half of Heun's real stability limit.  With work= the
-    sound speed is computed in work.k.
+    viscous operator, half of Heun's real stability limit.  rho > 0 is not
+    tested, as in compute_dt.  With work= the sound speed is computed in
+    work.k.
     """
-    return cfl * min(_acoustic_dt(state, grid, params, 0.0, work), _viscous_dt(state, grid, params))
+    dp, a, b = _dt_scratch(state, params, work)
+    return cfl * min(_acoustic_dt(state.v, dp, grid, 0.0, a, b), _viscous_dt(state, grid, params))
 
 
 def _check(state, step_idx, stage):
     # admissible: every field finite and rho > 0.  A NaN or inf in any field
     # makes the sum of squares non-finite, and a NaN rho fails the min test,
-    # so an admissible state passes in five reductions.  A huge but finite
-    # state can overflow the sum; the exact per-field test below then finds
-    # no fault and returns
+    # so an admissible state passes in five reductions.  np.vdot raises no
+    # floating-point error and Python floats add without one, so a huge but
+    # finite state may overflow the sum silently; the exact per-field test
+    # below then finds no fault and returns
     rho, v, s1, s2 = state.rho, state.v, state.s1, state.s2
-    with np.errstate(over="ignore"):
-        if rho.min() > 0.0 and math.isfinite(rho @ rho + v @ v + s1 @ s1 + s2 @ s2):
-            return
+    squares = float(np.vdot(rho, rho)) + float(np.vdot(v, v)) + float(np.vdot(s1, s1)) + float(np.vdot(s2, s2))
+    if rho.min() > 0.0 and math.isfinite(squares):
+        return
     bad = ~np.isfinite(rho) | ~np.isfinite(v) | ~np.isfinite(s1) | ~np.isfinite(s2)
     if np.any(bad):
         cell = int(np.argmax(bad))
@@ -462,12 +505,18 @@ def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, out, work, pin_s
     # SSP-RK2 (Heun) on the non-stiff part, production excluded, from t to
     # t + dt into out, which holds the middle stage on the way; state is not
     # written.  pin_stresses puts each stage on equilibrium before it is
-    # checked, so then only rho and v are stepped: the zips below stop at the
-    # shorter field tuples
+    # checked, so then only rho and v are stepped, and only their rows are
+    # computed: the zips below stop at the shorter tuples
     n_stepped = 2 if pin_stresses else 4
     fields = (state.rho, state.v, state.s1, state.s2)[:n_stepped]
     stage = (out.rho, out.v, out.s1, out.s2)[:n_stepped]
-    k1 = rhs_nonstiff(state, grid, params, outer_bc, include_production=False, work=work)
+
+    def rows(s):
+        if pin_stresses:
+            return _flow_rows(s, grid, params, outer_bc, work)
+        return rhs_nonstiff(s, grid, params, outer_bc, include_production=False, work=work)
+
+    k1 = rows(state)
     for f, g, k in zip(fields, stage, k1):
         np.multiply(dt, k, out=k)
         np.add(f, k, out=g)
@@ -475,7 +524,7 @@ def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, out, work, pin_s
     if pin_stresses:
         _pin_stresses(out, grid, params, work.cell[0])
     _check(out, step_idx, "rk2 stage 1")
-    k2 = rhs_nonstiff(out, grid, params, outer_bc, include_production=False, work=work)
+    k2 = rows(out)
     for f, g, k in zip(fields, stage, k2):
         np.add(f, g, out=g)
         np.multiply(dt, k, out=k)
@@ -488,12 +537,20 @@ def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, out, work, pin_s
     return out
 
 
-def step(state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None):
+def step(state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None, *, owed=0.0, close=True):
     """Advance one Strang step: half relaxation, transport, half relaxation.
 
     dt defaults to the CFL step of compute_dt.  The new state is written to
     out (a State of the grid's length, not state itself) when given, and to a
     new State otherwise; state is never written.
+
+    owed and close let a driver relax once per step.  The opening relaxation
+    runs over owed + dt/2, where owed is the closing half that the step
+    before left out; with close=False this step leaves its own closing half
+    out, and out holds the transported state, which owes dt/2.  Both halves
+    act on the same frozen rho and v, so they compose into one exact solve,
+    to rounding.  The defaults are the full Strang step.  A closed state is
+    checked; an open one was checked after the transport stage.
     """
     if out is state:
         raise ValueError("step cannot write its input state")
@@ -502,14 +559,16 @@ def step(state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None):
         dt = compute_dt(state, grid, params, cfg.cfl, work=w)
     out = _empty_state(grid.n_cells) if out is None else out
     half = State(state.rho, state.v, *w.stress, state.t)
-    _relax(state, 0.5 * dt, grid, params, half, w)
+    _relax(state, owed + 0.5 * dt, grid, params, half, w)
     _rk2_transport(half, dt, grid, params, cfg.outer_bc, step_idx, out, w)
-    _relax(out, 0.5 * dt, grid, params, out, w)
-    _check(out, step_idx, "step")
+    if close:
+        _relax(out, 0.5 * dt, grid, params, out, w)
+        _check(out, step_idx, "step")
     return out
 
 
-def _step_classical(state, grid, params, cfg, dt, step_idx, out=None, work=None):
+def _step_classical(state, grid, params, cfg, dt, step_idx, out=None, work=None, *, owed=0.0, close=True):
+    # owed and close are step's; a classical step owes nothing
     w = Workspace(grid) if work is None else work
     out = _empty_state(grid.n_cells) if out is None else out
     return _rk2_transport(state, dt, grid, params, cfg.outer_bc, step_idx, out, w, pin_stresses=True)
@@ -524,10 +583,11 @@ def classical_rhs(state, grid, params, outer_bc="extrapolate", work=None):
     values of dv/dt, the time derivative of eq(v) by linearity.  With work=
     the rows are work.k.
     """
+    _check_outer_bc(outer_bc)
     w = Workspace(grid) if work is None else work
     pinned = _pin_stresses(State(state.rho, state.v, *w.stress), grid, params, w.cell[0])
-    drho, dv, ds1, ds2 = rhs_nonstiff(pinned, grid, params, outer_bc, include_production=False, work=w)
-    equilibrium_stress(dv, grid, params, out=(ds1, ds2, w.cell[0]))
+    drho, dv = _flow_rows(pinned, grid, params, outer_bc, w)
+    ds1, ds2 = equilibrium_stress(dv, grid, params, out=(*w.k[2:], w.cell[0]))
     return drho, dv, ds1, ds2
 
 
@@ -546,12 +606,16 @@ def _record(traj, state, on_snapshot):
 
 def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs, on_snapshot=None):
     # the one driver: dt_rule(state, grid, params, cfl, work=) proposes the
-    # step, step_rule(state, grid, params, cfg, dt, step_idx, out=, work=)
-    # takes it, and rhs(state, grid, params, outer_bc) is stored, unevaluated,
-    # in the Trajectory; on_snapshot, if given, is called with each snapshot as
-    # it is recorded.  Two State buffers take turns as the step's input and
-    # output, and one Workspace serves the dt rule and every stage (its k
-    # rows are free between steps), so a step allocates no field
+    # step, step_rule(state, grid, params, cfg, dt, step_idx, out=, work=,
+    # owed=, close=) takes it, and rhs(state, grid, params, outer_bc) is
+    # stored, unevaluated, in the Trajectory; on_snapshot, if given, is called
+    # with each snapshot as it is recorded.  Two State buffers take turns as
+    # the step's input and output, and one Workspace serves the dt rule and
+    # every stage (its k rows are free between steps), so a step allocates no
+    # field.  A step is closed only when it ends on a snapshot or at t_end;
+    # otherwise its closing half relaxation is owed to the next step's
+    # opening half.  The dt rule may run on an open state: it reads rho and v
+    # only, which the relaxation leaves unchanged
     t_end = cfg.t_end
     if output_times is None:
         output_times = cfg.snapshot_times()
@@ -573,6 +637,7 @@ def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs, 
             if t > (pending[-1] if pending else state.t) + tol:
                 pending.append(t)
     step_idx = 0
+    owed = 0.0
     while state.t < t_end - tol:
         dt = dt_rule(state, grid, params, cfg.cfl, work=work)
         if not np.isfinite(dt) or dt <= tol:
@@ -581,17 +646,24 @@ def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs, 
             )
         target = pending[0] if pending else t_end
         dt = min(dt, max(target - state.t, 0.0), t_end - state.t)
-        state, spare = step_rule(state, grid, params, cfg, dt, step_idx, out=spare, work=work), state
-        step_idx += 1
-        traj.dt_history.append(dt)
-        hit_output = pending and state.t >= pending[0] - tol
+        # the step's end time, as the step computes it
+        t_next = state.t + dt
+        hit_output = pending and t_next >= pending[0] - tol
         if hit_output:
             pending.pop(0)
-        at_end = state.t >= t_end - tol
+        at_end = t_next >= t_end - tol
         if output_times is not None:
-            if hit_output or at_end:
-                _record(traj, state, on_snapshot)
-        elif step_idx % cfg.output_every == 0 or at_end:
+            snap = hit_output or at_end
+        else:
+            snap = (step_idx + 1) % cfg.output_every == 0 or at_end
+        state, spare = (
+            step_rule(state, grid, params, cfg, dt, step_idx, out=spare, work=work, owed=owed, close=snap),
+            state,
+        )
+        owed = 0.0 if snap else 0.5 * dt
+        step_idx += 1
+        traj.dt_history.append(dt)
+        if snap:
             _record(traj, state, on_snapshot)
     return traj
 

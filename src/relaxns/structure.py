@@ -7,9 +7,11 @@ with the boundary matrix M picking out v at r = 1.  `assemble_a0` and
 `char_speeds`, the wall matrix (A0)^-1 A1 and the audits all start from
 them.  The CFL speed `max_char_speed` is Weyl's closed-form upper bound of
 the largest |speed|, exact at eps = 0 and at most eps above it otherwise;
-it is checked against `char_speeds`.  Provides the two boundary
-certificates: the non-characteristic determinant of (A0)^-1 A1 at the wall
-and the maximal nonnegativity of the boundary condition.
+it is checked against `char_speeds`.  `weyl_speed_bound` is the same bound
+without the admissibility checks, for the solver's dt rule, which brings
+its own P'.  Provides the two boundary certificates: the non-characteristic
+determinant of (A0)^-1 A1 at the wall and the maximal nonnegativity of the
+boundary condition.
 
 Every structural tolerance is named once below.  `StructureAuditReport` and
 `noncharacteristic_report` each carry their verdicts as (ok, description)
@@ -132,9 +134,15 @@ def max_char_speed(rho, v, params, out=None):
     if out is None:
         shape = np.broadcast_shapes(rho.shape, v.shape)
         out = (np.empty(shape), np.empty(shape))
+    return weyl_speed_bound(rho, v, pressure_prime(rho, params, out=out[0]), params, out)
+
+
+def weyl_speed_bound(rho, v, dp, params, out):
+    """max_char_speed given dp = P'(rho), without its checks: for arrays
+    already known admissible, at tau > 0.  out = (a, b) is scratch as for
+    max_char_speed, and a may be dp itself; the same bits."""
     a, b = out
     # b = sqrt(S), S = P' + (4mu/3 + lambda) / (tau rho^2)
-    dp = pressure_prime(rho, params, out=a)
     np.power(rho, 2, out=b)
     np.multiply(params.tau, b, out=b)
     np.divide(4.0 * params.mu / 3.0 + params.lambda_, b, out=b)

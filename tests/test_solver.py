@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from relaxns import solver
 from relaxns.errors import NumericalAbort
 from relaxns.model import (
     FluidParams,
@@ -553,6 +554,18 @@ def test_check_passes_a_huge_finite_state(grid):
     _check(State(np.ones(n), np.zeros(n), np.full(n, 1e200), np.full(n, -1e200)), 4, "rk2 stage 1")
 
 
+def test_check_raises_no_floating_point_error(grid):
+    # the sum of squares of a huge finite state overflows silently, under any
+    # numpy error state
+    n = grid.n_cells
+    state = State(np.ones(n), np.full(n, 1e200), np.full(n, 1e200), np.full(n, -1e200))
+    with np.errstate(all="raise"):
+        _check(state, 4, "rk2 stage 1")
+        state.s2[3] = np.inf
+        with pytest.raises(NumericalAbort, match="^non-finite field after rk2 stage 1 at step 4, cell 3$"):
+            _check(state, 4, "rk2 stage 1")
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", ["rho", "v", "s1", "s2"])
 def test_check_names_the_non_finite_cell(grid, name, value):
@@ -747,6 +760,96 @@ def test_run_snapshots_replay_through_allocating_step(grid, bump_cfg, integrate)
         else:
             state = _step_classical(state, grid, p, cfg, dt, k)
         assert same_state(snap, state)
+
+
+def fused_run_case(grid, tau, eps):
+    # a pulse with its stresses off equilibrium, so that every relaxation
+    # substep moves them
+    p = FluidParams(tau=tau, eps=eps)
+    init = make_initial_data(
+        InitConfig(bump_amp=0.01, bump_center=5.0, bump_width=0.7, vel_amp=0.01, stress_perturb_amp=0.5),
+        grid,
+        FluidParams(tau=0.01),
+    )
+    return p, init
+
+
+FUSED_CASES = [(1e-2, 0.0), (1e-4, 0.0), (1e-2, 0.1)]
+FUSED_IDS = ["tau-1e-2", "tau-1e-4", "eps-0.1"]
+
+
+@pytest.mark.parametrize("tau, eps", FUSED_CASES[1:], ids=FUSED_IDS[1:])
+def test_run_snapshotting_every_step_is_the_public_step_loop_bit_for_bit(grid, tau, eps):
+    # a snapshot closes its step, so a run that snapshots every step relaxes
+    # twice per step, as the public step does (tau 1e-2 at eps = 0 is
+    # test_run_snapshots_replay_through_allocating_step)
+    p, init = fused_run_case(grid, tau, eps)
+    cfg = SolverConfig(t_end=0.02, output_every=1)
+    traj = run(init, grid, p, cfg)
+    assert len(traj.snapshots) == len(traj.dt_history) + 1 > 3
+    state = init
+    for k, (dt, snap) in enumerate(zip(traj.dt_history, traj.snapshots[1:])):
+        state = step(state, grid, p, cfg, dt=dt, step_idx=k)
+        assert same_state(snap, state)
+
+
+@pytest.mark.parametrize("tau, eps", FUSED_CASES, ids=FUSED_IDS)
+def test_fused_relaxation_changes_the_final_state_by_rounding_only(grid, tau, eps):
+    # between snapshots each step's closing half relaxation is fused into the
+    # next step's opening half: exp(-a) exp(-b) = exp(-(a + b)) to rounding.
+    # dt reads only rho and v, which the relaxation leaves alone, so the
+    # steps are the same
+    p, init = fused_run_case(grid, tau, eps)
+    every, fused = (run(init, grid, p, SolverConfig(t_end=0.05, output_every=n)) for n in (1, 10**6))
+    assert len(fused.snapshots) == 2
+    assert len(fused.dt_history) == len(every.dt_history) > 10
+    a, b = every.snapshots[-1], fused.snapshots[-1]
+    assert a.t == b.t
+    for f in ("rho", "v", "s1", "s2"):
+        dev = float(np.max(np.abs(getattr(a, f) - getattr(init, f))))
+        assert dev > 0.0
+        assert float(np.max(np.abs(getattr(a, f) - getattr(b, f)))) <= 1e-11 * dev, f
+
+
+def test_fused_relaxation_is_exact_in_the_stiff_limit(grid):
+    # at tau = 1e-8 every relaxation lands the stresses on equilibrium
+    p, init = fused_run_case(grid, 1e-8, 0.0)
+    every, fused = (run(init, grid, p, SolverConfig(t_end=0.02, output_every=n)) for n in (1, 10**6))
+    assert every.dt_history == fused.dt_history
+    assert same_state(every.snapshots[-1], fused.snapshots[-1])
+
+
+@pytest.mark.parametrize("output_every", [1, 7, 10**6])
+def test_run_takes_each_relaxed_step_through_the_public_step(grid, monkeypatch, output_every):
+    # one solver.step call per step, whether or not it closes on a snapshot
+    p, init = fused_run_case(grid, 1e-2, 0.0)
+    real_step, closes = solver.step, []
+
+    def counted(*args, close=True, **kwargs):
+        closes.append(close)
+        return real_step(*args, close=close, **kwargs)
+
+    monkeypatch.setattr(solver, "step", counted)
+    traj = run(init, grid, p, SolverConfig(t_end=0.05, output_every=output_every))
+    assert len(closes) == len(traj.dt_history) > 10
+    assert sum(closes) == len(traj.snapshots) - 1
+
+
+def test_open_step_owes_its_closing_half_relaxation(grid, params):
+    # a step left open, then relaxed over dt/2, is the full Strang step
+    state, _ = gaussian_state(grid)
+    cfg = SolverConfig(t_end=1.0)
+    dt = 1e-3
+    full = step(state, grid, params, cfg, dt=dt, step_idx=3)
+    open_ = step(state, grid, params, cfg, dt=dt, step_idx=3, close=False)
+    assert same_state(relax_substep(open_, 0.5 * dt, grid, params), full)
+    assert not same_bits(open_.s1, full.s1)
+    # an owed half is paid by the next step's opening relaxation
+    owed = step(state, grid, params, cfg, dt=dt, step_idx=3, owed=0.25 * dt)
+    first = relax_substep(state, 0.25 * dt, grid, params)
+    paid = step(first, grid, params, cfg, dt=dt, step_idx=3)
+    for f in ("rho", "v", "s1", "s2"):
+        assert np.allclose(getattr(owed, f), getattr(paid, f), rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("stepper", [step, _step_classical], ids=["relaxed", "classical"])
