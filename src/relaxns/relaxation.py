@@ -132,11 +132,10 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
         raise FieldError("n_outputs", f"n_outputs must be >= 0, got {n_outputs}")
     out_times = base_cfg.snapshot_times(n_outputs or base_cfg.n_outputs or SWEEP_OUTPUTS)
     members = [replace(params_template, tau=tau) for tau in taus]
-    # the baseline first: its result is awaited first, since its abort ends
-    # the sweep, and it takes about as many steps as the stiffest member
-    # (the relaxed step is never below the classical step at eps = 0).  Then
-    # the members from the smallest tau up, whose steps are never larger than
-    # a larger tau's, so the longest jobs start first
+    # the baseline first, only because its result is awaited first: its
+    # abort ends the sweep.  Its implicit step makes it a short job.  Then the
+    # members from the smallest tau up, whose steps are never larger than a
+    # larger tau's, so the longest member jobs start first
     runs = [("run_classical", replace(params_template, tau=0.0))] + [("run", p) for p in reversed(members)]
     jobs = [(name, make_initial_data(init_cfg, grid, p), grid, p, base_cfg, out_times) for name, p in runs]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)

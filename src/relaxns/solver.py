@@ -26,19 +26,30 @@ rho and v, which the relaxation leaves unchanged: the steps are the same
 whether or not the relaxation is fused.
 
 The classical baseline, which run integrates at tau = 0, carries mass and
-momentum with the stress fields pinned to their Newtonian equilibrium values,
-sharing every spatial operator and the SSP-RK2 stage with the relaxed path;
-its stages compute only the mass and momentum rows, since the pinning
-overwrites the stresses.  Its step is the acoustic CFL step or
-dr^2 rho_min / K, K = 4 mu/3 + lambda, whichever is smaller.  The momentum
-row takes a central difference of stresses that are central differences of
-v, so its viscous operator is the stride-2 Laplacian, of spectral radius
-K/(rho dr^2) (not the compact Laplacian's 4K/(rho dr^2)); Heun's real
-stability interval [-2, 0] then leaves about a 2x margin at cfl = 1.
+momentum with the stress fields pinned to their Newtonian equilibrium values
+eq(v), sharing every spatial operator with the relaxed path.  It steps with
+ARS(2,2,2), the stiffly accurate IMEX Runge-Kutta scheme of Ascher, Ruuth &
+Spiteri (APNUM 25 (1997) 151; Pareschi & Russo, J. Sci. Comput. 25 (2005)
+129), gamma = 1 - 1/sqrt(2): the mass row, convection and pressure are
+explicit, and the viscous momentum term (2/3 ds1/dr + 2 s1/r + ds2/dr)/rho at
+s = eq(v) is implicit.  The explicit part is the stage kernel at zero
+stresses.  The implicit part is V v / rho with V linear and pentadiagonal
+(eq(v) takes central differences of v, and the momentum row central
+differences of eq(v)); its five bands are probed through the same stress
+closure, once per workspace and (mu, lambda, outer_bc).  Each stage gets rho
+from its explicit part, so the stage is linear in v,
+(diag(rho) - h V) v = rho v*, h = gamma dt, and one banded elimination
+without pivoting solves it.  The step is the acoustic CFL step alone: the
+viscous operator, of spectral radius K/(rho dr^2), K = 4 mu/3 + lambda, sets
+no bound on the implicit part, which is L-stable.  That step is about
+K / (rho c dr) times the explicit parabolic bound dr^2 rho_min / K, c the
+sound speed (about 79 at n = 800 and rho = 1: a run to t = 1 takes 122 steps,
+not 9405); each costs two banded solves in Python floats, about 0.75 ms each
+at n = 800.
 
 The relaxed step is the larger of the fast-wave CFL step,
-cfl dr / max_char_speed, and that classical step with its acoustic cap
-widened by the stress transport speed: cfl min(dr / max(|v| + sqrt(P'),
+cfl dr / max_char_speed, and the explicit classical step with its acoustic
+cap widened by the stress transport speed: cfl min(dr / max(|v| + sqrt(P'),
 |v - eps|), dr^2 rho_min / K).  Linearized per Fourier mode of wave number
 sigma <= 1/dr, the stiff coupling of v and the stresses over one Strang step
 is a 2x2 map with det = exp(-dt/(tau rho)), stable iff
@@ -48,11 +59,11 @@ is a 2x2 map with det = exp(-dt/(tau rho)), stable iff
 and since coth(x) >= max(1, 1/x) both steps lie in that region (the
 Stormer-Verlet, or asymptotic-preserving, argument: Hairer, Lubich & Wanner,
 Acta Numerica 12 (2003) 399; Jin, SISC 21 (1999) 441).  At eps = 0 the
-relaxed step is never smaller than the classical step of the same state, so
-the step count is capped at about the baseline's: below tau of about
-dr^2 rho / K a run steps at the classical step, where the fast-wave step alone
-would shrink like sqrt(tau).  There its distance to the baseline is the
-Strang step's first-order stiff-limit error, which falls with dt, not tau.
+relaxed step is never smaller than the explicit classical step of the same
+state, so below tau of about dr^2 rho / K a run steps at that step, where the
+fast-wave step alone would shrink like sqrt(tau).  There its distance to the
+baseline is the Strang step's first-order stiff-limit error, which falls with
+dt, not tau.
 
 Both systems run through one driver, _advance, and differ only in three
 module-level rules with one signature per role: the CFL step
@@ -79,6 +90,7 @@ Workspace, so it and the driver give the same bits.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -159,14 +171,32 @@ class Workspace:
         self.face = tuple(np.empty(n + 1) for _ in range(4))
         self.cell = tuple(np.empty(n) for _ in range(3))
         self.k = tuple(np.empty(n) for _ in range(4))
-        # the stresses of the first Strang half step, or the pinned stresses
-        # of classical_rhs
+        # the stresses of the first Strang half step, the pinned stresses of
+        # classical_rhs, or the zero stresses of the classical step's
+        # explicit stages
         self.stress = (np.empty(n), np.empty(n))
         # constant coefficients of rhs_nonstiff: the divisor of the mass row,
         # which carries the flux's 0.5 and the minus sign (scaling by 2 is
         # exact), and the 2/r of the momentum row
         self.mass_div = -2.0 * grid.dr * grid.center_r2
         self.two_over_r = 2.0 / grid.centers
+
+    @cached_property
+    def imex(self):
+        # the classical step's buffers, made on its first use so that a
+        # relaxed run does not hold them
+        return _ImexBuffers(self.k[0].size)
+
+
+class _ImexBuffers:
+    # the bands of the classical step's viscous operator, for the
+    # (mu, lambda, outer_bc) of key; the explicit stage velocity; and the
+    # stage solve's diagonal, right-hand side and factor rows
+    def __init__(self, n):
+        self.bands = tuple(np.empty(n) for _ in range(5))
+        self.key = None
+        self.stage_v = np.empty(n)
+        self.solve = tuple(np.empty(n) for _ in range(4))
 
 
 def _empty_state(n):
@@ -304,17 +334,28 @@ def _flow_rows(state, grid, params, outer_bc, w):
     _central_into(grad, p, -params.a_coef / (2.0 * dr))
     _upwind_split(v, dr, lo, hi)
     _upwind_into(dv, lo, hi, v_e, flux, tmp)
-    s1_e = _fill_ghosts(s1, g0, False, outer_bc)
-    s2_e = _fill_ghosts(state.s2, g1, False, outer_bc)
-    _central_into(tmp, s1_e, 1.0 / (3.0 * dr))  # 2/3 times 1/(2 dr)
-    np.add(grad, tmp, out=grad)
-    np.multiply(w.two_over_r, s1, out=tmp)
-    np.add(grad, tmp, out=grad)
-    _central_into(tmp, s2_e, 0.5 / dr)
-    np.add(grad, tmp, out=grad)
+    _stress_divergence(grad, s1, state.s2, grid, outer_bc, w)
     np.divide(grad, rho, out=grad)
     np.add(dv, grad, out=dv)
     return drho, dv
+
+
+def _stress_divergence(acc, s1, s2, grid, outer_bc, w):
+    # acc += 2/3 ds1/dr + 2 s1/r + ds2/dr, the stress terms of the momentum
+    # row times rho, by central differences through the stresses' ghost
+    # cells, which it leaves in w.ghost[:2]; acc is neither of those nor
+    # w.face[1], whose first n values are scratch
+    n, dr = grid.n_cells, grid.dr
+    tmp = w.face[1][:n]
+    s1_e = _fill_ghosts(s1, w.ghost[0], False, outer_bc)
+    s2_e = _fill_ghosts(s2, w.ghost[1], False, outer_bc)
+    _central_into(tmp, s1_e, 1.0 / (3.0 * dr))  # 2/3 times 1/(2 dr)
+    np.add(acc, tmp, out=acc)
+    np.multiply(w.two_over_r, s1, out=tmp)
+    np.add(acc, tmp, out=acc)
+    _central_into(tmp, s2_e, 0.5 / dr)
+    np.add(acc, tmp, out=acc)
+    return acc
 
 
 def _stress_rows(state, grid, params, w):
@@ -428,12 +469,14 @@ def _acoustic_dt(v, dp, grid, eps, c, speed):
 
 
 def compute_dt(state, grid, params, cfl, work=None):
-    """The larger of the fast-wave CFL step and the classical step.
+    """The larger of the fast-wave CFL step and the explicit classical step.
 
     fast = cfl dr / max_char_speed (the exact speed at eps = 0, at most eps
     above it otherwise); classical = cfl min(dr / max(|v| + sqrt(P'),
-    |v - eps|), dr^2 rho_min / K), K = 4 mu/3 + lambda, the baseline's step
-    with its acoustic cap widened by the stress transport speed.  Both are
+    |v - eps|), dr^2 rho_min / K), K = 4 mu/3 + lambda, the step of an
+    explicit scheme for the classical system (the baseline steps its viscous
+    term implicitly and is not bound by dr^2 rho_min / K) with its acoustic
+    cap widened by the stress transport speed.  Both are
     stable: per Fourier mode sigma <= 1/dr the stiff part of a Strang step is
     a 2x2 map of det exp(-dt/(tau rho)), stable iff
     dt K sigma^2 / rho <= 2 coth(dt / (2 tau rho)), and coth(x) >= max(1, 1/x).
@@ -453,16 +496,14 @@ def compute_dt(state, grid, params, cfl, work=None):
 
 
 def compute_dt_classical(state, grid, params, cfl, work=None):
-    """Acoustic CFL combined with the explicit parabolic bound for the baseline.
+    """The baseline's acoustic CFL step, cfl dr / max(|v| + sqrt(P')).
 
-    The parabolic bound is dr^2 rho_min / K, K = 4 mu/3 + lambda: one over the
-    spectral radius K/(rho dr^2) of the classical momentum row's stride-2
-    viscous operator, half of Heun's real stability limit.  rho > 0 is not
-    tested, as in compute_dt.  With work= the sound speed is computed in
-    work.k.
+    The viscous term is implicit in the baseline's IMEX step, so it sets no
+    bound.  rho > 0 is not tested, as in compute_dt.  With work= the sound
+    speed is computed in work.k.
     """
     dp, a, b = _dt_scratch(state, params, work)
-    return cfl * min(_acoustic_dt(state.v, dp, grid, 0.0, a, b), _viscous_dt(state, grid, params))
+    return cfl * _acoustic_dt(state.v, dp, grid, 0.0, a, b)
 
 
 def _check(state, step_idx, stage):
@@ -501,38 +542,25 @@ def _pin_stresses(state, grid, params, scratch):
     return state
 
 
-def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, out, work, pin_stresses=False):
+def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, out, work):
     # SSP-RK2 (Heun) on the non-stiff part, production excluded, from t to
     # t + dt into out, which holds the middle stage on the way; state is not
-    # written.  pin_stresses puts each stage on equilibrium before it is
-    # checked, so then only rho and v are stepped, and only their rows are
-    # computed: the zips below stop at the shorter tuples
-    n_stepped = 2 if pin_stresses else 4
-    fields = (state.rho, state.v, state.s1, state.s2)[:n_stepped]
-    stage = (out.rho, out.v, out.s1, out.s2)[:n_stepped]
-
-    def rows(s):
-        if pin_stresses:
-            return _flow_rows(s, grid, params, outer_bc, work)
-        return rhs_nonstiff(s, grid, params, outer_bc, include_production=False, work=work)
-
-    k1 = rows(state)
+    # written
+    fields = (state.rho, state.v, state.s1, state.s2)
+    stage = (out.rho, out.v, out.s1, out.s2)
+    k1 = rhs_nonstiff(state, grid, params, outer_bc, include_production=False, work=work)
     for f, g, k in zip(fields, stage, k1):
         np.multiply(dt, k, out=k)
         np.add(f, k, out=g)
     out.t = state.t
-    if pin_stresses:
-        _pin_stresses(out, grid, params, work.cell[0])
     _check(out, step_idx, "rk2 stage 1")
-    k2 = rows(out)
+    k2 = rhs_nonstiff(out, grid, params, outer_bc, include_production=False, work=work)
     for f, g, k in zip(fields, stage, k2):
         np.add(f, g, out=g)
         np.multiply(dt, k, out=k)
         np.add(g, k, out=g)
         np.multiply(0.5, g, out=g)
     out.t = state.t + dt
-    if pin_stresses:
-        _pin_stresses(out, grid, params, work.cell[0])
     _check(out, step_idx, "rk2 stage 2")
     return out
 
@@ -567,11 +595,127 @@ def step(state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None, *, 
     return out
 
 
+# ARS(2,2,2): gamma = 1 - 1/sqrt(2), delta = 1 - 1/(2 gamma)
+_ARS_GAMMA = 1.0 - math.sqrt(0.5)
+_ARS_DELTA = 1.0 - 0.5 / _ARS_GAMMA
+
+
+def _viscous_term(v, grid, params, outer_bc, w, out):
+    # out <- V v, the viscous momentum term times rho at the stresses eq(v);
+    # out is none of w.stress, w.cell[0], w.ghost[:2] and w.face[1]
+    s1, s2 = equilibrium_stress(v, grid, params, out=(*w.stress, w.cell[0]))
+    out.fill(0.0)
+    return _stress_divergence(out, s1, s2, grid, outer_bc, w)
+
+
+def _viscous_bands(grid, params, outer_bc, w):
+    # the bands (V[i, i-2], V[i, i-1], V[i, i], V[i, i+1], V[i, i+2]) of the
+    # pentadiagonal V at row i, entries outside the matrix 0.  V couples cells
+    # at most two apart, so the comb c_k, 1 at the cells j = k mod 5, meets
+    # each row's stencil at one cell, and (V c_k)[i] is V[i, j] there: five
+    # probes give every band, through the one stress closure.  V depends on
+    # the grid, mu, lambda and the closure only, so w.imex keeps it
+    imex = w.imex
+    key = (params.mu, params.lambda_, outer_bc)
+    if imex.key == key:
+        return imex.bands
+    comb, probe = w.k[:2]
+    for k in range(5):
+        comb.fill(0.0)
+        comb[k::5] = 1.0
+        _viscous_term(comb, grid, params, outer_bc, w, probe)
+        for offset, band in zip(range(-2, 3), imex.bands):
+            rows = slice((k - offset) % 5, None, 5)
+            band[rows] = probe[rows]
+    imex.key = key
+    return imex.bands
+
+
+def _solve_pentadiagonal(lo2, lo1, diag, up1, up2, f, x, u0, u1):
+    # x <- A^-1 f for the pentadiagonal A with A[i, i-2] = lo2[i],
+    # A[i, i-1] = lo1[i], A[i, i] = diag[i], A[i, i+1] = up1[i] and
+    # A[i, i+2] = up2[i]; entries outside the matrix, if finite, are
+    # ignored.  Gaussian elimination without pivoting, row by row over
+    # memoryviews in Python floats, so nothing of the grid's length is
+    # allocated; u0 and u1 receive the upper factor's diagonal and first
+    # superdiagonal (its second is up2), and x the eliminated right-hand side
+    # on the way
+    lo2, lo1, diag, up1, up2, f, x, u0, u1 = map(memoryview, (lo2, lo1, diag, up1, up2, f, x, u0, u1))
+    # pivot, superdiagonals and right-hand side of the rows i-2 (p) and i-1
+    # (q), eliminated; before row 0 they are inert
+    p0, p1, p2, py = q0, q1, q2, qy = 1.0, 0.0, 0.0, 0.0
+    for i, (e, c, d, a, b, y) in enumerate(zip(lo2, lo1, diag, up1, up2, f)):
+        m2 = e / p0
+        m1 = (c - m2 * p1) / q0
+        d = d - m2 * p2 - m1 * q1
+        a = a - m1 * q2
+        y = y - m2 * py - m1 * qy
+        u0[i] = d
+        u1[i] = a
+        x[i] = y
+        p0, p1, p2, py, q0, q1, q2, qy = q0, q1, q2, qy, d, a, b, y
+    x1 = x2 = 0.0
+    i = len(f)
+    for y, a, b, d in zip(reversed(x), reversed(u1), reversed(up2), reversed(u0)):
+        i -= 1
+        x1, x2 = (y - a * x1 - b * x2) / d, x1
+        x[i] = x1
+    return x
+
+
+def _implicit_stage(rho, vstar, h, bands, w, out):
+    # out <- v solving v = vstar + h V v / rho, as (V - diag(rho/h)) v =
+    # -(rho/h) vstar
+    diag, f, u0, u1 = w.imex.solve
+    np.divide(rho, -h, out=f)
+    np.add(bands[2], f, out=diag)
+    np.multiply(f, vstar, out=f)
+    return _solve_pentadiagonal(bands[0], bands[1], diag, bands[3], bands[4], f, out, u0, u1)
+
+
 def _step_classical(state, grid, params, cfg, dt, step_idx, out=None, work=None, *, owed=0.0, close=True):
-    # owed and close are step's; a classical step owes nothing
+    # one ARS(2,2,2) step, see the module docstring; owed and close are
+    # step's, and a classical step owes nothing.  The stage-1 implicit term,
+    # needed by stage 2, is (v1 - v*)/h, not a second operator call
     w = Workspace(grid) if work is None else work
     out = _empty_state(grid.n_cells) if out is None else out
-    return _rk2_transport(state, dt, grid, params, cfg.outer_bc, step_idx, out, w, pin_stresses=True)
+    outer_bc = cfg.outer_bc
+    bands = _viscous_bands(grid, params, outer_bc, w)
+    h = _ARS_GAMMA * dt
+    zero1, zero2 = w.stress
+    zero1.fill(0.0)
+    zero2.fill(0.0)
+    rho_acc, v_acc = w.k[2:]
+    vstar = w.imex.stage_v
+    stage = State(out.rho, vstar, zero1, zero2, state.t)
+
+    drho, dv = _flow_rows(State(state.rho, state.v, zero1, zero2), grid, params, outer_bc, w)
+    np.multiply(h, drho, out=out.rho)
+    np.add(state.rho, out.rho, out=out.rho)
+    np.multiply(h, dv, out=vstar)
+    np.add(state.v, vstar, out=vstar)
+    np.multiply(_ARS_DELTA * dt, drho, out=rho_acc)
+    np.add(state.rho, rho_acc, out=rho_acc)
+    np.multiply(_ARS_DELTA * dt, dv, out=v_acc)
+    np.add(state.v, v_acc, out=v_acc)
+    _check(stage, step_idx, "imex stage 1")
+    _implicit_stage(out.rho, vstar, h, bands, w, out.v)
+    # (1 - gamma) dt times the stage-1 implicit term (v1 - v*)/h
+    np.subtract(out.v, vstar, out=vstar)
+    np.multiply((1.0 - _ARS_GAMMA) / _ARS_GAMMA, vstar, out=vstar)
+    np.add(v_acc, vstar, out=v_acc)
+
+    drho, dv = _flow_rows(State(out.rho, out.v, zero1, zero2), grid, params, outer_bc, w)
+    np.multiply((1.0 - _ARS_DELTA) * dt, drho, out=drho)
+    np.add(rho_acc, drho, out=out.rho)
+    np.multiply((1.0 - _ARS_DELTA) * dt, dv, out=dv)
+    np.add(v_acc, dv, out=vstar)
+    _check(stage, step_idx, "imex stage 2")
+    _implicit_stage(out.rho, vstar, h, bands, w, out.v)
+    out.t = state.t + dt
+    _pin_stresses(out, grid, params, w.cell[0])
+    _check(out, step_idx, "step")
+    return out
 
 
 def classical_rhs(state, grid, params, outer_bc="extrapolate", work=None):
@@ -640,7 +784,7 @@ def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs, 
     owed = 0.0
     while state.t < t_end - tol:
         dt = dt_rule(state, grid, params, cfg.cfl, work=work)
-        if not np.isfinite(dt) or dt <= tol:
+        if not math.isfinite(dt) or dt <= tol:
             raise NumericalAbort(
                 f"time step collapsed to {dt:.3g} at t = {state.t:.6g}", step=step_idx
             )

@@ -103,20 +103,34 @@ def test_tau_sweep_slopes_grid_stable(params):
 
 def test_stiff_members_step_with_the_baseline_and_sit_at_the_strang_stiff_limit_error():
     # the acceptance grid of criterion 6, to t = 0.1: far below tau = dr^2 rho/K
-    # (2.7e-4 here) a member takes the baseline's step, so its step count
-    # (940 at cfl 0.4); its distance to the baseline is then the first-order
+    # (2.7e-4 here) a member takes the explicit classical step (940 steps at
+    # cfl 0.4, the count of the explicit baseline before it stepped with
+    # IMEX); its distance to the classical solution is then the first-order
     # error of the Strang step's stiff limit, not a tau effect, and halves
-    # with dt (3.99e-5, 2.00e-5, 9.99e-6 at cfl 0.4, 0.2, 0.1)
+    # with dt.  The reference is the IMEX baseline at cfl 0.05, whose own
+    # error is second order and far below the floor
     grid = RadialGrid(r_max=21.0, n_cells=800)
     pulse = InitConfig(bump_amp=0.01, bump_center=7.0, bump_width=1.0, vel_amp=0.01)
-    res = tau_sweep(SolverConfig(t_end=0.1), pulse, grid, FluidParams(), [1e-6, 1e-8], n_outputs=10)
-    assert all(f is None for f in res.failures)
-    assert res.steps == [res.baseline_steps] * 2
-    distances = [res.field_errors[1]]
-    for cfl in (0.2, 0.1):
-        res = tau_sweep(SolverConfig(t_end=0.1, cfl=cfl), pulse, grid, FluidParams(), [1e-8], n_outputs=10)
-        assert res.steps == [res.baseline_steps]
-        distances.append(res.field_errors[0])
+    out_times = np.linspace(0.0, 0.1, 11)
+    classical = FluidParams(tau=0.0)
+    reference = run_classical(
+        make_initial_data(pulse, grid, classical), grid, classical, SolverConfig(t_end=0.1, cfl=0.05), out_times
+    ).snapshots
+
+    def distance(tau, cfl):
+        p = FluidParams(tau=tau)
+        traj = run(make_initial_data(pulse, grid, p), grid, p, SolverConfig(t_end=0.1, cfl=cfl), out_times)
+        dist = max(
+            math.sqrt(weighted_l2_sq(a.rho - b.rho, grid)) + math.sqrt(weighted_l2_sq(a.v - b.v, grid))
+            for a, b in zip(traj.snapshots, reference, strict=True)
+        )
+        return dist, traj.dt_history
+
+    floor, steps = distance(1e-6, 0.4)
+    distances = [distance(1e-8, cfl) for cfl in (0.4, 0.2, 0.1)]
+    assert len(steps) == 940 and distances[0][1] == steps
+    assert distances[0][0] == pytest.approx(floor, rel=1e-3)
+    distances = [d for d, _ in distances]
     for coarse, fine in zip(distances, distances[1:]):
         assert 1.8 <= coarse / fine <= 2.2, distances
 

@@ -17,12 +17,15 @@ from relaxns.model import (
     make_initial_data,
     pressure_prime,
 )
-from relaxns.numerics import cell_sum_r2
+from relaxns.numerics import cell_sum_r2, weighted_l2_sq
 from relaxns.solver import (
     SolverConfig,
     Workspace,
     _check,
+    _implicit_stage,
     _step_classical,
+    _viscous_bands,
+    _viscous_term,
     apply_bc,
     classical_rhs,
     compute_dt,
@@ -50,7 +53,7 @@ def same_state(a, b):
 def poisoned_workspace(grid):
     # every buffer starts as NaN, so a value read before it is written shows
     w = Workspace(grid)
-    for group in (w.ghost, w.face, w.cell, w.k, w.stress):
+    for group in (w.ghost, w.face, w.cell, w.k, w.stress, w.imex.bands, w.imex.solve, (w.imex.stage_v,)):
         for buf in group:
             buf.fill(np.nan)
     return w
@@ -624,7 +627,7 @@ def test_classical_ignores_initial_stresses(grid, bump_cfg):
     # the classical system has no stress unknowns: run_classical starts from
     # the Newtonian values of the initial velocity whatever s1, s2 hold
     p = FluidParams(tau=0.0)
-    cfg = SolverConfig(t_end=0.05, output_every=20)
+    cfg = SolverConfig(t_end=0.05, output_every=1)
     init = make_initial_data(bump_cfg, grid, p)
     perturbed = init.copy()
     perturbed.s1 = perturbed.s1 + 0.3
@@ -641,7 +644,7 @@ def test_classical_ignores_initial_stresses(grid, bump_cfg):
 def test_run_at_tau_zero_is_run_classical_bit_for_bit(grid, bump_cfg, output_times):
     p = FluidParams(tau=0.0)
     state = make_initial_data(InitConfig(**{**vars(bump_cfg), "stress_perturb_amp": 0.5}), grid, FluidParams())
-    cfg = SolverConfig(t_end=0.05, output_every=7)
+    cfg = SolverConfig(t_end=0.05, output_every=1)
     got, want = run(state, grid, p, cfg, output_times), run_classical(state, grid, p, cfg, output_times)
     assert got.rhs is want.rhs is classical_rhs
     assert got.dt_history == want.dt_history and len(got.dt_history) > 0
@@ -681,28 +684,36 @@ def test_rhs_nonstiff_refuses_production_at_tau_zero():
     assert all((row == 0.0).all() for row in rows)
 
 
-def test_compute_dt_classical_parabolic_bound(grid):
+def test_compute_dt_classical_is_the_acoustic_step_bit_for_bit(grid):
+    # the viscous term is implicit, so the acoustic CFL step alone is the
+    # rule, rounded as the rule rounds: cfl times the step
     p = FluidParams(tau=0.0)
-    dt = compute_dt_classical(equilibrium_state(grid.n_cells), grid, p, 0.4)
-    parabolic = 0.4 * grid.dr**2 / (4.0 / 3.0 + 1.0)
-    assert dt == pytest.approx(parabolic, rel=1e-12)
-
-
-def classical_jacobian_at_rest(grid, params, outer_bc, h=1e-6):
-    # central-difference Jacobian of classical_rhs's (rho, v) rows in
-    # (rho, v) at rho = 1, v = 0; the stresses are pinned to eq(v), so
-    # (rho, v) is the whole classical state
+    rest = compute_dt_classical(equilibrium_state(grid.n_cells), grid, p, 0.4)
+    assert rest == 0.4 * (grid.dr / math.sqrt(1.4))
+    assert rest > 10.0 * 0.4 * grid.dr**2 / (4.0 / 3.0 + 1.0)  # the explicit parabolic bound
+    rng = np.random.default_rng(23)
     n = grid.n_cells
+    for _ in range(4):
+        rho, v = rng.uniform(0.8, 1.2, size=n), rng.uniform(-0.3, 0.3, size=n)
+        state = State(rho, v, np.zeros(n), np.zeros(n))
+        expected = 0.4 * (grid.dr / float((np.abs(v) + np.sqrt(pressure_prime(rho, p))).max()))
+        assert compute_dt_classical(state, grid, p, 0.4) == expected
+        assert compute_dt_classical(state, grid, p, 0.4, work=poisoned_workspace(grid)) == expected
+
+
+def jacobian_at_rest(rows, n, h=1e-6):
+    # central-difference Jacobian of rows(rho, v) -> (rho row, v row) in
+    # (rho, v) at rho = 1, v = 0; the classical stresses are pinned to eq(v),
+    # so (rho, v) is the whole classical state
     x0 = np.concatenate([np.ones(n), np.zeros(n)])
     jac = np.empty((2 * n, 2 * n))
     for j in range(2 * n):
-        rows = []
+        cols = []
         for sign in (1.0, -1.0):
             x = x0.copy()
             x[j] += sign * h
-            drho, dv, _, _ = classical_rhs(State(x[:n], x[n:], np.zeros(n), np.zeros(n)), grid, params, outer_bc)
-            rows.append(np.concatenate([drho, dv]))
-        jac[:, j] = (rows[0] - rows[1]) / (2.0 * h)
+            cols.append(np.concatenate(rows(x[:n], x[n:])))
+        jac[:, j] = (cols[0] - cols[1]) / (2.0 * h)
     return jac
 
 
@@ -710,19 +721,154 @@ def classical_jacobian_at_rest(grid, params, outer_bc, h=1e-6):
 @pytest.mark.parametrize("n", [64, 65])
 def test_classical_step_is_heun_stable_at_cfl_one(n, outer_bc):
     # the momentum row's viscous term is a central difference of central
-    # differences, the stride-2 Laplacian of radius K/(rho dr^2), which is
-    # what compute_dt_classical's dr^2 rho_min / K assumes.  At the cfl = 1
-    # step no mode of Heun's amplification 1 + z + z^2/2 may grow faster
-    # than the operator's own fastest mode, exp(max Re(lambda) dt): with a
-    # reflecting wall that growth is positive and does not shrink with dt
+    # differences, the stride-2 Laplacian of radius K/(rho dr^2).  The
+    # baseline steps it implicitly (ARS(2,2,2)) at the acoustic cfl = 1 step,
+    # where dt K/(rho dr^2) is about 25, 12 times Heun's real limit 2.  No mode
+    # of the step's amplification may grow faster than the operator's own
+    # fastest mode, exp(z) with z = max Re(lambda) dt, up to the scheme's
+    # third-order local error: for real z > 0 the ARS(2,2,2) amplification
+    # (1 + (1 - 2 gamma) z)/(1 - gamma z)^2 exceeds exp(z) by about 0.04 z^3.
+    # With a reflecting wall z is positive (0.13 here) and does not shrink
+    # with dt
     grid = RadialGrid(r_max=6.0, n_cells=n)
     p = FluidParams(tau=0.0)
     viscous_radius = (4.0 * p.mu / 3.0 + p.lambda_) / grid.dr**2
-    lam = np.linalg.eigvals(classical_jacobian_at_rest(grid, p, outer_bc))
-    assert np.abs(lam).max() <= 1.05 * viscous_radius
     dt = compute_dt_classical(equilibrium_state(n), grid, p, 1.0)
-    z = lam * dt
-    assert np.abs(1.0 + z + 0.5 * z * z).max() <= math.exp(lam.real.max() * dt) + 1e-9
+    assert dt * viscous_radius > 20.0
+    cfg = SolverConfig(cfl=1.0, outer_bc=outer_bc)
+    zero = np.zeros(n)
+
+    def rhs_rows(rho, v):
+        return classical_rhs(State(rho, v, zero, zero), grid, p, outer_bc)[:2]
+
+    def step_rows(rho, v):
+        stepped = _step_classical(State(rho, v, zero, zero), grid, p, cfg, dt, 0)
+        return stepped.rho, stepped.v
+
+    lam = np.linalg.eigvals(jacobian_at_rest(rhs_rows, n))
+    assert np.abs(lam).max() <= 1.05 * viscous_radius
+    amplification = np.linalg.eigvals(jacobian_at_rest(step_rows, n))
+    z = max(lam.real.max() * dt, 0.0)
+    assert np.abs(amplification).max() <= math.exp(z) * (1.0 + z**3) + 1e-9
+
+
+def dense_viscous_operator(grid, params, outer_bc):
+    # V column by column, from the unit vectors: no band structure assumed
+    n = grid.n_cells
+    work, out = Workspace(grid), np.empty(n)
+    cols = np.empty((n, n))
+    for j in range(n):
+        unit = np.zeros(n)
+        unit[j] = 1.0
+        cols[:, j] = _viscous_term(unit, grid, params, outer_bc, work, out)
+    return cols
+
+
+def banded_product(bands, v):
+    out = bands[2] * v
+    out[1:] += bands[1][1:] * v[:-1]
+    out[2:] += bands[0][2:] * v[:-2]
+    out[:-1] += bands[3][:-1] * v[1:]
+    out[:-2] += bands[4][:-2] * v[2:]
+    return out
+
+
+@pytest.mark.parametrize("outer_bc", ["extrapolate", "reflect"])
+@pytest.mark.parametrize("n", [8, 9, 800, 801])
+def test_probed_bands_reproduce_the_viscous_term(n, outer_bc):
+    grid = RadialGrid(r_max=21.0, n_cells=n)
+    p = FluidParams(tau=0.0, mu=0.8, lambda_=1.7)
+    rng = np.random.default_rng(n)
+    work = poisoned_workspace(grid)
+    _viscous_bands(grid, FluidParams(tau=0.0), outer_bc, work)
+    # the workspace re-probes for other (mu, lambda): a fresh one agrees
+    bands = _viscous_bands(grid, p, outer_bc, work)
+    assert all(same_bits(a, b) for a, b in zip(bands, _viscous_bands(grid, p, outer_bc, Workspace(grid))))
+    # entries outside the matrix are 0
+    assert not bands[0][:2].any() and not bands[1][0] and not bands[3][-1] and not bands[4][-2:].any()
+    for _ in range(3):
+        v = rng.standard_normal(n)
+        want = _viscous_term(v, grid, p, outer_bc, Workspace(grid), np.empty(n))
+        assert np.abs(banded_product(bands, v) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("outer_bc", ["extrapolate", "reflect"])
+@pytest.mark.parametrize("n", [8, 9, 800, 801])
+def test_implicit_stage_solve_matches_a_dense_solve(n, outer_bc):
+    # (diag(rho) - h V) v = rho v* for random admissible rho, with h from far
+    # below to the cfl = 1 step; V is built densely from unit vectors
+    grid = RadialGrid(r_max=21.0, n_cells=n)
+    p = FluidParams(tau=0.0)
+    rng = np.random.default_rng(n + 1)
+    work = poisoned_workspace(grid)
+    bands = _viscous_bands(grid, p, outer_bc, work)
+    dense = dense_viscous_operator(grid, p, outer_bc)
+    dt = compute_dt_classical(equilibrium_state(n), grid, p, 1.0)
+    for h in (1e-4 * dt, 1e-2 * dt, dt):
+        rho, vstar = rng.uniform(0.5, 1.5, size=n), rng.standard_normal(n)
+        got = _implicit_stage(rho, vstar, h, bands, work, np.full(n, np.nan))
+        want = np.linalg.solve(np.diag(rho) - h * dense, rho * vstar)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), h
+
+
+CRITERION_6_PULSE = InitConfig(bump_amp=0.01, bump_center=7.0, bump_width=1.0, vel_amp=0.01)
+
+
+def classical_pulse_run(n, cfl, t_end, n_outputs=10):
+    grid = RadialGrid(r_max=21.0, n_cells=n)
+    p = FluidParams(tau=0.0)
+    cfg = SolverConfig(t_end=t_end, cfl=cfl, n_outputs=n_outputs, output_every=10**6)
+    return run_classical(make_initial_data(CRITERION_6_PULSE, grid, p), grid, p, cfg), grid
+
+
+def field_distance(a, b, grid):
+    return math.sqrt(weighted_l2_sq(a.rho - b.rho, grid)) + math.sqrt(weighted_l2_sq(a.v - b.v, grid))
+
+
+def test_classical_step_is_second_order_in_time():
+    # self-convergence on the criterion-6 pulse at n = 800: the sup-in-time
+    # distance between runs at cfl 0.4 / 0.2 / 0.1 falls by about 4 per halving
+    runs = [classical_pulse_run(800, cfl, 0.1) for cfl in (0.4, 0.2, 0.1)]
+    grid = runs[0][1]
+    gaps = [
+        max(field_distance(a, b, grid) for a, b in zip(coarse.snapshots, fine.snapshots, strict=True))
+        for (coarse, _), (fine, _) in zip(runs, runs[1:])
+    ]
+    assert 3.0 <= gaps[0] / gaps[1] <= 5.0, gaps
+
+
+def explicit_classical_baseline(initial, grid, p, cfl, t_end):
+    # the classical system stepped explicitly: Heun on classical_rhs at
+    # cfl min(acoustic step, dr^2 rho_min / K), the stride-2 viscous
+    # operator's stability bound
+    n = grid.n_cells
+    zero = np.zeros(n)
+    rho, v, t = initial.rho.copy(), initial.v.copy(), 0.0
+    viscosity = 4.0 * p.mu / 3.0 + p.lambda_
+    while t < t_end - 1e-12:
+        acoustic = grid.dr / float((np.abs(v) + np.sqrt(pressure_prime(rho, p))).max())
+        dt = min(cfl * min(acoustic, grid.dr**2 * float(rho.min()) / viscosity), t_end - t)
+        drho, dv, _, _ = classical_rhs(State(rho, v, zero, zero), grid, p)
+        rho1, v1 = rho + dt * drho, v + dt * dv
+        drho, dv, _, _ = classical_rhs(State(rho1, v1, zero, zero), grid, p)
+        rho, v = 0.5 * (rho + rho1 + dt * drho), 0.5 * (v + v1 + dt * dv)
+        t += dt
+    return State(rho, v, zero, zero, t)
+
+
+def test_classical_imex_run_agrees_with_the_explicit_baseline():
+    # n = 800 to t = 0.1: the explicit step is dr^2 rho_min / K (about 930
+    # steps), the IMEX step the acoustic one (13 steps); the two differ by
+    # their time errors, 3.3e-5 here
+    traj, grid = classical_pulse_run(800, 0.4, 0.1, n_outputs=0)
+    p = FluidParams(tau=0.0)
+    explicit = explicit_classical_baseline(make_initial_data(CRITERION_6_PULSE, grid, p), grid, p, 0.4, 0.1)
+    assert field_distance(traj.snapshots[-1], explicit, grid) <= 1e-4
+
+
+def test_classical_steps_grow_like_n_not_n_squared():
+    steps = [len(classical_pulse_run(n, 0.4, 1.0, n_outputs=0)[0].dt_history) for n in (400, 800)]
+    assert 1.8 <= steps[1] / steps[0] <= 2.2 and steps[1] <= 140, steps
 
 
 @pytest.mark.parametrize("integrate", [run, run_classical], ids=["relaxed", "classical"])
@@ -746,7 +892,8 @@ def test_run_snapshots_replay_through_allocating_step(grid, bump_cfg, integrate)
     # and initial must come back untouched
     relaxed = integrate is run
     p = FluidParams(tau=0.01 if relaxed else 0.0)
-    cfg = SolverConfig(t_end=0.006, output_every=1)
+    # about 4 steps either way: the classical step is the acoustic one
+    cfg = SolverConfig(t_end=0.006 if relaxed else 0.15, output_every=1)
     initial = make_initial_data(InitConfig(**{**vars(bump_cfg), "stress_perturb_amp": 0.5}), grid, FluidParams())
     before = initial.copy()
     traj = integrate(initial, grid, p, cfg)
@@ -954,7 +1101,7 @@ def test_step_rejects_writing_its_input(grid, params, equilibrium):
 def test_on_snapshot_sees_each_snapshot_as_recorded(grid, bump_cfg, integrate, output_times):
     p = FluidParams(tau=0.01 if integrate is run else 0.0)
     state = make_initial_data(bump_cfg, grid, FluidParams(tau=0.01))
-    cfg = SolverConfig(t_end=0.05, output_every=7)
+    cfg = SolverConfig(t_end=0.05, output_every=7 if integrate is run else 1)
     seen = []
 
     def on_snapshot(snap):
@@ -981,6 +1128,7 @@ def test_on_snapshot_exception_ends_the_run(grid, bump_cfg, integrate):
         if len(times) == 3:
             raise KeyError("stop after the third snapshot")
 
+    cfg = SolverConfig(t_end=0.05, output_every=2) if integrate is run else SolverConfig(t_end=0.2, output_every=1)
     with pytest.raises(KeyError, match="stop after the third snapshot"):
-        integrate(state, grid, p, SolverConfig(t_end=0.05, output_every=2), on_snapshot=on_snapshot)
-    assert len(times) == 3 and times[0] == 0.0 < times[1] < times[2] < 0.05
+        integrate(state, grid, p, cfg, on_snapshot=on_snapshot)
+    assert len(times) == 3 and times[0] == 0.0 < times[1] < times[2] < cfg.t_end
