@@ -10,11 +10,13 @@ the end-time defect of the stress limit relations
 Log-log slopes of the errors against tau are fitted but asserted nowhere
 here; the lab reports, the acceptance tests judge.
 
-The baseline and the members do not depend on each other, so tau_sweep runs
-them at the same time, one job each, in a pool of worker processes made with
-`fork` (Linux or macOS): as many workers as there are jobs or CPUs this
-process may use, whichever is fewer.  Each member's runtime is its own wall
-time in its worker; the sweep's wall time is near that of the busiest worker.
+The baseline is the template at tau = 0, which run integrates as the
+classical system, so every job is one run call.  The baseline and the
+members do not depend on each other, so tau_sweep runs them at the same
+time, one job each, in a pool of worker processes made with `fork` (Linux
+or macOS): as many workers as there are jobs or CPUs this process may use,
+whichever is fewer.  Each member's runtime is its own wall time in its
+worker; the sweep's wall time is near that of the busiest worker.
 """
 
 import math
@@ -24,10 +26,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FieldError, NumericalAbort
-from .model import equilibrium_stress, integer_field, make_initial_data
+from .errors import NumericalAbort
+from .model import equilibrium_stress, make_initial_data
 from .numerics import weighted_h1_sq, weighted_l2_sq
-from .solver import run, run_classical
+from .solver import run
 
 
 def limit_relation_error(state, grid, params):
@@ -82,17 +84,16 @@ def _loglog_slope(x, y):
     return float(np.polyfit(np.log(x[good]), np.log(y[good]), 1)[0])
 
 
-def _integrate(solver_name, initial, grid, params, cfg, out_times):
+def _integrate(initial, grid, params, cfg, out_times):
     """One sweep job: (snapshots, runtime, steps), or (abort, runtime, None).
 
-    The solver is looked up in this module's globals where the job runs, so a
-    forked worker runs whatever the parent had bound to `run` or
-    `run_classical` when the pool forked it.
+    `run` is looked up in this module's globals where the job runs, so a
+    forked worker runs whatever the parent had bound to it when the pool
+    forked it.
     """
-    solver = globals()[solver_name]
     t0 = time.perf_counter()
     try:
-        traj = solver(initial, grid, params, cfg, output_times=out_times)
+        traj = run(initial, grid, params, cfg, output_times=out_times)
     except NumericalAbort as exc:
         return exc, time.perf_counter() - t0, None
     return traj.snapshots, time.perf_counter() - t0, len(traj.dt_history)
@@ -105,11 +106,12 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
     """Run the sweep; returns a SweepResult and asserts nothing itself.
 
     All members share (rho0, v0) and the template's eps; stresses are rebuilt
-    well-prepared for each tau.  The baseline comes from run_classical on the
-    same grid, and every run is sampled at the same output times (the stepper
+    well-prepared for each tau.  The baseline is run at tau = 0 on the same
+    grid, and every run is sampled at the same output times (the stepper
     lands on them exactly), so no temporal interpolation enters the errors.
-    Those times are base_cfg.snapshot_times(n) for n = n_outputs if given,
-    else base_cfg.n_outputs if positive, else SWEEP_OUTPUTS.
+    Those times are base_cfg's snapshot_times() at n_outputs = the call's
+    n_outputs if nonzero, else base_cfg.n_outputs if positive, else
+    SWEEP_OUTPUTS; SolverConfig rejects a bad count.
     The baseline and the members are independent integrations; each is one
     job in a pool of forked worker processes, and the errors are computed
     here from the snapshots the workers return.  A member's NumericalAbort
@@ -128,20 +130,19 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
     taus.sort(reverse=True)
     if not taus or any(t <= 0.0 for t in taus):
         raise ValueError("tau sweep requires one or more taus, all strictly positive")
-    if n_outputs is not None and integer_field("n_outputs", n_outputs) < 0:
-        raise FieldError("n_outputs", f"n_outputs must be >= 0, got {n_outputs}")
-    out_times = base_cfg.snapshot_times(n_outputs or base_cfg.n_outputs or SWEEP_OUTPUTS)
+    out_times = replace(base_cfg, n_outputs=n_outputs or base_cfg.n_outputs or SWEEP_OUTPUTS).snapshot_times()
     members = [replace(params_template, tau=tau) for tau in taus]
-    # the baseline first, only because its result is awaited first: its
-    # abort ends the sweep.  Its implicit step makes it a short job.  Then the
-    # members from the smallest tau up, whose steps are never larger than a
-    # larger tau's, so the longest member jobs start first
-    runs = [("run_classical", replace(params_template, tau=0.0))] + [("run", p) for p in reversed(members)]
-    jobs = [(name, make_initial_data(init_cfg, grid, p), grid, p, base_cfg, out_times) for name, p in runs]
+    # one run job per params: the baseline, the template at tau = 0, first,
+    # only because its result is awaited first: its abort ends the sweep.
+    # Its implicit step makes it a short job.  Then the members from the
+    # smallest tau up, whose steps are never larger than a larger tau's, so
+    # the longest member jobs start first
+    runs = [replace(params_template, tau=0.0)] + members[::-1]
+    jobs = [(make_initial_data(init_cfg, grid, p), grid, p, base_cfg, out_times) for p in runs]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
-    # fork, not spawn: a worker inherits the parent's bindings of run and
-    # run_classical, and with fork the pool starts every worker before it
-    # starts its own threads (CPython's fix for gh-90622)
+    # fork, not spawn: a worker inherits the parent's binding of run, and
+    # with fork the pool starts every worker before it starts its own
+    # threads (CPython's fix for gh-90622)
     with ProcessPoolExecutor(min(len(jobs), cpus), mp_context=get_context("fork")) as pool:
         futures = [pool.submit(_integrate, *job) for job in jobs]
         try:

@@ -65,15 +65,15 @@ fast-wave step alone would shrink like sqrt(tau).  There its distance to the
 baseline is the Strang step's first-order stiff-limit error, which falls with
 dt, not tau.
 
-Both systems run through one driver, _advance, and differ only in three
-module-level rules with one signature per role: the CFL step
-dt_rule(state, grid, params, cfl, work=) (compute_dt, compute_dt_classical),
-the step step_rule(state, grid, params, cfg, dt, step_idx, out=, work=,
-owed=, close=) (step, _step_classical, which owes nothing) and the
-right-hand side rhs(state, grid, params, outer_bc) (rhs_full,
-classical_rhs).  _advance
-records only the snapshots and the step sizes; readers derive the rest from
-the snapshots and the Trajectory's rhs.
+Both systems run through run, which alone picks the classical rules at
+tau = 0 (run_classical is run at tau = 0), and one driver, _advance.  They
+differ only in three module-level rules with one signature per role: the CFL
+step dt_rule(state, grid, params, cfl, work=) (compute_dt,
+compute_dt_classical), the step step_rule(state, grid, params, cfg, dt,
+step_idx, out=, work=, owed=, close=) (step, _step_classical, which owes
+nothing) and the right-hand side rhs(state, grid, params, outer_bc)
+(rhs_full, classical_rhs).  _advance records only the snapshots and the step
+sizes; readers derive the rest from the snapshots and the Trajectory's rhs.
 
 The driver builds one Workspace per run, sized from the grid, and the dt rule
 and every stage compute into its buffers with out= ufuncs; two State buffers
@@ -89,7 +89,7 @@ Workspace, so it and the driver give the same bits.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -115,8 +115,7 @@ class SolverConfig:
             raise FieldError("cfl", f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0.0 <= self.t_end < math.inf:
             raise FieldError("t_end", f"t_end must be finite and nonnegative, got {self.t_end}")
-        if self.outer_bc not in _OUTER_BCS:
-            raise FieldError("outer_bc", f"outer_bc must be one of {_OUTER_BCS}, got {self.outer_bc!r}")
+        _check_outer_bc(self.outer_bc)
         object.__setattr__(self, "output_every", integer_field("output_every", self.output_every))
         if self.output_every < 1:
             raise FieldError("output_every", f"output_every must be >= 1, got {self.output_every}")
@@ -124,19 +123,18 @@ class SolverConfig:
         if self.n_outputs < 0:
             raise FieldError("n_outputs", f"n_outputs must be >= 0, got {self.n_outputs}")
 
-    def snapshot_times(self, n_outputs=None):
-        """The times linspace(0, t_end, n + 1), n = n_outputs if given, else
-        self.n_outputs; None when n is 0 (snapshots by output_every)."""
-        n = self.n_outputs if n_outputs is None else n_outputs
-        return np.linspace(0.0, self.t_end, n + 1) if n > 0 else None
+    def snapshot_times(self):
+        """The times linspace(0, t_end, n_outputs + 1); None when n_outputs is 0
+        (snapshots by output_every)."""
+        return np.linspace(0.0, self.t_end, self.n_outputs + 1) if self.n_outputs > 0 else None
 
 
 @dataclass
 class Trajectory:
+    outer_bc: str
+    rhs: object  # the right-hand side of the run's system: rhs_full or classical_rhs
     snapshots: list = field(default_factory=list)
     dt_history: list = field(default_factory=list)
-    outer_bc: str = "extrapolate"
-    rhs: object = None  # the right-hand side of the run's system: rhs_full or classical_rhs
 
     @property
     def times(self):
@@ -221,10 +219,10 @@ def _fill_ghosts(f, g, odd, outer_bc):
 
 def _check_outer_bc(outer_bc):
     if outer_bc not in _OUTER_BCS:
-        raise ValueError(f"outer_bc must be one of {_OUTER_BCS}, got {outer_bc!r}")
+        raise FieldError("outer_bc", f"outer_bc must be one of {_OUTER_BCS}, got {outer_bc!r}")
 
 
-def apply_bc(state, grid, params, outer_bc="extrapolate"):
+def apply_bc(state, grid, params, outer_bc=SolverConfig.outer_bc):
     """Ghost-augmented (rho, v, s1, s2), two ghost cells per side.
 
     Inner face r = 1: v odd-reflected (v = 0 at the face), the rest
@@ -376,7 +374,7 @@ def _stress_rows(state, grid, params, w):
     return ds1, ds2
 
 
-def rhs_nonstiff(state, grid, params, outer_bc="extrapolate", include_production=True, work=None):
+def rhs_nonstiff(state, grid, params, outer_bc=SolverConfig.outer_bc, include_production=True, work=None):
     """Discrete time derivatives of all terms except the -s/(tau rho) decay.
 
     With include_production=False the stress rows carry transport only; the
@@ -401,7 +399,7 @@ def rhs_nonstiff(state, grid, params, outer_bc="extrapolate", include_production
     return w.k
 
 
-def rhs_full(state, grid, params, outer_bc="extrapolate", work=None):
+def rhs_full(state, grid, params, outer_bc=SolverConfig.outer_bc, work=None):
     """Complete discrete right-hand side including the relaxation sources.
 
     With work= the rows are work.k.
@@ -421,8 +419,6 @@ def rhs_full(state, grid, params, outer_bc="extrapolate", work=None):
 def _relax(state, dt, grid, params, out, work):
     # out.s1, out.s2 <- the exact relaxation of state's stresses over dt;
     # out may be state itself
-    if params.tau <= 0.0:
-        raise ValueError("relax_substep requires tau > 0")
     eq1, eq2, dv, decay = work.k
     equilibrium_stress(state.v, grid, params, out=(eq1, eq2, dv))
     np.divide(-dt / params.tau, state.rho, out=decay)
@@ -437,8 +433,9 @@ def relax_substep(state, dt, grid, params):
     """Exact exponential solve of ds/dt = (eq - s)/(tau rho) at frozen rho, v.
 
     Unconditionally stable; the stresses land exactly on equilibrium as
-    dt/(tau rho) -> infinity.
+    dt/(tau rho) -> infinity.  At tau = 0 it is refused with a ValueError.
     """
+    _refuse_tau_zero("relax_substep", params, "run")
     out = state.copy()
     _relax(state, dt, grid, params, out, Workspace(grid))
     return out
@@ -578,8 +575,10 @@ def step(state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None, *, 
     out, and out holds the transported state, which owes dt/2.  Both halves
     act on the same frozen rho and v, so they compose into one exact solve,
     to rounding.  The defaults are the full Strang step.  A closed state is
-    checked; an open one was checked after the transport stage.
+    checked; an open one was checked after the transport stage.  At tau = 0
+    it is refused with a ValueError: run steps the classical baseline there.
     """
+    _refuse_tau_zero("step", params, "run")
     if out is state:
         raise ValueError("step cannot write its input state")
     w = Workspace(grid) if work is None else work
@@ -718,7 +717,7 @@ def _step_classical(state, grid, params, cfg, dt, step_idx, out=None, work=None,
     return out
 
 
-def classical_rhs(state, grid, params, outer_bc="extrapolate", work=None):
+def classical_rhs(state, grid, params, outer_bc=SolverConfig.outer_bc, work=None):
     """Time derivatives of (rho, v, s1, s2) for the classical system.
 
     Reuses the relaxed momentum operator with s1, s2 replaced by the
@@ -820,7 +819,9 @@ def _check_length(initial, grid):
 def run(initial, grid, params, cfg, output_times=None, on_snapshot=None):
     """Integrate the system at params.tau to cfg.t_end and collect snapshots.
 
-    At tau = 0 this is run_classical with the same arguments, bit for bit.
+    At tau = 0 this is the classical baseline (mass + Newtonian momentum):
+    the stresses of initial are ignored, and start, and stay, at their
+    Newtonian values, so trajectories from both systems share one format.
     An initial state not of the grid's length is refused with a ValueError.
     Snapshots are taken every cfg.output_every steps plus the final time, or
     exactly at the requested output_times (the step size is clipped to land
@@ -831,21 +832,15 @@ def run(initial, grid, params, cfg, output_times=None, on_snapshot=None):
     on; an exception it raises ends the run: the command line hands each
     snapshot to its writer process this way, so an aborted run leaves them.
     """
-    if params.tau == 0.0:
-        return run_classical(initial, grid, params, cfg, output_times, on_snapshot)
     _check_length(initial, grid)
-    return _advance(initial, grid, params, cfg, output_times, compute_dt, step, rhs_full, on_snapshot)
+    if params.tau == 0.0:
+        initial = _pin_stresses(initial.copy(), grid, params, np.empty(grid.n_cells))
+        rules = (compute_dt_classical, _step_classical, classical_rhs)
+    else:
+        rules = (compute_dt, step, rhs_full)
+    return _advance(initial, grid, params, cfg, output_times, *rules, on_snapshot)
 
 
 def run_classical(initial, grid, params, cfg, output_times=None, on_snapshot=None):
-    """Integrate the classical baseline (mass + Newtonian momentum): run at tau = 0.
-
-    Snapshots and on_snapshot as for run.  tau and the stresses of initial
-    are ignored: the stresses start, and stay, at their Newtonian values, so
-    trajectories from both systems share one format.
-    """
-    _check_length(initial, grid)
-    pinned = _pin_stresses(initial.copy(), grid, params, np.empty(grid.n_cells))
-    return _advance(
-        pinned, grid, params, cfg, output_times, compute_dt_classical, _step_classical, classical_rhs, on_snapshot
-    )
+    """run at tau = 0, whatever params.tau is: the classical baseline."""
+    return run(initial, grid, replace(params, tau=0.0), cfg, output_times, on_snapshot)

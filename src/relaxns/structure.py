@@ -56,8 +56,6 @@ def _require_relaxed(params):
 def assemble_a0(rho, params):
     """diag(P'(rho)/rho, rho, tau*rho/(3 mu), tau*rho/lambda)."""
     _require_relaxed(params)
-    if rho <= 0.0:
-        raise DomainError("assemble_a0 requires rho > 0")
     dp = pressure_prime(rho, params)
     return np.diag(
         [dp / rho, rho, params.tau * rho / (3.0 * params.mu), params.tau * rho / params.lambda_]
@@ -66,8 +64,6 @@ def assemble_a0(rho, params):
 
 def assemble_a1(rho, v, params):
     """Symmetric convective-coupling matrix at state (rho, v)."""
-    if rho <= 0.0:
-        raise DomainError("assemble_a1 requires rho > 0")
     dp = pressure_prime(rho, params)
     shifted = params.tau * rho * (v - params.eps)
     a1 = np.zeros((4, 4))
@@ -83,8 +79,6 @@ def assemble_a1(rho, v, params):
 
 def assemble_b(rho, r, params):
     """Geometric/relaxation lower-order matrix at radius r."""
-    if rho <= 0.0:
-        raise DomainError("assemble_b requires rho > 0")
     if r < 1.0:
         raise DomainError("assemble_b requires r >= 1")
     dp = pressure_prime(rho, params)

@@ -184,14 +184,12 @@ def test_tau_sweep_member_abort_is_its_failure_row(grid, params, monkeypatch):
 
 
 def test_tau_sweep_baseline_abort_propagates(grid, params, monkeypatch):
-    def aborting_baseline(*args, **kwargs):
-        raise NumericalAbort("baseline collapsed")
-
-    def unreachable_member(*args, **kwargs):
+    def aborting_baseline(initial, grid, params, cfg, output_times=None):
+        if params.tau == 0.0:
+            raise NumericalAbort("baseline collapsed")
         raise AssertionError("a member ran after the baseline aborted")
 
-    monkeypatch.setattr(relaxation, "run_classical", aborting_baseline)
-    monkeypatch.setattr(relaxation, "run", unreachable_member)
+    monkeypatch.setattr(relaxation, "run", aborting_baseline)
     with pytest.raises(NumericalAbort, match="^baseline collapsed$"):
         tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, [1e-2, 1e-3], n_outputs=4)
 
@@ -246,7 +244,10 @@ def test_tau_sweep_member_abort_in_worker_is_its_failure_row(grid, params, monke
 
 
 def _times_reporting_run(initial, grid, params, cfg, output_times=None):
-    # a member that reports the output times it was given as its failure
+    # a member that reports the output times it was given as its failure;
+    # the baseline, at tau = 0, runs for real
+    if params.tau == 0.0:
+        return run(initial, grid, params, cfg, output_times=output_times)
     raise NumericalAbort(repr(output_times.tolist()))
 
 
@@ -262,7 +263,6 @@ def test_tau_sweep_rejects_non_finite_tau_before_any_run(grid, params, monkeypat
     def unreachable(*args, **kwargs):
         raise AssertionError("an integration ran")
 
-    monkeypatch.setattr(relaxation, "run_classical", unreachable)
     monkeypatch.setattr(relaxation, "run", unreachable)
     with pytest.raises(ValueError, match=f"^tau sweep entry {bad!r} is not finite$"):
         tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, [1e-2, bad])
@@ -273,7 +273,6 @@ def test_tau_sweep_rejects_a_repeated_tau_before_any_run(grid, params, monkeypat
     def unreachable(*args, **kwargs):
         raise AssertionError("an integration ran")
 
-    monkeypatch.setattr(relaxation, "run_classical", unreachable)
     monkeypatch.setattr(relaxation, "run", unreachable)
     with pytest.raises(ValueError, match=r"^tau sweep entry 0\.01 is repeated$"):
         tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, taus)
@@ -284,7 +283,6 @@ def test_tau_sweep_rejects_a_bad_n_outputs_before_any_run(grid, params, monkeypa
     def unreachable(*args, **kwargs):
         raise AssertionError("an integration ran")
 
-    monkeypatch.setattr(relaxation, "run_classical", unreachable)
     monkeypatch.setattr(relaxation, "run", unreachable)
     with pytest.raises(ValueError, match=f"^{message}$"):
         tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, [1e-2], n_outputs=bad)
