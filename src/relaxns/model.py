@@ -184,16 +184,16 @@ def admissible_pressure_prime(rho, params, out=None):
 
 
 def taylor_potential(rho, params):
-    """Pressure potential (rho**gamma - 1 - gamma*(rho - 1)) / (gamma - 1).
+    """Pressure potential a_coef (rho**gamma - 1 - gamma*(rho - 1)) / (gamma - 1).
 
-    Nonnegative, vanishing only at rho = 1; the caller supplies the r^2
-    weight when integrating.
+    The potential of P = a_coef rho**gamma: nonnegative, vanishing only at
+    rho = 1; the caller supplies the r^2 weight when integrating.
     """
     rho = np.asarray(rho, dtype=float)
     if not (rho > 0.0).all():
         raise DomainError("taylor_potential requires rho > 0")
     g = params.gamma
-    val = (rho**g - 1.0 - g * (rho - 1.0)) / (g - 1.0)
+    val = params.a_coef * (rho**g - 1.0 - g * (rho - 1.0)) / (g - 1.0)
     return float(val) if val.ndim == 0 else val
 
 
@@ -272,14 +272,14 @@ def face_value(f, grid):
 
 
 def time_derivatives(state, grid, params):
-    """Pointwise time derivatives of all four fields from the governing equations.
+    """Pointwise time derivatives (drho/dt, dv/dt) from the governing equations.
 
     Central second-order stencils with one-sided ends; no ghost cells and no
     upwinding.  This is the diagnostic evaluation used by the reduction check
-    and the compatibility test, not the time-integration path.
+    and the compatibility test, not the time-integration path.  The momentum
+    row reads the state's stresses whatever tau is, so at tau = 0 it is the
+    classical row when s1, s2 hold eq(v).
     """
-    if params.tau <= 0.0:
-        raise DomainError("time_derivatives requires tau > 0")
     r = grid.centers
     dr = grid.dr
     rho, v, s1, s2 = state.rho, state.v, state.s1, state.s2
@@ -291,12 +291,7 @@ def time_derivatives(state, grid, params):
 
     drho = -(v * drho_dr + rho * dv_dr) - 2.0 * rho * v / r
     dv = -v * dv_dr + (-dp_dr + (2.0 / 3.0) * ds1_dr + 2.0 * s1 / r + ds2_dr) / rho
-    eq1, eq2 = equilibrium_stress(v, grid, params)
-    a = v - params.eps
-    trho = params.tau * rho
-    ds1 = -a * ds1_dr + (eq1 - s1) / trho
-    ds2 = -a * ds2_dr + (eq2 - s2) / trho
-    return drho, dv, ds1, ds2
+    return drho, dv
 
 
 def compatibility_residual(state, grid, params):
@@ -305,5 +300,5 @@ def compatibility_residual(state, grid, params):
     Admissible initial data must make this vanish (the boundary holds v = 0
     for all time); discretely it is O(dr^2) plus the field tails.
     """
-    _, dv, _, _ = time_derivatives(state, grid, params)
+    _, dv = time_derivatives(state, grid, params)
     return abs(face_value(dv, grid))

@@ -7,13 +7,13 @@ Under the spherically symmetric ansatz
 
 the 3D mass and momentum equations reduce to the radial system.  This module
 evaluates the raw 3D equations at sample points by central Cartesian finite
-differences of the ansatz fields (radial profiles interpolated with cubic
-splines) and reports the residuals; they vanish at second order as the mesh
-spacing and the Cartesian step h are refined together.
+differences of the ansatz fields (radial profiles interpolated by cubic
+Lagrange polynomials through the four nearest cells) and reports the
+residuals; they vanish at second order as the mesh spacing and the Cartesian
+step h are refined together.
 """
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 from .model import pressure, time_derivatives
@@ -36,40 +36,43 @@ def reduction_residual(state, grid, params, sample_points, h=None):
                 f"sample point at radius {radius:.6g} outside the safe interior "
                 f"({lo:.6g}, {hi:.6g})"
             )
-    drho_dt, dv_dt = time_derivatives(state, grid, params)[:2]
-
-    r = grid.centers
-    sp = {
-        "rho": CubicSpline(r, state.rho),
-        "v": CubicSpline(r, state.v),
-        "s1": CubicSpline(r, state.s1),
-        "s2": CubicSpline(r, state.s2),
-        "drho": CubicSpline(r, drho_dt),
-        "dv": CubicSpline(r, dv_dt),
-    }
-    return [_residual_at(p, h, sp, params) for p in pts]
+    drho_dt, dv_dt = time_derivatives(state, grid, params)
+    profiles = np.stack((state.rho, state.v, state.s1, state.s2, drho_dt, dv_dt))
+    return [_residual_at(p, h, profiles, grid, params) for p in pts]
 
 
-def _fields(points, sp, params):
+def _interpolate(profiles, grid, radii):
+    """The rows of profiles (k, n_cells) at radii (m,), shape (k, m): the cubic
+    through the four cells around each radius, the end cubics beyond them."""
+    x = (radii - grid.centers[0]) / grid.dr
+    i = np.clip(np.floor(x).astype(int) - 1, 0, grid.n_cells - 4)
+    t = x - i
+    weights = (
+        -(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0,
+        t * (t - 2.0) * (t - 3.0) / 2.0,
+        -t * (t - 1.0) * (t - 3.0) / 2.0,
+        t * (t - 1.0) * (t - 2.0) / 6.0,
+    )
+    return sum(w * profiles[:, i + k] for k, w in enumerate(weights))
+
+
+def _fields(points, profiles, grid, params):
     """Evaluate rho, v, s1, s2, P at an (m, 3) array of points."""
     radii = np.linalg.norm(points, axis=-1)
-    rho = sp["rho"](radii)
-    return radii, rho, sp["v"](radii), sp["s1"](radii), sp["s2"](radii), pressure(rho, params)
+    rho, v, s1, s2 = _interpolate(profiles, grid, radii)[:4]
+    return radii, rho, v, s1, s2, pressure(rho, params)
 
 
-def _residual_at(x, h, sp, params):
+def _residual_at(x, h, profiles, grid, params):
     r0 = float(np.linalg.norm(x))
-    rho0 = float(sp["rho"](r0))
-    v0 = float(sp["v"](r0))
-    drho0 = float(sp["drho"](r0))
-    dv0 = float(sp["dv"](r0))
+    rho0, v0, _, _, drho0, dv0 = (float(f) for f in _interpolate(profiles, grid, np.array([r0]))[:, 0])
 
     # 6-point stencil x +- h e_j
     eye = np.eye(3)
     plus = x[None, :] + h * eye
     minus = x[None, :] - h * eye
-    rp, rhop, vp, s1p, s2p, pp = _fields(plus, sp, params)
-    rm, rhom, vm, s1m, s2m, pm = _fields(minus, sp, params)
+    rp, rhop, vp, s1p, s2p, pp = _fields(plus, profiles, grid, params)
+    rm, rhom, vm, s1m, s2m, pm = _fields(minus, profiles, grid, params)
 
     # mass: drho/dt + div(rho v x/r)
     def mom_flux(pts, radii, rho, v):

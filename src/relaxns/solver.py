@@ -26,14 +26,14 @@ rho and v, which the relaxation leaves unchanged: the steps are the same
 whether or not the relaxation is fused.
 
 The classical baseline, which run integrates at tau = 0, carries mass and
-momentum with the stress fields pinned to their Newtonian equilibrium values
-eq(v), sharing every spatial operator with the relaxed path.  It steps with
+momentum; its stresses are not unknowns but the Newtonian values eq(v).  It
+shares every spatial operator with the relaxed path, and it steps with
 ARS(2,2,2), the stiffly accurate IMEX Runge-Kutta scheme of Ascher, Ruuth &
 Spiteri (APNUM 25 (1997) 151; Pareschi & Russo, J. Sci. Comput. 25 (2005)
 129), gamma = 1 - 1/sqrt(2): the mass row, convection and pressure are
 explicit, and the viscous momentum term (2/3 ds1/dr + 2 s1/r + ds2/dr)/rho at
-s = eq(v) is implicit.  The explicit part is the stage kernel at zero
-stresses.  The implicit part is V v / rho with V linear and pentadiagonal
+s = eq(v) is implicit.  The explicit part is _flow_rows without the stress
+divergence.  The implicit part is V v / rho with V linear and pentadiagonal
 (eq(v) takes central differences of v, and the momentum row central
 differences of eq(v)); its five bands are probed through the same stress
 closure, once per workspace and (mu, lambda, outer_bc).  Each stage gets rho
@@ -169,9 +169,8 @@ class Workspace:
         self.face = tuple(np.empty(n + 1) for _ in range(4))
         self.cell = tuple(np.empty(n) for _ in range(3))
         self.k = tuple(np.empty(n) for _ in range(4))
-        # the stresses of the first Strang half step, the pinned stresses of
-        # classical_rhs, or the zero stresses of the classical step's
-        # explicit stages
+        # the stresses of the first Strang half step, or the Newtonian
+        # stresses eq(v) of classical_rhs and of the viscous probe
         self.stress = (np.empty(n), np.empty(n))
         # constant coefficients of rhs_nonstiff: the divisor of the mass row,
         # which carries the flux's 0.5 and the minus sign (scaling by 2 is
@@ -271,16 +270,17 @@ def _central_into(out, g, scale):
     np.multiply(scale, out, out=out)
 
 
-def _flow_rows(state, grid, params, outer_bc, w):
-    # the mass and momentum rows of rhs_nonstiff into w.k[:2], returned.  It
-    # leaves the stresses' ghost-augmented arrays in w.ghost[:2] and the
-    # upwind split of v in w.cell[1:] for _stress_rows
+def _flow_rows(rho, v, stresses, grid, params, outer_bc, w):
+    # the mass and momentum rows into w.k[:2], returned.  The momentum row
+    # carries the stress divergence only when stresses is a pair (s1, s2);
+    # with None it is the classical step's explicit part.  Given stresses, it
+    # leaves their ghost-augmented arrays in w.ghost[:2]; either way it leaves
+    # the upwind split of v in w.cell[1:] for _stress_rows
     n, dr, gamma = grid.n_cells, grid.dr, params.gamma
     # each buffer is reused once the value it holds is spent, so a name
     # below may alias an earlier one (tmp is speed[:n], face_tmp is g2[:n+1]).
     # Every constant factor rides in one scalar or coefficient array, so each
     # term costs one pass over the grid
-    rho, v, s1 = state.rho, state.v, state.s1
     g0, g1, g2 = w.ghost
     flux, speed, sound, jump = w.face
     grad, lo, hi = w.cell
@@ -332,7 +332,8 @@ def _flow_rows(state, grid, params, outer_bc, w):
     _central_into(grad, p, -params.a_coef / (2.0 * dr))
     _upwind_split(v, dr, lo, hi)
     _upwind_into(dv, lo, hi, v_e, flux, tmp)
-    _stress_divergence(grad, s1, state.s2, grid, outer_bc, w)
+    if stresses is not None:
+        _stress_divergence(grad, *stresses, grid, outer_bc, w)
     np.divide(grad, rho, out=grad)
     np.add(dv, grad, out=dv)
     return drho, dv
@@ -386,7 +387,7 @@ def rhs_nonstiff(state, grid, params, outer_bc=SolverConfig.outer_bc, include_pr
         _refuse_tau_zero("rhs_nonstiff with include_production=True", params)
     _check_outer_bc(outer_bc)
     w = Workspace(grid) if work is None else work
-    _flow_rows(state, grid, params, outer_bc, w)
+    _flow_rows(state.rho, state.v, (state.s1, state.s2), grid, params, outer_bc, w)
     ds1, ds2 = _stress_rows(state, grid, params, w)
     if include_production:
         grad, lo, hi = w.cell
@@ -503,18 +504,19 @@ def compute_dt_classical(state, grid, params, cfl, work=None):
     return cfl * _acoustic_dt(state.v, dp, grid, 0.0, a, b)
 
 
-def _check(state, step_idx, stage):
-    # admissible: every field finite and rho > 0.  A NaN or inf in any field
-    # makes the sum of squares non-finite, and a NaN rho fails the min test,
-    # so an admissible state passes in five reductions.  np.vdot raises no
+def _check(fields, step_idx, stage):
+    # admissible: every array of fields, the ones a stage computed with rho
+    # first, finite and rho > 0.  A NaN or inf in any field makes the sum of
+    # squares non-finite, and a NaN rho fails the min test, so an admissible
+    # stage passes in one reduction per field plus one.  np.vdot raises no
     # floating-point error and Python floats add without one, so a huge but
     # finite state may overflow the sum silently; the exact per-field test
     # below then finds no fault and returns
-    rho, v, s1, s2 = state.rho, state.v, state.s1, state.s2
-    squares = float(np.vdot(rho, rho)) + float(np.vdot(v, v)) + float(np.vdot(s1, s1)) + float(np.vdot(s2, s2))
+    rho = fields[0]
+    squares = sum(float(np.vdot(f, f)) for f in fields)
     if rho.min() > 0.0 and math.isfinite(squares):
         return
-    bad = ~np.isfinite(rho) | ~np.isfinite(v) | ~np.isfinite(s1) | ~np.isfinite(s2)
+    bad = ~np.all([np.isfinite(f) for f in fields], axis=0)
     if np.any(bad):
         cell = int(np.argmax(bad))
         raise NumericalAbort(
@@ -526,17 +528,10 @@ def _check(state, step_idx, stage):
         return
     cell = int(np.argmin(rho))
     raise NumericalAbort(
-        f"rho = {state.rho[cell]:.3g} <= 0 after {stage} at step {step_idx}, cell {cell}",
+        f"rho = {rho[cell]:.3g} <= 0 after {stage} at step {step_idx}, cell {cell}",
         step=step_idx,
         cell=cell,
     )
-
-
-def _pin_stresses(state, grid, params, scratch):
-    # the classical system carries its stresses at their Newtonian values;
-    # scratch is one cell-length array that receives dv/dr
-    equilibrium_stress(state.v, grid, params, out=(state.s1, state.s2, scratch))
-    return state
 
 
 def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, out, work):
@@ -550,7 +545,7 @@ def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, out, work):
         np.multiply(dt, k, out=k)
         np.add(f, k, out=g)
     out.t = state.t
-    _check(out, step_idx, "rk2 stage 1")
+    _check(stage, step_idx, "rk2 stage 1")
     k2 = rhs_nonstiff(out, grid, params, outer_bc, include_production=False, work=work)
     for f, g, k in zip(fields, stage, k2):
         np.add(f, g, out=g)
@@ -558,7 +553,7 @@ def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, out, work):
         np.add(g, k, out=g)
         np.multiply(0.5, g, out=g)
     out.t = state.t + dt
-    _check(out, step_idx, "rk2 stage 2")
+    _check(stage, step_idx, "rk2 stage 2")
     return out
 
 
@@ -590,7 +585,7 @@ def step(state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None, *, 
     _rk2_transport(half, dt, grid, params, cfg.outer_bc, step_idx, out, w)
     if close:
         _relax(out, 0.5 * dt, grid, params, out, w)
-        _check(out, step_idx, "step")
+        _check((out.rho, out.v, out.s1, out.s2), step_idx, "step")
     return out
 
 
@@ -681,14 +676,10 @@ def _step_classical(state, grid, params, cfg, dt, step_idx, out=None, work=None,
     outer_bc = cfg.outer_bc
     bands = _viscous_bands(grid, params, outer_bc, w)
     h = _ARS_GAMMA * dt
-    zero1, zero2 = w.stress
-    zero1.fill(0.0)
-    zero2.fill(0.0)
     rho_acc, v_acc = w.k[2:]
     vstar = w.imex.stage_v
-    stage = State(out.rho, vstar, zero1, zero2, state.t)
 
-    drho, dv = _flow_rows(State(state.rho, state.v, zero1, zero2), grid, params, outer_bc, w)
+    drho, dv = _flow_rows(state.rho, state.v, None, grid, params, outer_bc, w)
     np.multiply(h, drho, out=out.rho)
     np.add(state.rho, out.rho, out=out.rho)
     np.multiply(h, dv, out=vstar)
@@ -697,23 +688,23 @@ def _step_classical(state, grid, params, cfg, dt, step_idx, out=None, work=None,
     np.add(state.rho, rho_acc, out=rho_acc)
     np.multiply(_ARS_DELTA * dt, dv, out=v_acc)
     np.add(state.v, v_acc, out=v_acc)
-    _check(stage, step_idx, "imex stage 1")
+    _check((out.rho, vstar), step_idx, "imex stage 1")
     _implicit_stage(out.rho, vstar, h, bands, w, out.v)
     # (1 - gamma) dt times the stage-1 implicit term (v1 - v*)/h
     np.subtract(out.v, vstar, out=vstar)
     np.multiply((1.0 - _ARS_GAMMA) / _ARS_GAMMA, vstar, out=vstar)
     np.add(v_acc, vstar, out=v_acc)
 
-    drho, dv = _flow_rows(State(out.rho, out.v, zero1, zero2), grid, params, outer_bc, w)
+    drho, dv = _flow_rows(out.rho, out.v, None, grid, params, outer_bc, w)
     np.multiply((1.0 - _ARS_DELTA) * dt, drho, out=drho)
     np.add(rho_acc, drho, out=out.rho)
     np.multiply((1.0 - _ARS_DELTA) * dt, dv, out=dv)
     np.add(v_acc, dv, out=vstar)
-    _check(stage, step_idx, "imex stage 2")
+    _check((out.rho, vstar), step_idx, "imex stage 2")
     _implicit_stage(out.rho, vstar, h, bands, w, out.v)
     out.t = state.t + dt
-    _pin_stresses(out, grid, params, w.cell[0])
-    _check(out, step_idx, "step")
+    equilibrium_stress(out.v, grid, params, out=(out.s1, out.s2, w.cell[0]))
+    _check((out.rho, out.v, out.s1, out.s2), step_idx, "step")
     return out
 
 
@@ -728,8 +719,8 @@ def classical_rhs(state, grid, params, outer_bc=SolverConfig.outer_bc, work=None
     """
     _check_outer_bc(outer_bc)
     w = Workspace(grid) if work is None else work
-    pinned = _pin_stresses(State(state.rho, state.v, *w.stress), grid, params, w.cell[0])
-    drho, dv = _flow_rows(pinned, grid, params, outer_bc, w)
+    stresses = equilibrium_stress(state.v, grid, params, out=(*w.stress, w.cell[0]))
+    drho, dv = _flow_rows(state.rho, state.v, stresses, grid, params, outer_bc, w)
     ds1, ds2 = equilibrium_stress(dv, grid, params, out=(*w.k[2:], w.cell[0]))
     return drho, dv, ds1, ds2
 
@@ -768,7 +759,7 @@ def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs, 
     work = Workspace(grid)
     state = initial.copy()
     spare = _empty_state(grid.n_cells)
-    _check(state, 0, "initial state")
+    _check((state.rho, state.v, state.s1, state.s2), 0, "initial state")
     _record(traj, state, on_snapshot)
 
     pending = None
@@ -834,7 +825,7 @@ def run(initial, grid, params, cfg, output_times=None, on_snapshot=None):
     """
     _check_length(initial, grid)
     if params.tau == 0.0:
-        initial = _pin_stresses(initial.copy(), grid, params, np.empty(grid.n_cells))
+        initial = State(initial.rho, initial.v, *equilibrium_stress(initial.v, grid, params), initial.t)
         rules = (compute_dt_classical, _step_classical, classical_rhs)
     else:
         rules = (compute_dt, step, rhs_full)

@@ -195,10 +195,14 @@ def test_main_run_snapshots_at_n_outputs_times(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy costs about 0.3 s and 28 MiB to import; no run path needs it
+    # scipy costs about 0.3 s and 28 MiB to import; the package depends on
+    # numpy alone, the reduction check's interpolation included
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = "import sys, relaxns.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, relaxns.cli, relaxns.reduction; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

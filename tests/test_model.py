@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,6 +71,8 @@ def test_taylor_potential_examples():
     assert taylor_potential(1.0, FluidParams(gamma=1.7)) == 0.0
     # gamma = 2 closed form (rho - 1)^2
     assert taylor_potential(1.5, FluidParams(gamma=2.0)) == pytest.approx(0.25, rel=1e-14)
+    # the potential of P = a_coef rho^gamma carries a_coef
+    assert taylor_potential(1.5, FluidParams(gamma=2.0, a_coef=3.0)) == 0.75
 
 
 def test_taylor_potential_bracket_oracle():
@@ -178,16 +181,14 @@ def test_initial_velocity_vanishes_at_face(grid, params, bump_cfg):
 
 
 def test_compatibility_residual_scales_with_dr(params, bump_cfg):
-    vals = {}
-    for n in (100, 200):
-        g = RadialGrid(r_max=11.0, n_cells=n)
-        state = make_initial_data(bump_cfg, g, params)
-        vals[n] = compatibility_residual(state, g, params)
     # admissible data keeps the boundary quiet: residual at the tail scale,
-    # far below any dr^2 tolerance
-    for n, v in vals.items():
-        g = RadialGrid(r_max=11.0, n_cells=n)
-        assert v <= 1e-6 * g.dr**2 + 1e-11
+    # far below any dr^2 tolerance, for the relaxed and the classical
+    # (tau = 0) system
+    for p in (params, replace(params, tau=0.0)):
+        for n in (100, 200):
+            g = RadialGrid(r_max=11.0, n_cells=n)
+            state = make_initial_data(bump_cfg, g, p)
+            assert compatibility_residual(state, g, p) <= 1e-6 * g.dr**2 + 1e-11, (p.tau, n)
 
 
 def test_grid_invariants():

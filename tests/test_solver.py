@@ -554,19 +554,19 @@ def test_step_aborts_on_vacuum(grid, params):
 def test_check_passes_a_huge_finite_state(grid):
     # the sum of squares overflows; the exact test finds nothing wrong
     n = grid.n_cells
-    _check(State(np.ones(n), np.zeros(n), np.full(n, 1e200), np.full(n, -1e200)), 4, "rk2 stage 1")
+    _check((np.ones(n), np.zeros(n), np.full(n, 1e200), np.full(n, -1e200)), 4, "rk2 stage 1")
 
 
 def test_check_raises_no_floating_point_error(grid):
     # the sum of squares of a huge finite state overflows silently, under any
     # numpy error state
     n = grid.n_cells
-    state = State(np.ones(n), np.full(n, 1e200), np.full(n, 1e200), np.full(n, -1e200))
+    fields = (np.ones(n), np.full(n, 1e200), np.full(n, 1e200), np.full(n, -1e200))
     with np.errstate(all="raise"):
-        _check(state, 4, "rk2 stage 1")
-        state.s2[3] = np.inf
+        _check(fields, 4, "rk2 stage 1")
+        fields[3][3] = np.inf
         with pytest.raises(NumericalAbort, match="^non-finite field after rk2 stage 1 at step 4, cell 3$"):
-            _check(state, 4, "rk2 stage 1")
+            _check(fields, 4, "rk2 stage 1")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -576,7 +576,7 @@ def test_check_names_the_non_finite_cell(grid, name, value):
         state = equilibrium_state(grid.n_cells)
         getattr(state, name)[cell] = value
         with pytest.raises(NumericalAbort) as err:
-            _check(state, 7, "rk2 stage 2")
+            _check((state.rho, state.v, state.s1, state.s2), 7, "rk2 stage 2")
         assert str(err.value) == f"non-finite field after rk2 stage 2 at step 7, cell {cell}"
         assert err.value.step == 7 and err.value.cell == cell
 
@@ -587,9 +587,36 @@ def test_check_names_the_non_positive_density(grid, value, text):
         state = equilibrium_state(grid.n_cells)
         state.rho[cell] = value
         with pytest.raises(NumericalAbort) as err:
-            _check(state, 2, "step")
+            _check((state.rho, state.v, state.s1, state.s2), 2, "step")
         assert str(err.value) == f"rho = {text} <= 0 after step at step 2, cell {cell}"
         assert err.value.step == 2 and err.value.cell == cell
+
+
+def test_classical_stage_checks_name_the_cell():
+    # the ARS stages check the density and stage velocity they computed; the
+    # input stresses, which the classical step ignores, are not checked
+    grid = RadialGrid(r_max=21.0, n_cells=200)
+    p = FluidParams(tau=0.0)
+    n = grid.n_cells
+    rho = np.ones(n)
+    rho[40:60] = 1e-3
+    state = State(rho, np.zeros(n), np.zeros(n), np.zeros(n))
+    with pytest.raises(NumericalAbort) as err:
+        _step_classical(state, grid, p, SolverConfig(), 5.0, 3)
+    assert str(err.value) == "rho = -0.491 <= 0 after imex stage 1 at step 3, cell 39"
+    assert err.value.step == 3 and err.value.cell == 39
+    state = equilibrium_state(n)
+    state.v[50] = np.nan
+    with pytest.raises(NumericalAbort) as err:
+        _step_classical(state, grid, p, SolverConfig(), 1e-3, 3)
+    # the mass flux carries the NaN to cell 49
+    assert str(err.value) == "non-finite field after imex stage 1 at step 3, cell 49"
+    assert err.value.step == 3 and err.value.cell == 49
+    state = equilibrium_state(n)
+    state.s1[:] = np.nan
+    state.s2[:] = np.inf
+    stepped = _step_classical(state, grid, p, SolverConfig(), 1e-3, 3)
+    assert np.array_equal(stepped.s1, np.zeros(n)) and np.array_equal(stepped.s2, np.zeros(n))
 
 
 def test_classical_equilibrium_stationary(grid):
