@@ -251,12 +251,13 @@ def _write_snapshot_job(state, grid, path):
     write_snapshot(state, grid, path)
 
 
-def _step_stats(dt_history):
-    """The manifest's step count and dt {min, mean, max} (null without steps)."""
-    n = len(dt_history)
-    if n == 0:
-        return {"steps": 0, "dt": {"min": None, "mean": None, "max": None}}
-    return {"steps": n, "dt": {"min": min(dt_history), "mean": math.fsum(dt_history) / n, "max": max(dt_history)}}
+def _step_stats(traj):
+    """The manifest's step rule ("imex" or "strang"), step count and dt
+    {min, mean, max} (null without steps)."""
+    dts = traj.dt_history
+    n = len(dts)
+    dt = {"min": min(dts), "mean": math.fsum(dts) / n, "max": max(dts)} if n else dict.fromkeys(("min", "mean", "max"))
+    return {"stepper": traj.stepper, "steps": n, "dt": dt}
 
 
 def _run_and_emit(args, config, say, summarize=None):
@@ -316,7 +317,7 @@ def _run_and_emit(args, config, say, summarize=None):
         say(f"warning: {w}")
     if summarize is not None:
         _write_report(out_dir / "energy_report.txt", summarize(traj, series), say)
-    finish(traj.warnings, **_step_stats(traj.dt_history))
+    finish(traj.warnings, **_step_stats(traj))
     return 0
 
 

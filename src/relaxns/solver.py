@@ -8,8 +8,9 @@ Method of lines on the cell-centered mesh with two ghost cells per side:
   walls conserve it to rounding;
 * first-order upwind convection for v dv/dr and (v - eps) ds/dr, second-order
   central differences for the pressure and stress gradients;
-* SSP-RK2 for the transport part, Strang-composed with the exact
-  exponential relaxation substep.
+* in time, one of two step rules per run: explicit Strang (SSP-RK2 for the
+  transport part, Strang-composed with the exact exponential relaxation
+  substep), or ARS(2,2,2) IMEX, with the stiff terms implicit.
 
 The substep solves ds/dt = (eq - s)/(tau rho) with rho, v held fixed, which is
 the exact flow of the relaxation operator, so the composition stays stable for
@@ -25,55 +26,67 @@ dt_n+1 can be computed before step n is closed because the dt rules read only
 rho and v, which the relaxation leaves unchanged: the steps are the same
 whether or not the relaxation is fused.
 
-The classical baseline, which run integrates at tau = 0, carries mass and
-momentum; its stresses are not unknowns but the Newtonian values eq(v).  It
-shares every spatial operator with the relaxed path, and it steps with
-ARS(2,2,2), the stiffly accurate IMEX Runge-Kutta scheme of Ascher, Ruuth &
-Spiteri (APNUM 25 (1997) 151; Pareschi & Russo, J. Sci. Comput. 25 (2005)
-129), gamma = 1 - 1/sqrt(2): the mass row, convection and pressure are
-explicit, and the viscous momentum term (2/3 ds1/dr + 2 s1/r + ds2/dr)/rho at
-s = eq(v) is implicit.  The explicit part is _flow_rows without the stress
-divergence.  The implicit part is V v / rho with V linear and pentadiagonal
-(eq(v) takes central differences of v, and the momentum row central
-differences of eq(v)); its five bands are probed through the same stress
-closure, once per workspace and (mu, lambda, outer_bc).  Each stage gets rho
-from its explicit part, so the stage is linear in v,
-(diag(rho) - h V) v = rho v*, h = gamma dt, and one banded elimination
-without pivoting solves it.  The step is the acoustic CFL step alone: the
-viscous operator, of spectral radius K/(rho dr^2), K = 4 mu/3 + lambda, sets
-no bound on the implicit part, which is L-stable.  That step is about
-K / (rho c dr) times the explicit parabolic bound dr^2 rho_min / K, c the
-sound speed (about 79 at n = 800 and rho = 1: a run to t = 1 takes 122 steps,
-not 9405); each costs two banded solves in Python floats, about 0.75 ms each
-at n = 800.
-
-The relaxed step is the larger of the fast-wave CFL step,
+The explicit relaxed step is the larger of the fast-wave CFL step,
 cfl dr / max_char_speed, and the explicit classical step with its acoustic
 cap widened by the stress transport speed: cfl min(dr / max(|v| + sqrt(P'),
-|v - eps|), dr^2 rho_min / K).  Linearized per Fourier mode of wave number
-sigma <= 1/dr, the stiff coupling of v and the stresses over one Strang step
-is a 2x2 map with det = exp(-dt/(tau rho)), stable iff
+|v - eps|), dr^2 rho_min / K), K = 4 mu/3 + lambda.  Linearized per Fourier
+mode of wave number sigma <= 1/dr, the stiff coupling of v and the stresses
+over one Strang step is a 2x2 map with det = exp(-dt/(tau rho)), stable iff
 
     dt K sigma^2 / rho <= 2 coth(dt / (2 tau rho)),
 
 and since coth(x) >= max(1, 1/x) both steps lie in that region (the
 Stormer-Verlet, or asymptotic-preserving, argument: Hairer, Lubich & Wanner,
-Acta Numerica 12 (2003) 399; Jin, SISC 21 (1999) 441).  At eps = 0 the
-relaxed step is never smaller than the explicit classical step of the same
-state, so below tau of about dr^2 rho / K a run steps at that step, where the
-fast-wave step alone would shrink like sqrt(tau).  There its distance to the
-baseline is the Strang step's first-order stiff-limit error, which falls with
-dt, not tau.
+Acta Numerica 12 (2003) 399; Jin, SISC 21 (1999) 441).  Below tau of about
+dr^2 rho / K (2.7e-4 at n = 800) the fast-wave step falls under the
+parabolic cap cfl dr^2 rho_min / K, and Strang would step at the cap, where
+its distance to the baseline is its first-order stiff-limit error, which
+falls with dt, not tau.  run steps such runs with ARS(2,2,2) instead.
 
-Both systems run through run, which alone picks the classical rules at
-tau = 0 (run_classical is run at tau = 0), and one driver, _advance.  They
-differ only in three module-level rules with one signature per role: the CFL
-step dt_rule(state, grid, params, cfl, work=) (compute_dt,
+ARS(2,2,2) is the stiffly accurate IMEX Runge-Kutta scheme of Ascher, Ruuth
+& Spiteri (APNUM 25 (1997) 151; Pareschi & Russo, J. Sci. Comput. 25 (2005)
+129), gamma = 1 - 1/sqrt(2), one step for every tau >= 0.  The mass row,
+convection, pressure and the stress transport (v - eps) ds/dr are explicit:
+_flow_rows without the stress divergence, and _stress_rows.  The momentum
+stress divergence G s / rho, G s = 2/3 ds1/dr + 2 s1/r + ds2/dr, and the
+relaxation (eq(v) - s)/(tau rho) are implicit.  Each stage gets rho from its
+explicit part, so the stage is linear in (v, s) and the stress rows solve
+for s = a s* + W eq(v), a = tau rho/(tau rho + h), W = h/(tau rho + h),
+h = gamma dt.  One pentadiagonal system in v is left,
+(diag(rho) - h G W E) v = rho v* + h G(a s*), E = eq (eq(v) takes central
+differences of v, and the momentum row central differences of the
+stresses); its five bands are probed through the same stress closure, and
+one banded elimination without pivoting solves it.  The stage-1 implicit
+terms are recovered as (U1 - U*)/h, and nothing is divided by tau, so the
+step is the same at tau = 1e-300 as at tau = 0 to rounding: it is
+asymptotic-preserving (Jin, SISC 21 (1999) 441), its distance to the
+baseline falls like tau.  The baseline (tau = 0) carries mass and momentum
+only; its stresses are not unknowns but the Newtonian values eq(v).  There
+a = 0 and W = 1, the system is (diag(rho) - h V) v = rho v* with the
+viscous operator V = G E, whose bands depend on the grid, mu, lambda and
+the closure only, so they are probed once per workspace.  At tau > 0, W
+changes with each stage's rho, and the bands are probed per stage.  The
+step is the acoustic CFL step with the stress transport speed,
+cfl dr / max(|v| + sqrt(P'), |v - eps|), eps counted only at tau > 0: the
+stiff terms, of spectral radius up to K/(rho dr^2) and the fast stress
+wave's speed, set no bound on the implicit part, which is L-stable.  That
+step is about K / (rho c dr) times the parabolic bound dr^2 rho_min / K, c
+the sound speed (about 79 at n = 800 and rho = 1: a run to t = 1 takes 122
+steps, not 9405); each costs two banded solves in Python floats, about
+0.75 ms each at n = 800.
+
+run alone picks the step rule: ARS(2,2,2) at tau = 0 (run_classical is run
+at tau = 0), and at every tau > 0 where explicit Strang's step would be the
+parabolic cap at the initial state (_strang_bounds, the test compute_dt
+makes); explicit Strang elsewhere.  Both rules run through one driver,
+_advance, and differ only in three module-level rules with one signature per
+role: the CFL step dt_rule(state, grid, params, cfl, work=) (compute_dt,
 compute_dt_classical), the step step_rule(state, grid, params, cfg, dt,
 step_idx, out=, work=, owed=, close=) (step, _step_classical, which owes
 nothing) and the right-hand side rhs(state, grid, params, outer_bc)
-(rhs_full, classical_rhs).  _advance records only the snapshots and the step
-sizes; readers derive the rest from the snapshots and the Trajectory's rhs.
+(rhs_full, classical_rhs at tau = 0).  _advance records only the snapshots,
+the step sizes and the step rule's name ("imex" or "strang"); readers derive
+the rest from the snapshots and the Trajectory's rhs.
 
 The driver builds one Workspace per run, sized from the grid, and the dt rule
 and every stage compute into its buffers with out= ufuncs; two State buffers
@@ -133,6 +146,7 @@ class SolverConfig:
 class Trajectory:
     outer_bc: str
     rhs: object  # the right-hand side of the run's system: rhs_full or classical_rhs
+    stepper: str  # the step rule that ran: "imex" (ARS(2,2,2)) or "strang"
     snapshots: list = field(default_factory=list)
     dt_history: list = field(default_factory=list)
 
@@ -180,20 +194,27 @@ class Workspace:
 
     @cached_property
     def imex(self):
-        # the classical step's buffers, made on its first use so that a
-        # relaxed run does not hold them
+        # the ARS step's buffers, made on its first use so that a run that
+        # steps with Strang does not hold them
         return _ImexBuffers(self.k[0].size)
 
 
 class _ImexBuffers:
-    # the bands of the classical step's viscous operator, for the
-    # (mu, lambda, outer_bc) of key; the explicit stage velocity; and the
-    # stage solve's diagonal, right-hand side and factor rows
+    # the bands of the implicit stage's operator, which are those of the
+    # classical viscous operator for the (mu, lambda, outer_bc) of key (None
+    # when they are not); the explicit stage values of v and of the
+    # stresses; the accumulators of rho, v, s1, s2; the stage solve's
+    # diagonal, right-hand side and factor rows; the relaxed stage's a and W
+    # (see _relaxed_implicit_stage); and its load G(a s*)
     def __init__(self, n):
         self.bands = tuple(np.empty(n) for _ in range(5))
         self.key = None
         self.stage_v = np.empty(n)
+        self.stage_s = (np.empty(n), np.empty(n))
+        self.acc = tuple(np.empty(n) for _ in range(4))
         self.solve = tuple(np.empty(n) for _ in range(4))
+        self.relax = (np.empty(n), np.empty(n))
+        self.load = np.empty(n)
 
 
 def _empty_state(n):
@@ -357,10 +378,11 @@ def _stress_divergence(acc, s1, s2, grid, outer_bc, w):
     return acc
 
 
-def _stress_rows(state, grid, params, w):
+def _stress_rows(v, grid, params, w):
     # the stress transport at speed v - eps into w.k[2:], returned; it reads
-    # what _flow_rows, called on the same state and workspace, left in w.  At
-    # eps = 0 the speed is v itself, whose upwind split is already there
+    # the stresses' ghost-augmented arrays in w.ghost[:2] and what _flow_rows,
+    # called on the same v and workspace, left in w.  At eps = 0 the speed is
+    # v itself, whose upwind split is already there
     n, dr = grid.n_cells, grid.dr
     s1_e, s2_e = w.ghost[:2]
     flux, speed = w.face[:2]
@@ -368,7 +390,7 @@ def _stress_rows(state, grid, params, w):
     ds1, ds2 = w.k[2:]
     tmp = speed[:n]
     if params.eps != 0.0:
-        np.subtract(state.v, params.eps, out=hi)
+        np.subtract(v, params.eps, out=hi)
         _upwind_split(hi, dr, lo, hi)
     _upwind_into(ds1, lo, hi, s1_e, flux, tmp)
     _upwind_into(ds2, lo, hi, s2_e, flux, tmp)
@@ -388,7 +410,7 @@ def rhs_nonstiff(state, grid, params, outer_bc=SolverConfig.outer_bc, include_pr
     _check_outer_bc(outer_bc)
     w = Workspace(grid) if work is None else work
     _flow_rows(state.rho, state.v, (state.s1, state.s2), grid, params, outer_bc, w)
-    ds1, ds2 = _stress_rows(state, grid, params, w)
+    ds1, ds2 = _stress_rows(state.v, grid, params, w)
     if include_production:
         grad, lo, hi = w.cell
         eq1, eq2 = equilibrium_stress(state.v, grid, params, out=(lo, hi, w.face[1][: grid.n_cells]))
@@ -466,6 +488,18 @@ def _acoustic_dt(v, dp, grid, eps, c, speed):
     return grid.dr / float(speed.max())
 
 
+def _strang_bounds(state, grid, params, cfl, work=None):
+    # (fast, cap, dp, a, b): the fast-wave CFL step cfl dr / max_char_speed;
+    # the parabolic cap cfl dr^2 rho_min / K when it exceeds fast, else None;
+    # and P' with two scratch arrays, from _dt_scratch.  The cap binds, and
+    # the explicit relaxed step stops growing with tau, exactly when it is
+    # not None: compute_dt and run's choice of step rule both ask here
+    dp, a, b = _dt_scratch(state, params, work)
+    fast = cfl * grid.dr / weyl_speed_bound(state.rho, state.v, dp, params, out=(a, b))
+    cap = cfl * _viscous_dt(state, grid, params)
+    return fast, (cap if cap > fast else None), dp, a, b
+
+
 def compute_dt(state, grid, params, cfl, work=None):
     """The larger of the fast-wave CFL step and the explicit classical step.
 
@@ -485,23 +519,24 @@ def compute_dt(state, grid, params, cfl, work=None):
     work.k and nothing of the grid's length is allocated.
     """
     _refuse_tau_zero("compute_dt", params, "compute_dt_classical")
-    dp, a, b = _dt_scratch(state, params, work)
-    fast = cfl * grid.dr / weyl_speed_bound(state.rho, state.v, dp, params, out=(a, b))
-    viscous = _viscous_dt(state, grid, params)
-    if cfl * viscous <= fast:
+    fast, cap, dp, a, b = _strang_bounds(state, grid, params, cfl, work)
+    if cap is None:
         return fast
-    return max(fast, cfl * min(_acoustic_dt(state.v, dp, grid, params.eps, a, b), viscous))
+    return max(fast, min(cfl * _acoustic_dt(state.v, dp, grid, params.eps, a, b), cap))
 
 
 def compute_dt_classical(state, grid, params, cfl, work=None):
-    """The baseline's acoustic CFL step, cfl dr / max(|v| + sqrt(P')).
+    """The ARS(2,2,2) step's CFL step, cfl dr / max(|v| + sqrt(P'), |v - eps|).
 
-    The viscous term is implicit in the baseline's IMEX step, so it sets no
-    bound.  rho > 0 is not tested, as in compute_dt.  With work= the sound
-    speed is computed in work.k.
+    The baseline (tau = 0) carries no stresses, so there it is the acoustic
+    step cfl dr / max(|v| + sqrt(P')) whatever eps is; a relaxed run that
+    steps with ARS(2,2,2) counts the stress transport speed |v - eps| too.
+    The stiff terms are implicit, so neither the viscous bound nor the fast
+    stress wave bounds it.  rho > 0 is not tested, as in compute_dt.  With
+    work= the speeds are computed in work.k.
     """
     dp, a, b = _dt_scratch(state, params, work)
-    return cfl * _acoustic_dt(state.v, dp, grid, 0.0, a, b)
+    return cfl * _acoustic_dt(state.v, dp, grid, params.eps if params.tau > 0.0 else 0.0, a, b)
 
 
 def _check(fields, step_idx, stage):
@@ -594,30 +629,37 @@ _ARS_GAMMA = 1.0 - math.sqrt(0.5)
 _ARS_DELTA = 1.0 - 0.5 / _ARS_GAMMA
 
 
-def _viscous_term(v, grid, params, outer_bc, w, out):
-    # out <- V v, the viscous momentum term times rho at the stresses eq(v);
-    # out is none of w.stress, w.cell[0], w.ghost[:2] and w.face[1]
+def _viscous_term(v, grid, params, outer_bc, w, out, weight=None):
+    # out <- G W E v: E = eq, G the stress divergence (times rho) of the
+    # momentum row, W = diag(weight), or 1 when weight is None, where it is V
+    # v, the viscous momentum term times rho at the stresses eq(v).  out is
+    # none of w.stress, w.cell[0], w.ghost[:2] and w.face[1]
     s1, s2 = equilibrium_stress(v, grid, params, out=(*w.stress, w.cell[0]))
+    if weight is not None:
+        np.multiply(weight, s1, out=s1)
+        np.multiply(weight, s2, out=s2)
     out.fill(0.0)
     return _stress_divergence(out, s1, s2, grid, outer_bc, w)
 
 
-def _viscous_bands(grid, params, outer_bc, w):
-    # the bands (V[i, i-2], V[i, i-1], V[i, i], V[i, i+1], V[i, i+2]) of the
-    # pentadiagonal V at row i, entries outside the matrix 0.  V couples cells
-    # at most two apart, so the comb c_k, 1 at the cells j = k mod 5, meets
-    # each row's stencil at one cell, and (V c_k)[i] is V[i, j] there: five
-    # probes give every band, through the one stress closure.  V depends on
-    # the grid, mu, lambda and the closure only, so w.imex keeps it
+def _viscous_bands(grid, params, outer_bc, w, weight=None):
+    # the bands (A[i, i-2], A[i, i-1], A[i, i], A[i, i+1], A[i, i+2]) of the
+    # pentadiagonal A = G W E of _viscous_term at row i, entries outside the
+    # matrix 0.  A couples cells at most two apart, so the comb c_k, 1 at the
+    # cells j = k mod 5, meets each row's stencil at one cell, and (A c_k)[i]
+    # is A[i, j] there: five probes give every band, through the one stress
+    # closure.  V = G E depends on the grid, mu, lambda and the closure only,
+    # so w.imex keeps it; a weight changes with each stage's rho, so G W E is
+    # probed on every call
     imex = w.imex
-    key = (params.mu, params.lambda_, outer_bc)
-    if imex.key == key:
+    key = (params.mu, params.lambda_, outer_bc) if weight is None else None
+    if key is not None and imex.key == key:
         return imex.bands
     comb, probe = w.k[:2]
     for k in range(5):
         comb.fill(0.0)
         comb[k::5] = 1.0
-        _viscous_term(comb, grid, params, outer_bc, w, probe)
+        _viscous_term(comb, grid, params, outer_bc, w, probe, weight)
         for offset, band in zip(range(-2, 3), imex.bands):
             rows = slice((k - offset) % 5, None, 5)
             band[rows] = probe[rows]
@@ -657,53 +699,110 @@ def _solve_pentadiagonal(lo2, lo1, diag, up1, up2, f, x, u0, u1):
     return x
 
 
-def _implicit_stage(rho, vstar, h, bands, w, out):
-    # out <- v solving v = vstar + h V v / rho, as (V - diag(rho/h)) v =
-    # -(rho/h) vstar
+def _implicit_stage(rho, vstar, h, bands, w, out, load=None):
+    # out <- v solving rho v = rho vstar + h (A v + load), A the matrix of
+    # bands, as (A - diag(rho/h)) v = -(rho/h) vstar - load; no load is 0
     diag, f, u0, u1 = w.imex.solve
     np.divide(rho, -h, out=f)
     np.add(bands[2], f, out=diag)
     np.multiply(f, vstar, out=f)
+    if load is not None:
+        np.subtract(f, load, out=f)
     return _solve_pentadiagonal(bands[0], bands[1], diag, bands[3], bands[4], f, out, u0, u1)
 
 
+def _relaxed_implicit_stage(rho, vstar, sstar, h, grid, params, outer_bc, w, out):
+    # out.v, out.s1, out.s2 <- the implicit part of a relaxed ARS stage at
+    # the stage density rho, with the explicit stage values vstar and
+    # sstar = (s1*, s2*):
+    #   rho v = rho v* + h G s,   s = s* + h (eq(v) - s) / (tau rho).
+    # The second is s = a s* + W eq(v), a = tau rho / (tau rho + h),
+    # W = h / (tau rho + h), and eliminating s leaves one pentadiagonal
+    # system, (diag(rho) - h G W E) v = rho v* + h G(a s*).  Nothing is
+    # divided by tau: as tau -> 0, a -> 0 and W -> 1, the classical stage
+    imex = w.imex
+    keep, weight = imex.relax
+    np.multiply(params.tau, rho, out=keep)
+    np.add(keep, h, out=weight)
+    np.divide(keep, weight, out=keep)
+    np.divide(h, weight, out=weight)
+    bands = _viscous_bands(grid, params, outer_bc, w, weight)
+    kept = w.stress  # a s*; the probes are done with w.stress
+    for s, k in zip(sstar, kept):
+        np.multiply(keep, s, out=k)
+    load = imex.load
+    load.fill(0.0)
+    _stress_divergence(load, *kept, grid, outer_bc, w)
+    _implicit_stage(rho, vstar, h, bands, w, out.v, load)
+    equilibrium_stress(out.v, grid, params, out=(out.s1, out.s2, w.cell[0]))
+    for s, k in zip((out.s1, out.s2), kept):
+        np.multiply(weight, s, out=s)
+        np.add(k, s, out=s)
+
+
+def _explicit_rows(rho, v, stresses, grid, params, outer_bc, w):
+    # the explicit rows of an ARS stage into w.k, returned: mass, and
+    # momentum without the stress divergence; given the stresses, also
+    # their transport at speed v - eps
+    rows = _flow_rows(rho, v, None, grid, params, outer_bc, w)
+    if stresses is None:
+        return rows
+    for s, g in zip(stresses, w.ghost):
+        _fill_ghosts(s, g, False, outer_bc)
+    return rows + _stress_rows(v, grid, params, w)
+
+
+def _implicit(rho, star, h, grid, params, outer_bc, w, out):
+    # the implicit part of an ARS stage from its stage values star: out.v
+    # alone at tau = 0, where the stresses are eq(v), else out.v and the
+    # stresses
+    if params.tau > 0.0:
+        _relaxed_implicit_stage(rho, star[1], star[2:], h, grid, params, outer_bc, w, out)
+    else:
+        _implicit_stage(rho, star[1], h, _viscous_bands(grid, params, outer_bc, w), w, out.v)
+
+
 def _step_classical(state, grid, params, cfg, dt, step_idx, out=None, work=None, *, owed=0.0, close=True):
-    # one ARS(2,2,2) step, see the module docstring; owed and close are
-    # step's, and a classical step owes nothing.  The stage-1 implicit term,
-    # needed by stage 2, is (v1 - v*)/h, not a second operator call
+    # one ARS(2,2,2) step of the system at params.tau, see the module
+    # docstring; owed and close are step's, and an ARS step owes nothing.
+    # At tau = 0 it steps (rho, v), ignores the state's stresses and ends on
+    # eq(v); at tau > 0 it steps all four fields.  The stage-1 implicit
+    # terms, needed by stage 2, are (U1 - U*)/h, not a second operator call
     w = Workspace(grid) if work is None else work
     out = _empty_state(grid.n_cells) if out is None else out
     outer_bc = cfg.outer_bc
-    bands = _viscous_bands(grid, params, outer_bc, w)
+    imex = w.imex
+    relaxed = params.tau > 0.0
     h = _ARS_GAMMA * dt
-    rho_acc, v_acc = w.k[2:]
-    vstar = w.imex.stage_v
+    m = 4 if relaxed else 2
+    # the stage values U* (out.rho is the stage density) and the
+    # accumulators of the stage-2 explicit part
+    star = (out.rho, imex.stage_v, *imex.stage_s)[:m]
+    acc = imex.acc[:m]
 
-    drho, dv = _flow_rows(state.rho, state.v, None, grid, params, outer_bc, w)
-    np.multiply(h, drho, out=out.rho)
-    np.add(state.rho, out.rho, out=out.rho)
-    np.multiply(h, dv, out=vstar)
-    np.add(state.v, vstar, out=vstar)
-    np.multiply(_ARS_DELTA * dt, drho, out=rho_acc)
-    np.add(state.rho, rho_acc, out=rho_acc)
-    np.multiply(_ARS_DELTA * dt, dv, out=v_acc)
-    np.add(state.v, v_acc, out=v_acc)
-    _check((out.rho, vstar), step_idx, "imex stage 1")
-    _implicit_stage(out.rho, vstar, h, bands, w, out.v)
-    # (1 - gamma) dt times the stage-1 implicit term (v1 - v*)/h
-    np.subtract(out.v, vstar, out=vstar)
-    np.multiply((1.0 - _ARS_GAMMA) / _ARS_GAMMA, vstar, out=vstar)
-    np.add(v_acc, vstar, out=v_acc)
+    rows = _explicit_rows(state.rho, state.v, (state.s1, state.s2) if relaxed else None, grid, params, outer_bc, w)
+    for f, k, u, a in zip((state.rho, state.v, state.s1, state.s2), rows, star, acc):
+        np.multiply(h, k, out=u)
+        np.add(f, u, out=u)
+        np.multiply(_ARS_DELTA * dt, k, out=a)
+        np.add(f, a, out=a)
+    _check(star, step_idx, "imex stage 1")
+    _implicit(out.rho, star, h, grid, params, outer_bc, w, out)
+    # (1 - gamma) dt times the stage-1 implicit terms (U1 - U*)/h
+    for u1, u, a in zip((out.v, out.s1, out.s2), star[1:], acc[1:]):
+        np.subtract(u1, u, out=u)
+        np.multiply((1.0 - _ARS_GAMMA) / _ARS_GAMMA, u, out=u)
+        np.add(a, u, out=a)
 
-    drho, dv = _flow_rows(out.rho, out.v, None, grid, params, outer_bc, w)
-    np.multiply((1.0 - _ARS_DELTA) * dt, drho, out=drho)
-    np.add(rho_acc, drho, out=out.rho)
-    np.multiply((1.0 - _ARS_DELTA) * dt, dv, out=dv)
-    np.add(v_acc, dv, out=vstar)
-    _check((out.rho, vstar), step_idx, "imex stage 2")
-    _implicit_stage(out.rho, vstar, h, bands, w, out.v)
+    rows = _explicit_rows(out.rho, out.v, (out.s1, out.s2) if relaxed else None, grid, params, outer_bc, w)
+    for k, u, a in zip(rows, star, acc):
+        np.multiply((1.0 - _ARS_DELTA) * dt, k, out=k)
+        np.add(a, k, out=u)
+    _check(star, step_idx, "imex stage 2")
+    _implicit(out.rho, star, h, grid, params, outer_bc, w, out)
     out.t = state.t + dt
-    equilibrium_stress(out.v, grid, params, out=(out.s1, out.s2, w.cell[0]))
+    if not relaxed:
+        equilibrium_stress(out.v, grid, params, out=(out.s1, out.s2, w.cell[0]))
     _check((out.rho, out.v, out.s1, out.s2), step_idx, "step")
     return out
 
@@ -738,12 +837,13 @@ def _record(traj, state, on_snapshot):
         on_snapshot(snap)
 
 
-def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs, on_snapshot=None):
+def _advance(initial, grid, params, cfg, output_times, stepper, dt_rule, step_rule, rhs, on_snapshot=None):
     # the one driver: dt_rule(state, grid, params, cfl, work=) proposes the
     # step, step_rule(state, grid, params, cfg, dt, step_idx, out=, work=,
     # owed=, close=) takes it, and rhs(state, grid, params, outer_bc) is
-    # stored, unevaluated, in the Trajectory; on_snapshot, if given, is called
-    # with each snapshot as it is recorded.  Two State buffers take turns as
+    # stored, unevaluated, in the Trajectory with the step rule's name
+    # stepper; on_snapshot, if given, is called with each snapshot as it is
+    # recorded.  initial has passed run's admissibility check.  Two State buffers take turns as
     # the step's input and output, and one Workspace serves the dt rule and
     # every stage (its k rows are free between steps), so a step allocates no
     # field.  A step is closed only when it ends on a snapshot or at t_end;
@@ -755,11 +855,10 @@ def _advance(initial, grid, params, cfg, output_times, dt_rule, step_rule, rhs, 
         output_times = cfg.snapshot_times()
     horizon = max(t_end, 1.0)
     tol = _TIME_EPS * horizon
-    traj = Trajectory(outer_bc=cfg.outer_bc, rhs=rhs)
+    traj = Trajectory(outer_bc=cfg.outer_bc, rhs=rhs, stepper=stepper)
     work = Workspace(grid)
     state = initial.copy()
     spare = _empty_state(grid.n_cells)
-    _check((state.rho, state.v, state.s1, state.s2), 0, "initial state")
     _record(traj, state, on_snapshot)
 
     pending = None
@@ -813,7 +912,12 @@ def run(initial, grid, params, cfg, output_times=None, on_snapshot=None):
     At tau = 0 this is the classical baseline (mass + Newtonian momentum):
     the stresses of initial are ignored, and start, and stay, at their
     Newtonian values, so trajectories from both systems share one format.
-    An initial state not of the grid's length is refused with a ValueError.
+    The run steps with ARS(2,2,2) at tau = 0 and wherever explicit Strang's
+    step would be the parabolic cap cfl dr^2 rho_min / K at the initial
+    state, and with explicit Strang otherwise; traj.stepper names the rule
+    ("imex" or "strang").  An initial state not of the grid's length is
+    refused with a ValueError, and one that is not admissible (a non-finite
+    value, rho <= 0) with a NumericalAbort.
     Snapshots are taken every cfg.output_every steps plus the final time, or
     exactly at the requested output_times (the step size is clipped to land
     on them, so sweeps share a common snapshot grid without interpolation).
@@ -824,11 +928,14 @@ def run(initial, grid, params, cfg, output_times=None, on_snapshot=None):
     snapshot to its writer process this way, so an aborted run leaves them.
     """
     _check_length(initial, grid)
-    if params.tau == 0.0:
+    classical = params.tau == 0.0
+    if classical:
         initial = State(initial.rho, initial.v, *equilibrium_stress(initial.v, grid, params), initial.t)
-        rules = (compute_dt_classical, _step_classical, classical_rhs)
+    _check((initial.rho, initial.v, initial.s1, initial.s2), 0, "initial state")
+    if classical or _strang_bounds(initial, grid, params, cfg.cfl)[1] is not None:
+        rules = ("imex", compute_dt_classical, _step_classical, classical_rhs if classical else rhs_full)
     else:
-        rules = (compute_dt, step, rhs_full)
+        rules = ("strang", compute_dt, step, rhs_full)
     return _advance(initial, grid, params, cfg, output_times, *rules, on_snapshot)
 
 

@@ -605,19 +605,19 @@ SMALL_CFG = (
 
 
 def test_abort_leaves_the_snapshots_recorded_before_it(tmp_path, capsys, monkeypatch):
-    cfg = write_cfg(tmp_path, SMALL_CFG)
+    # the parabolic cap binds on this grid, so run steps with ARS(2,2,2),
+    # 16 steps to t = 0.8
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("t_end = 0.2\n", "t_end = 0.8\n"))
     full = tmp_path / "full"
     assert main(["run", "--config", cfg, "--out", str(full), "--quiet"]) == 0
-    real_step = solver.step
+    real_step = solver._step_classical
 
-    def step_aborting_at_12(
-        state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None, *, owed=0.0, close=True
-    ):
+    def step_aborting_at_12(state, grid, params, cfg, dt, step_idx, out=None, work=None, *, owed=0.0, close=True):
         if step_idx == 12:
             raise NumericalAbort("forced abort", step=step_idx)
         return real_step(state, grid, params, cfg, dt, step_idx, out=out, work=work, owed=owed, close=close)
 
-    monkeypatch.setattr(solver, "step", step_aborting_at_12)
+    monkeypatch.setattr(solver, "_step_classical", step_aborting_at_12)
     outs = [tmp_path / "a1", tmp_path / "a2"]
     for out in outs:
         assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 3
@@ -635,7 +635,8 @@ def test_abort_leaves_the_snapshots_recorded_before_it(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("dt", [0.0, math.nan], ids=["zero", "nan"])
 def test_collapsed_time_step_aborts_leaving_the_first_snapshot(tmp_path, capsys, monkeypatch, dt):
-    monkeypatch.setattr(solver, "compute_dt", lambda state, grid, params, cfl, work=None: dt)
+    # the dt rule of the ARS(2,2,2) step, which run selects for this config
+    monkeypatch.setattr(solver, "compute_dt_classical", lambda state, grid, params, cfl, work=None: dt)
     out = tmp_path / "o"
     assert main(["run", "--config", write_cfg(tmp_path, SMALL_CFG), "--out", str(out), "--quiet"]) == 3
     assert capsys.readouterr().err == f"numerical abort: time step collapsed to {dt:.3g} at t = 0\n"
@@ -679,6 +680,19 @@ def test_manifest_records_step_statistics(tmp_path, command, text, integrate):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["steps"] == len(dts) > 0
     assert manifest["dt"] == {"min": min(dts), "mean": math.fsum(dts) / len(dts), "max": max(dts)}
+
+
+@pytest.mark.parametrize(
+    "command, text, want",
+    [("run", CRITERION_10_CFG, "strang"), ("run-classical", CLASSICAL_CFG, "imex"), ("energy-report", SMALL_CFG, "imex")],
+    ids=["run", "run-classical", "energy-report"],
+)
+def test_manifest_records_the_step_rule(tmp_path, command, text, want):
+    # SMALL_CFG's grid is coarse enough that the parabolic cap binds at
+    # tau 1e-2, so it steps with ARS(2,2,2) as the baseline does
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["stepper"] == want
 
 
 def test_manifest_step_statistics_of_a_zero_step_run(tmp_path):

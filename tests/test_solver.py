@@ -18,12 +18,15 @@ from relaxns.model import (
     pressure_prime,
 )
 from relaxns.numerics import cell_sum_r2, weighted_l2_sq
+from relaxns.relaxation import tau_sweep
 from relaxns.solver import (
     SolverConfig,
     Workspace,
     _check,
     _implicit_stage,
+    _relaxed_implicit_stage,
     _step_classical,
+    _stress_divergence,
     _viscous_bands,
     _viscous_term,
     apply_bc,
@@ -53,7 +56,9 @@ def same_state(a, b):
 def poisoned_workspace(grid):
     # every buffer starts as NaN, so a value read before it is written shows
     w = Workspace(grid)
-    for group in (w.ghost, w.face, w.cell, w.k, w.stress, w.imex.bands, w.imex.solve, (w.imex.stage_v,)):
+    imex = w.imex
+    imex_groups = (imex.bands, imex.solve, (imex.stage_v,), imex.stage_s, imex.acc, imex.relax, (imex.load,))
+    for group in (w.ghost, w.face, w.cell, w.k, w.stress, *imex_groups):
         for buf in group:
             buf.fill(np.nan)
     return w
@@ -471,6 +476,27 @@ def test_step_first_order_consistency(grid, params):
     assert d1 / d2 >= 3.0
 
 
+def test_imex_step_at_tau_above_zero_is_consistent_with_rhs_full(grid, params):
+    # u(dt) - u - dt * full_rhs(u) = O(dt^2) for the ARS(2,2,2) step of all
+    # four fields too, on a state with every row nonzero (stresses off
+    # equilibrium, so the transport and the relaxation both act).  dt is far
+    # below tau rho, where a term missing from the stress rows, such as the
+    # transport, would leave a defect of order dt that the relaxation's dt^2
+    # defect does not hide
+    state, _ = gaussian_state(grid, amp=0.01, vamp=0.01)
+    cfg = SolverConfig(t_end=1.0)
+    full = rhs_full(state, grid, params)
+
+    def defect(dt):
+        out = _step_classical(state, grid, params, cfg, dt, 0)
+        return max(np.max(np.abs(o - f - dt * k)) for o, f, k in zip(
+            (out.rho, out.v, out.s1, out.s2), (state.rho, state.v, state.s1, state.s2), full
+        ))
+
+    d1, d2 = defect(1e-6), defect(5e-7)
+    assert d1 / d2 >= 3.0
+
+
 def test_strang_self_convergence_order(grid, params, bump_cfg):
     state = make_initial_data(bump_cfg, grid, params)
     finals = []
@@ -741,6 +767,17 @@ def test_compute_dt_classical_is_the_acoustic_step_bit_for_bit(grid):
         assert compute_dt_classical(state, grid, p, 0.4, work=poisoned_workspace(grid)) == expected
 
 
+def test_compute_dt_classical_counts_the_stress_transport_speed_at_tau_above_zero(grid):
+    # a relaxed run that steps with ARS(2,2,2) transports its stresses at
+    # v - eps explicitly, so |v - eps| bounds its step where it exceeds
+    # |v| + sqrt(P'); the baseline carries no stresses and ignores eps
+    rest = equilibrium_state(grid.n_cells)
+    for tau, want in ((1e-4, grid.dr / 3.0), (0.0, grid.dr / math.sqrt(1.4))):
+        p = FluidParams(tau=tau, eps=3.0)
+        assert compute_dt_classical(rest, grid, p, 0.4) == 0.4 * want
+        assert compute_dt_classical(rest, grid, p, 0.4, work=poisoned_workspace(grid)) == 0.4 * want
+
+
 def jacobian_at_rest(rows, n, h=1e-6, fields=2):
     # central-difference Jacobian of rows(rho, v, ...) -> (rho row, v row, ...)
     # in the first `fields` of (rho, v, s1, s2) at rest, rho = 1 and the rest
@@ -853,23 +890,83 @@ def test_probed_bands_reproduce_the_viscous_term(n, outer_bc):
         assert np.abs(banded_product(bands, v) - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("outer_bc", ["extrapolate", "reflect"])
-@pytest.mark.parametrize("n", [8, 9, 800, 801])
-def test_implicit_stage_solve_matches_a_dense_solve(n, outer_bc):
-    # (diag(rho) - h V) v = rho v* for random admissible rho, with h from far
-    # below to the cfl = 1 step; V is built densely from unit vectors
+def dense_columns(apply, n):
+    # the matrix of the linear map apply, column by column from the unit
+    # vectors: no band structure assumed
+    cols = np.empty((n, n))
+    for j in range(n):
+        unit = np.zeros(n)
+        unit[j] = 1.0
+        cols[:, j] = apply(unit)
+    return cols
+
+
+SOLVE_CASES = [
+    (n, outer_bc, tau)
+    for tau in (0.0, 1e-2, 1e-4, 1e-8, 1e-300)
+    for n in (8, 9, 800, 801)
+    for outer_bc in ("extrapolate", "reflect")
+]
+
+
+@pytest.mark.parametrize(
+    "n, outer_bc, tau",
+    SOLVE_CASES,
+    ids=[f"{n}-{bc}" + (f"-tau-{tau:.0e}" if tau else "") for n, bc, tau in SOLVE_CASES],
+)
+def test_implicit_stage_solve_matches_a_dense_solve(n, outer_bc, tau):
+    # rho v = rho v* + h G s, s = s* + h (eq(v) - s)/(tau rho) for random
+    # admissible rho, with h from far below to the cfl = 1 step.  At tau = 0,
+    # s = eq(v) and (diag(rho) - h V) v = rho v*, V built densely from unit
+    # vectors.  At tau > 0, s = a s* + W E v, a = tau rho/(tau rho + h),
+    # W = h/(tau rho + h), and (diag(rho) - h G W E) v = rho v* + h G(a s*),
+    # with the stress divergence G = (G1, G2) and the strain map E = eq =
+    # (E1, E2) each built densely from unit vectors
     grid = RadialGrid(r_max=21.0, n_cells=n)
-    p = FluidParams(tau=0.0)
+    p = FluidParams(tau=tau)
     rng = np.random.default_rng(n + 1)
     work = poisoned_workspace(grid)
-    bands = _viscous_bands(grid, p, outer_bc, work)
-    dense = dense_viscous_operator(grid, p, outer_bc)
     dt = compute_dt_classical(equilibrium_state(n), grid, p, 1.0)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    if tau == 0.0:
+        bands = _viscous_bands(grid, p, outer_bc, work)
+        dense = dense_viscous_operator(grid, p, outer_bc)
+        for h in (1e-4 * dt, 1e-2 * dt, dt):
+            rho, vstar = rng.uniform(0.5, 1.5, size=n), rng.standard_normal(n)
+            got = _implicit_stage(rho, vstar, h, bands, work, np.full(n, np.nan))
+            want = np.linalg.solve(np.diag(rho) - h * dense, rho * vstar)
+            assert close(got, want), h
+        return
+    scratch, zero = Workspace(grid), np.zeros(n)
+    e1 = dense_columns(lambda u: equilibrium_stress(u, grid, p)[0], n)
+    e2 = dense_columns(lambda u: equilibrium_stress(u, grid, p)[1], n)
+    g1 = dense_columns(lambda u: _stress_divergence(np.zeros(n), u, zero, grid, outer_bc, scratch), n)
+    g2 = dense_columns(lambda u: _stress_divergence(np.zeros(n), zero, u, grid, outer_bc, scratch), n)
     for h in (1e-4 * dt, 1e-2 * dt, dt):
         rho, vstar = rng.uniform(0.5, 1.5, size=n), rng.standard_normal(n)
-        got = _implicit_stage(rho, vstar, h, bands, work, np.full(n, np.nan))
-        want = np.linalg.solve(np.diag(rho) - h * dense, rho * vstar)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), h
+        s1star, s2star = rng.standard_normal(n), rng.standard_normal(n)
+        keep, weight = tau * rho / (tau * rho + h), h / (tau * rho + h)
+        gwe = g1 @ (weight[:, None] * e1) + g2 @ (weight[:, None] * e2)
+        load = g1 @ (keep * s1star) + g2 @ (keep * s2star)
+        v = np.linalg.solve(np.diag(rho) - h * gwe, rho * vstar + h * load)
+        out = State(*(np.full(n, np.nan) for _ in range(4)))
+        _relaxed_implicit_stage(rho, vstar, (s1star, s2star), h, grid, p, outer_bc, work, out)
+        assert close(out.v, v), h
+        assert close(out.s1, keep * s1star + weight * (e1 @ v)), h
+        assert close(out.s2, keep * s2star + weight * (e2 @ v)), h
+        if tau == 1e-300:
+            # no step divides by tau: the stage is finite and is the classical
+            # stage, s = eq(v), to rounding
+            classical = FluidParams(tau=0.0)
+            bands = _viscous_bands(grid, classical, outer_bc, Workspace(grid))
+            want = _implicit_stage(rho, vstar, h, bands, Workspace(grid), np.empty(n))
+            assert all(np.isfinite(f).all() for f in (out.v, out.s1, out.s2))
+            assert np.abs(out.v - want).max() <= 1e-14 * np.abs(want).max(), h
+            for got, eq in zip((out.s1, out.s2), equilibrium_stress(want, grid, classical)):
+                assert np.abs(got - eq).max() <= 1e-14 * np.abs(eq).max(), h
 
 
 CRITERION_6_PULSE = InitConfig(bump_amp=0.01, bump_center=7.0, bump_width=1.0, vel_amp=0.01)
@@ -982,6 +1079,12 @@ def fused_run_case(grid, tau, eps):
     return p, init
 
 
+def strang_run(initial, grid, params, cfg, output_times=None):
+    # run's driver on explicit Strang's rules, whichever rule run selects:
+    # on the fixture's grid it selects ARS(2,2,2) at tau 3e-3 and below
+    return solver._advance(initial, grid, params, cfg, output_times, "strang", compute_dt, step, rhs_full)
+
+
 FUSED_CASES = [(1e-2, 0.0), (1e-4, 0.0), (1e-2, 0.1)]
 FUSED_IDS = ["tau-1e-2", "tau-1e-4", "eps-0.1"]
 
@@ -993,7 +1096,7 @@ def test_run_snapshotting_every_step_is_the_public_step_loop_bit_for_bit(grid, t
     # test_run_snapshots_replay_through_allocating_step)
     p, init = fused_run_case(grid, tau, eps)
     cfg = SolverConfig(t_end=0.02, output_every=1)
-    traj = run(init, grid, p, cfg)
+    traj = strang_run(init, grid, p, cfg)
     assert len(traj.snapshots) == len(traj.dt_history) + 1 > 3
     state = init
     for k, (dt, snap) in enumerate(zip(traj.dt_history, traj.snapshots[1:])):
@@ -1008,7 +1111,7 @@ def test_fused_relaxation_changes_the_final_state_by_rounding_only(grid, tau, ep
     # dt reads only rho and v, which the relaxation leaves alone, so the
     # steps are the same
     p, init = fused_run_case(grid, tau, eps)
-    every, fused = (run(init, grid, p, SolverConfig(t_end=0.05, output_every=n)) for n in (1, 10**6))
+    every, fused = (strang_run(init, grid, p, SolverConfig(t_end=0.05, output_every=n)) for n in (1, 10**6))
     assert len(fused.snapshots) == 2
     assert len(fused.dt_history) == len(every.dt_history) > 10
     a, b = every.snapshots[-1], fused.snapshots[-1]
@@ -1022,7 +1125,7 @@ def test_fused_relaxation_changes_the_final_state_by_rounding_only(grid, tau, ep
 def test_fused_relaxation_is_exact_in_the_stiff_limit(grid):
     # at tau = 1e-8 every relaxation lands the stresses on equilibrium
     p, init = fused_run_case(grid, 1e-8, 0.0)
-    every, fused = (run(init, grid, p, SolverConfig(t_end=0.02, output_every=n)) for n in (1, 10**6))
+    every, fused = (strang_run(init, grid, p, SolverConfig(t_end=0.02, output_every=n)) for n in (1, 10**6))
     assert every.dt_history == fused.dt_history
     assert same_state(every.snapshots[-1], fused.snapshots[-1])
 
@@ -1060,10 +1163,15 @@ def test_open_step_owes_its_closing_half_relaxation(grid, params):
         assert np.allclose(getattr(owed, f), getattr(paid, f), rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("stepper", [step, _step_classical], ids=["relaxed", "classical"])
-def test_step_into_buffers_matches_allocating_step(grid, params, stepper):
+@pytest.mark.parametrize(
+    "stepper, tau",
+    [(step, 0.01), (_step_classical, 0.0), (_step_classical, 0.01)],
+    ids=["relaxed", "classical", "relaxed-imex"],
+)
+def test_step_into_buffers_matches_allocating_step(grid, params, stepper, tau):
+    params = replace(params, tau=tau)
     state, _ = gaussian_state(grid)
-    if stepper is _step_classical:
+    if tau == 0.0:
         state = State(state.rho, state.v, *equilibrium_stress(state.v, grid, params))
     before = state.copy()
     cfg = SolverConfig(t_end=1.0, outer_bc="reflect")
@@ -1116,8 +1224,13 @@ def test_dt_rule_in_workspace_matches_allocating_call(grid, dt_rule, eps):
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize(
     "dt_rule, stepper, tau",
-    [(compute_dt, step, 0.01), (compute_dt, step, 1e-8), (compute_dt_classical, _step_classical, 0.0)],
-    ids=["relaxed", "relaxed-stiff", "classical"],
+    [
+        (compute_dt, step, 0.01),
+        (compute_dt, step, 1e-8),
+        (compute_dt_classical, _step_classical, 0.0),
+        (compute_dt_classical, _step_classical, 1e-8),
+    ],
+    ids=["relaxed", "relaxed-stiff", "classical", "relaxed-imex"],
 )
 def test_dt_rule_and_step_allocate_less_than_one_field(dt_rule, stepper, tau, eps):
     # the driver's per-step work: one dt-rule call and one step, both in the
@@ -1193,3 +1306,82 @@ def test_on_snapshot_exception_ends_the_run(grid, bump_cfg, integrate):
     with pytest.raises(KeyError, match="stop after the third snapshot"):
         integrate(state, grid, p, cfg, on_snapshot=on_snapshot)
     assert len(times) == 3 and times[0] == 0.0 < times[1] < times[2] < cfg.t_end
+
+
+def test_run_selects_imex_exactly_where_the_parabolic_cap_binds_at_t0(bump_cfg):
+    # run's one rule: ARS(2,2,2) at tau = 0 and wherever explicit Strang's
+    # step would be the parabolic cap at the initial state, that is where
+    # cfl dr^2 rho_min / K exceeds the fast-wave step cfl dr / max_char_speed;
+    # explicit Strang elsewhere.  The choice is made once, at t = 0, so a
+    # run to t_end = 0 shows it
+    chosen = set()
+    for r_max, n, eps, init_cfg in ((11.0, 100, 0.0, bump_cfg), (21.0, 800, 0.0, CRITERION_6_PULSE),
+                                    (21.0, 800, 0.1, CRITERION_6_PULSE), (21.0, 6400, 0.1, CRITERION_6_PULSE)):
+        grid = RadialGrid(r_max=r_max, n_cells=n)
+        for tau in (0.0, 1e-1, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-6):
+            p = FluidParams(tau=tau, eps=eps)
+            init = make_initial_data(init_cfg, grid, p)
+            traj = run(init, grid, p, SolverConfig(t_end=0.0))
+            if tau == 0.0:
+                want = "imex"
+            else:
+                fast = 0.4 * grid.dr / max_char_speed(init.rho, init.v, p)
+                cap = 0.4 * (grid.dr**2 * float(init.rho.min()) / (4.0 * p.mu / 3.0 + p.lambda_))
+                want = "imex" if cap > fast else "strang"
+            assert traj.stepper == want, (n, eps, tau)
+            chosen.add(want)
+    assert chosen == {"imex", "strang"}
+
+
+def test_benchmark_members_keep_their_step_rules():
+    # perfbench's workloads: in the sweep (n = 800) only the tau 1e-4 member
+    # is below the cap's threshold (2.7e-4) and steps with ARS(2,2,2), in as
+    # many steps as the baseline; the large run (n = 51200) and the eps = 0.1
+    # command-line run (n = 6400) at tau 1e-2 stay on explicit Strang
+    grid = RadialGrid(r_max=21.0, n_cells=800)
+    res = tau_sweep(SolverConfig(t_end=0.1), CRITERION_6_PULSE, grid, FluidParams(), [1e-2, 1e-3, 1e-4], n_outputs=10)
+    assert res.steps == [160, 490, 20] and res.baseline_steps == 20
+    for n, eps in ((51200, 0.0), (6400, 0.1)):
+        grid = RadialGrid(r_max=21.0, n_cells=n)
+        p = FluidParams(tau=1e-2, eps=eps)
+        assert run(make_initial_data(CRITERION_6_PULSE, grid, p), grid, p, SolverConfig(t_end=0.0)).stepper == "strang"
+
+
+def test_imex_run_at_eps_is_finite_and_meets_strang_as_cfl_falls():
+    # tau 1e-4, eps 0.1 at n = 200, where run selects ARS(2,2,2): against
+    # explicit Strang at the same cfl, 6.2e-5 apart at cfl 0.1 and 1.9e-5 at
+    # cfl 0.05 (the sup-in-time field distance; the pulse's own is 0.56)
+    grid = RadialGrid(r_max=21.0, n_cells=200)
+    p = FluidParams(tau=1e-4, eps=0.1)
+    init = make_initial_data(CRITERION_6_PULSE, grid, p)
+    out_times = np.linspace(0.0, 0.1, 6)
+    gaps = []
+    for cfl in (0.1, 0.05):
+        cfg = SolverConfig(t_end=0.1, cfl=cfl)
+        imex = run(init, grid, p, cfg, out_times)
+        assert imex.stepper == "imex"
+        assert all(np.isfinite(getattr(s, f)).all() for s in imex.snapshots for f in ("rho", "v", "s1", "s2"))
+        strang = strang_run(init, grid, p, cfg, out_times)
+        gaps.append(max(field_distance(a, b, grid) for a, b in zip(imex.snapshots, strang.snapshots, strict=True)))
+    assert gaps[1] <= 5e-5 and gaps[1] <= 0.5 * gaps[0], gaps
+
+
+def test_imex_relaxed_run_replays_through_the_allocating_step(grid):
+    # tau 1e-4 on this grid steps with ARS(2,2,2) in all four fields: every
+    # snapshot is a replay through the allocating step, the stresses
+    # off equilibrium relax, and the state at rest stays there exactly
+    p, init = fused_run_case(grid, 1e-4, 0.0)
+    cfg = SolverConfig(t_end=0.15, output_every=1)
+    traj = run(init, grid, p, cfg)
+    assert traj.stepper == "imex" and traj.rhs is rhs_full
+    assert len(traj.snapshots) == len(traj.dt_history) + 1 > 3
+    state = init
+    for k, (dt, snap) in enumerate(zip(traj.dt_history, traj.snapshots[1:])):
+        state = _step_classical(state, grid, p, cfg, dt, k)
+        assert same_state(snap, state)
+    eq1, eq2 = equilibrium_stress(init.v, grid, p)
+    assert np.abs(init.s1 - eq1).max() > 1e3 * np.abs(state.s1 - equilibrium_stress(state.v, grid, p)[0]).max()
+    rest = run(equilibrium_state(grid.n_cells), grid, p, cfg)
+    assert rest.stepper == "imex"
+    for snap in rest.snapshots:
+        assert all(np.array_equal(getattr(snap, f), getattr(rest.snapshots[0], f)) for f in ("rho", "v", "s1", "s2"))
