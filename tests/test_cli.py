@@ -576,8 +576,22 @@ def run_digest(out):
         ("run", CRITERION_10_CFG, 4, "a7511ce93523a09434006c97e653bc2292a6fe2e64cbfa20df35083112afb5a8"),
         ("run-classical", CLASSICAL_CFG, 2, "2d501a527cdc17950175adcd45cd69a000a07a9a4ec04b43e9110a764cb78470"),
         ("run", CLASSICAL_CFG, 2, "2d501a527cdc17950175adcd45cd69a000a07a9a4ec04b43e9110a764cb78470"),
+        # eps moves only the stress transport, whose values the tau = 0 stage
+        # replaces by eq(v): the bytes are the eps = 0 run's
+        (
+            "run",
+            CLASSICAL_CFG.replace("tau = 0\n", "tau = 0\neps = 0.1\n"),
+            2,
+            "2d501a527cdc17950175adcd45cd69a000a07a9a4ec04b43e9110a764cb78470",
+        ),
+        (
+            "run",
+            CLASSICAL_CFG.replace("output_every = 100\n", "output_every = 100\nouter_bc = reflect\n"),
+            2,
+            "d61a6690507b455f0b332e27a6c657cdb6cd2b93f7a451016b73777612475ac5",
+        ),
     ],
-    ids=["run", "run-classical", "run-at-tau-0"],
+    ids=["run", "run-classical", "run-at-tau-0", "run-at-tau-0-eps", "run-at-tau-0-reflect"],
 )
 def test_whole_run_bytes_are_pinned(tmp_path, command, text, n_snapshots, want):
     out = tmp_path / "o"

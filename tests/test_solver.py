@@ -1185,6 +1185,26 @@ def test_step_into_buffers_matches_allocating_step(grid, params, stepper, tau):
         assert same_state(state, before)
 
 
+@pytest.mark.parametrize("outer_bc", ["extrapolate", "reflect"])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_tau_zero_stage_is_exact_and_the_band_cache_follows_tau(grid, eps, outer_bc):
+    # at tau = 0 the stage's stresses are a s* + W eq(v) with a = 0 and W = 1:
+    # finite input stresses that are not eq(v) change no output bit
+    p = FluidParams(tau=0.0, eps=eps)
+    cfg = SolverConfig(outer_bc=outer_bc)
+    state, _ = gaussian_state(grid)
+    newtonian = State(state.rho, state.v, *equilibrium_stress(state.v, grid, p))
+    assert not np.array_equal(state.s1, newtonian.s1)
+    assert same_state(_step_classical(state, grid, p, cfg, 1e-3, 3), _step_classical(newtonian, grid, p, cfg, 1e-3, 3))
+    # one workspace keeps the bands of tau = 0 only: stepped at tau 0, then
+    # 1e-4, then 0 again, it gives a fresh workspace's bits at each step
+    work = Workspace(grid)
+    for tau in (0.0, 1e-4, 0.0):
+        q = replace(p, tau=tau)
+        got = _step_classical(state, grid, q, cfg, 1e-3, 3, work=work)
+        assert same_state(got, _step_classical(state, grid, q, cfg, 1e-3, 3)), tau
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize(
     "rhs",
