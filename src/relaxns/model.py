@@ -162,23 +162,21 @@ def pressure(rho, params):
     return float(p) if p.ndim == 0 else p
 
 
-def pressure_prime(rho, params, out=None):
-    """dP/drho = a_coef * gamma * rho**(gamma-1); strictly positive.
-
-    out, an array of rho's shape distinct from rho, receives P' and is
-    returned, so nothing of rho's length is allocated.
-    """
+def pressure_prime(rho, params):
+    """dP/drho = a_coef * gamma * rho**(gamma-1); strictly positive."""
     rho = np.asarray(rho, dtype=float)
     if not (rho > 0.0).all():
         raise DomainError("pressure_prime requires rho > 0")
-    dp = admissible_pressure_prime(rho, params, out=out)
+    dp = admissible_pressure_prime(rho, params)
     return float(dp) if dp.ndim == 0 else dp
 
 
 def admissible_pressure_prime(rho, params, out=None):
     """pressure_prime without its rho > 0 test, for a density array already
     known to be positive (the solver's states, which have passed its
-    admissibility check); the same bits, out as for pressure_prime."""
+    admissibility check); the same bits.  out, an array of rho's shape
+    distinct from rho, receives P' and is returned, so nothing of rho's
+    length is allocated."""
     dp = np.power(rho, params.gamma - 1.0, out=out)
     return np.multiply(params.a_coef * params.gamma, dp, out=out)
 

@@ -60,20 +60,22 @@ one banded elimination without pivoting solves it.  The stage-1 implicit
 terms are recovered as (U1 - U*)/h, and nothing is divided by tau, so the
 step is the same at tau = 1e-300 as at tau = 0 to rounding: it is
 asymptotic-preserving (Jin, SISC 21 (1999) 441), its distance to the
-baseline falls like tau.  The baseline (tau = 0) carries mass and momentum
-only; its stresses are not unknowns but the Newtonian values eq(v).  There
-a = 0 and W = 1, the system is (diag(rho) - h V) v = rho v* with the
-viscous operator V = G E, whose bands depend on the grid, mu, lambda and
-the closure only, so they are probed once per workspace.  At tau > 0, W
-changes with each stage's rho, and the bands are probed per stage.  The
-step is the acoustic CFL step with the stress transport speed,
-cfl dr / max(|v| + sqrt(P'), |v - eps|), eps counted only at tau > 0: the
-stiff terms, of spectral radius up to K/(rho dr^2) and the fast stress
-wave's speed, set no bound on the implicit part, which is L-stable.  That
-step is about K / (rho c dr) times the parabolic bound dr^2 rho_min / K, c
-the sound speed (about 79 at n = 800 and rho = 1: a run to t = 1 takes 122
-steps, not 9405); each costs two banded solves in Python floats, about
-0.75 ms each at n = 800.
+baseline falls like tau.  One stage serves every tau >= 0, and the
+baseline is its tau = 0 case: there a = 0 and W = h/h = 1 exactly, so the
+stage's stresses are the Newtonian values eq(v) whatever the transported
+s* holds, and the system is (diag(rho) - h V) v = rho v* with the viscous
+operator V = G E.  V's bands depend on the grid, mu, lambda and the
+closure only, so a workspace probes them once and keeps them while
+tau = 0; at tau > 0, W changes with each stage's rho, and the bands are
+probed per stage.  The step is the acoustic CFL step with the stress
+transport speed, cfl dr / max(|v| + sqrt(P'), |v - eps|), eps counted only
+at tau > 0: the stiff terms, of spectral radius up to K/(rho dr^2) and the
+fast stress wave's speed, set no bound on the implicit part, which is
+L-stable, and at tau = 0 the transported stresses are replaced by eq(v).
+That step is about K / (rho c dr) times the parabolic bound
+dr^2 rho_min / K, c the sound speed (about 79 at n = 800 and rho = 1: a run
+to t = 1 takes 122 steps, not 9405); each costs two banded solves in
+Python floats, about 0.45 ms each at n = 800 and 3.5 ms at n = 6400.
 
 run alone picks the step rule: ARS(2,2,2) at tau = 0 (run_classical is run
 at tau = 0), and at every tau > 0 where explicit Strang's step would be the
@@ -183,8 +185,9 @@ class Workspace:
         self.face = tuple(np.empty(n + 1) for _ in range(4))
         self.cell = tuple(np.empty(n) for _ in range(3))
         self.k = tuple(np.empty(n) for _ in range(4))
-        # the stresses of the first Strang half step, or the Newtonian
-        # stresses eq(v) of classical_rhs and of the viscous probe
+        # the stresses of the first Strang half step, the Newtonian
+        # stresses eq(v) of classical_rhs and of the viscous probe, or the
+        # kept part a s* of an ARS stage's stresses
         self.stress = (np.empty(n), np.empty(n))
         # constant coefficients of rhs_nonstiff: the divisor of the mass row,
         # which carries the flux's 0.5 and the minus sign (scaling by 2 is
@@ -201,11 +204,11 @@ class Workspace:
 
 class _ImexBuffers:
     # the bands of the implicit stage's operator, which are those of the
-    # classical viscous operator for the (mu, lambda, outer_bc) of key (None
-    # when they are not); the explicit stage values of v and of the
+    # viscous operator V at tau = 0 for the (mu, lambda, outer_bc) of key
+    # (None when they are not); the explicit stage values of v and of the
     # stresses; the accumulators of rho, v, s1, s2; the stage solve's
-    # diagonal, right-hand side and factor rows; the relaxed stage's a and W
-    # (see _relaxed_implicit_stage); and its load G(a s*)
+    # diagonal, right-hand side and factor rows; the stage's a and W (see
+    # _implicit_stage); and its load G(a s*)
     def __init__(self, n):
         self.bands = tuple(np.empty(n) for _ in range(5))
         self.key = None
@@ -528,9 +531,10 @@ def compute_dt(state, grid, params, cfl, work=None):
 def compute_dt_classical(state, grid, params, cfl, work=None):
     """The ARS(2,2,2) step's CFL step, cfl dr / max(|v| + sqrt(P'), |v - eps|).
 
-    The baseline (tau = 0) carries no stresses, so there it is the acoustic
-    step cfl dr / max(|v| + sqrt(P')) whatever eps is; a relaxed run that
-    steps with ARS(2,2,2) counts the stress transport speed |v - eps| too.
+    At tau = 0 each stage replaces the transported stresses by eq(v), so
+    the transport bounds nothing there and the step is the acoustic step
+    cfl dr / max(|v| + sqrt(P')) whatever eps is; a relaxed run that steps
+    with ARS(2,2,2) counts the stress transport speed |v - eps| too.
     The stiff terms are implicit, so neither the viscous bound nor the fast
     stress wave bounds it.  rho > 0 is not tested, as in compute_dt.  With
     work= the speeds are computed in work.k.
@@ -629,30 +633,29 @@ _ARS_GAMMA = 1.0 - math.sqrt(0.5)
 _ARS_DELTA = 1.0 - 0.5 / _ARS_GAMMA
 
 
-def _viscous_term(v, grid, params, outer_bc, w, out, weight=None):
+def _viscous_term(v, grid, params, outer_bc, w, out, weight):
     # out <- G W E v: E = eq, G the stress divergence (times rho) of the
-    # momentum row, W = diag(weight), or 1 when weight is None, where it is V
-    # v, the viscous momentum term times rho at the stresses eq(v).  out is
-    # none of w.stress, w.cell[0], w.ghost[:2] and w.face[1]
+    # momentum row, W = diag(weight).  out is none of w.stress, w.cell[0],
+    # w.ghost[:2] and w.face[1]
     s1, s2 = equilibrium_stress(v, grid, params, out=(*w.stress, w.cell[0]))
-    if weight is not None:
-        np.multiply(weight, s1, out=s1)
-        np.multiply(weight, s2, out=s2)
+    np.multiply(weight, s1, out=s1)
+    np.multiply(weight, s2, out=s2)
     out.fill(0.0)
     return _stress_divergence(out, s1, s2, grid, outer_bc, w)
 
 
-def _viscous_bands(grid, params, outer_bc, w, weight=None):
+def _viscous_bands(grid, params, outer_bc, w, weight):
     # the bands (A[i, i-2], A[i, i-1], A[i, i], A[i, i+1], A[i, i+2]) of the
     # pentadiagonal A = G W E of _viscous_term at row i, entries outside the
     # matrix 0.  A couples cells at most two apart, so the comb c_k, 1 at the
     # cells j = k mod 5, meets each row's stencil at one cell, and (A c_k)[i]
     # is A[i, j] there: five probes give every band, through the one stress
-    # closure.  V = G E depends on the grid, mu, lambda and the closure only,
-    # so w.imex keeps it; a weight changes with each stage's rho, so G W E is
-    # probed on every call
+    # closure.  W changes with each stage's rho, so A is probed on every
+    # call, except at tau = 0: there W is exactly 1, A is the viscous
+    # operator V = G E, which depends on the grid, mu, lambda and the closure
+    # only, and w.imex keeps its bands
     imex = w.imex
-    key = (params.mu, params.lambda_, outer_bc) if weight is None else None
+    key = (params.mu, params.lambda_, outer_bc) if params.tau == 0.0 else None
     if key is not None and imex.key == key:
         return imex.bands
     comb, probe = w.k[:2]
@@ -699,27 +702,17 @@ def _solve_pentadiagonal(lo2, lo1, diag, up1, up2, f, x, u0, u1):
     return x
 
 
-def _implicit_stage(rho, vstar, h, bands, w, out, load=None):
-    # out <- v solving rho v = rho vstar + h (A v + load), A the matrix of
-    # bands, as (A - diag(rho/h)) v = -(rho/h) vstar - load; no load is 0
-    diag, f, u0, u1 = w.imex.solve
-    np.divide(rho, -h, out=f)
-    np.add(bands[2], f, out=diag)
-    np.multiply(f, vstar, out=f)
-    if load is not None:
-        np.subtract(f, load, out=f)
-    return _solve_pentadiagonal(bands[0], bands[1], diag, bands[3], bands[4], f, out, u0, u1)
-
-
-def _relaxed_implicit_stage(rho, vstar, sstar, h, grid, params, outer_bc, w, out):
-    # out.v, out.s1, out.s2 <- the implicit part of a relaxed ARS stage at
-    # the stage density rho, with the explicit stage values vstar and
-    # sstar = (s1*, s2*):
+def _implicit_stage(star, h, grid, params, outer_bc, w, out):
+    # out.v, out.s1, out.s2 <- the implicit part of an ARS stage with the
+    # stage values star = (rho*, v*, s1*, s2*), rho* the stage density:
     #   rho v = rho v* + h G s,   s = s* + h (eq(v) - s) / (tau rho).
     # The second is s = a s* + W eq(v), a = tau rho / (tau rho + h),
     # W = h / (tau rho + h), and eliminating s leaves one pentadiagonal
-    # system, (diag(rho) - h G W E) v = rho v* + h G(a s*).  Nothing is
-    # divided by tau: as tau -> 0, a -> 0 and W -> 1, the classical stage
+    # system, (diag(rho) - h G W E) v = rho v* + h G(a s*), solved as
+    # (G W E - diag(rho/h)) v = -(rho/h) v* - G(a s*).  Nothing is divided
+    # by tau: at tau = 0, a = 0 and W = h/h = 1 exactly, so s = eq(v) and
+    # the finite s* change no bit
+    rho, vstar, *sstar = star
     imex = w.imex
     keep, weight = imex.relax
     np.multiply(params.tau, rho, out=keep)
@@ -733,7 +726,12 @@ def _relaxed_implicit_stage(rho, vstar, sstar, h, grid, params, outer_bc, w, out
     load = imex.load
     load.fill(0.0)
     _stress_divergence(load, *kept, grid, outer_bc, w)
-    _implicit_stage(rho, vstar, h, bands, w, out.v, load)
+    diag, f, u0, u1 = imex.solve
+    np.divide(rho, -h, out=f)
+    np.add(bands[2], f, out=diag)
+    np.multiply(f, vstar, out=f)
+    np.subtract(f, load, out=f)
+    _solve_pentadiagonal(bands[0], bands[1], diag, bands[3], bands[4], f, out.v, u0, u1)
     equilibrium_stress(out.v, grid, params, out=(out.s1, out.s2, w.cell[0]))
     for s, k in zip((out.s1, out.s2), kept):
         np.multiply(weight, s, out=s)
@@ -741,68 +739,50 @@ def _relaxed_implicit_stage(rho, vstar, sstar, h, grid, params, outer_bc, w, out
 
 
 def _explicit_rows(rho, v, stresses, grid, params, outer_bc, w):
-    # the explicit rows of an ARS stage into w.k, returned: mass, and
-    # momentum without the stress divergence; given the stresses, also
-    # their transport at speed v - eps
+    # the explicit rows of an ARS stage into w.k, returned: mass, momentum
+    # without the stress divergence, and the stresses' transport at speed
+    # v - eps
     rows = _flow_rows(rho, v, None, grid, params, outer_bc, w)
-    if stresses is None:
-        return rows
     for s, g in zip(stresses, w.ghost):
         _fill_ghosts(s, g, False, outer_bc)
     return rows + _stress_rows(v, grid, params, w)
 
 
-def _implicit(rho, star, h, grid, params, outer_bc, w, out):
-    # the implicit part of an ARS stage from its stage values star: out.v
-    # alone at tau = 0, where the stresses are eq(v), else out.v and the
-    # stresses
-    if params.tau > 0.0:
-        _relaxed_implicit_stage(rho, star[1], star[2:], h, grid, params, outer_bc, w, out)
-    else:
-        _implicit_stage(rho, star[1], h, _viscous_bands(grid, params, outer_bc, w), w, out.v)
-
-
 def _step_classical(state, grid, params, cfg, dt, step_idx, out=None, work=None, *, owed=0.0, close=True):
-    # one ARS(2,2,2) step of the system at params.tau, see the module
+    # one ARS(2,2,2) step of the system at params.tau >= 0, see the module
     # docstring; owed and close are step's, and an ARS step owes nothing.
-    # At tau = 0 it steps (rho, v), ignores the state's stresses and ends on
-    # eq(v); at tau > 0 it steps all four fields.  The stage-1 implicit
-    # terms, needed by stage 2, are (U1 - U*)/h, not a second operator call
+    # The stage-1 implicit terms, needed by stage 2, are (U1 - U*)/h, not a
+    # second operator call
     w = Workspace(grid) if work is None else work
     out = _empty_state(grid.n_cells) if out is None else out
     outer_bc = cfg.outer_bc
     imex = w.imex
-    relaxed = params.tau > 0.0
     h = _ARS_GAMMA * dt
-    m = 4 if relaxed else 2
     # the stage values U* (out.rho is the stage density) and the
     # accumulators of the stage-2 explicit part
-    star = (out.rho, imex.stage_v, *imex.stage_s)[:m]
-    acc = imex.acc[:m]
+    star = (out.rho, imex.stage_v, *imex.stage_s)
 
-    rows = _explicit_rows(state.rho, state.v, (state.s1, state.s2) if relaxed else None, grid, params, outer_bc, w)
-    for f, k, u, a in zip((state.rho, state.v, state.s1, state.s2), rows, star, acc):
+    rows = _explicit_rows(state.rho, state.v, (state.s1, state.s2), grid, params, outer_bc, w)
+    for f, k, u, a in zip((state.rho, state.v, state.s1, state.s2), rows, star, imex.acc):
         np.multiply(h, k, out=u)
         np.add(f, u, out=u)
         np.multiply(_ARS_DELTA * dt, k, out=a)
         np.add(f, a, out=a)
     _check(star, step_idx, "imex stage 1")
-    _implicit(out.rho, star, h, grid, params, outer_bc, w, out)
+    _implicit_stage(star, h, grid, params, outer_bc, w, out)
     # (1 - gamma) dt times the stage-1 implicit terms (U1 - U*)/h
-    for u1, u, a in zip((out.v, out.s1, out.s2), star[1:], acc[1:]):
+    for u1, u, a in zip((out.v, out.s1, out.s2), star[1:], imex.acc[1:]):
         np.subtract(u1, u, out=u)
         np.multiply((1.0 - _ARS_GAMMA) / _ARS_GAMMA, u, out=u)
         np.add(a, u, out=a)
 
-    rows = _explicit_rows(out.rho, out.v, (out.s1, out.s2) if relaxed else None, grid, params, outer_bc, w)
-    for k, u, a in zip(rows, star, acc):
+    rows = _explicit_rows(out.rho, out.v, (out.s1, out.s2), grid, params, outer_bc, w)
+    for k, u, a in zip(rows, star, imex.acc):
         np.multiply((1.0 - _ARS_DELTA) * dt, k, out=k)
         np.add(a, k, out=u)
     _check(star, step_idx, "imex stage 2")
-    _implicit(out.rho, star, h, grid, params, outer_bc, w, out)
+    _implicit_stage(star, h, grid, params, outer_bc, w, out)
     out.t = state.t + dt
-    if not relaxed:
-        equilibrium_stress(out.v, grid, params, out=(out.s1, out.s2, w.cell[0]))
     _check((out.rho, out.v, out.s1, out.s2), step_idx, "step")
     return out
 

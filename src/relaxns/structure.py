@@ -103,7 +103,7 @@ def char_speeds(rho, v, params):
     return np.linalg.eigvalsh(d[:, None] * assemble_a1(rho, v, params) * d)
 
 
-def max_char_speed(rho, v, params, out=None):
+def max_char_speed(rho, v, params):
     """An upper bound of max |s| over all cells; vectorized for per-step CFL control.
 
     The scaled pencil D A1 D of `char_speeds` is diag(v, v, v - eps, v - eps)
@@ -117,24 +117,19 @@ def max_char_speed(rho, v, params, out=None):
         max |s| <= sqrt(S) + |v - eps/2| + eps/2 <= max |s| + eps.
 
     At eps = 0 the bound is the exact |v| + sqrt(S).
-
-    out = (a, b), two arrays of the shape of rho and v distinct from both,
-    serves as scratch, so nothing of their length is allocated.  The result
-    has the same bits with or without out.
     """
     _require_relaxed(params)
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if out is None:
-        shape = np.broadcast_shapes(rho.shape, v.shape)
-        out = (np.empty(shape), np.empty(shape))
-    return weyl_speed_bound(rho, v, pressure_prime(rho, params, out=out[0]), params, out)
+    shape = np.broadcast_shapes(rho.shape, v.shape)
+    return weyl_speed_bound(rho, v, pressure_prime(rho, params), params, (np.empty(shape), np.empty(shape)))
 
 
 def weyl_speed_bound(rho, v, dp, params, out):
     """max_char_speed given dp = P'(rho), without its checks: for arrays
-    already known admissible, at tau > 0.  out = (a, b) is scratch as for
-    max_char_speed, and a may be dp itself; the same bits."""
+    already known admissible, at tau > 0; the same bits.  out = (a, b), two
+    arrays of the shape of rho and v distinct from both (a may be dp
+    itself), serves as scratch, so nothing of their length is allocated."""
     a, b = out
     # b = sqrt(S), S = P' + (4mu/3 + lambda) / (tau rho^2)
     np.power(rho, 2, out=b)

@@ -24,7 +24,6 @@ from relaxns.solver import (
     Workspace,
     _check,
     _implicit_stage,
-    _relaxed_implicit_stage,
     _step_classical,
     _stress_divergence,
     _viscous_bands,
@@ -619,8 +618,8 @@ def test_check_names_the_non_positive_density(grid, value, text):
 
 
 def test_classical_stage_checks_name_the_cell():
-    # the ARS stages check the density and stage velocity they computed; the
-    # input stresses, which the classical step ignores, are not checked
+    # the ARS stages check the stage values they computed, the transported
+    # stresses included, which the tau = 0 stage then replaces by eq(v)
     grid = RadialGrid(r_max=21.0, n_cells=200)
     p = FluidParams(tau=0.0)
     n = grid.n_cells
@@ -639,10 +638,12 @@ def test_classical_stage_checks_name_the_cell():
     assert str(err.value) == "non-finite field after imex stage 1 at step 3, cell 49"
     assert err.value.step == 3 and err.value.cell == 49
     state = equilibrium_state(n)
-    state.s1[:] = np.nan
-    state.s2[:] = np.inf
-    stepped = _step_classical(state, grid, p, SolverConfig(), 1e-3, 3)
-    assert np.array_equal(stepped.s1, np.zeros(n)) and np.array_equal(stepped.s2, np.zeros(n))
+    state.s1[70] = np.nan
+    with pytest.raises(NumericalAbort) as err:
+        _step_classical(state, grid, p, SolverConfig(), 1e-3, 3)
+    # the upwind transport carries the NaN to cell 69
+    assert str(err.value) == "non-finite field after imex stage 1 at step 3, cell 69"
+    assert err.value.step == 3 and err.value.cell == 69
 
 
 def test_classical_equilibrium_stationary(grid):
@@ -770,7 +771,8 @@ def test_compute_dt_classical_is_the_acoustic_step_bit_for_bit(grid):
 def test_compute_dt_classical_counts_the_stress_transport_speed_at_tau_above_zero(grid):
     # a relaxed run that steps with ARS(2,2,2) transports its stresses at
     # v - eps explicitly, so |v - eps| bounds its step where it exceeds
-    # |v| + sqrt(P'); the baseline carries no stresses and ignores eps
+    # |v| + sqrt(P'); at tau = 0 each stage replaces the transported
+    # stresses by eq(v), so the transport bounds nothing and eps is ignored
     rest = equilibrium_state(grid.n_cells)
     for tau, want in ((1e-4, grid.dr / 3.0), (0.0, grid.dr / math.sqrt(1.4))):
         p = FluidParams(tau=tau, eps=3.0)
@@ -850,18 +852,6 @@ def test_reflecting_wall_has_no_growing_mode_at_rest(n, tau):
     assert np.linalg.eigvals(jac).real.max() <= 1e-10
 
 
-def dense_viscous_operator(grid, params, outer_bc):
-    # V column by column, from the unit vectors: no band structure assumed
-    n = grid.n_cells
-    work, out = Workspace(grid), np.empty(n)
-    cols = np.empty((n, n))
-    for j in range(n):
-        unit = np.zeros(n)
-        unit[j] = 1.0
-        cols[:, j] = _viscous_term(unit, grid, params, outer_bc, work, out)
-    return cols
-
-
 def banded_product(bands, v):
     out = bands[2] * v
     out[1:] += bands[1][1:] * v[:-1]
@@ -878,15 +868,16 @@ def test_probed_bands_reproduce_the_viscous_term(n, outer_bc):
     p = FluidParams(tau=0.0, mu=0.8, lambda_=1.7)
     rng = np.random.default_rng(n)
     work = poisoned_workspace(grid)
-    _viscous_bands(grid, FluidParams(tau=0.0), outer_bc, work)
+    ones = np.ones(n)
+    _viscous_bands(grid, FluidParams(tau=0.0), outer_bc, work, ones)
     # the workspace re-probes for other (mu, lambda): a fresh one agrees
-    bands = _viscous_bands(grid, p, outer_bc, work)
-    assert all(same_bits(a, b) for a, b in zip(bands, _viscous_bands(grid, p, outer_bc, Workspace(grid))))
+    bands = _viscous_bands(grid, p, outer_bc, work, ones)
+    assert all(same_bits(a, b) for a, b in zip(bands, _viscous_bands(grid, p, outer_bc, Workspace(grid), ones)))
     # entries outside the matrix are 0
     assert not bands[0][:2].any() and not bands[1][0] and not bands[3][-1] and not bands[4][-2:].any()
     for _ in range(3):
         v = rng.standard_normal(n)
-        want = _viscous_term(v, grid, p, outer_bc, Workspace(grid), np.empty(n))
+        want = _viscous_term(v, grid, p, outer_bc, Workspace(grid), np.empty(n), ones)
         assert np.abs(banded_product(bands, v) - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -916,12 +907,11 @@ SOLVE_CASES = [
 )
 def test_implicit_stage_solve_matches_a_dense_solve(n, outer_bc, tau):
     # rho v = rho v* + h G s, s = s* + h (eq(v) - s)/(tau rho) for random
-    # admissible rho, with h from far below to the cfl = 1 step.  At tau = 0,
-    # s = eq(v) and (diag(rho) - h V) v = rho v*, V built densely from unit
-    # vectors.  At tau > 0, s = a s* + W E v, a = tau rho/(tau rho + h),
-    # W = h/(tau rho + h), and (diag(rho) - h G W E) v = rho v* + h G(a s*),
-    # with the stress divergence G = (G1, G2) and the strain map E = eq =
-    # (E1, E2) each built densely from unit vectors
+    # admissible rho, with h from far below to the cfl = 1 step:
+    # s = a s* + W E v, a = tau rho/(tau rho + h), W = h/(tau rho + h), and
+    # (diag(rho) - h G W E) v = rho v* + h G(a s*), with the stress
+    # divergence G = (G1, G2) and the strain map E = eq = (E1, E2) each built
+    # densely from unit vectors.  At tau = 0, a = 0 and W = 1
     grid = RadialGrid(r_max=21.0, n_cells=n)
     p = FluidParams(tau=tau)
     rng = np.random.default_rng(n + 1)
@@ -931,15 +921,6 @@ def test_implicit_stage_solve_matches_a_dense_solve(n, outer_bc, tau):
     def close(got, want):
         return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    if tau == 0.0:
-        bands = _viscous_bands(grid, p, outer_bc, work)
-        dense = dense_viscous_operator(grid, p, outer_bc)
-        for h in (1e-4 * dt, 1e-2 * dt, dt):
-            rho, vstar = rng.uniform(0.5, 1.5, size=n), rng.standard_normal(n)
-            got = _implicit_stage(rho, vstar, h, bands, work, np.full(n, np.nan))
-            want = np.linalg.solve(np.diag(rho) - h * dense, rho * vstar)
-            assert close(got, want), h
-        return
     scratch, zero = Workspace(grid), np.zeros(n)
     e1 = dense_columns(lambda u: equilibrium_stress(u, grid, p)[0], n)
     e2 = dense_columns(lambda u: equilibrium_stress(u, grid, p)[1], n)
@@ -953,19 +934,19 @@ def test_implicit_stage_solve_matches_a_dense_solve(n, outer_bc, tau):
         load = g1 @ (keep * s1star) + g2 @ (keep * s2star)
         v = np.linalg.solve(np.diag(rho) - h * gwe, rho * vstar + h * load)
         out = State(*(np.full(n, np.nan) for _ in range(4)))
-        _relaxed_implicit_stage(rho, vstar, (s1star, s2star), h, grid, p, outer_bc, work, out)
+        _implicit_stage((rho, vstar, s1star, s2star), h, grid, p, outer_bc, work, out)
         assert close(out.v, v), h
         assert close(out.s1, keep * s1star + weight * (e1 @ v)), h
         assert close(out.s2, keep * s2star + weight * (e2 @ v)), h
         if tau == 1e-300:
-            # no step divides by tau: the stage is finite and is the classical
+            # no step divides by tau: the stage is finite and is the tau = 0
             # stage, s = eq(v), to rounding
             classical = FluidParams(tau=0.0)
-            bands = _viscous_bands(grid, classical, outer_bc, Workspace(grid))
-            want = _implicit_stage(rho, vstar, h, bands, Workspace(grid), np.empty(n))
+            want = State(*(np.empty(n) for _ in range(4)))
+            _implicit_stage((rho, vstar, s1star, s2star), h, grid, classical, outer_bc, Workspace(grid), want)
             assert all(np.isfinite(f).all() for f in (out.v, out.s1, out.s2))
-            assert np.abs(out.v - want).max() <= 1e-14 * np.abs(want).max(), h
-            for got, eq in zip((out.s1, out.s2), equilibrium_stress(want, grid, classical)):
+            assert np.abs(out.v - want.v).max() <= 1e-14 * np.abs(want.v).max(), h
+            for got, eq in zip((out.s1, out.s2), equilibrium_stress(want.v, grid, classical)):
                 assert np.abs(got - eq).max() <= 1e-14 * np.abs(eq).max(), h
 
 
