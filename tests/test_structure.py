@@ -202,8 +202,16 @@ def test_char_speeds_split_into_shift_and_cubic():
             assert abs(f / df) <= 1e-10 * np.max(np.abs(speeds))
 
 
+def test_max_char_speed_shifted_rejects_bad_input():
+    p = FluidParams(tau=0.01, eps=0.1)
+    with pytest.raises(DomainError):
+        max_char_speed(np.array([1.0, 0.0, 1.0]), np.zeros(3), p)
+    with pytest.raises(StructureError):
+        max_char_speed(np.ones(3), np.zeros(3), FluidParams(tau=0.0, eps=0.1))
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.1])
-def test_max_char_speed_shifted_rejects_bad_input(eps):
+def test_max_char_speed_rejects_bad_input(eps):
     for rho in ([1.0, 0.0, 1.0], [1.0, -0.5, 1.0]):
         with pytest.raises(DomainError):
             max_char_speed(np.array(rho), np.zeros(3), FluidParams(tau=0.01, eps=eps))
