@@ -16,7 +16,14 @@ members do not depend on each other, so tau_sweep runs them at the same
 time, one job each, in a pool of worker processes made with `fork` (Linux
 or macOS): as many workers as there are jobs or CPUs this process may use,
 whichever is fewer.  Each member's runtime is its own wall time in its
-worker; the sweep's wall time is near that of the busiest worker.
+worker; the sweep's wall time is near that of the busiest worker.  Jobs
+start with the most predicted steps first: t_end over the first step of
+the dt rule that run picks at the initial state.  This is Graham's
+longest-processing-time order (SIAM J. Appl. Math. 17 (1969) 416) with
+steps standing in for time; it ignores that an ARS(2,2,2) step costs
+several explicit Strang steps.  In the acceptance sweep the smallest tau
+that steps with explicit Strang has by far the most steps, so it gets a
+worker to itself while the shorter jobs share the others.
 """
 
 import math
@@ -29,7 +36,7 @@ import numpy as np
 from .errors import NumericalAbort
 from .model import equilibrium_stress, make_initial_data
 from .numerics import weighted_h1_sq, weighted_l2_sq
-from .solver import run
+from .solver import _step_rules, run
 
 
 def limit_relation_error(state, grid, params):
@@ -99,6 +106,28 @@ def _integrate(initial, grid, params, cfg, out_times):
     return traj.snapshots, time.perf_counter() - t0, len(traj.dt_history)
 
 
+def _most_steps_first(jobs):
+    """The indices of the sweep jobs (initial, grid, params, cfg, out_times),
+    the most predicted steps first, ties in the given order.
+
+    A job's steps are predicted as cfg.t_end over the first step of the
+    dt rule that run picks for it.  The cost of a step is not weighed: an
+    ARS(2,2,2) step counts as one explicit Strang step.  An initial state
+    that run refuses as not admissible predicts 0 steps: its run aborts at
+    once.
+    """
+
+    def predicted_steps(job):
+        initial, grid, params, cfg, _ = job
+        with np.errstate(all="ignore"):
+            dt_rule = _step_rules(initial, grid, params, cfg.cfl)[1]
+            dt = dt_rule(initial, grid, params, cfg.cfl)
+        return cfg.t_end / dt if dt > 0.0 else 0.0
+
+    steps = [predicted_steps(job) for job in jobs]
+    return sorted(range(len(jobs)), key=lambda k: -steps[k])
+
+
 SWEEP_OUTPUTS = 10  # a sweep's snapshot count when neither the call nor the config sets one
 
 
@@ -116,7 +145,7 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
     job in a pool of forked worker processes, and the errors are computed
     here from the snapshots the workers return.  A member's NumericalAbort
     becomes its failure row; a baseline abort propagates and cancels the
-    members that have not started.
+    members that have not started, once the members already running end.
     """
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
@@ -132,26 +161,31 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
         raise ValueError("tau sweep requires one or more taus, all strictly positive")
     out_times = replace(base_cfg, n_outputs=n_outputs or base_cfg.n_outputs or SWEEP_OUTPUTS).snapshot_times()
     members = [replace(params_template, tau=tau) for tau in taus]
-    # one run job per params: the baseline, the template at tau = 0, first,
-    # only because its result is awaited first: its abort ends the sweep.
-    # Then the members from the smallest tau up.  The smallest taus, below
-    # the parabolic cap's threshold, step with ARS(2,2,2) as the baseline does
-    # and are short jobs, and the longest is the smallest tau that steps with
-    # explicit Strang; putting that one first measured no gain on a 2-vCPU
-    # host, so the order stays
-    runs = [replace(params_template, tau=0.0)] + members[::-1]
+    # one run job per params: the baseline, the template at tau = 0, then
+    # the members.  They are submitted with the most predicted steps first:
+    # the smallest taus, below the parabolic cap's threshold, step with
+    # ARS(2,2,2) as the baseline does, in few steps, and the smallest tau
+    # that steps with explicit Strang takes the most.  With that member
+    # first, on a 2-vCPU host, the sweep's wall time is its own time plus
+    # the pool's start-up
+    runs = [replace(params_template, tau=0.0)] + members
     jobs = [(make_initial_data(init_cfg, grid, p), grid, p, base_cfg, out_times) for p in runs]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
     # fork, not spawn: a worker inherits the parent's binding of run, and
     # with fork the pool starts every worker before it starts its own
     # threads (CPython's fix for gh-90622)
     with ProcessPoolExecutor(min(len(jobs), cpus), mp_context=get_context("fork")) as pool:
-        futures = [pool.submit(_integrate, *job) for job in jobs]
+        futures = [None] * len(jobs)
+        for k in _most_steps_first(jobs):
+            futures[k] = pool.submit(_integrate, *jobs[k])
         try:
+            # the baseline's result first, wherever it was submitted: its
+            # abort ends the sweep and cancels the jobs not yet started, but
+            # the pool's shutdown still waits for the jobs already running
             baseline, baseline_runtime, baseline_steps = futures[0].result()
             if isinstance(baseline, NumericalAbort):
                 raise baseline
-            outcomes = [future.result() for future in reversed(futures[1:])]
+            outcomes = [future.result() for future in futures[1:]]
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

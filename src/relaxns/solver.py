@@ -93,14 +93,20 @@ the rest from the snapshots and the Trajectory's rhs.
 The driver builds one Workspace per run, sized from the grid, and the dt rule
 and every stage compute into its buffers with out= ufuncs; two State buffers
 take turns as a step's input and output, so neither the dt rule nor a step
-allocates a field.  The stage kernel folds the constant factors of its
+allocates a field.  The workspace also owns every view the stage kernels
+read, cut once when it is built: its ghost-augmented copies of the fields
+with their stencils (the two cells of each face, the two neighbours of each
+cell, the ghost fill's mirrors) and the two halves of each face array.  A
+kernel reads a caller's array only whole or through such a copy, so no view
+outlives the array it was cut from; eq(v) is model.equilibrium_stress,
+which slices v itself.  The stage kernel folds the constant factors of its
 formulas (the 0.5 of the mass flux and of the face density, 1/dr, 1/(2 dr),
 2/3, -a_coef, 2/r, the upwind minus sign) into one scalar or one coefficient
 array built with the Workspace, so each term costs one pass over the grid;
-it agrees with the formulas as written to rounding.  An allocating public entry point
-(compute_dt, compute_dt_classical, rhs_nonstiff, rhs_full, classical_rhs,
-relax_substep, step without out= and work=) runs the same kernel in a fresh
-Workspace, so it and the driver give the same bits.
+it agrees with the formulas as written to rounding.  An allocating public entry point (compute_dt, compute_dt_classical,
+rhs_nonstiff, rhs_full, classical_rhs, relax_substep, step without out= and
+work=) runs the same kernel in a fresh Workspace, so it and the driver give
+the same bits.
 """
 
 import math
@@ -177,6 +183,8 @@ class Workspace:
     rhs_nonstiff, rhs_full, classical_rhs and step take one as work= and
     then allocate no field; the rows the right-hand sides return live in
     work.k and are overwritten by the next call that uses the workspace.
+    It also owns every view that the kernels read, cut once from its own
+    buffers (see the module docstring).
     """
 
     def __init__(self, grid):
@@ -189,6 +197,8 @@ class Workspace:
         # stresses eq(v) of classical_rhs and of the viscous probe, or the
         # kept part a s* of an ARS stage's stresses
         self.stress = (np.empty(n), np.empty(n))
+        self.ghosted = tuple(_Ghosted(g) for g in self.ghost)
+        self.faces = tuple(_Faces(f) for f in self.face)
         # constant coefficients of rhs_nonstiff: the divisor of the mass row,
         # which carries the flux's 0.5 and the minus sign (scaling by 2 is
         # exact), and the 2/r of the momentum row
@@ -200,6 +210,47 @@ class Workspace:
         # the ARS step's buffers, made on its first use so that a run that
         # steps with Strang does not hold them
         return _ImexBuffers(self.k[0].size)
+
+
+class _Ghosted:
+    # one field with two ghost cells per side in the (n+4,) buffer g, and
+    # the views of g that its fill and the stencils read
+    def __init__(self, g):
+        self.all = g
+        self.cells = g[2:-2]
+        # the inner ghosts mirror cells 1, 0; the outer ones mirror cells
+        # n-1, n-2 or repeat cell n-1
+        self.inner, self.inner_mirror = g[:2], g[3:1:-1]
+        self.outer, self.outer_mirror, self.last = g[-2:], g[-3:-5:-1], g[-3:-2]
+        # the cells left and right of each of the n+1 faces, and the cells
+        # one further out
+        self.left, self.right, self.far_left, self.far_right = g[1:-2], g[2:-1], g[:-3], g[3:]
+        # the two neighbours of each of the n cells, and of each interior
+        # cell 1..n-2, which are no ghosts
+        self.west, self.east = g[1:-3], g[3:-1]
+        self.inner_west, self.inner_east = g[2:-4], g[4:-2]
+
+    def load(self, f, odd, outer_bc):
+        # the field f (n,) and its ghost cells, see apply_bc; returns g
+        self.cells[...] = f
+        if odd:
+            np.negative(self.inner_mirror, out=self.inner)
+        else:
+            self.inner[...] = self.inner_mirror
+        if outer_bc == "extrapolate":
+            self.outer[...] = self.last
+        elif odd:
+            np.negative(self.outer_mirror, out=self.outer)
+        else:
+            self.outer[...] = self.outer_mirror
+        return self.all
+
+
+class _Faces:
+    # an (n+1,) buffer of face values and its views at the faces left and
+    # right of each of the n cells
+    def __init__(self, f):
+        self.all, self.left, self.right = f, f[:-1], f[1:]
 
 
 class _ImexBuffers:
@@ -224,22 +275,6 @@ def _empty_state(n):
     return State(np.empty(n), np.empty(n), np.empty(n), np.empty(n))
 
 
-def _fill_ghosts(f, g, odd, outer_bc):
-    # g (n+4,) <- f (n,) with two ghost cells per side; see apply_bc
-    g[2:-2] = f
-    if odd:
-        np.negative(f[1::-1], out=g[:2])
-    else:
-        g[:2] = f[1::-1]
-    if outer_bc == "extrapolate":
-        g[-2:] = f[-1]
-    elif odd:
-        np.negative(f[:-3:-1], out=g[-2:])
-    else:
-        g[-2:] = f[:-3:-1]
-    return g
-
-
 def _check_outer_bc(outer_bc):
     if outer_bc not in _OUTER_BCS:
         raise FieldError("outer_bc", f"outer_bc must be one of {_OUTER_BCS}, got {outer_bc!r}")
@@ -255,7 +290,7 @@ def apply_bc(state, grid, params, outer_bc=SolverConfig.outer_bc):
     _check_outer_bc(outer_bc)
     n = grid.n_cells
     return tuple(
-        _fill_ghosts(f, np.empty(n + 4), odd, outer_bc)
+        _Ghosted(np.empty(n + 4)).load(f, odd, outer_bc)
         for f, odd in ((state.rho, False), (state.v, True), (state.s1, False), (state.s2, False))
     )
 
@@ -278,19 +313,19 @@ def _upwind_split(a, dr, lo, hi):
 
 def _upwind_into(out, lo, hi, g, diff, tmp):
     # out <- -a dg/dr upwinded, lo * backward + hi * forward, for the
-    # ghost-augmented field g with lo, hi from _upwind_split; the backward
-    # and forward differences are two slices of one one-sided difference
-    # array
-    np.subtract(g[2:-1], g[1:-2], out=diff)
-    np.multiply(lo, diff[:-1], out=out)
-    np.multiply(hi, diff[1:], out=tmp)
+    # _Ghosted field g with lo, hi from _upwind_split; the backward and
+    # forward differences are the two halves of one one-sided difference
+    # at the faces, the _Faces diff
+    np.subtract(g.right, g.left, out=diff.all)
+    np.multiply(lo, diff.left, out=out)
+    np.multiply(hi, diff.right, out=tmp)
     np.add(out, tmp, out=out)
 
 
 def _central_into(out, g, scale):
-    # scale times the undivided central difference at the n interior cells
-    # of a ghost-augmented array; scale carries the 1/(2 dr)
-    np.subtract(g[3:-1], g[1:-3], out=out)
+    # scale times the undivided central difference at the n cells of the
+    # _Ghosted field g; scale carries the 1/(2 dr)
+    np.subtract(g.east, g.west, out=out)
     np.multiply(scale, out, out=out)
 
 
@@ -298,20 +333,21 @@ def _flow_rows(rho, v, stresses, grid, params, outer_bc, w):
     # the mass and momentum rows into w.k[:2], returned.  The momentum row
     # carries the stress divergence only when stresses is a pair (s1, s2);
     # with None it is the classical step's explicit part.  Given stresses, it
-    # leaves their ghost-augmented arrays in w.ghost[:2]; either way it leaves
-    # the upwind split of v in w.cell[1:] for _stress_rows
-    n, dr, gamma = grid.n_cells, grid.dr, params.gamma
+    # leaves them ghost-augmented in w.ghost[:2]; either way it leaves the
+    # upwind split of v in w.cell[1:] for _stress_rows
+    gamma = params.gamma
     # each buffer is reused once the value it holds is spent, so a name
     # below may alias an earlier one (tmp is speed[:n], face_tmp is g2[:n+1]).
     # Every constant factor rides in one scalar or coefficient array, so each
     # term costs one pass over the grid
-    g0, g1, g2 = w.ghost
+    rho_e, v_e, g2 = w.ghosted
     flux, speed, sound, jump = w.face
+    flux_f, speed_f = w.faces[:2]
     grad, lo, hi = w.cell
     drho, dv = w.k[:2]
-    tmp = speed[:n]
-    rho_e = _fill_ghosts(rho, g0, False, outer_bc)
-    v_e = _fill_ghosts(v, g1, True, outer_bc)
+    tmp = speed_f.left
+    rho_e.load(rho, False, outer_bc)
+    v_e.load(v, True, outer_bc)
 
     # flux-form mass update: central face flux, |v|-upwind diffusion for the
     # convective part, and a fourth-difference dissipation at the acoustic
@@ -327,20 +363,20 @@ def _flow_rows(rho, v, stresses, grid, params, outer_bc, w):
     #   drho = -(flux_right - flux_left) / (r^2 dr)
     # c_f is sqrt(a gamma 0.5^(gamma-1)) (rho_l + rho_r)^((gamma-1)/2), and
     # the 0.5 of the flux rides in w.mass_div
-    m = np.multiply(rho_e, v_e, out=g2)
-    np.add(m[1:-2], m[2:-1], out=flux)
-    np.add(v_e[1:-2], v_e[2:-1], out=speed)
+    np.multiply(rho_e.all, v_e.all, out=g2.all)  # m
+    np.add(g2.left, g2.right, out=flux)
+    np.add(v_e.left, v_e.right, out=speed)
     np.multiply(0.5, speed, out=speed)
     np.abs(speed, out=speed)
-    np.add(rho_e[1:-2], rho_e[2:-1], out=sound)
+    np.add(rho_e.left, rho_e.right, out=sound)
     np.power(sound, 0.5 * (gamma - 1.0), out=sound)
     np.multiply(math.sqrt(params.a_coef * gamma * 0.5 ** (gamma - 1.0)), sound, out=sound)
-    face_tmp = g2[: n + 1]
-    np.subtract(rho_e[2:-1], rho_e[1:-2], out=jump)
+    face_tmp = g2.far_left
+    np.subtract(rho_e.right, rho_e.left, out=jump)
     np.multiply(speed, jump, out=face_tmp)
     np.subtract(flux, face_tmp, out=flux)
     d3 = face_tmp
-    np.subtract(rho_e[3:], rho_e[:-3], out=d3)
+    np.subtract(rho_e.far_right, rho_e.far_left, out=d3)
     np.multiply(3.0, jump, out=jump)
     np.subtract(d3, jump, out=d3)
     np.add(speed, sound, out=sound)
@@ -348,14 +384,14 @@ def _flow_rows(rho, v, stresses, grid, params, outer_bc, w):
     np.multiply(sound, d3, out=sound)
     np.add(flux, sound, out=flux)
     np.multiply(grid.face_r2, flux, out=flux)
-    np.subtract(flux[1:], flux[:-1], out=drho)
+    np.subtract(flux_f.right, flux_f.left, out=drho)
     np.divide(drho, w.mass_div, out=drho)
 
     # momentum: dv = -(v dv/dr)_upwind + (-dP/dr + 2/3 ds1/dr + 2 s1/r + ds2/dr) / rho
-    p = np.power(rho_e, gamma, out=g2)
-    _central_into(grad, p, -params.a_coef / (2.0 * dr))
-    _upwind_split(v, dr, lo, hi)
-    _upwind_into(dv, lo, hi, v_e, flux, tmp)
+    np.power(rho_e.all, gamma, out=g2.all)  # p
+    _central_into(grad, g2, -params.a_coef / (2.0 * grid.dr))
+    _upwind_split(v, grid.dr, lo, hi)
+    _upwind_into(dv, lo, hi, v_e, flux_f, tmp)
     if stresses is not None:
         _stress_divergence(grad, *stresses, grid, outer_bc, w)
     np.divide(grad, rho, out=grad)
@@ -368,15 +404,15 @@ def _stress_divergence(acc, s1, s2, grid, outer_bc, w):
     # row times rho, by central differences through the stresses' ghost
     # cells, which it leaves in w.ghost[:2]; acc is neither of those nor
     # w.face[1], whose first n values are scratch
-    n, dr = grid.n_cells, grid.dr
-    tmp = w.face[1][:n]
-    s1_e = _fill_ghosts(s1, w.ghost[0], False, outer_bc)
-    s2_e = _fill_ghosts(s2, w.ghost[1], False, outer_bc)
-    _central_into(tmp, s1_e, 1.0 / (3.0 * dr))  # 2/3 times 1/(2 dr)
+    tmp = w.faces[1].left
+    s1_e, s2_e = w.ghosted[:2]
+    s1_e.load(s1, False, outer_bc)
+    s2_e.load(s2, False, outer_bc)
+    _central_into(tmp, s1_e, 1.0 / (3.0 * grid.dr))  # 2/3 times 1/(2 dr)
     np.add(acc, tmp, out=acc)
     np.multiply(w.two_over_r, s1, out=tmp)
     np.add(acc, tmp, out=acc)
-    _central_into(tmp, s2_e, 0.5 / dr)
+    _central_into(tmp, s2_e, 0.5 / grid.dr)
     np.add(acc, tmp, out=acc)
     return acc
 
@@ -386,17 +422,16 @@ def _stress_rows(v, grid, params, w):
     # the stresses' ghost-augmented arrays in w.ghost[:2] and what _flow_rows,
     # called on the same v and workspace, left in w.  At eps = 0 the speed is
     # v itself, whose upwind split is already there
-    n, dr = grid.n_cells, grid.dr
-    s1_e, s2_e = w.ghost[:2]
-    flux, speed = w.face[:2]
+    s1_e, s2_e = w.ghosted[:2]
+    flux_f, speed_f = w.faces[:2]
     lo, hi = w.cell[1:]
     ds1, ds2 = w.k[2:]
-    tmp = speed[:n]
+    tmp = speed_f.left
     if params.eps != 0.0:
         np.subtract(v, params.eps, out=hi)
-        _upwind_split(hi, dr, lo, hi)
-    _upwind_into(ds1, lo, hi, s1_e, flux, tmp)
-    _upwind_into(ds2, lo, hi, s2_e, flux, tmp)
+        _upwind_split(hi, grid.dr, lo, hi)
+    _upwind_into(ds1, lo, hi, s1_e, flux_f, tmp)
+    _upwind_into(ds2, lo, hi, s2_e, flux_f, tmp)
     return ds1, ds2
 
 
@@ -416,7 +451,7 @@ def rhs_nonstiff(state, grid, params, outer_bc=SolverConfig.outer_bc, include_pr
     ds1, ds2 = _stress_rows(state.v, grid, params, w)
     if include_production:
         grad, lo, hi = w.cell
-        eq1, eq2 = equilibrium_stress(state.v, grid, params, out=(lo, hi, w.face[1][: grid.n_cells]))
+        eq1, eq2 = equilibrium_stress(state.v, grid, params, out=(lo, hi, w.faces[1].left))
         trho = np.multiply(params.tau, state.rho, out=grad)
         np.divide(eq1, trho, out=eq1)
         np.add(ds1, eq1, out=ds1)
@@ -442,14 +477,14 @@ def rhs_full(state, grid, params, outer_bc=SolverConfig.outer_bc, work=None):
     return drho, dv, ds1, ds2
 
 
-def _relax(state, dt, grid, params, out, work):
-    # out.s1, out.s2 <- the exact relaxation of state's stresses over dt;
-    # out may be state itself
-    eq1, eq2, dv, decay = work.k
-    equilibrium_stress(state.v, grid, params, out=(eq1, eq2, dv))
-    np.divide(-dt / params.tau, state.rho, out=decay)
+def _relax(rho, v, stresses, dt, grid, params, w, out):
+    # out <- the exact relaxation of the pair stresses over dt at frozen
+    # rho, v; out, a pair of arrays, may be stresses itself
+    eq1, eq2, dv, decay = w.k
+    equilibrium_stress(v, grid, params, out=(eq1, eq2, dv))
+    np.divide(-dt / params.tau, rho, out=decay)
     np.exp(decay, out=decay)
-    for s, dst, eq in ((state.s1, out.s1, eq1), (state.s2, out.s2, eq2)):
+    for s, dst, eq in zip(stresses, out, (eq1, eq2)):
         np.subtract(s, eq, out=dst)
         np.multiply(dst, decay, out=dst)
         np.add(eq, dst, out=dst)
@@ -463,14 +498,8 @@ def relax_substep(state, dt, grid, params):
     """
     _refuse_tau_zero("relax_substep", params, "run")
     out = state.copy()
-    _relax(state, dt, grid, params, out, Workspace(grid))
+    _relax(state.rho, state.v, (state.s1, state.s2), dt, grid, params, Workspace(grid), (out.s1, out.s2))
     return out
-
-
-def _viscous_dt(state, grid, params):
-    # dr^2 rho_min / K, K = 4 mu/3 + lambda: one over the spectral radius
-    # K/(rho dr^2) of the stride-2 viscous operator of the momentum row
-    return grid.dr**2 * float(np.min(state.rho)) / (4.0 * params.mu / 3.0 + params.lambda_)
 
 
 def _dt_scratch(state, params, work):
@@ -493,13 +522,16 @@ def _acoustic_dt(v, dp, grid, eps, c, speed):
 
 def _strang_bounds(state, grid, params, cfl, work=None):
     # (fast, cap, dp, a, b): the fast-wave CFL step cfl dr / max_char_speed;
-    # the parabolic cap cfl dr^2 rho_min / K when it exceeds fast, else None;
-    # and P' with two scratch arrays, from _dt_scratch.  The cap binds, and
-    # the explicit relaxed step stops growing with tau, exactly when it is
-    # not None: compute_dt and run's choice of step rule both ask here
+    # the parabolic cap cfl dr^2 rho_min / K, K = 4 mu/3 + lambda, when it
+    # exceeds fast, else None; and P' with two scratch arrays, from
+    # _dt_scratch.  dr^2 rho_min / K is one over the spectral radius
+    # K/(rho dr^2) of the stride-2 viscous operator of the momentum row.  The
+    # cap binds, and the explicit relaxed step stops growing with tau,
+    # exactly when it is not None: compute_dt and run's choice of step rule
+    # both ask here
     dp, a, b = _dt_scratch(state, params, work)
     fast = cfl * grid.dr / weyl_speed_bound(state.rho, state.v, dp, params, out=(a, b))
-    cap = cfl * _viscous_dt(state, grid, params)
+    cap = cfl * (grid.dr**2 * float(state.rho.min()) / (4.0 * params.mu / 3.0 + params.lambda_))
     return fast, (cap if cap > fast else None), dp, a, b
 
 
@@ -573,25 +605,27 @@ def _check(fields, step_idx, stage):
     )
 
 
-def _rk2_transport(state, dt, grid, params, outer_bc, step_idx, out, work):
-    # SSP-RK2 (Heun) on the non-stiff part, production excluded, from t to
-    # t + dt into out, which holds the middle stage on the way; state is not
-    # written
-    fields = (state.rho, state.v, state.s1, state.s2)
+def _rk2_transport(fields, t, dt, grid, params, outer_bc, step_idx, out, w):
+    # SSP-RK2 (Heun) on the non-stiff part, production excluded, of the
+    # fields (rho, v, s1, s2) at time t, to t + dt into out, which holds the
+    # middle stage on the way; fields are not written
+    rho, v, s1, s2 = fields
     stage = (out.rho, out.v, out.s1, out.s2)
-    k1 = rhs_nonstiff(state, grid, params, outer_bc, include_production=False, work=work)
-    for f, g, k in zip(fields, stage, k1):
+    _flow_rows(rho, v, (s1, s2), grid, params, outer_bc, w)
+    _stress_rows(v, grid, params, w)
+    for f, g, k in zip(fields, stage, w.k):
         np.multiply(dt, k, out=k)
         np.add(f, k, out=g)
-    out.t = state.t
+    out.t = t
     _check(stage, step_idx, "rk2 stage 1")
-    k2 = rhs_nonstiff(out, grid, params, outer_bc, include_production=False, work=work)
-    for f, g, k in zip(fields, stage, k2):
+    _flow_rows(out.rho, out.v, (out.s1, out.s2), grid, params, outer_bc, w)
+    _stress_rows(out.v, grid, params, w)
+    for f, g, k in zip(fields, stage, w.k):
         np.add(f, g, out=g)
         np.multiply(dt, k, out=k)
         np.add(g, k, out=g)
         np.multiply(0.5, g, out=g)
-    out.t = state.t + dt
+    out.t = t + dt
     _check(stage, step_idx, "rk2 stage 2")
     return out
 
@@ -619,12 +653,13 @@ def step(state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None, *, 
     if dt is None:
         dt = compute_dt(state, grid, params, cfg.cfl, work=w)
     out = _empty_state(grid.n_cells) if out is None else out
-    half = State(state.rho, state.v, *w.stress, state.t)
-    _relax(state, owed + 0.5 * dt, grid, params, half, w)
-    _rk2_transport(half, dt, grid, params, cfg.outer_bc, step_idx, out, w)
+    rho, v = state.rho, state.v
+    _relax(rho, v, (state.s1, state.s2), owed + 0.5 * dt, grid, params, w, w.stress)
+    _rk2_transport((rho, v, *w.stress), state.t, dt, grid, params, cfg.outer_bc, step_idx, out, w)
     if close:
-        _relax(out, 0.5 * dt, grid, params, out, w)
-        _check((out.rho, out.v, out.s1, out.s2), step_idx, "step")
+        closed = (out.s1, out.s2)
+        _relax(out.rho, out.v, closed, 0.5 * dt, grid, params, w, closed)
+        _check((out.rho, out.v, *closed), step_idx, "step")
     return out
 
 
@@ -743,8 +778,8 @@ def _explicit_rows(rho, v, stresses, grid, params, outer_bc, w):
     # without the stress divergence, and the stresses' transport at speed
     # v - eps
     rows = _flow_rows(rho, v, None, grid, params, outer_bc, w)
-    for s, g in zip(stresses, w.ghost):
-        _fill_ghosts(s, g, False, outer_bc)
+    for s, g in zip(stresses, w.ghosted):
+        g.load(s, False, outer_bc)
     return rows + _stress_rows(v, grid, params, w)
 
 
@@ -886,6 +921,17 @@ def _check_length(initial, grid):
         raise ValueError(f"initial state has {initial.rho.size} values per field for a grid of {grid.n_cells} cells")
 
 
+def _step_rules(initial, grid, params, cfl):
+    # run's (stepper, dt_rule, step_rule, rhs) for the admissible initial
+    # state: ARS(2,2,2) at tau = 0 and wherever explicit Strang's step would
+    # be the parabolic cap, explicit Strang elsewhere
+    if params.tau == 0.0:
+        return "imex", compute_dt_classical, _step_classical, classical_rhs
+    if _strang_bounds(initial, grid, params, cfl)[1] is not None:
+        return "imex", compute_dt_classical, _step_classical, rhs_full
+    return "strang", compute_dt, step, rhs_full
+
+
 def run(initial, grid, params, cfg, output_times=None, on_snapshot=None):
     """Integrate the system at params.tau to cfg.t_end and collect snapshots.
 
@@ -908,15 +954,10 @@ def run(initial, grid, params, cfg, output_times=None, on_snapshot=None):
     snapshot to its writer process this way, so an aborted run leaves them.
     """
     _check_length(initial, grid)
-    classical = params.tau == 0.0
-    if classical:
+    if params.tau == 0.0:
         initial = State(initial.rho, initial.v, *equilibrium_stress(initial.v, grid, params), initial.t)
     _check((initial.rho, initial.v, initial.s1, initial.s2), 0, "initial state")
-    if classical or _strang_bounds(initial, grid, params, cfg.cfl)[1] is not None:
-        rules = ("imex", compute_dt_classical, _step_classical, classical_rhs if classical else rhs_full)
-    else:
-        rules = ("strang", compute_dt, step, rhs_full)
-    return _advance(initial, grid, params, cfg, output_times, *rules, on_snapshot)
+    return _advance(initial, grid, params, cfg, output_times, *_step_rules(initial, grid, params, cfg.cfl), on_snapshot)
 
 
 def run_classical(initial, grid, params, cfg, output_times=None, on_snapshot=None):

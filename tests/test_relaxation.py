@@ -238,6 +238,63 @@ def test_tau_sweep_pool_matches_in_process_runs_bit_for_bit(grid, params):
     assert len(res.runtimes) == 5 and all(t >= 0.0 for t in res.runtimes)
 
 
+def _sweep_jobs(grid, cfg, taus, init=INIT):
+    # the sweep's jobs, as tau_sweep builds them: the baseline, then the members
+    out_times = np.linspace(0.0, cfg.t_end, 11)
+    runs = [FluidParams(tau=tau) for tau in [0.0, *taus]]
+    return [(make_initial_data(init, grid, p), grid, p, cfg, out_times) for p in runs]
+
+
+def test_most_steps_first_starts_the_explicit_member_with_most_steps():
+    # the acceptance sweep at n = 800: tau 1e-3 (490 explicit Strang steps)
+    # before tau 1e-2 (160), then the baseline and tau 1e-4 (20 ARS steps
+    # each, in the given order)
+    grid = RadialGrid(r_max=21.0, n_cells=800)
+    pulse = InitConfig(bump_amp=0.01, bump_center=7.0, bump_width=1.0, vel_amp=0.01)
+    jobs = _sweep_jobs(grid, SolverConfig(t_end=0.1), [1e-2, 1e-3, 1e-4], pulse)
+    assert relaxation._most_steps_first(jobs) == [2, 1, 0, 3]
+
+
+def test_most_steps_first_puts_fewer_steps_after_more(grid):
+    # on the test grid the explicit members take more steps as tau falls, and
+    # the ARS members (tau 1e-3 here) take the baseline's count; a job whose
+    # initial state run refuses predicts none.  Only the step counts order
+    # the jobs, never their place in the list
+    cfg = SolverConfig(t_end=0.1)
+    jobs = _sweep_jobs(grid, cfg, [1e-1, 1e-2, 1e-3])
+    assert relaxation._most_steps_first(jobs) == [2, 1, 0, 3]
+    assert relaxation._most_steps_first(jobs[::-1]) == [1, 2, 0, 3]
+    steps = [len(run(job[0], grid, job[2], cfg, output_times=job[4]).dt_history) for job in jobs]
+    assert steps[2] > steps[1] > steps[0] == steps[3]
+    bad = jobs[1][0].copy()
+    bad.rho[5] = -1.0
+    assert relaxation._most_steps_first([jobs[0], (bad, *jobs[1][1:])]) == [0, 1]
+
+
+def test_tau_sweep_is_the_same_on_one_worker_as_on_two(grid, params, monkeypatch):
+    # the schedule changes which worker runs a job and when, never its bits;
+    # each member's row stays at its tau, with one member's abort in its row
+    def aborting_run(initial, grid, params, cfg, output_times=None):
+        if params.tau == 3e-2:
+            raise NumericalAbort("rho <= 0", step=3, cell=7)
+        return run(initial, grid, params, cfg, output_times=output_times)
+
+    monkeypatch.setattr(relaxation, "run", aborting_run)
+    sweeps = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        sweeps.append(tau_sweep(SolverConfig(t_end=0.05), INIT, grid, params, [1e-3, 1e-1, 3e-2, 1e-2], n_outputs=4))
+    one, two = sweeps
+    assert one.taus == two.taus == [1e-1, 3e-2, 1e-2, 1e-3]
+    for field in ("field_errors", "stress_errors"):
+        a, b = (np.array(getattr(res, field), dtype=float) for res in sweeps)
+        assert np.array_equal(a, b, equal_nan=True), field
+    assert math.isnan(one.field_errors[1]) and not math.isnan(one.field_errors[2])
+    assert one.steps == two.steps and one.steps[1] is None and one.steps[0] < one.steps[2]
+    assert one.baseline_steps == two.baseline_steps > 0
+    assert one.failures == two.failures == [None, "tau=0.03: rho <= 0", None, None]
+
+
 def test_tau_sweep_member_abort_in_worker_is_its_failure_row(grid, params, monkeypatch):
     parent = os.getpid()
 

@@ -1208,6 +1208,28 @@ def test_rhs_in_workspace_matches_allocating_call(grid, rhs, eps):
     assert same_state(state, before)
 
 
+def test_one_workspace_serves_states_that_come_and_go(grid):
+    # the workspace keeps no view of a caller's array: each call on a second
+    # State, allocated after the first was deleted, gives the bits of a call
+    # with a fresh workspace, as the calls on the first did
+    p = FluidParams(tau=0.01, eps=0.1)
+    cfg = SolverConfig(outer_bc="reflect")
+    calls = [
+        lambda s, w: State(*(row.copy() for row in rhs_nonstiff(s, grid, p, "reflect", work=w))),
+        lambda s, w: State(*(row.copy() for row in rhs_full(s, grid, p, "extrapolate", work=w))),
+        lambda s, w: step(s, grid, p, cfg, 1e-3, 0, work=w),
+        lambda s, w: _step_classical(s, grid, p, cfg, 1e-3, 0, work=w),
+    ]
+    work = Workspace(grid)
+    first, _ = gaussian_state(grid)
+    for call in calls:
+        assert same_state(call(first, work), call(first, None))
+    del first
+    second, _ = gaussian_state(grid, amp=0.05, vamp=-0.03, center=4.0)
+    for call in calls:
+        assert same_state(call(second, work), call(second, None))
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize("dt_rule", [compute_dt, compute_dt_classical], ids=["relaxed", "classical"])
 def test_dt_rule_in_workspace_matches_allocating_call(grid, dt_rule, eps):
