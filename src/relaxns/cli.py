@@ -17,10 +17,12 @@ Config files are flat sectioned key=value text::
     cfl = 0.4
     t_end = 1.0
 
-Unknown sections or keys, keys given twice, malformed values and violated
-invariants are rejected with the offending line number.  Snapshots and
-diagnostics are CSV with full double precision (17 significant digits) and LF
-line endings, so identical configs reproduce byte-identical numerical outputs.
+Blank lines and comments, from '#' or ';' to the end of a line, are skipped.
+Unknown sections or keys, keys given twice, lines without '=' or before any
+[section], malformed values and violated invariants are rejected with the
+offending line number.  Snapshots and diagnostics are CSV with full double
+precision (17 significant digits) and LF line endings, so identical configs
+reproduce byte-identical numerical outputs.
 run, run-classical (run at tau = 0) and energy-report integrate with solver.run
 and hand each snapshot to one forked writer process as soon as the solver
 records it, so the CSV formatting overlaps the integration.
@@ -397,7 +399,7 @@ def _cmd_check_structure(args, config, say):
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     out_dir = Path(args.out)
     finish = _start(out_dir, resolved, grid, params, seed=args.seed)
-    audit = structure_audit(n_states=1000, seed=args.seed)
+    audit = structure_audit(seed=args.seed)
     # rho != 1 so the two closed-form candidates for det/eps^2 differ
     det = noncharacteristic_report(1.2, params)
     checks = audit.checks + det["checks"]

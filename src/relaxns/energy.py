@@ -6,9 +6,10 @@ H^2 of the fields, H^1 of their first time derivatives, and tau^2 times the
 L^2 of the second time derivatives.  The dissipation functional gathers the
 first- and second-order derivatives of (rho, v) plus the stress norms without
 the sqrt(tau) weight.  Spatial derivatives use central stencils (one-sided at
-the ends); time derivatives are the trajectory's right-hand side (traj.rhs)
-evaluated at each snapshot, and second time derivatives centered differences
-of those across snapshots (interior snapshot times only).
+the ends); time derivatives are solver.rhs_full evaluated at each snapshot,
+and second time derivatives centered differences of those across snapshots
+(interior snapshot times only).  Rows and weights alike come from params, so
+pass the params the run integrated (tau = 0 for run_classical).
 
 Also computes the exact lower-order energy balance
 
@@ -37,6 +38,7 @@ from .numerics import (
     weighted_h2_sq,
     weighted_l2_sq,
 )
+from .solver import _TIME_EPS, rhs_full
 
 _FLOOR = 1e-30
 PINCH_BOX = (0.75, 1.25)  # the density range the a-priori report checks
@@ -109,11 +111,11 @@ def weighted_norms(state, rhs, rhs_t, grid, params):
 def energy_series(traj, grid, params):
     """EnergySnapshot per trajectory snapshot, with the running sup filled in.
 
-    Time derivatives are traj.rhs at each snapshot; the second ones are their
-    centered differences, at interior snapshot times only.
+    Time derivatives are rhs_full at params at each snapshot; the second ones
+    are their centered differences, at interior snapshot times only.
     """
     times = traj.times
-    derivs = (traj.rhs(state, grid, params, traj.outer_bc) for state in traj.snapshots)
+    derivs = (rhs_full(state, grid, params, traj.outer_bc) for state in traj.snapshots)
     cur, nxt = None, next(derivs, None)
     out = []
     for j, state in enumerate(traj.snapshots):
@@ -237,7 +239,7 @@ def apriori_report(traj, grid, params, series=None):
     ratios = np.zeros_like(times) if degenerate else (e_run + int_d) / e0
     t0, t1 = times[0], times[-1]
     tq = t1 - 0.25 * (t1 - t0)
-    mask = times >= tq - 1e-12 * max(1.0, t1)
+    mask = times >= tq - _TIME_EPS * max(1.0, t1)
     rate = 0.0
     if np.sum(mask) >= 2 and t1 > tq:
         rq = ratios[mask][0]

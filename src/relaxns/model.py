@@ -42,7 +42,7 @@ class FluidParams:
 
     gamma-law pressure P = a_coef * rho**gamma; shear viscosity mu; bulk
     viscosity lambda_; relaxation time tau; boundary-regularization shift
-    speed eps.  tau = 0 is the classical system: run takes it, the relaxed operators do not.
+    speed eps.  tau = 0 is the classical system: run and rhs_full take it, step does not.
     """
 
     gamma: float = 1.4

@@ -81,14 +81,15 @@ run alone picks the step rule: ARS(2,2,2) at tau = 0 (run_classical is run
 at tau = 0), and at every tau > 0 where explicit Strang's step would be the
 parabolic cap at the initial state (_strang_bounds, the test compute_dt
 makes); explicit Strang elsewhere.  Both rules run through one driver,
-_advance, and differ only in three module-level rules with one signature per
+_advance, and differ only in two module-level rules with one signature per
 role: the CFL step dt_rule(state, grid, params, cfl, work=) (compute_dt,
-compute_dt_classical), the step step_rule(state, grid, params, cfg, dt,
+compute_dt_classical) and the step step_rule(state, grid, params, cfg, dt,
 step_idx, out=, work=, owed=, close=) (step, _step_classical, which owes
-nothing) and the right-hand side rhs(state, grid, params, outer_bc)
-(rhs_full, classical_rhs at tau = 0).  _advance records only the snapshots,
-the step sizes and the step rule's name ("imex" or "strang"); readers derive
-the rest from the snapshots and the Trajectory's rhs.
+nothing).  _advance records only the snapshots, the step sizes and the step
+rule's name ("imex" or "strang").  The system is params.tau's alone:
+rhs_full(state, grid, params, outer_bc) is its right-hand side at every
+tau >= 0, the classical rows at tau = 0, and readers derive the rest from
+the snapshots and rhs_full at the params the run integrated.
 
 The driver builds one Workspace per run, sized from the grid, and the dt rule
 and every stage compute into its buffers with out= ufuncs; two State buffers
@@ -96,17 +97,17 @@ take turns as a step's input and output, so neither the dt rule nor a step
 allocates a field.  The workspace also owns every view the stage kernels
 read, cut once when it is built: its ghost-augmented copies of the fields
 with their stencils (the two cells of each face, the two neighbours of each
-cell, the ghost fill's mirrors) and the two halves of each face array.  A
-kernel reads a caller's array only whole or through such a copy, so no view
-outlives the array it was cut from; eq(v) is model.equilibrium_stress,
-which slices v itself.  The stage kernel folds the constant factors of its
-formulas (the 0.5 of the mass flux and of the face density, 1/dr, 1/(2 dr),
-2/3, -a_coef, 2/r, the upwind minus sign) into one scalar or one coefficient
-array built with the Workspace, so each term costs one pass over the grid;
-it agrees with the formulas as written to rounding.  An allocating public entry point (compute_dt, compute_dt_classical,
-rhs_nonstiff, rhs_full, classical_rhs, relax_substep, step without out= and
-work=) runs the same kernel in a fresh Workspace, so it and the driver give
-the same bits.
+cell, the ghost fill's mirrors) and the two halves of the flux and speed
+face arrays.  A kernel reads a caller's array only whole or through such a
+copy, so no view outlives the array it was cut from; eq(v) is
+model.equilibrium_stress, which slices v itself.  The stage kernel folds the
+constant factors of its formulas (the 0.5 of the mass flux and of the face
+density, 1/dr, 1/(2 dr), 2/3, -a_coef, 2/r, the upwind minus sign) into one
+scalar or one coefficient array built with the Workspace, so each term costs
+one pass over the grid; it agrees with the formulas as written to rounding.  An allocating public
+entry point (compute_dt, compute_dt_classical, rhs_nonstiff, rhs_full,
+classical_rhs, relax_substep, step without out= and work=) runs the same
+kernel in a fresh Workspace, so it and the driver give the same bits.
 """
 
 import math
@@ -153,7 +154,6 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     outer_bc: str
-    rhs: object  # the right-hand side of the run's system: rhs_full or classical_rhs
     stepper: str  # the step rule that ran: "imex" (ARS(2,2,2)) or "strang"
     snapshots: list = field(default_factory=list)
     dt_history: list = field(default_factory=list)
@@ -194,11 +194,13 @@ class Workspace:
         self.cell = tuple(np.empty(n) for _ in range(3))
         self.k = tuple(np.empty(n) for _ in range(4))
         # the stresses of the first Strang half step, the Newtonian
-        # stresses eq(v) of classical_rhs and of the viscous probe, or the
-        # kept part a s* of an ARS stage's stresses
+        # stresses eq(v) of rhs_full at tau = 0 and of the viscous probe,
+        # or the kept part a s* of an ARS stage's stresses
         self.stress = (np.empty(n), np.empty(n))
         self.ghosted = tuple(_Ghosted(g) for g in self.ghost)
-        self.faces = tuple(_Faces(f) for f in self.face)
+        # the halves of the flux and speed face buffers, which the kernels
+        # read by halves
+        self.faces = tuple(_Faces(f) for f in self.face[:2])
         # constant coefficients of rhs_nonstiff: the divisor of the mass row,
         # which carries the flux's 0.5 and the minus sign (scaling by 2 is
         # exact), and the 2/r of the momentum row
@@ -225,10 +227,8 @@ class _Ghosted:
         # the cells left and right of each of the n+1 faces, and the cells
         # one further out
         self.left, self.right, self.far_left, self.far_right = g[1:-2], g[2:-1], g[:-3], g[3:]
-        # the two neighbours of each of the n cells, and of each interior
-        # cell 1..n-2, which are no ghosts
+        # the two neighbours of each of the n cells
         self.west, self.east = g[1:-3], g[3:-1]
-        self.inner_west, self.inner_east = g[2:-4], g[4:-2]
 
     def load(self, f, odd, outer_bc):
         # the field f (n,) and its ghost cells, see apply_bc; returns g
@@ -295,7 +295,7 @@ def apply_bc(state, grid, params, outer_bc=SolverConfig.outer_bc):
     )
 
 
-def _refuse_tau_zero(name, params, instead="classical_rhs"):
+def _refuse_tau_zero(name, params, instead):
     if params.tau <= 0.0:
         raise ValueError(f"{name} requires tau > 0; use {instead} for tau = 0")
 
@@ -342,7 +342,7 @@ def _flow_rows(rho, v, stresses, grid, params, outer_bc, w):
     # term costs one pass over the grid
     rho_e, v_e, g2 = w.ghosted
     flux, speed, sound, jump = w.face
-    flux_f, speed_f = w.faces[:2]
+    flux_f, speed_f = w.faces
     grad, lo, hi = w.cell
     drho, dv = w.k[:2]
     tmp = speed_f.left
@@ -423,7 +423,7 @@ def _stress_rows(v, grid, params, w):
     # called on the same v and workspace, left in w.  At eps = 0 the speed is
     # v itself, whose upwind split is already there
     s1_e, s2_e = w.ghosted[:2]
-    flux_f, speed_f = w.faces[:2]
+    flux_f, speed_f = w.faces
     lo, hi = w.cell[1:]
     ds1, ds2 = w.k[2:]
     tmp = speed_f.left
@@ -444,7 +444,7 @@ def rhs_nonstiff(state, grid, params, outer_bc=SolverConfig.outer_bc, include_pr
     with a ValueError.  Returns the four rows; with work= they are work.k.
     """
     if include_production:
-        _refuse_tau_zero("rhs_nonstiff with include_production=True", params)
+        _refuse_tau_zero("rhs_nonstiff with include_production=True", params, "rhs_full")
     _check_outer_bc(outer_bc)
     w = Workspace(grid) if work is None else work
     _flow_rows(state.rho, state.v, (state.s1, state.s2), grid, params, outer_bc, w)
@@ -461,12 +461,21 @@ def rhs_nonstiff(state, grid, params, outer_bc=SolverConfig.outer_bc, include_pr
 
 
 def rhs_full(state, grid, params, outer_bc=SolverConfig.outer_bc, work=None):
-    """Complete discrete right-hand side including the relaxation sources.
+    """Complete discrete right-hand side of the system at params.tau >= 0.
 
-    With work= the rows are work.k.
+    At tau > 0 the relaxed rows with the relaxation sources.  At tau = 0 the
+    classical rows: the relaxed momentum row with s1, s2 replaced by eq(v),
+    so the baseline is spatially the relaxed scheme's tau -> 0 limit, and
+    stress rows eq(dv/dt), the time derivative of eq(v) by linearity.  With
+    work= the rows are work.k.
     """
-    _refuse_tau_zero("rhs_full", params)
     w = Workspace(grid) if work is None else work
+    if params.tau == 0.0:
+        _check_outer_bc(outer_bc)
+        stresses = equilibrium_stress(state.v, grid, params, out=(*w.stress, w.cell[0]))
+        drho, dv = _flow_rows(state.rho, state.v, stresses, grid, params, outer_bc, w)
+        ds1, ds2 = equilibrium_stress(dv, grid, params, out=(*w.k[2:], w.cell[0]))
+        return drho, dv, ds1, ds2
     drho, dv, ds1, ds2 = rhs_nonstiff(state, grid, params, outer_bc, include_production=True, work=w)
     trho, decay = w.cell[:2]
     np.multiply(params.tau, state.rho, out=trho)
@@ -823,20 +832,8 @@ def _step_classical(state, grid, params, cfg, dt, step_idx, out=None, work=None,
 
 
 def classical_rhs(state, grid, params, outer_bc=SolverConfig.outer_bc, work=None):
-    """Time derivatives of (rho, v, s1, s2) for the classical system.
-
-    Reuses the relaxed momentum operator with s1, s2 replaced by the
-    Newtonian values of v, so the baseline is spatially identical to the
-    relaxed scheme's tau -> 0 limit.  The stress rows are the Newtonian
-    values of dv/dt, the time derivative of eq(v) by linearity.  With work=
-    the rows are work.k.
-    """
-    _check_outer_bc(outer_bc)
-    w = Workspace(grid) if work is None else work
-    stresses = equilibrium_stress(state.v, grid, params, out=(*w.stress, w.cell[0]))
-    drho, dv = _flow_rows(state.rho, state.v, stresses, grid, params, outer_bc, w)
-    ds1, ds2 = equilibrium_stress(dv, grid, params, out=(*w.k[2:], w.cell[0]))
-    return drho, dv, ds1, ds2
+    """rhs_full at tau = 0, whatever params.tau is: the classical system's rows."""
+    return rhs_full(state, grid, replace(params, tau=0.0), outer_bc, work)
 
 
 def _wavefront_clear(state):
@@ -852,16 +849,15 @@ def _record(traj, state, on_snapshot):
         on_snapshot(snap)
 
 
-def _advance(initial, grid, params, cfg, output_times, stepper, dt_rule, step_rule, rhs, on_snapshot=None):
+def _advance(initial, grid, params, cfg, output_times, stepper, dt_rule, step_rule, on_snapshot=None):
     # the one driver: dt_rule(state, grid, params, cfl, work=) proposes the
     # step, step_rule(state, grid, params, cfg, dt, step_idx, out=, work=,
-    # owed=, close=) takes it, and rhs(state, grid, params, outer_bc) is
-    # stored, unevaluated, in the Trajectory with the step rule's name
-    # stepper; on_snapshot, if given, is called with each snapshot as it is
-    # recorded.  initial has passed run's admissibility check.  Two State buffers take turns as
-    # the step's input and output, and one Workspace serves the dt rule and
-    # every stage (its k rows are free between steps), so a step allocates no
-    # field.  A step is closed only when it ends on a snapshot or at t_end;
+    # owed=, close=) takes it, and the Trajectory records the step rule's
+    # name stepper; on_snapshot, if given, is called with each snapshot as it
+    # is recorded.  initial has passed run's admissibility check.  Two State
+    # buffers take turns as the step's input and output, and one Workspace
+    # serves the dt rule and every stage (its k rows are free between steps),
+    # so a step allocates no field.  A step is closed only when it ends on a snapshot or at t_end;
     # otherwise its closing half relaxation is owed to the next step's
     # opening half.  The dt rule may run on an open state: it reads rho and v
     # only, which the relaxation leaves unchanged
@@ -870,7 +866,7 @@ def _advance(initial, grid, params, cfg, output_times, stepper, dt_rule, step_ru
         output_times = cfg.snapshot_times()
     horizon = max(t_end, 1.0)
     tol = _TIME_EPS * horizon
-    traj = Trajectory(outer_bc=cfg.outer_bc, rhs=rhs, stepper=stepper)
+    traj = Trajectory(outer_bc=cfg.outer_bc, stepper=stepper)
     work = Workspace(grid)
     state = initial.copy()
     spare = _empty_state(grid.n_cells)
@@ -922,14 +918,12 @@ def _check_length(initial, grid):
 
 
 def _step_rules(initial, grid, params, cfl):
-    # run's (stepper, dt_rule, step_rule, rhs) for the admissible initial
-    # state: ARS(2,2,2) at tau = 0 and wherever explicit Strang's step would
-    # be the parabolic cap, explicit Strang elsewhere
-    if params.tau == 0.0:
-        return "imex", compute_dt_classical, _step_classical, classical_rhs
-    if _strang_bounds(initial, grid, params, cfl)[1] is not None:
-        return "imex", compute_dt_classical, _step_classical, rhs_full
-    return "strang", compute_dt, step, rhs_full
+    # run's (stepper, dt_rule, step_rule) for the admissible initial state:
+    # ARS(2,2,2) at tau = 0 and wherever explicit Strang's step would be the
+    # parabolic cap, explicit Strang elsewhere
+    if params.tau == 0.0 or _strang_bounds(initial, grid, params, cfl)[1] is not None:
+        return "imex", compute_dt_classical, _step_classical
+    return "strang", compute_dt, step
 
 
 def run(initial, grid, params, cfg, output_times=None, on_snapshot=None):

@@ -66,6 +66,33 @@ def test_unknown_section_rejected(tmp_path):
         parse_config(path)
 
 
+def test_comments_and_blank_lines_are_skipped(tmp_path):
+    # '#' and ';' start a comment that runs to the end of its line, whole or trailing
+    bare = "[params]\ntau = 0.05\n[grid]\nn_cells = 64\n"
+    commented = (
+        "# a relaxed run\n\n[params]  ; the fluid\ntau = 0.05  # the relaxation time\n"
+        "   \n; the mesh\n[grid]\nn_cells = 64;\n"
+    )
+    # the objects are built from resolved, which echoes every setting
+    params, grid, _, _, resolved = parse_config(write_cfg(tmp_path, commented, "commented.cfg"))
+    assert params.tau == 0.05 and grid.n_cells == 64
+    assert resolved == parse_config(write_cfg(tmp_path, bare, "bare.cfg"))[4]
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("[params]\ngamma 1.4\n", 2, "expected key = value, got 'gamma 1.4'"),
+        ("tau = 0.01\n[params]\n", 1, "key = value before any [section] header"),
+    ],
+    ids=["no-equals", "no-section"],
+)
+def test_line_not_a_key_in_a_section_rejected_with_line(tmp_path, text, line, message):
+    with pytest.raises(ConfigError, match=f"^line {line}: ") as info:
+        parse_config(write_cfg(tmp_path, text))
+    assert info.value.line == line and message in str(info.value)
+
+
 def test_malformed_value_rejected_with_line(tmp_path):
     path = write_cfg(tmp_path, "[grid]\nn_cells = eight\n")
     with pytest.raises(ConfigError, match="line 2"):
@@ -139,6 +166,14 @@ def test_bad_tau_list_rejected_before_output(tmp_path, capsys, tau_list, entry):
     assert main(["sweep-tau", "--config", "default", "--out", str(out), "--tau-list", tau_list, "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: --tau-list entry ") and repr(entry) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau_list", [",", " , ,"], ids=["comma", "blanks"])
+def test_empty_tau_list_rejected_before_output(tmp_path, capsys, tau_list):
+    out = tmp_path / "o"
+    assert main(["sweep-tau", "--config", "default", "--out", str(out), "--tau-list", tau_list, "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: --tau-list must name at least one tau\n"
     assert not out.exists()
 
 
@@ -314,7 +349,7 @@ def test_check_structure_rejects_negative_seed_before_output(tmp_path, capsys):
 
 def test_main_check_structure_fail_path(tmp_path, capsys, monkeypatch):
     audit = replace(structure_audit(n_states=10, seed=0), q_form_max_error=1.0)
-    monkeypatch.setattr(cli, "structure_audit", lambda n_states, seed: audit)
+    monkeypatch.setattr(cli, "structure_audit", lambda seed: audit)
     out = tmp_path / "os"
     assert main(["check-structure", "--config", "default", "--out", str(out)]) == 2
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]

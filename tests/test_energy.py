@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaxns import solver
+from relaxns import energy, solver
 from relaxns.energy import (
     apriori_report,
     energy_identity_residual,
@@ -153,11 +153,11 @@ def test_reflecting_run_gives_no_contamination_warning(params):
 def test_energy_series_is_weighted_norms_of_rhs_rows(grid, params, bump_cfg, integrate, rhs):
     # each entry is weighted_norms on the rows of the system's right-hand
     # side at its snapshot and, at interior snapshots, on their centered
-    # differences in time, bit for bit
+    # differences in time, bit for bit, given the params the run integrated
     state = make_initial_data(bump_cfg, grid, params)
     # the classical step is the acoustic one, about 6 steps to t = 0.2
     traj = integrate(state, grid, params, SolverConfig(t_end=0.2, output_every=40 if integrate is run else 2))
-    assert traj.rhs is rhs
+    integrated = params if integrate is run else replace(params, tau=0.0)
     snaps, times = traj.snapshots, traj.times
     assert len(snaps) > 2
     rows = [rhs(s, grid, params, traj.outer_bc) for s in snaps]
@@ -167,36 +167,56 @@ def test_energy_series_is_weighted_norms_of_rhs_rows(grid, params, bump_cfg, int
         if 0 < j < len(snaps) - 1:
             dtw = times[j + 1] - times[j - 1]
             rhs_t = tuple((b - a) / dtw for a, b in zip(rows[j - 1], rows[j + 1]))
-        entry = weighted_norms(snap, rows[j], rhs_t, grid, params)
+        entry = weighted_norms(snap, rows[j], rhs_t, grid, integrated)
         if want:
             entry.e_running = max(want[-1].e_running, entry.e_inst)
         want.append(entry)
-    assert energy_series(traj, grid, params) == want
+    assert energy_series(traj, grid, integrated) == want
 
 
 @pytest.mark.parametrize("integrate", [run, run_classical], ids=["relaxed", "classical"])
 def test_run_evaluates_no_rhs_and_energy_series_one_per_snapshot(grid, params, bump_cfg, monkeypatch, integrate):
-    calls = {"rhs_full": [], "classical_rhs": []}
+    # energy_series evaluates rhs_full once per snapshot, at the params it is
+    # given; run evaluates no right-hand side
+    calls = {}
 
-    def counted(name):
-        real = getattr(solver, name)
+    def count(module, name):
+        key = f"{module.__name__.removeprefix('relaxns.')}.{name}"
+        real = getattr(module, name)
+        calls[key] = []
 
-        def rhs(state, *args, **kwargs):
-            calls[name].append(state.t)
-            return real(state, *args, **kwargs)
+        def rhs(state, grid, params, *args, **kwargs):
+            calls[key].append((state.t, params.tau))
+            return real(state, grid, params, *args, **kwargs)
 
-        return rhs
+        monkeypatch.setattr(module, name, rhs)
 
-    for name in calls:
-        monkeypatch.setattr(solver, name, counted(name))
+    for module, name in ((solver, "rhs_full"), (solver, "classical_rhs"), (energy, "rhs_full")):
+        count(module, name)
     state = make_initial_data(bump_cfg, grid, params)
     # the classical step is the acoustic one, about 6 steps to t = 0.2
     traj = integrate(state, grid, params, SolverConfig(t_end=0.2, output_every=40 if integrate is run else 2))
     assert len(traj.snapshots) > 2
-    assert calls == {"rhs_full": [], "classical_rhs": []}
-    energy_series(traj, grid, params)
-    used = "rhs_full" if integrate is run else "classical_rhs"
-    assert calls == {"rhs_full": [], "classical_rhs": [], used: [s.t for s in traj.snapshots]}
+    assert all(c == [] for c in calls.values())
+    integrated = params if integrate is run else replace(params, tau=0.0)
+    energy_series(traj, grid, integrated)
+    assert calls == {
+        "solver.rhs_full": [],
+        "solver.classical_rhs": [],
+        "energy.rhs_full": [(s.t, integrated.tau) for s in traj.snapshots],
+    }
+
+
+def test_energy_series_of_run_classical_is_that_of_run_at_tau_zero(grid, params, bump_cfg):
+    # the trajectory carries no system: given the params of tau = 0, the
+    # series of a run_classical trajectory is that of run at tau = 0, bit for
+    # bit, whatever tau the params run_classical took
+    classical = replace(params, tau=0.0)
+    state = make_initial_data(bump_cfg, grid, params)
+    cfg = SolverConfig(t_end=0.2, output_every=2)
+    want = energy_series(run(state, grid, classical, cfg), grid, classical)
+    assert len(want) > 2 and params.tau > 0.0
+    assert energy_series(run_classical(state, grid, params, cfg), grid, classical) == want
 
 
 def test_apriori_equilibrium_degenerate(grid, params, equilibrium):

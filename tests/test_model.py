@@ -9,6 +9,7 @@ from relaxns.model import (
     FluidParams,
     InitConfig,
     RadialGrid,
+    State,
     compatibility_residual,
     equilibrium_stress,
     face_value,
@@ -137,6 +138,18 @@ def test_equilibrium_stress_linearity(grid, params):
         combo = a * rhs1[k] + b * rhs2[k]
         scale = np.max(np.abs(combo)) + 1e-30
         assert np.max(np.abs(lhs[k] - combo)) / scale < 1e-12
+
+
+def test_equilibrium_stress_rejects_a_velocity_not_of_the_grids_length(grid, params):
+    with pytest.raises(ValueError, match="^velocity array does not match the grid$"):
+        equilibrium_stress(np.zeros(grid.n_cells + 1), grid, params)
+
+
+@pytest.mark.parametrize("short", ["rho", "v", "s1", "s2"])
+def test_state_rejects_fields_of_different_lengths(short):
+    fields = {name: np.zeros(3 if name == short else 4) for name in ("rho", "v", "s1", "s2")}
+    with pytest.raises(ValueError, match="^state fields must share one length$"):
+        State(**fields)
 
 
 def test_make_initial_data_equilibrium(grid, params):

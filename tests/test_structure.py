@@ -53,6 +53,13 @@ def test_a0_requires_relaxed_params():
         assemble_a0(-1.0, FluidParams(tau=0.1))
 
 
+def test_b_requires_r_at_least_one():
+    p = FluidParams(tau=0.1)
+    assert np.isfinite(assemble_b(1.0, 1.0, p)).all()
+    with pytest.raises(DomainError, match="^assemble_b requires r >= 1$"):
+        assemble_b(1.0, np.nextafter(1.0, 0.0), p)
+
+
 def test_a1_boundary_display():
     a1 = assemble_a1(1.0, 0.0, FluidParams(gamma=2.0, tau=0.1, eps=0.0))
     expected = np.array(
