@@ -76,11 +76,12 @@ class RadialGrid:
     r_max: float = 21.0
     n_cells: int = 800
     r_min: float = field(default=1.0, init=False)
-    dr: float = field(init=False)
-    centers: np.ndarray = field(init=False, repr=False)
-    faces: np.ndarray = field(init=False, repr=False)
-    center_r2: np.ndarray = field(init=False, repr=False)
-    face_r2: np.ndarray = field(init=False, repr=False)
+    # derived from (r_max, n_cells), so a grid compares and hashes by those
+    dr: float = field(init=False, compare=False)
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
+    faces: np.ndarray = field(init=False, repr=False, compare=False)
+    center_r2: np.ndarray = field(init=False, repr=False, compare=False)
+    face_r2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.r_min < self.r_max < math.inf:

@@ -10,20 +10,23 @@ the end-time defect of the stress limit relations
 Log-log slopes of the errors against tau are fitted but asserted nowhere
 here; the lab reports, the acceptance tests judge.
 
-The baseline is the template at tau = 0, which run integrates as the
-classical system, so every job is one run call.  The baseline and the
+The baseline is the template at tau = 0, and every job, the baseline and
+each member, steps with ARS(2,2,2) (Ascher, Ruuth & Spiteri, APNUM 25
+(1997) 151), whatever rule run would pick for a member alone.  The errors
+are distances to the baseline, which only ARS(2,2,2) steps, so a member
+stepped with the same rule shares the baseline's time error to leading
+order and what is left is the relaxation's: the step divides nothing by
+tau and is asymptotic-preserving (Jin, SISC 21 (1999) 441).  A member on
+explicit Strang would add a time error of its own (3.75% of the tau = 1e-3
+limit constant at n = 800, cfl 0.4).  The step, cfl dr / max(|v| +
+sqrt(P'), |v - eps|), reads no stress, and eps only at tau > 0, so at
+eps = 0 every job's first step is the baseline's, and at eps > 0 a member
+takes at least as many steps as the baseline.  The baseline and the
 members do not depend on each other, so tau_sweep runs them at the same
 time, one job each, in a pool of worker processes made with `fork` (Linux
 or macOS): as many workers as there are jobs or CPUs this process may use,
-whichever is fewer.  Each member's runtime is its own wall time in its
-worker; the sweep's wall time is near that of the busiest worker.  Jobs
-start with the most predicted steps first: t_end over the first step of
-the dt rule that run picks at the initial state.  This is Graham's
-longest-processing-time order (SIAM J. Appl. Math. 17 (1969) 416) with
-steps standing in for time; it ignores that an ARS(2,2,2) step costs
-several explicit Strang steps.  In the acceptance sweep the smallest tau
-that steps with explicit Strang has by far the most steps, so it gets a
-worker to itself while the shorter jobs share the others.
+whichever is fewer, the baseline submitted first.  Each member's runtime
+is its own wall time in its worker.
 """
 
 import math
@@ -36,7 +39,7 @@ import numpy as np
 from .errors import NumericalAbort
 from .model import equilibrium_stress, make_initial_data
 from .numerics import weighted_h1_sq, weighted_l2_sq
-from .solver import _step_rules, run
+from .solver import _admit, _advance, _ars_rules
 
 
 def limit_relation_error(state, grid, params):
@@ -91,41 +94,25 @@ def _loglog_slope(x, y):
     return float(np.polyfit(np.log(x[good]), np.log(y[good]), 1)[0])
 
 
+def _sweep_run(initial, grid, params, cfg, output_times):
+    """One sweep job's trajectory: run's admission of initial, then
+    ARS(2,2,2) at params.tau, whatever rule run would pick."""
+    return _advance(_admit(initial, grid, params), grid, params, cfg, output_times, *_ars_rules())
+
+
 def _integrate(initial, grid, params, cfg, out_times):
     """One sweep job: (snapshots, runtime, steps), or (abort, runtime, None).
 
-    `run` is looked up in this module's globals where the job runs, so a
-    forked worker runs whatever the parent had bound to it when the pool
-    forked it.
+    `_sweep_run` is looked up in this module's globals where the job runs,
+    so a forked worker runs whatever the parent had bound to it when the
+    pool forked it.
     """
     t0 = time.perf_counter()
     try:
-        traj = run(initial, grid, params, cfg, output_times=out_times)
+        traj = _sweep_run(initial, grid, params, cfg, output_times=out_times)
     except NumericalAbort as exc:
         return exc, time.perf_counter() - t0, None
     return traj.snapshots, time.perf_counter() - t0, len(traj.dt_history)
-
-
-def _most_steps_first(jobs):
-    """The indices of the sweep jobs (initial, grid, params, cfg, out_times),
-    the most predicted steps first, ties in the given order.
-
-    A job's steps are predicted as cfg.t_end over the first step of the
-    dt rule that run picks for it.  The cost of a step is not weighed: an
-    ARS(2,2,2) step counts as one explicit Strang step.  An initial state
-    that run refuses as not admissible predicts 0 steps: its run aborts at
-    once.
-    """
-
-    def predicted_steps(job):
-        initial, grid, params, cfg, _ = job
-        with np.errstate(all="ignore"):
-            dt_rule = _step_rules(initial, grid, params, cfg.cfl)[1]
-            dt = dt_rule(initial, grid, params, cfg.cfl)
-        return cfg.t_end / dt if dt > 0.0 else 0.0
-
-    steps = [predicted_steps(job) for job in jobs]
-    return sorted(range(len(jobs)), key=lambda k: -steps[k])
 
 
 SWEEP_OUTPUTS = 10  # a sweep's snapshot count when neither the call nor the config sets one
@@ -161,27 +148,20 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
         raise ValueError("tau sweep requires one or more taus, all strictly positive")
     out_times = replace(base_cfg, n_outputs=n_outputs or base_cfg.n_outputs or SWEEP_OUTPUTS).snapshot_times()
     members = [replace(params_template, tau=tau) for tau in taus]
-    # one run job per params: the baseline, the template at tau = 0, then
-    # the members.  They are submitted with the most predicted steps first:
-    # the smallest taus, below the parabolic cap's threshold, step with
-    # ARS(2,2,2) as the baseline does, in few steps, and the smallest tau
-    # that steps with explicit Strang takes the most.  With that member
-    # first, on a 2-vCPU host, the sweep's wall time is its own time plus
-    # the pool's start-up
+    # one job per params, submitted in this order: the baseline, the
+    # template at tau = 0, then the members
     runs = [replace(params_template, tau=0.0)] + members
     jobs = [(make_initial_data(init_cfg, grid, p), grid, p, base_cfg, out_times) for p in runs]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
-    # fork, not spawn: a worker inherits the parent's binding of run, and
-    # with fork the pool starts every worker before it starts its own
-    # threads (CPython's fix for gh-90622)
+    # fork, not spawn: a worker inherits the parent's binding of
+    # _sweep_run, and with fork the pool starts every worker before it
+    # starts its own threads (CPython's fix for gh-90622)
     with ProcessPoolExecutor(min(len(jobs), cpus), mp_context=get_context("fork")) as pool:
-        futures = [None] * len(jobs)
-        for k in _most_steps_first(jobs):
-            futures[k] = pool.submit(_integrate, *jobs[k])
+        futures = [pool.submit(_integrate, *job) for job in jobs]
         try:
-            # the baseline's result first, wherever it was submitted: its
-            # abort ends the sweep and cancels the jobs not yet started, but
-            # the pool's shutdown still waits for the jobs already running
+            # the baseline's result first: its abort ends the sweep and
+            # cancels the jobs not yet started, but the pool's shutdown
+            # still waits for the jobs already running
             baseline, baseline_runtime, baseline_steps = futures[0].result()
             if isinstance(baseline, NumericalAbort):
                 raise baseline

@@ -77,10 +77,13 @@ dr^2 rho_min / K, c the sound speed (about 79 at n = 800 and rho = 1: a run
 to t = 1 takes 122 steps, not 9405); each costs two banded solves in
 Python floats, about 0.45 ms each at n = 800 and 3.5 ms at n = 6400.
 
-run alone picks the step rule: ARS(2,2,2) at tau = 0 (run_classical is run
-at tau = 0), and at every tau > 0 where explicit Strang's step would be the
-parabolic cap at the initial state (_strang_bounds, the test compute_dt
-makes); explicit Strang elsewhere.  Both rules run through one driver,
+run picks the step rule of a single run: ARS(2,2,2) at tau = 0
+(run_classical is run at tau = 0), and at every tau > 0 where explicit
+Strang's step would be the parabolic cap at the initial state
+(_strang_bounds, the test compute_dt makes); explicit Strang elsewhere.  A
+tau sweep steps every job with ARS(2,2,2) (_ars_rules), so its members
+share the baseline's rule; it admits the initial state as run does
+(_admit).  Both rules run through one driver,
 _advance, and differ only in two module-level rules with one signature per
 role: the CFL step dt_rule(state, grid, params, cfl, work=) (compute_dt,
 compute_dt_classical) and the step step_rule(state, grid, params, cfg, dt,
@@ -854,8 +857,8 @@ def _advance(initial, grid, params, cfg, output_times, stepper, dt_rule, step_ru
     # step, step_rule(state, grid, params, cfg, dt, step_idx, out=, work=,
     # owed=, close=) takes it, and the Trajectory records the step rule's
     # name stepper; on_snapshot, if given, is called with each snapshot as it
-    # is recorded.  initial has passed run's admissibility check.  Two State
-    # buffers take turns as the step's input and output, and one Workspace
+    # is recorded.  initial has passed _admit.  Two State buffers take
+    # turns as the step's input and output, and one Workspace
     # serves the dt rule and every stage (its k rows are free between steps),
     # so a step allocates no field.  A step is closed only when it ends on a snapshot or at t_end;
     # otherwise its closing half relaxation is owed to the next step's
@@ -912,9 +915,22 @@ def _advance(initial, grid, params, cfg, output_times, stepper, dt_rule, step_ru
     return traj
 
 
-def _check_length(initial, grid):
+def _admit(initial, grid, params):
+    # the initial state that _advance may start from: of the grid's length
+    # (else a ValueError), with Newtonian stresses at tau = 0, and admissible
+    # (else a NumericalAbort)
     if initial.rho.size != grid.n_cells:
         raise ValueError(f"initial state has {initial.rho.size} values per field for a grid of {grid.n_cells} cells")
+    if params.tau == 0.0:
+        initial = State(initial.rho, initial.v, *equilibrium_stress(initial.v, grid, params), initial.t)
+    _check((initial.rho, initial.v, initial.s1, initial.s2), 0, "initial state")
+    return initial
+
+
+def _ars_rules():
+    # the ARS(2,2,2) (stepper, dt_rule, step_rule), looked up when called,
+    # so that a rule rebound on this module after import is the one used
+    return "imex", compute_dt_classical, _step_classical
 
 
 def _step_rules(initial, grid, params, cfl):
@@ -922,7 +938,7 @@ def _step_rules(initial, grid, params, cfl):
     # ARS(2,2,2) at tau = 0 and wherever explicit Strang's step would be the
     # parabolic cap, explicit Strang elsewhere
     if params.tau == 0.0 or _strang_bounds(initial, grid, params, cfl)[1] is not None:
-        return "imex", compute_dt_classical, _step_classical
+        return _ars_rules()
     return "strang", compute_dt, step
 
 
@@ -947,10 +963,7 @@ def run(initial, grid, params, cfg, output_times=None, on_snapshot=None):
     on; an exception it raises ends the run: the command line hands each
     snapshot to its writer process this way, so an aborted run leaves them.
     """
-    _check_length(initial, grid)
-    if params.tau == 0.0:
-        initial = State(initial.rho, initial.v, *equilibrium_stress(initial.v, grid, params), initial.t)
-    _check((initial.rho, initial.v, initial.s1, initial.s2), 0, "initial state")
+    initial = _admit(initial, grid, params)
     return _advance(initial, grid, params, cfg, output_times, *_step_rules(initial, grid, params, cfg.cfl), on_snapshot)
 
 

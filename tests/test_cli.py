@@ -392,14 +392,16 @@ def test_sweep_summary_reports_time_steps(tmp_path):
 
 
 def test_sweep_tau_samples_at_the_config_n_outputs(tmp_path, monkeypatch):
+    sweep_run = relaxation._sweep_run
+
     def times_reporting_run(initial, grid, params, cfg, output_times=None):
         # the baseline, at tau = 0, runs for real
         if params.tau == 0.0:
-            return run(initial, grid, params, cfg, output_times=output_times)
+            return sweep_run(initial, grid, params, cfg, output_times=output_times)
         raise NumericalAbort(repr(output_times.tolist()))
 
     # the members run in forked workers, which inherit the patched binding
-    monkeypatch.setattr(relaxation, "run", times_reporting_run)
+    monkeypatch.setattr(relaxation, "_sweep_run", times_reporting_run)
     out = tmp_path / "osw"
     cfg = write_cfg(tmp_path, "[grid]\nr_max = 11\nn_cells = 64\n[solver]\nt_end = 0.05\nn_outputs = 2\n")
     assert main(["sweep-tau", "--config", cfg, "--out", str(out), "--tau-list", "1e-2", "--quiet"]) == 3

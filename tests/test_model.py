@@ -215,6 +215,15 @@ def test_grid_invariants():
         RadialGrid(r_max=5.0, n_cells=4)
 
 
+def test_grids_compare_and_hash_by_extent_and_cell_count():
+    # the derived mesh arrays take no part: equal grids compare and hash
+    # equal without comparing arrays, and a grid is a dict key
+    a, b = RadialGrid(n_cells=64), RadialGrid(n_cells=64)
+    assert a == b and hash(a) == hash(b)
+    assert a != RadialGrid(n_cells=65) and a != RadialGrid(r_max=11.0, n_cells=64)
+    assert {a: 1}[b] == 1
+
+
 def test_params_invariants():
     with pytest.raises(ValueError):
         FluidParams(gamma=1.0)

@@ -10,9 +10,12 @@ from relaxns.errors import NumericalAbort
 from relaxns.model import FluidParams, InitConfig, RadialGrid, equilibrium_stress, make_initial_data
 from relaxns.numerics import weighted_l2_sq
 from relaxns.relaxation import limit_relation_error, tau_sweep, well_prepared_deviation
-from relaxns.solver import SolverConfig, run, run_classical
+from relaxns.solver import SolverConfig, run
 
 INIT = InitConfig(bump_amp=0.01, bump_center=5.0, bump_width=0.7, vel_amp=0.01)
+# the sweep's runner as the module binds it, for stubs that replace it and
+# then run the real thing
+sweep_run = relaxation._sweep_run
 
 
 def test_limit_relation_zero_for_equilibrium_stresses(grid, params, bump_cfg):
@@ -144,17 +147,13 @@ def test_stiff_members_are_asymptotic_preserving_distance_linear_in_tau():
     assert distance(strang, members[0]) <= 5e-5
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the tau 1e-3 member steps with explicit Strang against an ARS(2,2,2) baseline, "
-    "so its constant's dt error is 3.75% (ROADMAP items 3 and 13)",
-)
 def test_limit_constants_of_the_criterion_6_sweep_have_converged_in_dt():
     # per member, C = field error / tau at cfl 0.4 and 0.2, and the
     # Richardson estimate C* = C(0.2) + (C(0.2) - C(0.4))/3 of the dt -> 0
     # constant, which takes the dt error as second order: the constant at
-    # cfl 0.4 is within 0.5% of it.  Measured: -0.36%, -3.75%, +0.09%
+    # cfl 0.4 is within 0.5% of it.  Every member steps with ARS(2,2,2), as
+    # the baseline does, and reads +0.09%, +0.07%, +0.09%; with the tau 1e-2
+    # and 1e-3 members on explicit Strang it read -0.36% and -3.75%
     grid = RadialGrid(r_max=21.0, n_cells=800)
     pulse = InitConfig(bump_amp=0.01, bump_center=7.0, bump_width=1.0, vel_amp=0.01)
     taus = [1e-2, 1e-3, 1e-4]
@@ -177,9 +176,9 @@ def test_tau_sweep_members_run_at_the_template_eps(grid, params):
     shifted = replace(params, eps=0.1)
     res = tau_sweep(cfg, INIT, grid, shifted, [1e-2], n_outputs=4)
     out_times = np.linspace(0.0, cfg.t_end, 5)
-    member = run(make_initial_data(INIT, grid, shifted), grid, shifted, cfg, output_times=out_times)
+    member = sweep_run(make_initial_data(INIT, grid, shifted), grid, shifted, cfg, output_times=out_times)
     classical = replace(shifted, tau=0.0)
-    base = run_classical(make_initial_data(INIT, grid, classical), grid, classical, cfg, output_times=out_times)
+    base = sweep_run(make_initial_data(INIT, grid, classical), grid, classical, cfg, output_times=out_times)
     assert len(member.snapshots) == len(base.snapshots) == 5
     expected = 0.0
     for a, b in zip(member.snapshots, base.snapshots):
@@ -191,6 +190,44 @@ def test_tau_sweep_members_run_at_the_template_eps(grid, params):
     assert unshifted.field_errors[0] != res.field_errors[0]
 
 
+def test_sweep_members_step_with_ars_where_run_would_step_with_strang():
+    # the acceptance grid at tau 1e-2 and 1e-3, where run alone steps with
+    # explicit Strang: the sweep's job returns the snapshots of _advance with
+    # the ARS(2,2,2) rule bit for bit, and its field errors are theirs
+    # against the baseline's
+    grid = RadialGrid(r_max=21.0, n_cells=800)
+    pulse = InitConfig(bump_amp=0.01, bump_center=7.0, bump_width=1.0, vel_amp=0.01)
+    cfg = SolverConfig(t_end=0.1)
+    out_times = np.linspace(0.0, cfg.t_end, 11)
+    taus = [1e-2, 1e-3]
+    res = tau_sweep(cfg, pulse, grid, FluidParams(), taus, n_outputs=10)
+
+    def ars(p):
+        initial = make_initial_data(pulse, grid, p)
+        return solver._advance(
+            solver._admit(initial, grid, p), grid, p, cfg, out_times,
+            "imex", solver.compute_dt_classical, solver._step_classical,
+        )
+
+    base = ars(FluidParams(tau=0.0))
+    for tau, field_error, n_steps in zip(taus, res.field_errors, res.steps, strict=True):
+        p = FluidParams(tau=tau)
+        initial = make_initial_data(pulse, grid, p)
+        snapshots, _, job_steps = relaxation._integrate(initial, grid, p, cfg, out_times)
+        want = ars(p)
+        assert job_steps == n_steps == len(want.dt_history) == len(base.dt_history)
+        assert len(snapshots) == len(want.snapshots) == 11
+        for a, b in zip(snapshots, want.snapshots):
+            assert a.t == b.t
+            assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("rho", "v", "s1", "s2"))
+        assert field_error == max(
+            math.sqrt(weighted_l2_sq(a.rho - b.rho, grid)) + math.sqrt(weighted_l2_sq(a.v - b.v, grid))
+            for a, b in zip(want.snapshots, base.snapshots, strict=True)
+        )
+        alone = run(initial, grid, p, cfg, output_times=out_times)
+        assert alone.stepper == "strang" and len(alone.dt_history) > n_steps
+
+
 def test_tau_sweep_member_abort_is_its_failure_row(grid, params, monkeypatch):
     cfg = SolverConfig(t_end=0.1)
     taus = [1e-2, 1e-3, 1e-4]
@@ -199,9 +236,9 @@ def test_tau_sweep_member_abort_is_its_failure_row(grid, params, monkeypatch):
     def aborting_run(initial, grid, params, cfg, output_times=None):
         if params.tau == 1e-3:
             raise NumericalAbort("rho <= 0 at cell 7", step=3, cell=7)
-        return run(initial, grid, params, cfg, output_times=output_times)
+        return sweep_run(initial, grid, params, cfg, output_times=output_times)
 
-    monkeypatch.setattr(relaxation, "run", aborting_run)
+    monkeypatch.setattr(relaxation, "_sweep_run", aborting_run)
     res = tau_sweep(cfg, INIT, grid, params, taus, n_outputs=4)
     assert res.taus == taus
     assert math.isnan(res.field_errors[1])
@@ -220,20 +257,20 @@ def test_tau_sweep_baseline_abort_propagates(grid, params, monkeypatch):
             raise NumericalAbort("baseline collapsed")
         raise AssertionError("a member ran after the baseline aborted")
 
-    monkeypatch.setattr(relaxation, "run", aborting_baseline)
+    monkeypatch.setattr(relaxation, "_sweep_run", aborting_baseline)
     with pytest.raises(NumericalAbort, match="^baseline collapsed$"):
         tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, [1e-2, 1e-3], n_outputs=4)
 
 
 def _in_process_sweep(cfg, grid, params, taus, n_outputs):
-    """The sweep's errors and step counts from plain in-process runs, in tau order."""
+    """The sweep's errors and step counts from its runner in this process, in tau order."""
     out_times = np.linspace(0.0, cfg.t_end, n_outputs + 1)
     classical = replace(params, tau=0.0)
-    base = run_classical(make_initial_data(INIT, grid, classical), grid, classical, cfg, output_times=out_times)
+    base = sweep_run(make_initial_data(INIT, grid, classical), grid, classical, cfg, output_times=out_times)
     field_errors, stress_errors, steps = [], [], []
     for tau in taus:
         member_params = replace(params, tau=tau)
-        member = run(make_initial_data(INIT, grid, member_params), grid, member_params, cfg, output_times=out_times)
+        member = sweep_run(make_initial_data(INIT, grid, member_params), grid, member_params, cfg, output_times=out_times)
         field_errors.append(max(
             math.sqrt(weighted_l2_sq(a.rho - b.rho, grid)) + math.sqrt(weighted_l2_sq(a.v - b.v, grid))
             for a, b in zip(member.snapshots, base.snapshots, strict=True)
@@ -253,44 +290,10 @@ def test_tau_sweep_pool_matches_in_process_runs_bit_for_bit(grid, params):
     assert res.field_errors == field_errors
     assert res.stress_errors == stress_errors
     assert res.steps == steps and res.baseline_steps == baseline_steps
-    # the explicit Strang members (tau >= 1e-2 on this grid) take more steps
-    # as tau falls; below, the parabolic cap binds and the members step with
-    # ARS(2,2,2), as the baseline does, and take its count
-    assert steps[0] < steps[1] < steps[2] and steps[3] == steps[4] == baseline_steps > 0
+    # every member steps with ARS(2,2,2), as the baseline does, and at
+    # eps = 0 takes its count
+    assert steps == [baseline_steps] * 5 and baseline_steps > 0
     assert len(res.runtimes) == 5 and all(t >= 0.0 for t in res.runtimes)
-
-
-def _sweep_jobs(grid, cfg, taus, init=INIT):
-    # the sweep's jobs, as tau_sweep builds them: the baseline, then the members
-    out_times = np.linspace(0.0, cfg.t_end, 11)
-    runs = [FluidParams(tau=tau) for tau in [0.0, *taus]]
-    return [(make_initial_data(init, grid, p), grid, p, cfg, out_times) for p in runs]
-
-
-def test_most_steps_first_starts_the_explicit_member_with_most_steps():
-    # the acceptance sweep at n = 800: tau 1e-3 (490 explicit Strang steps)
-    # before tau 1e-2 (160), then the baseline and tau 1e-4 (20 ARS steps
-    # each, in the given order)
-    grid = RadialGrid(r_max=21.0, n_cells=800)
-    pulse = InitConfig(bump_amp=0.01, bump_center=7.0, bump_width=1.0, vel_amp=0.01)
-    jobs = _sweep_jobs(grid, SolverConfig(t_end=0.1), [1e-2, 1e-3, 1e-4], pulse)
-    assert relaxation._most_steps_first(jobs) == [2, 1, 0, 3]
-
-
-def test_most_steps_first_puts_fewer_steps_after_more(grid):
-    # on the test grid the explicit members take more steps as tau falls, and
-    # the ARS members (tau 1e-3 here) take the baseline's count; a job whose
-    # initial state run refuses predicts none.  Only the step counts order
-    # the jobs, never their place in the list
-    cfg = SolverConfig(t_end=0.1)
-    jobs = _sweep_jobs(grid, cfg, [1e-1, 1e-2, 1e-3])
-    assert relaxation._most_steps_first(jobs) == [2, 1, 0, 3]
-    assert relaxation._most_steps_first(jobs[::-1]) == [1, 2, 0, 3]
-    steps = [len(run(job[0], grid, job[2], cfg, output_times=job[4]).dt_history) for job in jobs]
-    assert steps[2] > steps[1] > steps[0] == steps[3]
-    bad = jobs[1][0].copy()
-    bad.rho[5] = -1.0
-    assert relaxation._most_steps_first([jobs[0], (bad, *jobs[1][1:])]) == [0, 1]
 
 
 def test_tau_sweep_is_the_same_on_one_worker_as_on_two(grid, params, monkeypatch):
@@ -299,9 +302,9 @@ def test_tau_sweep_is_the_same_on_one_worker_as_on_two(grid, params, monkeypatch
     def aborting_run(initial, grid, params, cfg, output_times=None):
         if params.tau == 3e-2:
             raise NumericalAbort("rho <= 0", step=3, cell=7)
-        return run(initial, grid, params, cfg, output_times=output_times)
+        return sweep_run(initial, grid, params, cfg, output_times=output_times)
 
-    monkeypatch.setattr(relaxation, "run", aborting_run)
+    monkeypatch.setattr(relaxation, "_sweep_run", aborting_run)
     sweeps = []
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
@@ -312,8 +315,8 @@ def test_tau_sweep_is_the_same_on_one_worker_as_on_two(grid, params, monkeypatch
         a, b = (np.array(getattr(res, field), dtype=float) for res in sweeps)
         assert np.array_equal(a, b, equal_nan=True), field
     assert math.isnan(one.field_errors[1]) and not math.isnan(one.field_errors[2])
-    assert one.steps == two.steps and one.steps[1] is None and one.steps[0] < one.steps[2]
     assert one.baseline_steps == two.baseline_steps > 0
+    assert one.steps == two.steps == [one.baseline_steps, None, one.baseline_steps, one.baseline_steps]
     assert one.failures == two.failures == [None, "tau=0.03: rho <= 0", None, None]
 
 
@@ -323,9 +326,9 @@ def test_tau_sweep_member_abort_in_worker_is_its_failure_row(grid, params, monke
     def aborting_run(initial, grid, params, cfg, output_times=None):
         if params.tau == 1e-3:
             raise NumericalAbort(f"rho <= 0 in process {os.getpid()}", step=3, cell=7)
-        return run(initial, grid, params, cfg, output_times=output_times)
+        return sweep_run(initial, grid, params, cfg, output_times=output_times)
 
-    monkeypatch.setattr(relaxation, "run", aborting_run)
+    monkeypatch.setattr(relaxation, "_sweep_run", aborting_run)
     res = tau_sweep(SolverConfig(t_end=0.05), INIT, grid, params, [1e-2, 1e-3], n_outputs=2)
     assert res.failures[0] is None and res.steps[0] > 0
     prefix = "tau=0.001: rho <= 0 in process "
@@ -338,13 +341,13 @@ def _times_reporting_run(initial, grid, params, cfg, output_times=None):
     # a member that reports the output times it was given as its failure;
     # the baseline, at tau = 0, runs for real
     if params.tau == 0.0:
-        return run(initial, grid, params, cfg, output_times=output_times)
+        return sweep_run(initial, grid, params, cfg, output_times=output_times)
     raise NumericalAbort(repr(output_times.tolist()))
 
 
 @pytest.mark.parametrize("cfg_n, arg_n, want", [(0, None, 10), (2, None, 2), (2, 3, 3)])
 def test_tau_sweep_output_times_from_the_call_then_the_config(grid, params, monkeypatch, cfg_n, arg_n, want):
-    monkeypatch.setattr(relaxation, "run", _times_reporting_run)
+    monkeypatch.setattr(relaxation, "_sweep_run", _times_reporting_run)
     res = tau_sweep(SolverConfig(t_end=0.05, n_outputs=cfg_n), INIT, grid, params, [1e-2], n_outputs=arg_n)
     assert res.failures == [f"tau=0.01: {np.linspace(0.0, 0.05, want + 1).tolist()!r}"]
 
@@ -354,7 +357,7 @@ def test_tau_sweep_rejects_non_finite_tau_before_any_run(grid, params, monkeypat
     def unreachable(*args, **kwargs):
         raise AssertionError("an integration ran")
 
-    monkeypatch.setattr(relaxation, "run", unreachable)
+    monkeypatch.setattr(relaxation, "_sweep_run", unreachable)
     with pytest.raises(ValueError, match=f"^tau sweep entry {bad!r} is not finite$"):
         tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, [1e-2, bad])
 
@@ -364,7 +367,7 @@ def test_tau_sweep_rejects_a_repeated_tau_before_any_run(grid, params, monkeypat
     def unreachable(*args, **kwargs):
         raise AssertionError("an integration ran")
 
-    monkeypatch.setattr(relaxation, "run", unreachable)
+    monkeypatch.setattr(relaxation, "_sweep_run", unreachable)
     with pytest.raises(ValueError, match=r"^tau sweep entry 0\.01 is repeated$"):
         tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, taus)
 
@@ -374,6 +377,6 @@ def test_tau_sweep_rejects_a_bad_n_outputs_before_any_run(grid, params, monkeypa
     def unreachable(*args, **kwargs):
         raise AssertionError("an integration ran")
 
-    monkeypatch.setattr(relaxation, "run", unreachable)
+    monkeypatch.setattr(relaxation, "_sweep_run", unreachable)
     with pytest.raises(ValueError, match=f"^{message}$"):
         tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, [1e-2], n_outputs=bad)
