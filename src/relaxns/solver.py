@@ -55,19 +55,21 @@ for s = a s* + W eq(v), a = tau rho/(tau rho + h), W = h/(tau rho + h),
 h = gamma dt.  One pentadiagonal system in v is left,
 (diag(rho) - h G W E) v = rho v* + h G(a s*), E = eq (eq(v) takes central
 differences of v, and the momentum row central differences of the
-stresses); its five bands are probed through the same stress closure, and
-one banded elimination without pivoting solves it.  The stage-1 implicit
-terms are recovered as (U1 - U*)/h, and nothing is divided by tau, so the
-step is the same at tau = 1e-300 as at tau = 0 to rounding: it is
-asymptotic-preserving (Jin, SISC 21 (1999) 441), its distance to the
-baseline falls like tau.  One stage serves every tau >= 0, and the
-baseline is its tau = 0 case: there a = 0 and W = h/h = 1 exactly, so the
+stresses); its five bands are probed through the same stress closure and
+stencil, five combs in one pass over (5, n) arrays, and one banded
+elimination without pivoting, two rows per loop pass, solves it.  The
+stage-1 implicit terms are recovered as (U1 - U*)/h, and nothing is
+divided by tau, so the step is the same at tau = 1e-300 as at tau = 0 to
+rounding: it is asymptotic-preserving (Jin, SISC 21 (1999) 441), its
+distance to the baseline falls like tau.  One stage serves every
+tau >= 0, and the baseline is its tau = 0 case: there a = 0 and W = h/h = 1 exactly, so the
 stage's stresses are the Newtonian values eq(v) whatever the transported
 s* holds, and the system is (diag(rho) - h V) v = rho v* with the viscous
 operator V = G E.  V's bands depend on the grid, mu, lambda and the
 closure only, so a workspace probes them once and keeps them while
 tau = 0; at tau > 0, W changes with each stage's rho, and the bands are
-probed per stage.  The step is the acoustic CFL step with the stress
+probed per stage from the combs' stresses E c_k, which the workspace
+keeps per (mu, lambda).  The step is the acoustic CFL step with the stress
 transport speed, cfl dr / max(|v| + sqrt(P'), |v - eps|), eps counted only
 at tau > 0: the stiff terms, of spectral radius up to K/(rho dr^2) and the
 fast stress wave's speed, set no bound on the implicit part, which is
@@ -75,7 +77,8 @@ L-stable, and at tau = 0 the transported stresses are replaced by eq(v).
 That step is about K / (rho c dr) times the parabolic bound
 dr^2 rho_min / K, c the sound speed (about 79 at n = 800 and rho = 1: a run
 to t = 1 takes 122 steps, not 9405); each costs two banded solves in
-Python floats, about 0.45 ms each at n = 800 and 3.5 ms at n = 6400.
+Python floats, about 0.4 ms each at n = 800 and 3.1 ms at n = 6400 (the
+fastest of repeated calls on one core of an x86-64 server).
 
 run picks the step rule of a single run: ARS(2,2,2) at tau = 0
 (run_classical is run at tau = 0), and at every tau > 0 where explicit
@@ -197,8 +200,8 @@ class Workspace:
         self.cell = tuple(np.empty(n) for _ in range(3))
         self.k = tuple(np.empty(n) for _ in range(4))
         # the stresses of the first Strang half step, the Newtonian
-        # stresses eq(v) of rhs_full at tau = 0 and of the viscous probe,
-        # or the kept part a s* of an ARS stage's stresses
+        # stresses eq(v) of rhs_full at tau = 0, or the kept part a s* of
+        # an ARS stage's stresses
         self.stress = (np.empty(n), np.empty(n))
         self.ghosted = tuple(_Ghosted(g) for g in self.ghost)
         # the halves of the flux and speed face buffers, which the kernels
@@ -214,24 +217,27 @@ class Workspace:
     def imex(self):
         # the ARS step's buffers, made on its first use so that a run that
         # steps with Strang does not hold them
-        return _ImexBuffers(self.k[0].size)
+        return _ImexBuffers(self.k[0].size, self.two_over_r)
 
 
 class _Ghosted:
     # one field with two ghost cells per side in the (n+4,) buffer g, and
-    # the views of g that its fill and the stencils read
+    # the views of g that its fill and the stencils read.  The views slice
+    # the last axis, so a (5, n+4) g holds five fields, filled and read at
+    # once (_viscous_bands)
     def __init__(self, g):
         self.all = g
-        self.cells = g[2:-2]
+        self.cells = g[..., 2:-2]
         # the inner ghosts mirror cells 1, 0; the outer ones mirror cells
         # n-1, n-2 or repeat cell n-1
-        self.inner, self.inner_mirror = g[:2], g[3:1:-1]
-        self.outer, self.outer_mirror, self.last = g[-2:], g[-3:-5:-1], g[-3:-2]
+        self.inner, self.inner_mirror = g[..., :2], g[..., 3:1:-1]
+        self.outer, self.outer_mirror, self.last = g[..., -2:], g[..., -3:-5:-1], g[..., -3:-2]
         # the cells left and right of each of the n+1 faces, and the cells
         # one further out
-        self.left, self.right, self.far_left, self.far_right = g[1:-2], g[2:-1], g[:-3], g[3:]
+        self.left, self.right = g[..., 1:-2], g[..., 2:-1]
+        self.far_left, self.far_right = g[..., :-3], g[..., 3:]
         # the two neighbours of each of the n cells
-        self.west, self.east = g[1:-3], g[3:-1]
+        self.west, self.east = g[..., 1:-3], g[..., 3:-1]
 
     def load(self, f, odd, outer_bc):
         # the field f (n,) and its ghost cells, see apply_bc; returns g
@@ -251,27 +257,50 @@ class _Ghosted:
 
 class _Faces:
     # an (n+1,) buffer of face values and its views at the faces left and
-    # right of each of the n cells
+    # right of each of the n cells, on the last axis as in _Ghosted
     def __init__(self, f):
-        self.all, self.left, self.right = f, f[:-1], f[1:]
+        self.all, self.left, self.right = f, f[..., :-1], f[..., 1:]
 
 
 class _ImexBuffers:
-    # the bands of the implicit stage's operator, which are those of the
-    # viscous operator V at tau = 0 for the (mu, lambda, outer_bc) of key
-    # (None when they are not); the explicit stage values of v and of the
-    # stresses; the accumulators of rho, v, s1, s2; the stage solve's
+    # the bands of the implicit stage's operator, the rows of one (5, n)
+    # array, which are those of the viscous operator V at tau = 0 for the
+    # (mu, lambda, outer_bc) of key (None when they are not); the five comb
+    # probes that give them (_Combs); the explicit stage values of v and of
+    # the stresses; the accumulators of rho, v, s1, s2; the stage solve's
     # diagonal, right-hand side and factor rows; the stage's a and W (see
     # _implicit_stage); and its load G(a s*)
-    def __init__(self, n):
-        self.bands = tuple(np.empty(n) for _ in range(5))
+    def __init__(self, n, two_over_r):
+        self.bands = np.empty((5, n))
         self.key = None
+        self.combs = _Combs(n, two_over_r)
         self.stage_v = np.empty(n)
         self.stage_s = (np.empty(n), np.empty(n))
         self.acc = tuple(np.empty(n) for _ in range(4))
         self.solve = tuple(np.empty(n) for _ in range(4))
         self.relax = (np.empty(n), np.empty(n))
         self.load = np.empty(n)
+
+
+class _Combs:
+    # the five comb probes of _viscous_bands, one per row of (5, n) arrays:
+    # eq holds the stresses E c_k of the combs for the (mu, lambda) of key
+    # (None before the first probe), weighted the W E c_k and probe the
+    # G W E c_k.  ghosted, faces and two_over_r are what _stress_divergence
+    # reads of a Workspace (it takes its scratch from faces[1]), five rows
+    # deep, so the one stencil probes all five combs at once.  Row i of band
+    # o + 2, A[i, i+o], is probe[(i+o) mod 5, i], the flat index gather[o+2, i]
+    def __init__(self, n, two_over_r):
+        self.eq = (np.empty((5, n)), np.empty((5, n)))
+        self.key = None
+        self.weighted = (np.empty((5, n)), np.empty((5, n)))
+        self.probe = np.empty((5, n))
+        self.flat_probe = self.probe.reshape(-1)
+        self.ghosted = tuple(_Ghosted(np.empty((5, n + 4))) for _ in range(2))
+        self.faces = (None, _Faces(np.empty((5, n + 1))))
+        self.two_over_r = two_over_r
+        cells = np.arange(n)
+        self.gather = (cells + np.arange(-2, 3)[:, None]) % 5 * n + cells
 
 
 def _empty_state(n):
@@ -680,39 +709,39 @@ _ARS_GAMMA = 1.0 - math.sqrt(0.5)
 _ARS_DELTA = 1.0 - 0.5 / _ARS_GAMMA
 
 
-def _viscous_term(v, grid, params, outer_bc, w, out, weight):
-    # out <- G W E v: E = eq, G the stress divergence (times rho) of the
-    # momentum row, W = diag(weight).  out is none of w.stress, w.cell[0],
-    # w.ghost[:2] and w.face[1]
-    s1, s2 = equilibrium_stress(v, grid, params, out=(*w.stress, w.cell[0]))
-    np.multiply(weight, s1, out=s1)
-    np.multiply(weight, s2, out=s2)
-    out.fill(0.0)
-    return _stress_divergence(out, s1, s2, grid, outer_bc, w)
-
-
 def _viscous_bands(grid, params, outer_bc, w, weight):
     # the bands (A[i, i-2], A[i, i-1], A[i, i], A[i, i+1], A[i, i+2]) of the
-    # pentadiagonal A = G W E of _viscous_term at row i, entries outside the
-    # matrix 0.  A couples cells at most two apart, so the comb c_k, 1 at the
-    # cells j = k mod 5, meets each row's stencil at one cell, and (A c_k)[i]
-    # is A[i, j] there: five probes give every band, through the one stress
-    # closure.  W changes with each stage's rho, so A is probed on every
-    # call, except at tau = 0: there W is exactly 1, A is the viscous
-    # operator V = G E, which depends on the grid, mu, lambda and the closure
-    # only, and w.imex keeps its bands
+    # pentadiagonal A = G W E at row i, the rows of a (5, n) array: E = eq,
+    # G the stress divergence (times rho) of the momentum row, and
+    # W = diag(weight); entries outside the matrix are 0.  A couples cells
+    # at most two apart, so the comb c_k, 1 at the cells j = k mod 5, meets
+    # each row's stencil at one cell, and (A c_k)[i] is A[i, j] there: five
+    # probes give every band, through the one stress closure, and they run
+    # as one pass over (5, n) arrays.  The E c_k depend on the grid, mu and
+    # lambda only, and w.imex.combs keeps them.  W changes with each stage's
+    # rho, so A is probed on every call, except at tau = 0: there W is
+    # exactly 1, A is the viscous operator V = G E, which depends on the
+    # grid, mu, lambda and the closure only, and w.imex keeps its bands
     imex = w.imex
     key = (params.mu, params.lambda_, outer_bc) if params.tau == 0.0 else None
     if key is not None and imex.key == key:
         return imex.bands
-    comb, probe = w.k[:2]
-    for k in range(5):
-        comb.fill(0.0)
-        comb[k::5] = 1.0
-        _viscous_term(comb, grid, params, outer_bc, w, probe, weight)
-        for offset, band in zip(range(-2, 3), imex.bands):
-            rows = slice((k - offset) % 5, None, 5)
-            band[rows] = probe[rows]
+    combs = imex.combs
+    probe = combs.probe
+    eq1, eq2 = combs.eq
+    s1, s2 = combs.weighted
+    if combs.key != (params.mu, params.lambda_):
+        probe.fill(0.0)
+        for k in range(5):
+            probe[k, k::5] = 1.0
+            equilibrium_stress(probe[k], grid, params, out=(eq1[k], eq2[k], s1[k]))
+        combs.key = (params.mu, params.lambda_)
+    np.multiply(weight, eq1, out=s1)
+    np.multiply(weight, eq2, out=s2)
+    probe.fill(0.0)
+    _stress_divergence(probe, s1, s2, grid, outer_bc, combs)
+    # mode="raise" would buffer its output
+    np.take(combs.flat_probe, combs.gather, out=imex.bands, mode="clip")
     imex.key = key
     return imex.bands
 
@@ -721,31 +750,53 @@ def _solve_pentadiagonal(lo2, lo1, diag, up1, up2, f, x, u0, u1):
     # x <- A^-1 f for the pentadiagonal A with A[i, i-2] = lo2[i],
     # A[i, i-1] = lo1[i], A[i, i] = diag[i], A[i, i+1] = up1[i] and
     # A[i, i+2] = up2[i]; entries outside the matrix, if finite, are
-    # ignored.  Gaussian elimination without pivoting, row by row over
-    # memoryviews in Python floats, so nothing of the grid's length is
-    # allocated; u0 and u1 receive the upper factor's diagonal and first
-    # superdiagonal (its second is up2), and x the eliminated right-hand side
-    # on the way
+    # ignored.  Gaussian elimination without pivoting, over memoryviews in
+    # Python floats, so nothing of the grid's length is allocated; u0 and u1
+    # receive the upper factor's diagonal and first superdiagonal (its
+    # second is up2), and x the eliminated right-hand side on the way
+    n = len(f)
     lo2, lo1, diag, up1, up2, f, x, u0, u1 = map(memoryview, (lo2, lo1, diag, up1, up2, f, x, u0, u1))
     # pivot, superdiagonals and right-hand side of the rows i-2 (p) and i-1
-    # (q), eliminated; before row 0 they are inert
+    # (q), eliminated; before row 0 they are inert.  The forward loop
+    # eliminates the rows i and i+1 per pass, so p and q swap roles instead
+    # of shifting, and an odd last row is eliminated after it
     p0, p1, p2, py = q0, q1, q2, qy = 1.0, 0.0, 0.0, 0.0
-    for i, (e, c, d, a, b, y) in enumerate(zip(lo2, lo1, diag, up1, up2, f)):
+    rows = (band[start::2] for start in (0, 1) for band in (lo2, lo1, diag, up1, up2, f))
+    for i, e, c, d, a, b, y, e1, c1, d1, a1, b1, y1 in zip(range(0, n, 2), *rows):
         m2 = e / p0
         m1 = (c - m2 * p1) / q0
-        d = d - m2 * p2 - m1 * q1
-        a = a - m1 * q2
-        y = y - m2 * py - m1 * qy
-        u0[i] = d
-        u1[i] = a
-        x[i] = y
-        p0, p1, p2, py, q0, q1, q2, qy = q0, q1, q2, qy, d, a, b, y
+        p0 = d - m2 * p2 - m1 * q1
+        p1 = a - m1 * q2
+        p2, py = b, y - m2 * py - m1 * qy
+        m2 = e1 / q0
+        m1 = (c1 - m2 * q1) / p0
+        q0 = d1 - m2 * q2 - m1 * p1
+        q1 = a1 - m1 * p2
+        q2, qy = b1, y1 - m2 * qy - m1 * py
+        u0[i] = p0
+        u1[i] = p1
+        x[i] = py
+        u0[i + 1] = q0
+        u1[i + 1] = q1
+        x[i + 1] = qy
+    if n % 2:
+        m2 = lo2[-1] / p0
+        m1 = (lo1[-1] - m2 * p1) / q0
+        u0[-1] = diag[-1] - m2 * p2 - m1 * q1
+        u1[-1] = up1[-1] - m1 * q2
+        x[-1] = f[-1] - m2 * py - m1 * qy
+    # back substitution, the rows i and i-1 per pass after an odd last row;
+    # x1 and x2 hold the solution at the rows i+1 and i+2
     x1 = x2 = 0.0
-    i = len(f)
-    for y, a, b, d in zip(reversed(x), reversed(u1), reversed(up2), reversed(u0)):
-        i -= 1
-        x1, x2 = (y - a * x1 - b * x2) / d, x1
-        x[i] = x1
+    if n % 2:
+        x[-1] = x1 = (x[-1] - u1[-1] * x1 - up2[-1] * x2) / u0[-1]
+    top = n - n % 2 - 1
+    rows = (band[start::-2] for start in (top, top - 1) for band in (x, u1, up2, u0))
+    for i, y, a, b, d, y1, a1, b1, d1 in zip(range(top, 0, -2), *rows):
+        x2 = (y - a * x1 - b * x2) / d
+        x1 = (y1 - a1 * x2 - b1 * x1) / d1
+        x[i] = x2
+        x[i - 1] = x1
     return x
 
 
@@ -767,7 +818,7 @@ def _implicit_stage(star, h, grid, params, outer_bc, w, out):
     np.divide(keep, weight, out=keep)
     np.divide(h, weight, out=weight)
     bands = _viscous_bands(grid, params, outer_bc, w, weight)
-    kept = w.stress  # a s*; the probes are done with w.stress
+    kept = w.stress  # a s*
     for s, k in zip(sstar, kept):
         np.multiply(keep, s, out=k)
     load = imex.load

@@ -588,6 +588,13 @@ CLASSICAL_CFG = (
     "[init]\nbump_amp = 0.01\nbump_center = 3.5\nbump_width = 0.45\n"
     "[solver]\nt_end = 0.05\noutput_every = 100\n"
 )
+# tau 1e-2 on a grid coarse enough that the parabolic cap binds: run steps
+# with ARS(2,2,2), 4 steps to t = 0.2
+SMALL_CFG = (
+    "[grid]\nr_max = 11\nn_cells = 64\n"
+    "[init]\nbump_amp = 0.01\nbump_center = 5.0\nbump_width = 0.7\n"
+    "[solver]\nt_end = 0.2\noutput_every = 1\n"
+)
 
 
 def run_digest(out):
@@ -627,8 +634,24 @@ def run_digest(out):
             2,
             "d61a6690507b455f0b332e27a6c657cdb6cd2b93f7a451016b73777612475ac5",
         ),
+        # ARS(2,2,2) at tau > 0, where each stage probes its own bands
+        ("run", SMALL_CFG, 5, "09b9af8a92316e52f36d94207fb420de31f2b048b1a3f32fbcc64e85e2f026db"),
+        (
+            "run",
+            SMALL_CFG.replace("output_every = 1\n", "output_every = 1\nouter_bc = reflect\n"),
+            5,
+            "e73234670f2516027aeb4ca07795942327043464cc22d2488b4f87257894e21c",
+        ),
     ],
-    ids=["run", "run-classical", "run-at-tau-0", "run-at-tau-0-eps", "run-at-tau-0-reflect"],
+    ids=[
+        "run",
+        "run-classical",
+        "run-at-tau-0",
+        "run-at-tau-0-eps",
+        "run-at-tau-0-reflect",
+        "run-imex",
+        "run-imex-reflect",
+    ],
 )
 def test_whole_run_bytes_are_pinned(tmp_path, command, text, n_snapshots, want):
     out = tmp_path / "o"
@@ -646,13 +669,6 @@ def test_run_classical_integrates_and_reports_tau_zero(tmp_path):
     assert run_digest(out) == "2d501a527cdc17950175adcd45cd69a000a07a9a4ec04b43e9110a764cb78470"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["params_summary"]["tau"] == 0.0 and manifest["config_echo"]["params"]["tau"] == 0.05
-
-
-SMALL_CFG = (
-    "[grid]\nr_max = 11\nn_cells = 64\n"
-    "[init]\nbump_amp = 0.01\nbump_center = 5.0\nbump_width = 0.7\n"
-    "[solver]\nt_end = 0.2\noutput_every = 1\n"
-)
 
 
 def test_abort_leaves_the_snapshots_recorded_before_it(tmp_path, capsys, monkeypatch):

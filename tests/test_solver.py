@@ -24,10 +24,10 @@ from relaxns.solver import (
     Workspace,
     _check,
     _implicit_stage,
+    _solve_pentadiagonal,
     _step_classical,
     _stress_divergence,
     _viscous_bands,
-    _viscous_term,
     apply_bc,
     classical_rhs,
     compute_dt,
@@ -57,7 +57,9 @@ def poisoned_workspace(grid):
     w = Workspace(grid)
     imex = w.imex
     imex_groups = (imex.bands, imex.solve, (imex.stage_v,), imex.stage_s, imex.acc, imex.relax, (imex.load,))
-    for group in (w.ghost, w.face, w.cell, w.k, w.stress, *imex_groups):
+    combs = imex.combs
+    comb_groups = (combs.eq, combs.weighted, (combs.probe, combs.faces[1].all), [g.all for g in combs.ghosted])
+    for group in (w.ghost, w.face, w.cell, w.k, w.stress, *imex_groups, *comb_groups):
         for buf in group:
             buf.fill(np.nan)
     return w
@@ -860,35 +862,6 @@ def test_reflecting_wall_has_no_growing_mode_at_rest(n, tau):
     assert np.linalg.eigvals(jac).real.max() <= 1e-10
 
 
-def banded_product(bands, v):
-    out = bands[2] * v
-    out[1:] += bands[1][1:] * v[:-1]
-    out[2:] += bands[0][2:] * v[:-2]
-    out[:-1] += bands[3][:-1] * v[1:]
-    out[:-2] += bands[4][:-2] * v[2:]
-    return out
-
-
-@pytest.mark.parametrize("outer_bc", ["extrapolate", "reflect"])
-@pytest.mark.parametrize("n", [8, 9, 800, 801])
-def test_probed_bands_reproduce_the_viscous_term(n, outer_bc):
-    grid = RadialGrid(r_max=21.0, n_cells=n)
-    p = FluidParams(tau=0.0, mu=0.8, lambda_=1.7)
-    rng = np.random.default_rng(n)
-    work = poisoned_workspace(grid)
-    ones = np.ones(n)
-    _viscous_bands(grid, FluidParams(tau=0.0), outer_bc, work, ones)
-    # the workspace re-probes for other (mu, lambda): a fresh one agrees
-    bands = _viscous_bands(grid, p, outer_bc, work, ones)
-    assert all(same_bits(a, b) for a, b in zip(bands, _viscous_bands(grid, p, outer_bc, Workspace(grid), ones)))
-    # entries outside the matrix are 0
-    assert not bands[0][:2].any() and not bands[1][0] and not bands[3][-1] and not bands[4][-2:].any()
-    for _ in range(3):
-        v = rng.standard_normal(n)
-        want = _viscous_term(v, grid, p, outer_bc, Workspace(grid), np.empty(n), ones)
-        assert np.abs(banded_product(bands, v) - want).max() <= 1e-12 * np.abs(want).max()
-
-
 def dense_columns(apply, n):
     # the matrix of the linear map apply, column by column from the unit
     # vectors: no band structure assumed
@@ -898,6 +871,46 @@ def dense_columns(apply, n):
         unit[j] = 1.0
         cols[:, j] = apply(unit)
     return cols
+
+
+def dense_viscous_operator(grid, p, outer_bc, weight):
+    # G W E column by column: E = eq, W = diag(weight), G the stress
+    # divergence of the momentum row
+    n, scratch = grid.n_cells, Workspace(grid)
+
+    def apply(u):
+        s1, s2 = equilibrium_stress(u, grid, p)
+        return _stress_divergence(np.zeros(n), weight * s1, weight * s2, grid, outer_bc, scratch)
+
+    return dense_columns(apply, n)
+
+
+@pytest.mark.parametrize("outer_bc", ["extrapolate", "reflect"])
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 800, 801])
+def test_probed_bands_reproduce_the_viscous_term(n, outer_bc):
+    # every residue of n mod 5.  The column-by-column matrix reads each
+    # entry through the same closure and stencil as the comb probe, and a
+    # comb meets each row's stencil at one cell, so the bands are its
+    # diagonals bit for bit, for a random weight at tau > 0 and W = 1 at
+    # tau = 0.  One workspace serves every call, across (mu, lambda) and
+    # across tau = 0 and tau > 0, so a stale cached E c_k or tau = 0 band
+    # set shows
+    grid = RadialGrid(r_max=21.0, n_cells=n)
+    rng = np.random.default_rng(n)
+    work = poisoned_workspace(grid)
+    default, other = FluidParams(tau=0.0), FluidParams(tau=0.0, mu=0.8, lambda_=1.7)
+    calls = [(default, 0.0), (default, 1e-3), (other, 1e-3), (other, 0.0), (other, 1e-2), (default, 0.0)]
+    for p, tau in calls:
+        weight = rng.uniform(0.1, 1.0, n) if tau > 0.0 else np.ones(n)
+        bands = _viscous_bands(grid, replace(p, tau=tau), outer_bc, work, weight)
+        dense = dense_viscous_operator(grid, p, outer_bc, weight)
+        # A is pentadiagonal
+        assert not np.triu(dense, 3).any() and not np.tril(dense, -3).any()
+        for band, offset in zip(bands, range(-2, 3)):
+            inside = slice(max(-offset, 0), n - max(offset, 0))
+            assert same_bits(band[inside], np.diagonal(dense, offset).copy()), (p, tau, offset)
+            # entries outside the matrix are 0
+            assert not band[: max(-offset, 0)].any() and not band[n - max(offset, 0) :].any()
 
 
 SOLVE_CASES = [
@@ -956,6 +969,43 @@ def test_implicit_stage_solve_matches_a_dense_solve(n, outer_bc, tau):
             assert np.abs(out.v - want.v).max() <= 1e-14 * np.abs(want.v).max(), h
             for got, eq in zip((out.s1, out.s2), equilibrium_stress(want.v, grid, classical)):
                 assert np.abs(got - eq).max() <= 1e-14 * np.abs(eq).max(), h
+
+
+def row_by_row_solve(lo2, lo1, diag, up1, up2, f):
+    # _solve_pentadiagonal's elimination one row per pass, in the same
+    # arithmetic and order: (x, u0, u1), the reference bits
+    n = len(f)
+    x, u0, u1 = [0.0] * n, [0.0] * n, [0.0] * n
+    p0, p1, p2, py = q0, q1, q2, qy = 1.0, 0.0, 0.0, 0.0
+    for i, (e, c, d, a, b, y) in enumerate(zip(*(band.tolist() for band in (lo2, lo1, diag, up1, up2, f)))):
+        m2 = e / p0
+        m1 = (c - m2 * p1) / q0
+        d = d - m2 * p2 - m1 * q1
+        a = a - m1 * q2
+        y = y - m2 * py - m1 * qy
+        u0[i], u1[i], x[i] = d, a, y
+        p0, p1, p2, py, q0, q1, q2, qy = q0, q1, q2, qy, d, a, b, y
+    x1 = x2 = 0.0
+    for i in reversed(range(n)):
+        x1, x2 = (x[i] - u1[i] * x1 - float(up2[i]) * x2) / u0[i], x1
+        x[i] = x1
+    return np.array(x), np.array(u0), np.array(u1)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 800, 801])
+def test_banded_solve_matches_row_by_row_elimination_and_a_dense_solve(n):
+    # odd n leave a last row after the loop's pairs.  The diagonal dominates,
+    # so no pivot is needed; the entries outside the matrix are random too,
+    # and ignored
+    rng = np.random.default_rng(n)
+    lo2, lo1, up1, up2, f = (rng.standard_normal(n) for _ in range(5))
+    diag = (np.abs(lo2) + np.abs(lo1) + np.abs(up1) + np.abs(up2) + 1.0) * rng.choice([-1.0, 1.0], size=n)
+    x, u0, u1 = (np.full(n, np.nan) for _ in range(3))
+    _solve_pentadiagonal(lo2, lo1, diag, up1, up2, f, x, u0, u1)
+    assert all(same_bits(got, want) for got, want in zip((x, u0, u1), row_by_row_solve(lo2, lo1, diag, up1, up2, f)))
+    dense = np.diag(diag) + np.diag(lo1[1:], -1) + np.diag(lo2[2:], -2) + np.diag(up1[:-1], 1) + np.diag(up2[:-2], 2)
+    want = np.linalg.solve(dense, f)
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
 
 CRITERION_6_PULSE = InitConfig(bump_amp=0.01, bump_center=7.0, bump_width=1.0, vel_amp=0.01)
