@@ -276,11 +276,12 @@ def _run_and_emit(args, config, say, summarize=None):
     it, and the writer formats it while the solver runs on.  The diagnostics
     are computed and written here while the writer drains; every write is
     then awaited in record order, and a failed write raises here with its
-    own type and message.  On a NumericalAbort the writes already handed
-    over are finished first, so the snapshots recorded before the abort are
-    left; on any other exception the writes not yet started are cancelled.
+    own type and message.  A NumericalAbort leaves the pool without
+    cancelling, and leaving it finishes the writes already handed over, so
+    the snapshots recorded before the abort are left; any other exception
+    cancels the writes not yet started.
     """
-    from concurrent.futures import ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
     params, grid, init, solver, resolved = config
@@ -296,11 +297,7 @@ def _run_and_emit(args, config, say, summarize=None):
             writes.append(writer.submit(_write_snapshot_job, snap, grid, path))
 
         try:
-            try:
-                traj = run(make_initial_data(init, grid, params), grid, params, solver, on_snapshot=emit)
-            except NumericalAbort:
-                wait(writes)
-                raise
+            traj = run(make_initial_data(init, grid, params), grid, params, solver, on_snapshot=emit)
             series = energy_series(traj, grid, params)
             write_diagnostics(
                 series,
@@ -311,6 +308,8 @@ def _run_and_emit(args, config, say, summarize=None):
             )
             for done in writes:
                 done.result()
+        except NumericalAbort:
+            raise
         except BaseException:
             writer.shutdown(cancel_futures=True)
             raise

@@ -26,22 +26,24 @@ dt_n+1 can be computed before step n is closed because the dt rules read only
 rho and v, which the relaxation leaves unchanged: the steps are the same
 whether or not the relaxation is fused.
 
-The explicit relaxed step is the larger of the fast-wave CFL step,
-cfl dr / max_char_speed, and the explicit classical step with its acoustic
-cap widened by the stress transport speed: cfl min(dr / max(|v| + sqrt(P'),
-|v - eps|), dr^2 rho_min / K), K = 4 mu/3 + lambda.  Linearized per Fourier
-mode of wave number sigma <= 1/dr, the stiff coupling of v and the stresses
-over one Strang step is a 2x2 map with det = exp(-dt/(tau rho)), stable iff
+The explicit relaxed step is the fast-wave CFL step, cfl dr / max_char_speed.
+Linearized per Fourier mode of wave number sigma <= 1/dr, the stiff coupling
+of v and the stresses over one Strang step is a 2x2 map with
+det = exp(-dt/(tau rho)), stable iff
 
-    dt K sigma^2 / rho <= 2 coth(dt / (2 tau rho)),
+    dt K sigma^2 / rho <= 2 coth(dt / (2 tau rho)),  K = 4 mu/3 + lambda,
 
-and since coth(x) >= max(1, 1/x) both steps lie in that region (the
+and since coth(x) >= 1/x the fast-wave step lies in that region (the
 Stormer-Verlet, or asymptotic-preserving, argument: Hairer, Lubich & Wanner,
 Acta Numerica 12 (2003) 399; Jin, SISC 21 (1999) 441).  Below tau of about
 dr^2 rho / K (2.7e-4 at n = 800) the fast-wave step falls under the
-parabolic cap cfl dr^2 rho_min / K, and Strang would step at the cap, where
-its distance to the baseline is its first-order stiff-limit error, which
-falls with dt, not tau.  run steps such runs with ARS(2,2,2) instead.
+parabolic bound cfl dr^2 rho_min / K of an explicit classical scheme and
+keeps shrinking like tau^1/2 (on the criterion-6 pulse at n = 800, 4840
+steps to t = 0.1 at tau 1e-5, against ARS's 20), while Strang's time error
+does not cancel against the ARS baseline's (there Strang ends 2.7e-5 from
+the ARS run at every tau from 1e-3 to 1e-5), so its distance to the
+baseline would not fall like tau.  run steps such runs with ARS(2,2,2)
+instead.
 
 ARS(2,2,2) is the stiffly accurate IMEX Runge-Kutta scheme of Ascher, Ruuth
 & Spiteri (APNUM 25 (1997) 151; Pareschi & Russo, J. Sci. Comput. 25 (2005)
@@ -81,9 +83,9 @@ Python floats, about 0.4 ms each at n = 800 and 3.1 ms at n = 6400 (the
 fastest of repeated calls on one core of an x86-64 server).
 
 run picks the step rule of a single run: ARS(2,2,2) at tau = 0
-(run_classical is run at tau = 0), and at every tau > 0 where explicit
-Strang's step would be the parabolic cap at the initial state
-(_strang_bounds, the test compute_dt makes); explicit Strang elsewhere.  A
+(run_classical is run at tau = 0), and at every tau > 0 where the
+fast-wave step compute_dt falls under the parabolic bound at the initial
+state; explicit Strang elsewhere.  A
 tau sweep steps every job with ARS(2,2,2) (_ars_rules), so its members
 share the baseline's rule; it admits the initial state as run does
 (_admit).  Both rules run through one driver,
@@ -550,55 +552,20 @@ def _dt_scratch(state, params, work):
     return admissible_pressure_prime(state.rho, params, out=dp), a, b
 
 
-def _acoustic_dt(v, dp, grid, eps, c, speed):
-    # dr / max(|v| + sqrt(P'), |v - eps|), dp = P', into the scratch arrays
-    # c and speed; at eps = 0 the second speed never wins and is not computed
-    np.sqrt(dp, out=c)
-    np.add(np.abs(v, out=speed), c, out=speed)
-    if eps != 0.0:
-        np.abs(np.subtract(v, eps, out=c), out=c)
-        np.maximum(speed, c, out=speed)
-    return grid.dr / float(speed.max())
-
-
-def _strang_bounds(state, grid, params, cfl, work=None):
-    # (fast, cap, dp, a, b): the fast-wave CFL step cfl dr / max_char_speed;
-    # the parabolic cap cfl dr^2 rho_min / K, K = 4 mu/3 + lambda, when it
-    # exceeds fast, else None; and P' with two scratch arrays, from
-    # _dt_scratch.  dr^2 rho_min / K is one over the spectral radius
-    # K/(rho dr^2) of the stride-2 viscous operator of the momentum row.  The
-    # cap binds, and the explicit relaxed step stops growing with tau,
-    # exactly when it is not None: compute_dt and run's choice of step rule
-    # both ask here
-    dp, a, b = _dt_scratch(state, params, work)
-    fast = cfl * grid.dr / weyl_speed_bound(state.rho, state.v, dp, params, out=(a, b))
-    cap = cfl * (grid.dr**2 * float(state.rho.min()) / (4.0 * params.mu / 3.0 + params.lambda_))
-    return fast, (cap if cap > fast else None), dp, a, b
-
-
 def compute_dt(state, grid, params, cfl, work=None):
-    """The larger of the fast-wave CFL step and the explicit classical step.
+    """Explicit Strang's step: the fast-wave CFL step cfl dr / max_char_speed.
 
-    fast = cfl dr / max_char_speed (the exact speed at eps = 0, at most eps
-    above it otherwise); classical = cfl min(dr / max(|v| + sqrt(P'),
-    |v - eps|), dr^2 rho_min / K), K = 4 mu/3 + lambda, the step of an
-    explicit scheme for the classical system (the baseline steps its viscous
-    term implicitly and is not bound by dr^2 rho_min / K) with its acoustic
-    cap widened by the stress transport speed.  Both are
-    stable: per Fourier mode sigma <= 1/dr the stiff part of a Strang step is
-    a 2x2 map of det exp(-dt/(tau rho)), stable iff
-    dt K sigma^2 / rho <= 2 coth(dt / (2 tau rho)), and coth(x) >= max(1, 1/x).
-    Where the fast step is the larger, the result is its bits; the acoustic
-    cap is computed only when the viscous bound beats it.  P' is computed
-    once for both speeds, and rho > 0 is not tested: the driver's states have
-    passed its admissibility check.  With work= the speeds are computed in
-    work.k and nothing of the grid's length is allocated.
+    max_char_speed is the exact speed at eps = 0 and at most eps above it
+    otherwise.  The step is stable: per Fourier mode sigma <= 1/dr the stiff
+    part of a Strang step is a 2x2 map of det exp(-dt/(tau rho)), stable iff
+    dt K sigma^2 / rho <= 2 coth(dt / (2 tau rho)), K = 4 mu/3 + lambda, and
+    coth(x) >= 1/x.  rho > 0 is not tested: the driver's states have passed
+    its admissibility check.  With work= the speeds are computed in work.k
+    and nothing of the grid's length is allocated.
     """
     _refuse_tau_zero("compute_dt", params, "compute_dt_classical")
-    fast, cap, dp, a, b = _strang_bounds(state, grid, params, cfl, work)
-    if cap is None:
-        return fast
-    return max(fast, min(cfl * _acoustic_dt(state.v, dp, grid, params.eps, a, b), cap))
+    dp, a, b = _dt_scratch(state, params, work)
+    return cfl * grid.dr / weyl_speed_bound(state.rho, state.v, dp, params, out=(a, b))
 
 
 def compute_dt_classical(state, grid, params, cfl, work=None):
@@ -612,8 +579,14 @@ def compute_dt_classical(state, grid, params, cfl, work=None):
     stress wave bounds it.  rho > 0 is not tested, as in compute_dt.  With
     work= the speeds are computed in work.k.
     """
-    dp, a, b = _dt_scratch(state, params, work)
-    return cfl * _acoustic_dt(state.v, dp, grid, params.eps if params.tau > 0.0 else 0.0, a, b)
+    dp, c, speed = _dt_scratch(state, params, work)
+    np.sqrt(dp, out=c)
+    np.add(np.abs(state.v, out=speed), c, out=speed)
+    # at eps = 0 the transport speed |v| never wins and is not computed
+    if params.tau > 0.0 and params.eps != 0.0:
+        np.abs(np.subtract(state.v, params.eps, out=c), out=c)
+        np.maximum(speed, c, out=speed)
+    return cfl * (grid.dr / float(speed.max()))
 
 
 def _check(fields, step_idx, stage):
@@ -986,9 +959,14 @@ def _ars_rules():
 
 def _step_rules(initial, grid, params, cfl):
     # run's (stepper, dt_rule, step_rule) for the admissible initial state:
-    # ARS(2,2,2) at tau = 0 and wherever explicit Strang's step would be the
-    # parabolic cap, explicit Strang elsewhere
-    if params.tau == 0.0 or _strang_bounds(initial, grid, params, cfl)[1] is not None:
+    # ARS(2,2,2) at tau = 0 and wherever explicit Strang's step, compute_dt,
+    # falls under the parabolic bound cfl dr^2 rho_min / K, K = 4 mu/3 +
+    # lambda, one over the spectral radius K/(rho dr^2) of the stride-2
+    # viscous operator of the momentum row; explicit Strang elsewhere
+    if params.tau == 0.0:
+        return _ars_rules()
+    cap = cfl * (grid.dr**2 * float(initial.rho.min()) / (4.0 * params.mu / 3.0 + params.lambda_))
+    if cap > compute_dt(initial, grid, params, cfl):
         return _ars_rules()
     return "strang", compute_dt, step
 
@@ -1000,9 +978,9 @@ def run(initial, grid, params, cfg, output_times=None, on_snapshot=None):
     the stresses of initial are ignored, and start, and stay, at their
     Newtonian values, so trajectories from both systems share one format.
     The run steps with ARS(2,2,2) at tau = 0 and wherever explicit Strang's
-    step would be the parabolic cap cfl dr^2 rho_min / K at the initial
-    state, and with explicit Strang otherwise; traj.stepper names the rule
-    ("imex" or "strang").  An initial state not of the grid's length is
+    fast-wave step falls under the parabolic bound cfl dr^2 rho_min / K at
+    the initial state, and with explicit Strang otherwise; traj.stepper
+    names the rule ("imex" or "strang").  An initial state not of the grid's length is
     refused with a ValueError, and one that is not admissible (a non-finite
     value, rho <= 0) with a NumericalAbort.
     Snapshots are taken every cfg.output_every steps plus the final time, or
