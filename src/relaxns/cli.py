@@ -18,11 +18,15 @@ Config files are flat sectioned key=value text::
     t_end = 1.0
 
 Blank lines and comments, from '#' or ';' to the end of a line, are skipped.
-Unknown sections or keys, keys given twice, lines without '=' or before any
-[section], malformed values and violated invariants are rejected with the
-offending line number.  Snapshots and diagnostics are CSV with full double
-precision (17 significant digits) and LF line endings, so identical configs
-reproduce byte-identical numerical outputs.
+One pass reads the file: unknown sections or keys, keys given twice, lines
+without '=' or before any [section], and values their field's type cannot
+convert are rejected as they are read, so the first in file order is reported.
+Out-of-range values (NaN and +-inf too) are rejected by the config dataclass
+that owns the field.  Either error names its line.  sweep-tau only splits
+--tau-list; relaxation.sweep_taus judges and orders it before --out is made.
+Snapshots and diagnostics are CSV with full double precision (17 significant
+digits) and LF line endings, so identical configs reproduce byte-identical
+numerical outputs.
 run, run-classical (run at tau = 0) and energy-report integrate with solver.run
 and hand each snapshot to one forked writer process as soon as the solver
 records it, so the CSV formatting overlaps the integration.
@@ -49,7 +53,7 @@ from .energy import (
 )
 from .errors import ConfigError, DomainError, FieldError, NumericalAbort
 from .model import FluidParams, InitConfig, RadialGrid, make_initial_data
-from .relaxation import limit_relation_error, tau_sweep
+from .relaxation import limit_relation_error, sweep_taus, tau_sweep
 from .solver import SolverConfig, run
 from .structure import noncharacteristic_report, structure_audit
 
@@ -62,13 +66,13 @@ _KEYS = {
 }
 
 
-def _defaults():
-    return {sec: {key: f.default for key, f in keys.items()} for sec, keys in _KEYS.items()}
-
-
-def _parse_text(text):
-    """key -> (raw value, line number) per section; rejects unknown and repeated keys."""
-    values = {sec: {} for sec in _KEYS}
+def _read_config(text):
+    """(resolved, lines): every setting by section and config key (the default
+    where text is silent) and the line of each key text sets.  One pass: each
+    line is checked, and its value converted by its field's type, as it is read.
+    """
+    resolved = {sec: {key: f.default for key, f in keys.items()} for sec, keys in _KEYS.items()}
+    lines = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
@@ -83,36 +87,18 @@ def _parse_text(text):
             raise ConfigError(f"expected key = value, got {line!r}", line=lineno)
         if section is None:
             raise ConfigError("key = value before any [section] header", line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", line=lineno)
-        if key in values[section]:
-            first = values[section][key][1]
-            raise ConfigError(
-                f"duplicate key {key!r} in section [{section}], first set on line {first}", line=lineno
-            )
-        values[section][key] = (value, lineno)
-    return values
-
-
-def _convert(values):
-    resolved = _defaults()
-    lines = {}
-    for sec, entries in values.items():
-        for key, (raw, lineno) in entries.items():
-            typ = _KEYS[sec][key].type
-            try:
-                val = typ(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"cannot parse {sec}.{key} value {raw!r} as {typ.__name__}", line=lineno
-                ) from None
-            if typ is float and not math.isfinite(val):
-                raise ConfigError(f"{sec}.{key} value {raw!r} is not finite", line=lineno)
-            resolved[sec][key] = val
-            lines[(sec, key)] = lineno
+        if (section, key) in lines:
+            first = lines[section, key]
+            raise ConfigError(f"duplicate key {key!r} in section [{section}], first set on line {first}", line=lineno)
+        typ = _KEYS[section][key].type
+        try:
+            resolved[section][key] = typ(value)
+        except ValueError:
+            raise ConfigError(f"cannot parse {section}.{key} value {value!r} as {typ.__name__}", line=lineno) from None
+        lines[section, key] = lineno
     return resolved, lines
 
 
@@ -122,13 +108,12 @@ def parse_config(path):
     Returns (FluidParams, RadialGrid, InitConfig, SolverConfig, resolved),
     where resolved echoes every setting by section and config key.
     """
-    if path is None or path == "default":
-        resolved, lines = _defaults(), {}
-    else:
-        p = Path(path)
-        if not p.is_file():
+    text = ""
+    if path is not None and path != "default":
+        if not Path(path).is_file():
             raise ConfigError(f"config file not found: {path}")
-        resolved, lines = _convert(_parse_text(p.read_text()))
+        text = Path(path).read_text()
+    resolved, lines = _read_config(text)
 
     def build(section):
         kwargs = {f.name: resolved[section][key] for key, f in _KEYS[section].items()}
@@ -347,27 +332,12 @@ def _cmd_energy_report(args, config, say):
     return _run_and_emit(args, config, say, summarize)
 
 
-def _parse_taus(text):
-    """The --tau-list entries as floats; each must be finite, positive and new."""
-    taus = []
-    for entry in filter(None, (x.strip() for x in text.split(","))):
-        try:
-            tau = float(entry)
-        except ValueError:
-            raise ConfigError(f"--tau-list entry {entry!r} is not a number") from None
-        if not 0.0 < tau < math.inf:
-            raise ConfigError(f"--tau-list entry {entry!r} must be finite and positive")
-        if tau in taus:
-            raise ConfigError(f"--tau-list entry {entry!r} repeats tau = {tau:g}")
-        taus.append(tau)
-    if not taus:
-        raise ConfigError("--tau-list must name at least one tau")
-    return taus
-
-
 def _cmd_sweep_tau(args, config, say):
     params, grid, init, solver, resolved = config
-    taus = _parse_taus(args.tau_list)
+    try:
+        taus = sweep_taus(filter(None, (entry.strip() for entry in args.tau_list.split(","))))
+    except ValueError as exc:
+        raise ConfigError(f"--tau-list: {exc}") from None
     out_dir = Path(args.out)
     finish = _start(out_dir, resolved, grid, params, taus=taus)
     result = tau_sweep(solver, init, grid, params, taus)

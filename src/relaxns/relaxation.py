@@ -8,7 +8,8 @@ the end-time defect of the stress limit relations
     s1 -> 2 mu (dv/dr - v/r),    s2 -> lambda (dv/dr + 2 v/r).
 
 Log-log slopes of the errors against tau are fitted but asserted nowhere
-here; the lab reports, the acceptance tests judge.
+here; the lab reports, the acceptance tests judge.  sweep_taus owns the
+tau-list rule, for tau_sweep and the sweep-tau command alike.
 
 The baseline is the template at tau = 0, and every job, the baseline and
 each member, steps with ARS(2,2,2) (Ascher, Ruuth & Spiteri, APNUM 25
@@ -115,12 +116,36 @@ def _integrate(initial, grid, params, cfg, out_times):
     return traj.snapshots, time.perf_counter() - t0, len(traj.dt_history)
 
 
+def sweep_taus(taus):
+    """taus as floats, largest first, the order a sweep runs them.
+
+    There must be one or more, each finite and positive after float() and
+    equal to no earlier one; a ValueError names the first entry that is not
+    as the caller gave it.
+    """
+    seen = {}  # tau -> the entry that gave it
+    for entry in taus:
+        try:
+            tau = float(entry)
+        except (TypeError, ValueError):
+            raise ValueError(f"tau sweep entry {entry!r} is not a number") from None
+        if not 0.0 < tau < math.inf:
+            raise ValueError(f"tau sweep entry {entry!r} must be finite and positive")
+        if tau in seen:
+            raise ValueError(f"tau sweep entry {entry!r} repeats entry {seen[tau]!r}")
+        seen[tau] = entry
+    if not seen:
+        raise ValueError("tau sweep needs at least one tau")
+    return sorted(seen, reverse=True)
+
+
 SWEEP_OUTPUTS = 10  # a sweep's snapshot count when neither the call nor the config sets one
 
 
 def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
     """Run the sweep; returns a SweepResult and asserts nothing itself.
 
+    taus go through sweep_taus first, so the members run largest tau first.
     All members share (rho0, v0) and the template's eps; stresses are rebuilt
     well-prepared for each tau.  The baseline is run at tau = 0 on the same
     grid, and every run is sampled at the same output times (the stepper
@@ -137,15 +162,7 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    taus = [float(t) for t in taus]
-    for k, tau in enumerate(taus):
-        if not math.isfinite(tau):
-            raise ValueError(f"tau sweep entry {tau!r} is not finite")
-        if tau in taus[:k]:
-            raise ValueError(f"tau sweep entry {tau!r} is repeated")
-    taus.sort(reverse=True)
-    if not taus or any(t <= 0.0 for t in taus):
-        raise ValueError("tau sweep requires one or more taus, all strictly positive")
+    taus = sweep_taus(taus)
     out_times = replace(base_cfg, n_outputs=n_outputs or base_cfg.n_outputs or SWEEP_OUTPUTS).snapshot_times()
     members = [replace(params_template, tau=tau) for tau in taus]
     # one job per params, submitted in this order: the baseline, the

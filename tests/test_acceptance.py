@@ -7,7 +7,6 @@ complete.  Every tolerance is fixed here, not calibrated at run time.
 import time
 
 import numpy as np
-import pytest
 
 from relaxns.cli import main
 from relaxns.energy import apriori_report, energy_identity_residual, mass_balance_residual

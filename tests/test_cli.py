@@ -144,7 +144,7 @@ def test_non_finite_value_rejected_with_line(tmp_path, capsys, text, line):
     cfg = write_cfg(tmp_path, text)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert f"line {line}: " in err and "not finite" in err
+    assert f"line {line}: " in err and "must be finite" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -165,15 +165,38 @@ def test_bad_tau_list_rejected_before_output(tmp_path, capsys, tau_list, entry):
     out = tmp_path / "o"
     assert main(["sweep-tau", "--config", "default", "--out", str(out), "--tau-list", tau_list, "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: --tau-list entry ") and repr(entry) in err
+    assert err.startswith("config error: --tau-list: tau sweep entry ") and repr(entry) in err
     assert not out.exists()
+    # one rule for both entry points: tau_sweep, given the entries as
+    # written, raises the message the command prints
+    entries = [entry.strip() for entry in tau_list.split(",")]
+    with pytest.raises(ValueError) as info:
+        relaxation.tau_sweep(SolverConfig(), InitConfig(), RadialGrid(), FluidParams(), entries)
+    assert err == f"config error: --tau-list: {info.value}\n"
 
 
 @pytest.mark.parametrize("tau_list", [",", " , ,"], ids=["comma", "blanks"])
 def test_empty_tau_list_rejected_before_output(tmp_path, capsys, tau_list):
     out = tmp_path / "o"
     assert main(["sweep-tau", "--config", "default", "--out", str(out), "--tau-list", tau_list, "--quiet"]) == 2
-    assert capsys.readouterr().err == "config error: --tau-list must name at least one tau\n"
+    assert capsys.readouterr().err == "config error: --tau-list: tau sweep needs at least one tau\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[grid]\nn_cells = eight\n[nonsense]\n", "[params]\ntau = x\nbogus = 1\n", "[params]\ntau = x\ntau = 1\n"],
+    ids=["then-unknown-section", "then-unknown-key", "then-duplicate-key"],
+)
+def test_first_fault_in_file_order_is_reported(tmp_path, capsys, text):
+    # the parse fault on line 2 is read before the fault below it
+    cfg = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match="^line 2: cannot parse ") as info:
+        parse_config(cfg)
+    assert info.value.line == 2
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: line 2: cannot parse ")
     assert not out.exists()
 
 
@@ -389,6 +412,17 @@ def test_sweep_summary_reports_time_steps(tmp_path):
     # with ARS(2,2,2) at the acoustic step, as the baseline, so at eps = 0
     # all three take the same count
     assert min(baseline, loose, stiff) > 0 and loose <= stiff
+
+
+def test_sweep_manifest_lists_taus_in_run_order(tmp_path):
+    # sweep.csv lists the members largest tau first, as the sweep runs them,
+    # and the manifest's taus follow that order, not the --tau-list order
+    out = tmp_path / "osw"
+    cfg = write_cfg(tmp_path, "[grid]\nr_max = 11\nn_cells = 64\n[solver]\nt_end = 0.05\n")
+    assert main(["sweep-tau", "--config", cfg, "--out", str(out), "--tau-list", "1e-3,1e-2", "--quiet"]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.01, 0.001]
+    assert json.loads((out / "manifest.json").read_text())["taus"] == [0.01, 0.001]
 
 
 def test_sweep_tau_samples_at_the_config_n_outputs(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from relaxns import relaxation, solver
 from relaxns.errors import NumericalAbort
-from relaxns.model import FluidParams, InitConfig, RadialGrid, equilibrium_stress, make_initial_data
+from relaxns.model import FluidParams, InitConfig, RadialGrid, make_initial_data
 from relaxns.numerics import weighted_l2_sq
-from relaxns.relaxation import limit_relation_error, tau_sweep, well_prepared_deviation
+from relaxns.relaxation import limit_relation_error, sweep_taus, tau_sweep, well_prepared_deviation
 from relaxns.solver import SolverConfig, run
 
 INIT = InitConfig(bump_amp=0.01, bump_center=5.0, bump_width=0.7, vel_amp=0.01)
@@ -195,8 +196,8 @@ def test_limit_constant_of_the_criterion_6_sweep_has_a_limit_as_tau_falls():
 
 
 def test_tau_sweep_rejects_empty_or_nonpositive_taus(grid, params):
-    for taus in ([], [1e-2, 0.0]):
-        with pytest.raises(ValueError, match="^tau sweep requires one or more taus, all strictly positive$"):
+    for taus, message in (([], "needs at least one tau"), ([1e-2, 0.0], "entry 0.0 must be finite and positive")):
+        with pytest.raises(ValueError, match=f"^tau sweep {message}$"):
             tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, taus)
 
 
@@ -387,7 +388,7 @@ def test_tau_sweep_rejects_non_finite_tau_before_any_run(grid, params, monkeypat
         raise AssertionError("an integration ran")
 
     monkeypatch.setattr(relaxation, "_sweep_run", unreachable)
-    with pytest.raises(ValueError, match=f"^tau sweep entry {bad!r} is not finite$"):
+    with pytest.raises(ValueError, match=f"^tau sweep entry {bad!r} must be finite and positive$"):
         tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, [1e-2, bad])
 
 
@@ -397,8 +398,21 @@ def test_tau_sweep_rejects_a_repeated_tau_before_any_run(grid, params, monkeypat
         raise AssertionError("an integration ran")
 
     monkeypatch.setattr(relaxation, "_sweep_run", unreachable)
-    with pytest.raises(ValueError, match=r"^tau sweep entry 0\.01 is repeated$"):
+    with pytest.raises(ValueError, match=r"^tau sweep entry 0\.01 repeats entry 0\.01$"):
         tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, taus)
+
+
+def test_sweep_taus_orders_largest_first_and_names_entries_as_given():
+    assert sweep_taus(["1e-3", "1e-2", 1e-4]) == [1e-2, 1e-3, 1e-4]
+    assert all(type(tau) is float for tau in sweep_taus([np.float32(0.5), 1, "2"]))
+    for taus, message in (
+        (["1e-2", "0.01"], "entry '0.01' repeats entry '1e-2'"),
+        (["1e-2", "-0"], "entry '-0' must be finite and positive"),
+        (["1e-2", None], "entry None is not a number"),
+        ((), "needs at least one tau"),
+    ):
+        with pytest.raises(ValueError, match=f"^tau sweep {re.escape(message)}$"):
+            sweep_taus(taus)
 
 
 @pytest.mark.parametrize("bad, message", [(-1, "n_outputs must be >= 0, got -1"), (2.5, "n_outputs must be an integer, got 2.5")])
