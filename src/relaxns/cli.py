@@ -18,12 +18,13 @@ Config files are flat sectioned key=value text::
     t_end = 1.0
 
 Blank lines and comments, from '#' or ';' to the end of a line, are skipped.
-One pass reads the file: unknown sections or keys, keys given twice, lines
-without '=' or before any [section], and values their field's type cannot
-convert are rejected as they are read, so the first in file order is reported.
-Out-of-range values (NaN and +-inf too) are rejected by the config dataclass
-that owns the field.  Either error names its line.  sweep-tau only splits
---tau-list; relaxation.sweep_taus judges and orders it before --out is made.
+One pass reads the file and rejects, as it reads them, unknown sections or
+keys, keys given twice, lines without '=' or before any [section], values
+their field's type cannot convert, and values out of range (NaN and +-inf
+too), which the config dataclass that owns the field judges.  So the first
+fault in file order is reported, and the error names its line.  sweep-tau
+only splits --tau-list; relaxation.sweep_taus judges and orders it before
+--out is made.
 Snapshots and diagnostics are CSV with full double precision (17 significant
 digits) and LF line endings, so identical configs reproduce byte-identical
 numerical outputs.
@@ -67,11 +68,15 @@ _KEYS = {
 
 
 def _read_config(text):
-    """(resolved, lines): every setting by section and config key (the default
-    where text is silent) and the line of each key text sets.  One pass: each
-    line is checked, and its value converted by its field's type, as it is read.
+    """(FluidParams, RadialGrid, InitConfig, SolverConfig, resolved), where
+    resolved holds every setting by section and config key (the default
+    where text is silent).  One pass: each line is checked, and its value
+    converted by its field's type, as it is read; the section the line sets
+    is then built again from the values read so far, so a value its
+    dataclass refuses is reported at its own line, before any fault below.
     """
     resolved = {sec: {key: f.default for key, f in keys.items()} for sec, keys in _KEYS.items()}
+    built = {}
     lines = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -99,7 +104,11 @@ def _read_config(text):
         except ValueError:
             raise ConfigError(f"cannot parse {section}.{key} value {value!r} as {typ.__name__}", line=lineno) from None
         lines[section, key] = lineno
-    return resolved, lines
+        try:
+            built[section] = _SECTIONS[section](**{f.name: resolved[section][k] for k, f in _KEYS[section].items()})
+        except FieldError as exc:
+            raise ConfigError(f"invalid [{section}]: {exc}", line=lineno) from None
+    return (*(built[sec] if sec in built else cls() for sec, cls in _SECTIONS.items()), resolved)
 
 
 def parse_config(path):
@@ -113,17 +122,7 @@ def parse_config(path):
         if not Path(path).is_file():
             raise ConfigError(f"config file not found: {path}")
         text = Path(path).read_text()
-    resolved, lines = _read_config(text)
-
-    def build(section):
-        kwargs = {f.name: resolved[section][key] for key, f in _KEYS[section].items()}
-        try:
-            return _SECTIONS[section](**kwargs)
-        except FieldError as exc:
-            key = _RENAMES.get(exc.field, exc.field)
-            raise ConfigError(f"invalid [{section}]: {exc}", line=lines.get((section, key))) from None
-
-    return (*(build(sec) for sec in _SECTIONS), resolved)
+    return _read_config(text)
 
 
 def _fmt(x):
@@ -351,6 +350,8 @@ def _cmd_sweep_tau(args, config, say):
             f"field error log-log slope vs tau: {result.field_slope:.4g}",
             f"stress limit-relation log-log slope vs tau: {result.stress_slope:.4g}",
             f"baseline runtime: {result.baseline_runtime:.3g} s",
+            f"{len(result.taus) + 1} jobs on {len(result.worker_runtimes)} forked workers, "
+            f"sweep wall {result.wall_time:.3g} s, busiest worker {max(result.worker_runtimes):.3g} s",
             f"time steps: baseline {result.baseline_steps}, "
             + ", ".join(f"tau={tau:g} {'aborted' if n is None else n}" for tau, n in zip(result.taus, result.steps)),
             f"note: {result.note}",

@@ -24,14 +24,20 @@ sqrt(P'), |v - eps|), reads no stress, and eps only at tau > 0, so at
 eps = 0 every job's first step is the baseline's, and at eps > 0 a member
 takes at least as many steps as the baseline.  The baseline and the
 members do not depend on each other, so tau_sweep runs them at the same
-time, one job each, in a pool of worker processes made with `fork` (Linux
-or macOS): as many workers as there are jobs or CPUs this process may use,
-whichever is fewer, the baseline submitted first.  Each member's runtime
-is its own wall time in its worker.
+time in worker processes made with os.fork (Linux or macOS): as many as
+there are jobs or CPUs this process may use, whichever is fewer, worker k
+running jobs k, k + K, ... of the K workers, the baseline as job 0.  A
+worker pickles each job's result down its own pipe as soon as the job
+ends, and the parent reads whichever pipe is ready, since one job's
+snapshots overfill a pipe; the results are then judged in job order,
+so a baseline abort is raised before anything a member did, and it kills
+the members still running.  Each member's runtime is its own wall time
+in its worker.
 """
 
 import math
 import os
+import pickle
 import time
 from dataclasses import dataclass, field, replace
 
@@ -79,6 +85,8 @@ class SweepResult:
     baseline_runtime: float
     steps: list  # time steps per member; None for an aborted member
     baseline_steps: int
+    worker_runtimes: list  # per forked worker, the sum of its jobs' runtimes
+    wall_time: float  # the whole tau_sweep call
     failures: list = field(default_factory=list)
     note: str = (
         "errors measured on a truncated radial domain in strong norms; "
@@ -105,8 +113,8 @@ def _integrate(initial, grid, params, cfg, out_times):
     """One sweep job: (snapshots, runtime, steps), or (abort, runtime, None).
 
     `_sweep_run` is looked up in this module's globals where the job runs,
-    so a forked worker runs whatever the parent had bound to it when the
-    pool forked it.
+    so a forked worker runs whatever the parent had bound to it when it
+    forked.
     """
     t0 = time.perf_counter()
     try:
@@ -114,6 +122,145 @@ def _integrate(initial, grid, params, cfg, out_times):
     except NumericalAbort as exc:
         return exc, time.perf_counter() - t0, None
     return traj.snapshots, time.perf_counter() - t0, len(traj.dt_history)
+
+
+_LENGTH = 8  # bytes of the length that heads each frame a worker writes
+
+
+def _frame(index, kind, payload):
+    """The bytes a worker writes for one job: its pickled (index, kind,
+    payload) headed by their length.  An exception that does not survive
+    pickle goes as a RuntimeError carrying its type and text, and so does a
+    result that does not pickle, with the pickling error's."""
+    try:
+        data = pickle.dumps((index, kind, payload), pickle.HIGHEST_PROTOCOL)
+        if kind == "raise":
+            pickle.loads(data)
+    except Exception as exc:
+        bad = payload if kind == "raise" else exc
+        data = pickle.dumps((index, "raise", RuntimeError(f"{type(bad).__name__}: {bad}")))
+    return len(data).to_bytes(_LENGTH, "little") + data
+
+
+def _worker(jobs, mine, write_fd, inherited):
+    """A forked worker's whole life; it never returns.
+
+    It closes the pipe ends it inherited, runs jobs[i] for i in mine through
+    _integrate and writes each result down write_fd as soon as the job ends;
+    any exception but a NumericalAbort goes down as ("raise", exc).  It
+    leaves with os._exit, so none of the parent's atexit handlers runs and
+    none of its buffered stdio is flushed here.
+    """
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        for index in mine:
+            try:
+                frame = _frame(index, "ok", _integrate(*jobs[index]))
+            except BaseException as exc:  # re-raised by the parent
+                frame = _frame(index, "raise", exc)
+            view = memoryview(frame)
+            while view:
+                view = view[os.write(write_fd, view) :]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+@dataclass
+class _Child:
+    """The parent's record of one forked worker."""
+
+    pid: int  # None before the fork and once reaped
+    pending: list  # its job indices not yet reported, in the order it runs them
+    buf: bytearray = field(default_factory=bytearray)  # bytes read, not yet whole frames
+    busy: float = 0.0  # the sum of its reported jobs' runtimes
+
+    def take(self, chunk):
+        """Add chunk to the bytes read; returns the (index, kind, payload)
+        of each frame it completes, and marks those jobs reported."""
+        self.buf += chunk
+        messages = []
+        while len(self.buf) >= _LENGTH:
+            end = _LENGTH + int.from_bytes(self.buf[:_LENGTH], "little")
+            if len(self.buf) < end:
+                break
+            index, kind, payload = pickle.loads(self.buf[_LENGTH:end])
+            del self.buf[:end]
+            self.pending.remove(index)
+            if kind == "ok":
+                self.busy += payload[1]
+            messages.append((index, kind, payload))
+        return messages
+
+
+def _fork_join(jobs, workers):
+    """Run every job in `workers` forked children; returns (outcomes, busy).
+
+    outcomes[i] is _integrate's result for jobs[i]; busy[k] is the sum of
+    worker k's job runtimes.  Worker k runs jobs k, k + workers, ... in that
+    order and writes down a pipe of its own.  The parent reads whichever
+    pipe is ready, since a worker blocks on a full pipe until it is read,
+    and judges the results in job order.  The first failure in that order
+    raises here: job 0's NumericalAbort, an exception a job raised (its own
+    type and message), or a worker that ended before a job's result (a
+    RuntimeError naming the job's tau and how the worker ended).  On the
+    way out, whatever the outcome, every worker still running is killed
+    and every worker is reaped.
+    """
+    # imported on first use, so that importing this module (the CLI does)
+    # loads neither; numpy has already loaded pickle
+    import selectors
+    import signal
+
+    children = {}  # read end -> _Child
+    try:
+        for k in range(workers):
+            mine = list(range(k, len(jobs), workers))
+            read_fd, write_fd = os.pipe()
+            children[read_fd] = child = _Child(None, mine)
+            try:
+                child.pid = os.fork()
+                if child.pid == 0:
+                    _worker(jobs, mine, write_fd, list(children))
+            finally:
+                os.close(write_fd)
+        outcomes = [None] * len(jobs)
+        decided = 0
+        with selectors.DefaultSelector() as ready:
+            for fd in children:
+                ready.register(fd, selectors.EVENT_READ)
+            while decided < len(jobs):
+                for key, _ in ready.select():
+                    child = children[key.fd]
+                    chunk = os.read(key.fd, 1 << 16)
+                    for index, kind, payload in child.take(chunk):
+                        outcomes[index] = (kind, payload)
+                    if not chunk:  # end of file: the worker closed its pipe by exiting
+                        ready.unregister(key.fd)
+                        code = os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
+                        child.pid = None
+                        if child.pending:  # the first was running when it ended
+                            lost = child.pending[0]
+                            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                            message = f"tau sweep job at tau={jobs[lost][2].tau:g} got no result: its worker {how}"
+                            outcomes[lost] = ("raise", RuntimeError(message))
+                while decided < len(jobs) and outcomes[decided] is not None:
+                    kind, payload = outcomes[decided]
+                    if kind == "raise":
+                        raise payload
+                    if decided == 0 and isinstance(payload[0], NumericalAbort):
+                        raise payload[0]
+                    outcomes[decided] = payload
+                    decided += 1
+        return outcomes, [child.busy for child in children.values()]
+    finally:
+        for fd, child in children.items():
+            os.close(fd)
+            if child.pid is not None:
+                os.kill(child.pid, signal.SIGKILL)
+                os.waitpid(child.pid, 0)
 
 
 def sweep_taus(taus):
@@ -153,39 +300,27 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
     Those times are base_cfg's snapshot_times() at n_outputs = the call's
     n_outputs if nonzero, else base_cfg.n_outputs if positive, else
     SWEEP_OUTPUTS; SolverConfig rejects a bad count.
-    The baseline and the members are independent integrations; each is one
-    job in a pool of forked worker processes, and the errors are computed
-    here from the snapshots the workers return.  A member's NumericalAbort
-    becomes its failure row; a baseline abort propagates and cancels the
-    members that have not started, once the members already running end.
+    The baseline and the members are independent integrations, run in
+    forked worker processes (see the module docstring), and the errors are
+    computed here from the snapshots the workers return.  A member's
+    NumericalAbort becomes its failure row.  The results are judged in job
+    order, the baseline first, and the first failure propagates: a baseline
+    abort, any other exception a job raised (with its type and message), or
+    a worker that died before the job's result (a RuntimeError naming its
+    tau).  The members still running are then killed, not awaited.
     """
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
+    t0 = time.perf_counter()
     taus = sweep_taus(taus)
     out_times = replace(base_cfg, n_outputs=n_outputs or base_cfg.n_outputs or SWEEP_OUTPUTS).snapshot_times()
     members = [replace(params_template, tau=tau) for tau in taus]
-    # one job per params, submitted in this order: the baseline, the
-    # template at tau = 0, then the members
+    # one job per params, in this order: the baseline, the template at
+    # tau = 0, then the members
     runs = [replace(params_template, tau=0.0)] + members
     jobs = [(make_initial_data(init_cfg, grid, p), grid, p, base_cfg, out_times) for p in runs]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
-    # fork, not spawn: a worker inherits the parent's binding of
-    # _sweep_run, and with fork the pool starts every worker before it
-    # starts its own threads (CPython's fix for gh-90622)
-    with ProcessPoolExecutor(min(len(jobs), cpus), mp_context=get_context("fork")) as pool:
-        futures = [pool.submit(_integrate, *job) for job in jobs]
-        try:
-            # the baseline's result first: its abort ends the sweep and
-            # cancels the jobs not yet started, but the pool's shutdown
-            # still waits for the jobs already running
-            baseline, baseline_runtime, baseline_steps = futures[0].result()
-            if isinstance(baseline, NumericalAbort):
-                raise baseline
-            outcomes = [future.result() for future in futures[1:]]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    # fork, not spawn: a worker inherits the parent's binding of _sweep_run
+    outcomes, worker_runtimes = _fork_join(jobs, min(len(jobs), cpus))
+    (baseline, baseline_runtime, baseline_steps), *outcomes = outcomes
 
     field_errors, stress_errors, failures, runtimes, steps = [], [], [], [], []
     for params, (outcome, runtime, n_steps) in zip(members, outcomes, strict=True):
@@ -217,5 +352,7 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
         baseline_runtime=baseline_runtime,
         steps=steps,
         baseline_steps=baseline_steps,
+        worker_runtimes=worker_runtimes,
+        wall_time=time.perf_counter() - t0,
         failures=failures,
     )

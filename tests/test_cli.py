@@ -200,6 +200,29 @@ def test_first_fault_in_file_order_is_reported(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[solver]\ncfl = 2\n[params]\ngamma = 0.5\n", "invalid [solver]: cfl must lie in (0, 1], got 2.0"),
+        ("[params]\ngamma = 0.5\nbogus = 1\n", "invalid [params]: gamma must be finite and exceed 1, got 0.5"),
+        ("[grid]\nn_cells = 4\n[nonsense]\n", "invalid [grid]: n_cells must be at least 8, got 4"),
+        ("[init]\nbump_width = 0\nvel_amp = x\n", "invalid [init]: bump_width must be finite and positive, got 0.0"),
+    ],
+    ids=["range-then-range-in-an-earlier-section", "then-unknown-key", "then-unknown-section", "then-unparsable-value"],
+)
+def test_range_fault_reported_before_any_fault_below_it(tmp_path, capsys, text, message):
+    # a value its dataclass refuses is a fault at its own line, so it is
+    # reported before a fault below it of either kind
+    cfg = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert info.value.line == 2 and str(info.value) == f"line 2: {message}"
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: line 2: {message}\n"
+    assert not out.exists()
+
+
 def test_duplicate_key_rejected_naming_both_lines(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[params]\ntau = 0.01\ngamma = 1.4\ntau = 0.5\n")
     out = tmp_path / "o"
@@ -412,6 +435,12 @@ def test_sweep_summary_reports_time_steps(tmp_path):
     # with ARS(2,2,2) at the acoustic step, as the baseline, so at eps = 0
     # all three take the same count
     assert min(baseline, loose, stiff) > 0 and loose <= stiff
+    # the fork/join line: 3 jobs (the baseline and two members), the busiest
+    # worker's summed job runtimes inside the sweep's wall time
+    (forks,) = [line for line in lines if " forked workers, " in line]
+    m = re.fullmatch(r"3 jobs on (\d+) forked workers, sweep wall (\S+) s, busiest worker (\S+) s", forks)
+    assert m, forks
+    assert 1 <= int(m[1]) <= 3 and 0.0 < float(m[3]) <= float(m[2])
 
 
 def test_sweep_manifest_lists_taus_in_run_order(tmp_path):

@@ -1,7 +1,13 @@
+import contextlib
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,3 +429,118 @@ def test_tau_sweep_rejects_a_bad_n_outputs_before_any_run(grid, params, monkeypa
     monkeypatch.setattr(relaxation, "_sweep_run", unreachable)
     with pytest.raises(ValueError, match=f"^{message}$"):
         tau_sweep(SolverConfig(t_end=0.1), INIT, grid, params, [1e-2], n_outputs=bad)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the enclosed code once `seconds` have passed,
+    so a sweep that hangs fails instead.  The timer is not inherited by a
+    forked worker."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _failing_run(case):
+    """A sweep runner that fails as `case` says and otherwise runs for real."""
+
+    def runner(initial, grid, params, cfg, output_times=None):
+        if case == "baseline-abort" and params.tau == 0.0:
+            raise NumericalAbort("baseline collapsed")
+        if params.tau == 1e-3:
+            if case == "member-abort":
+                raise NumericalAbort("rho <= 0", step=3, cell=7)
+            if case == "member-raises":
+                raise ValueError("boom")
+            if case == "member-exits":
+                os._exit(3)
+        return sweep_run(initial, grid, params, cfg, output_times=output_times)
+
+    return runner
+
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [
+        ("success", None, None),
+        ("member-abort", None, None),
+        ("baseline-abort", NumericalAbort, "baseline collapsed"),
+        ("member-raises", ValueError, "boom"),
+        ("member-exits", RuntimeError, "tau sweep job at tau=0.001 got no result: its worker exited with status 3"),
+    ],
+)
+def test_tau_sweep_fails_as_its_job_did_and_leaves_no_worker(grid, params, monkeypatch, case, error, message):
+    monkeypatch.setattr(relaxation, "_sweep_run", _failing_run(case))
+
+    def sweep():
+        return tau_sweep(SolverConfig(t_end=0.05), INIT, grid, params, [1e-2, 1e-3], n_outputs=2)
+
+    with _deadline(60):
+        if error is None:
+            res = sweep()
+            assert res.failures == [None, "tau=0.001: rho <= 0" if case == "member-abort" else None]
+            assert len(res.worker_runtimes) == min(3, len(os.sched_getaffinity(0)))
+            assert 0.0 < max(res.worker_runtimes) <= res.wall_time
+        else:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                sweep()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_tau_sweep_judges_the_baseline_before_an_earlier_member_error(grid, params, monkeypatch):
+    # one worker per job: the member's error reaches the parent first, and
+    # the baseline's abort, which comes later, is what the sweep raises
+    def runner(initial, grid, params, cfg, output_times=None):
+        if params.tau == 0.0:
+            time.sleep(0.2)
+            raise NumericalAbort("baseline collapsed")
+        raise ValueError("boom")
+
+    monkeypatch.setattr(relaxation, "_sweep_run", runner)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    with _deadline(60), pytest.raises(NumericalAbort, match="^baseline collapsed$"):
+        tau_sweep(SolverConfig(t_end=0.05), INIT, grid, params, [1e-2, 1e-3], n_outputs=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_tau_sweep_sends_an_exception_that_will_not_pickle_as_its_text(grid, params, monkeypatch):
+    class Local(Exception):  # a local class: pickle cannot find it by name
+        pass
+
+    def runner(initial, grid, params, cfg, output_times=None):
+        raise Local("not picklable")
+
+    monkeypatch.setattr(relaxation, "_sweep_run", runner)
+    with _deadline(60), pytest.raises(RuntimeError, match="^Local: not picklable$"):
+        tau_sweep(SolverConfig(t_end=0.05), INIT, grid, params, [1e-2], n_outputs=2)
+
+
+def test_tau_sweep_loads_no_pool_module():
+    # the sweep forks its workers itself: a fresh interpreter that runs one
+    # has imported neither concurrent.futures nor multiprocessing
+    src = Path(relaxation.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "from relaxns.model import FluidParams, InitConfig, RadialGrid\n"
+        "from relaxns.relaxation import tau_sweep\n"
+        "from relaxns.solver import SolverConfig\n"
+        "init = InitConfig(bump_amp=0.01, bump_center=5.0, bump_width=0.7)\n"
+        "grid = RadialGrid(r_max=11.0, n_cells=32)\n"
+        "res = tau_sweep(SolverConfig(t_end=0.01), init, grid, FluidParams(), [1e-2, 1e-3], n_outputs=2)\n"
+        "assert res.failures == [None, None], res.failures\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
