@@ -38,7 +38,7 @@ from .numerics import (
     weighted_h2_sq,
     weighted_l2_sq,
 )
-from .solver import _TIME_EPS, rhs_full
+from .solver import _TIME_EPS, _outer_boundary, rhs_full
 
 _FLOOR = 1e-30
 PINCH_BOX = (0.75, 1.25)  # the density range the a-priori report checks
@@ -193,17 +193,14 @@ def mass_balance_residual(traj, grid):
     """|mass(t) - mass(0) + accumulated outer-face flux| / mass(0).
 
     The flux term is reconstructed from the snapshots (trapezoid in time of
-    the outer-face flux), so it vanishes identically for the reflecting
-    outer wall and degrades when under-resolved waves cross the boundary.
+    the outer-face flux, which the run's boundary rule gives), so it vanishes
+    identically for the reflecting outer wall and degrades when under-resolved
+    waves cross the boundary.
     """
     series_mass = np.array([cell_sum_r2(s.rho, grid) for s in traj.snapshots])
     times = traj.times
-    if traj.outer_bc == "reflect":
-        flux = np.zeros_like(series_mass)
-    else:
-        flux = np.array(
-            [grid.face_r2[-1] * s.rho[-1] * s.v[-1] for s in traj.snapshots]
-        )
+    boundary = _outer_boundary(traj.outer_bc)
+    flux = np.array([boundary.mass_flux(s, grid) for s in traj.snapshots])
     acc = _cumulative_trapezoid(flux, times)
     return np.abs(series_mass - series_mass[0] + acc) / series_mass[0]
 

@@ -106,7 +106,7 @@ def _loglog_slope(x, y):
 def _sweep_run(initial, grid, params, cfg, output_times):
     """One sweep job's trajectory: run's admission of initial, then
     ARS(2,2,2) at params.tau, whatever rule run would pick."""
-    return _advance(_admit(initial, grid, params), grid, params, cfg, output_times, *_ars_rules())
+    return _advance(_admit(initial, grid, params, cfg), grid, params, cfg, output_times, *_ars_rules())
 
 
 def _integrate(initial, grid, params, cfg, out_times):

@@ -68,7 +68,7 @@ tau >= 0, and the baseline is its tau = 0 case: there a = 0 and W = h/h = 1 exac
 stage's stresses are the Newtonian values eq(v) whatever the transported
 s* holds, and the system is (diag(rho) - h V) v = rho v* with the viscous
 operator V = G E.  V's bands depend on the grid, mu, lambda and the
-closure only, so a workspace probes them once and keeps them while
+boundary rule only, so a workspace probes them once and keeps them while
 tau = 0; at tau > 0, W changes with each stage's rho, and the bands are
 probed per stage from the combs' stresses E c_k, which the workspace
 keeps per (mu, lambda).  The step is the acoustic CFL step with the stress
@@ -94,28 +94,35 @@ role: the CFL step dt_rule(state, grid, params, cfl, work=) (compute_dt,
 compute_dt_classical) and the step step_rule(state, grid, params, cfg, dt,
 step_idx, out=, work=, owed=, close=) (step, _step_classical, which owes
 nothing).  _advance records only the snapshots, the step sizes and the step
-rule's name ("imex" or "strang").  The system is params.tau's alone:
-rhs_full(state, grid, params, outer_bc) is its right-hand side at every
-tau >= 0, the classical rows at tau = 0, and readers derive the rest from
-the snapshots and rhs_full at the params the run integrated.
+rule's name ("imex" or "strang").  The system is params.tau's and the outer
+boundary rule's alone: rhs_full(state, grid, params, outer_bc) is its
+right-hand side at every tau >= 0, the classical rows at tau = 0, and
+readers derive the rest from the snapshots and rhs_full at the params the
+run integrated.
 
-The driver builds one Workspace per run, sized from the grid, and the dt rule
-and every stage compute into its buffers with out= ufuncs; two State buffers
-take turns as a step's input and output, so neither the dt rule nor a step
-allocates a field.  The workspace also owns every view the stage kernels
+The outer boundary rule is a string, SolverConfig.outer_bc, only at the
+entry points, which look up its one object (_OuterBoundary): it fills the
+outer ghost cells, gives the kernels eq(v), and gives the diagnostics the
+wall terms (the mass flux through r_max, the open-boundary warning).
+
+The driver builds one Workspace per run, for the grid and that rule, and the
+dt rule and every stage compute into its buffers with out= ufuncs; two State
+buffers take turns as a step's input and output, so neither the dt rule nor a
+step allocates a field.  The workspace also owns every view the stage kernels
 read, cut once when it is built: its ghost-augmented copies of the fields
 with their stencils (the two cells of each face, the two neighbours of each
 cell, the ghost fill's mirrors) and the two halves of the flux and speed
 face arrays.  A kernel reads a caller's array only whole or through such a
-copy, so no view outlives the array it was cut from; eq(v) is
-model.equilibrium_stress, which slices v itself.  The stage kernel folds the
+copy, so no view outlives the array it was cut from; eq(v) is the rule's,
+today model.equilibrium_stress, which slices v itself.  The stage kernel folds the
 constant factors of its formulas (the 0.5 of the mass flux and of the face
 density, 1/dr, 1/(2 dr), 2/3, -a_coef, 2/r, the upwind minus sign) into one
 scalar or one coefficient array built with the Workspace, so each term costs
 one pass over the grid; it agrees with the formulas as written to rounding.  An allocating public
 entry point (compute_dt, compute_dt_classical, rhs_nonstiff, rhs_full,
 classical_rhs, relax_substep, step without out= and work=) runs the same
-kernel in a fresh Workspace, so it and the driver give the same bits.
+kernel in a fresh Workspace, so it and the driver give the same bits; a
+work= built for another outer_bc is refused.
 """
 
 import math
@@ -128,7 +135,6 @@ from .errors import FieldError, NumericalAbort
 from .model import State, admissible_pressure_prime, equilibrium_stress, integer_field
 from .structure import weyl_speed_bound
 
-_OUTER_BCS = ("extrapolate", "reflect")
 _TIME_EPS = 1e-12
 
 
@@ -145,7 +151,7 @@ class SolverConfig:
             raise FieldError("cfl", f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0.0 <= self.t_end < math.inf:
             raise FieldError("t_end", f"t_end must be finite and nonnegative, got {self.t_end}")
-        _check_outer_bc(self.outer_bc)
+        _outer_boundary(self.outer_bc)
         object.__setattr__(self, "output_every", integer_field("output_every", self.output_every))
         if self.output_every < 1:
             raise FieldError("output_every", f"output_every must be >= 1, got {self.output_every}")
@@ -172,12 +178,35 @@ class Trajectory:
 
     @property
     def warnings(self):
-        # boundary interaction is intended with a reflecting outer wall; the
-        # check guards the interpretation of extrapolating (open) runs only
-        if self.outer_bc == "reflect":
-            return []
-        for state in self.snapshots:
-            if not _wavefront_clear(state):
+        return _outer_boundary(self.outer_bc).warnings(self.snapshots)
+
+
+class _OuterBoundary:
+    # a rule for the outer face r = r_max, one instance per rule (see the
+    # module docstring); the kernels reach it through their Workspace
+    def equilibrium_stress(self, v, grid, params, out=None):
+        # model.equilibrium_stress, one-sided at both ends under either rule
+        return equilibrium_stress(v, grid, params, out=out)
+
+
+class _Extrapolate(_OuterBoundary):
+    # the open face: waves and mass may leave through it
+    name = "extrapolate"
+
+    def fill_outer(self, g, odd):
+        # the outer ghosts of the _Ghosted g repeat cell n-1
+        g.outer[...] = g.last
+
+    def mass_flux(self, state, grid):
+        # r^2 rho v through the outer face
+        return grid.face_r2[-1] * state.rho[-1] * state.v[-1]
+
+    def warnings(self, snapshots):
+        # the check that guards the interpretation of an open run: every
+        # field within 1e-8 of the far-field equilibrium in the last 2 cells
+        for state in snapshots:
+            tails = (state.rho[-2:] - 1.0, state.v[-2:], state.s1[-2:], state.s2[-2:])
+            if not max(float(np.max(np.abs(f))) for f in tails) <= 1e-8:
                 return [
                     f"outer-boundary contamination: fields deviate from the far-field "
                     f"equilibrium within 2 cells of r_max at t = {state.t:.6g}"
@@ -185,18 +214,50 @@ class Trajectory:
         return []
 
 
+class _Reflect(_OuterBoundary):
+    # the closed wall: no mass crosses it, and waves meeting it are intended
+    name = "reflect"
+
+    def fill_outer(self, g, odd):
+        # the outer ghosts mirror cells n-1, n-2, an odd field's sign flipped
+        if odd:
+            np.negative(g.outer_mirror, out=g.outer)
+        else:
+            g.outer[...] = g.outer_mirror
+
+    def mass_flux(self, state, grid):
+        return 0.0
+
+    def warnings(self, snapshots):
+        return []
+
+
+_OUTER_BOUNDARIES = {b.name: b for b in (_Extrapolate(), _Reflect())}
+
+
+def _outer_boundary(outer_bc):
+    # the rule named outer_bc; the one lookup of the string
+    boundary = _OUTER_BOUNDARIES.get(outer_bc) if isinstance(outer_bc, str) else None
+    if boundary is None:
+        raise FieldError("outer_bc", f"outer_bc must be one of {tuple(_OUTER_BOUNDARIES)}, got {outer_bc!r}")
+    return boundary
+
+
 class Workspace:
-    """Scratch arrays for one grid, reused by every stage of a run.
+    """Scratch arrays for one grid and outer boundary rule, reused by every
+    stage of a run.
 
     rhs_nonstiff, rhs_full, classical_rhs and step take one as work= and
     then allocate no field; the rows the right-hand sides return live in
     work.k and are overwritten by the next call that uses the workspace.
-    It also owns every view that the kernels read, cut once from its own
-    buffers (see the module docstring).
+    It also owns the views the kernels read and the boundary rule they
+    apply (see the module docstring); a call for another outer_bc refuses
+    it with a ValueError.
     """
 
-    def __init__(self, grid):
+    def __init__(self, grid, outer_bc=SolverConfig.outer_bc):
         n = grid.n_cells
+        self.boundary = _outer_boundary(outer_bc)
         self.ghost = tuple(np.empty(n + 4) for _ in range(3))
         self.face = tuple(np.empty(n + 1) for _ in range(4))
         self.cell = tuple(np.empty(n) for _ in range(3))
@@ -205,7 +266,7 @@ class Workspace:
         # stresses eq(v) of rhs_full at tau = 0, or the kept part a s* of
         # an ARS stage's stresses
         self.stress = (np.empty(n), np.empty(n))
-        self.ghosted = tuple(_Ghosted(g) for g in self.ghost)
+        self.ghosted = tuple(_Ghosted(g, self.boundary) for g in self.ghost)
         # the halves of the flux and speed face buffers, which the kernels
         # read by halves
         self.faces = tuple(_Faces(f) for f in self.face[:2])
@@ -219,7 +280,16 @@ class Workspace:
     def imex(self):
         # the ARS step's buffers, made on its first use so that a run that
         # steps with Strang does not hold them
-        return _ImexBuffers(self.k[0].size, self.two_over_r)
+        return _ImexBuffers(self.k[0].size, self.two_over_r, self.boundary)
+
+
+def _workspace(grid, outer_bc, work):
+    # work, refused with a ValueError unless built for the rule outer_bc, or
+    # a new Workspace for it when work is None
+    w = Workspace(grid, outer_bc) if work is None else work
+    if w.boundary is not _outer_boundary(outer_bc):
+        raise ValueError(f"work was built for outer_bc {w.boundary.name!r}, not {outer_bc!r}")
+    return w
 
 
 class _Ghosted:
@@ -227,13 +297,14 @@ class _Ghosted:
     # the views of g that its fill and the stencils read.  The views slice
     # the last axis, so a (5, n+4) g holds five fields, filled and read at
     # once (_viscous_bands)
-    def __init__(self, g):
+    def __init__(self, g, boundary):
         self.all = g
         self.cells = g[..., 2:-2]
-        # the inner ghosts mirror cells 1, 0; the outer ones mirror cells
-        # n-1, n-2 or repeat cell n-1
+        # the inner ghosts mirror cells 1, 0; the outer ones are boundary's,
+        # which reads its mirrors of cells n-1, n-2 or cell n-1 itself
         self.inner, self.inner_mirror = g[..., :2], g[..., 3:1:-1]
         self.outer, self.outer_mirror, self.last = g[..., -2:], g[..., -3:-5:-1], g[..., -3:-2]
+        self.fill_outer = boundary.fill_outer
         # the cells left and right of each of the n+1 faces, and the cells
         # one further out
         self.left, self.right = g[..., 1:-2], g[..., 2:-1]
@@ -241,19 +312,14 @@ class _Ghosted:
         # the two neighbours of each of the n cells
         self.west, self.east = g[..., 1:-3], g[..., 3:-1]
 
-    def load(self, f, odd, outer_bc):
+    def load(self, f, odd):
         # the field f (n,) and its ghost cells, see apply_bc; returns g
         self.cells[...] = f
         if odd:
             np.negative(self.inner_mirror, out=self.inner)
         else:
             self.inner[...] = self.inner_mirror
-        if outer_bc == "extrapolate":
-            self.outer[...] = self.last
-        elif odd:
-            np.negative(self.outer_mirror, out=self.outer)
-        else:
-            self.outer[...] = self.outer_mirror
+        self.fill_outer(self, odd)
         return self.all
 
 
@@ -267,15 +333,15 @@ class _Faces:
 class _ImexBuffers:
     # the bands of the implicit stage's operator, the rows of one (5, n)
     # array, which are those of the viscous operator V at tau = 0 for the
-    # (mu, lambda, outer_bc) of key (None when they are not); the five comb
-    # probes that give them (_Combs); the explicit stage values of v and of
-    # the stresses; the accumulators of rho, v, s1, s2; the stage solve's
+    # (mu, lambda) of key (None when they are not); the five comb probes
+    # that give them (_Combs); the explicit stage values of v and of the
+    # stresses; the accumulators of rho, v, s1, s2; the stage solve's
     # diagonal, right-hand side and factor rows; the stage's a and W (see
     # _implicit_stage); and its load G(a s*)
-    def __init__(self, n, two_over_r):
+    def __init__(self, n, two_over_r, boundary):
         self.bands = np.empty((5, n))
         self.key = None
-        self.combs = _Combs(n, two_over_r)
+        self.combs = _Combs(n, two_over_r, boundary)
         self.stage_v = np.empty(n)
         self.stage_s = (np.empty(n), np.empty(n))
         self.acc = tuple(np.empty(n) for _ in range(4))
@@ -292,13 +358,13 @@ class _Combs:
     # reads of a Workspace (it takes its scratch from faces[1]), five rows
     # deep, so the one stencil probes all five combs at once.  Row i of band
     # o + 2, A[i, i+o], is probe[(i+o) mod 5, i], the flat index gather[o+2, i]
-    def __init__(self, n, two_over_r):
+    def __init__(self, n, two_over_r, boundary):
         self.eq = (np.empty((5, n)), np.empty((5, n)))
         self.key = None
         self.weighted = (np.empty((5, n)), np.empty((5, n)))
         self.probe = np.empty((5, n))
         self.flat_probe = self.probe.reshape(-1)
-        self.ghosted = tuple(_Ghosted(np.empty((5, n + 4))) for _ in range(2))
+        self.ghosted = tuple(_Ghosted(np.empty((5, n + 4)), boundary) for _ in range(2))
         self.faces = (None, _Faces(np.empty((5, n + 1))))
         self.two_over_r = two_over_r
         cells = np.arange(n)
@@ -309,22 +375,18 @@ def _empty_state(n):
     return State(np.empty(n), np.empty(n), np.empty(n), np.empty(n))
 
 
-def _check_outer_bc(outer_bc):
-    if outer_bc not in _OUTER_BCS:
-        raise FieldError("outer_bc", f"outer_bc must be one of {_OUTER_BCS}, got {outer_bc!r}")
-
-
 def apply_bc(state, grid, params, outer_bc=SolverConfig.outer_bc):
     """Ghost-augmented (rho, v, s1, s2), two ghost cells per side.
 
     Inner face r = 1: v odd-reflected (v = 0 at the face), the rest
-    even-reflected.  Outer face: zero-order extrapolation, or mirror
-    reflection with the v sign flipped.
+    even-reflected, under every outer_bc.  Outer face, the rule outer_bc
+    names: "extrapolate" repeats the last cell (zero-order extrapolation),
+    "reflect" mirrors like the inner face, v with its sign flipped.
     """
-    _check_outer_bc(outer_bc)
+    boundary = _outer_boundary(outer_bc)
     n = grid.n_cells
     return tuple(
-        _Ghosted(np.empty(n + 4)).load(f, odd, outer_bc)
+        _Ghosted(np.empty(n + 4), boundary).load(f, odd)
         for f, odd in ((state.rho, False), (state.v, True), (state.s1, False), (state.s2, False))
     )
 
@@ -363,7 +425,7 @@ def _central_into(out, g, scale):
     np.multiply(scale, out, out=out)
 
 
-def _flow_rows(rho, v, stresses, grid, params, outer_bc, w):
+def _flow_rows(rho, v, stresses, grid, params, w):
     # the mass and momentum rows into w.k[:2], returned.  The momentum row
     # carries the stress divergence only when stresses is a pair (s1, s2);
     # with None it is the classical step's explicit part.  Given stresses, it
@@ -380,8 +442,8 @@ def _flow_rows(rho, v, stresses, grid, params, outer_bc, w):
     grad, lo, hi = w.cell
     drho, dv = w.k[:2]
     tmp = speed_f.left
-    rho_e.load(rho, False, outer_bc)
-    v_e.load(v, True, outer_bc)
+    rho_e.load(rho, False)
+    v_e.load(v, True)
 
     # flux-form mass update: central face flux, |v|-upwind diffusion for the
     # convective part, and a fourth-difference dissipation at the acoustic
@@ -427,21 +489,21 @@ def _flow_rows(rho, v, stresses, grid, params, outer_bc, w):
     _upwind_split(v, grid.dr, lo, hi)
     _upwind_into(dv, lo, hi, v_e, flux_f, tmp)
     if stresses is not None:
-        _stress_divergence(grad, *stresses, grid, outer_bc, w)
+        _stress_divergence(grad, *stresses, grid, w)
     np.divide(grad, rho, out=grad)
     np.add(dv, grad, out=dv)
     return drho, dv
 
 
-def _stress_divergence(acc, s1, s2, grid, outer_bc, w):
+def _stress_divergence(acc, s1, s2, grid, w):
     # acc += 2/3 ds1/dr + 2 s1/r + ds2/dr, the stress terms of the momentum
     # row times rho, by central differences through the stresses' ghost
     # cells, which it leaves in w.ghost[:2]; acc is neither of those nor
     # w.face[1], whose first n values are scratch
     tmp = w.faces[1].left
     s1_e, s2_e = w.ghosted[:2]
-    s1_e.load(s1, False, outer_bc)
-    s2_e.load(s2, False, outer_bc)
+    s1_e.load(s1, False)
+    s2_e.load(s2, False)
     _central_into(tmp, s1_e, 1.0 / (3.0 * grid.dr))  # 2/3 times 1/(2 dr)
     np.add(acc, tmp, out=acc)
     np.multiply(w.two_over_r, s1, out=tmp)
@@ -479,13 +541,12 @@ def rhs_nonstiff(state, grid, params, outer_bc=SolverConfig.outer_bc, include_pr
     """
     if include_production:
         _refuse_tau_zero("rhs_nonstiff with include_production=True", params, "rhs_full")
-    _check_outer_bc(outer_bc)
-    w = Workspace(grid) if work is None else work
-    _flow_rows(state.rho, state.v, (state.s1, state.s2), grid, params, outer_bc, w)
+    w = _workspace(grid, outer_bc, work)
+    _flow_rows(state.rho, state.v, (state.s1, state.s2), grid, params, w)
     ds1, ds2 = _stress_rows(state.v, grid, params, w)
     if include_production:
         grad, lo, hi = w.cell
-        eq1, eq2 = equilibrium_stress(state.v, grid, params, out=(lo, hi, w.faces[1].left))
+        eq1, eq2 = w.boundary.equilibrium_stress(state.v, grid, params, out=(lo, hi, w.faces[1].left))
         trho = np.multiply(params.tau, state.rho, out=grad)
         np.divide(eq1, trho, out=eq1)
         np.add(ds1, eq1, out=ds1)
@@ -503,12 +564,11 @@ def rhs_full(state, grid, params, outer_bc=SolverConfig.outer_bc, work=None):
     stress rows eq(dv/dt), the time derivative of eq(v) by linearity.  With
     work= the rows are work.k.
     """
-    w = Workspace(grid) if work is None else work
+    w = _workspace(grid, outer_bc, work)
     if params.tau == 0.0:
-        _check_outer_bc(outer_bc)
-        stresses = equilibrium_stress(state.v, grid, params, out=(*w.stress, w.cell[0]))
-        drho, dv = _flow_rows(state.rho, state.v, stresses, grid, params, outer_bc, w)
-        ds1, ds2 = equilibrium_stress(dv, grid, params, out=(*w.k[2:], w.cell[0]))
+        stresses = w.boundary.equilibrium_stress(state.v, grid, params, out=(*w.stress, w.cell[0]))
+        drho, dv = _flow_rows(state.rho, state.v, stresses, grid, params, w)
+        ds1, ds2 = w.boundary.equilibrium_stress(dv, grid, params, out=(*w.k[2:], w.cell[0]))
         return drho, dv, ds1, ds2
     drho, dv, ds1, ds2 = rhs_nonstiff(state, grid, params, outer_bc, include_production=True, work=w)
     trho, decay = w.cell[:2]
@@ -524,7 +584,7 @@ def _relax(rho, v, stresses, dt, grid, params, w, out):
     # out <- the exact relaxation of the pair stresses over dt at frozen
     # rho, v; out, a pair of arrays, may be stresses itself
     eq1, eq2, dv, decay = w.k
-    equilibrium_stress(v, grid, params, out=(eq1, eq2, dv))
+    w.boundary.equilibrium_stress(v, grid, params, out=(eq1, eq2, dv))
     np.divide(-dt / params.tau, rho, out=decay)
     np.exp(decay, out=decay)
     for s, dst, eq in zip(stresses, out, (eq1, eq2)):
@@ -619,20 +679,20 @@ def _check(fields, step_idx, stage):
     )
 
 
-def _rk2_transport(fields, t, dt, grid, params, outer_bc, step_idx, out, w):
+def _rk2_transport(fields, t, dt, grid, params, step_idx, out, w):
     # SSP-RK2 (Heun) on the non-stiff part, production excluded, of the
     # fields (rho, v, s1, s2) at time t, to t + dt into out, which holds the
     # middle stage on the way; fields are not written
     rho, v, s1, s2 = fields
     stage = (out.rho, out.v, out.s1, out.s2)
-    _flow_rows(rho, v, (s1, s2), grid, params, outer_bc, w)
+    _flow_rows(rho, v, (s1, s2), grid, params, w)
     _stress_rows(v, grid, params, w)
     for f, g, k in zip(fields, stage, w.k):
         np.multiply(dt, k, out=k)
         np.add(f, k, out=g)
     out.t = t
     _check(stage, step_idx, "rk2 stage 1")
-    _flow_rows(out.rho, out.v, (out.s1, out.s2), grid, params, outer_bc, w)
+    _flow_rows(out.rho, out.v, (out.s1, out.s2), grid, params, w)
     _stress_rows(out.v, grid, params, w)
     for f, g, k in zip(fields, stage, w.k):
         np.add(f, g, out=g)
@@ -663,13 +723,13 @@ def step(state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None, *, 
     _refuse_tau_zero("step", params, "run")
     if out is state:
         raise ValueError("step cannot write its input state")
-    w = Workspace(grid) if work is None else work
+    w = _workspace(grid, cfg.outer_bc, work)
     if dt is None:
         dt = compute_dt(state, grid, params, cfg.cfl, work=w)
     out = _empty_state(grid.n_cells) if out is None else out
     rho, v = state.rho, state.v
     _relax(rho, v, (state.s1, state.s2), owed + 0.5 * dt, grid, params, w, w.stress)
-    _rk2_transport((rho, v, *w.stress), state.t, dt, grid, params, cfg.outer_bc, step_idx, out, w)
+    _rk2_transport((rho, v, *w.stress), state.t, dt, grid, params, step_idx, out, w)
     if close:
         closed = (out.s1, out.s2)
         _relax(out.rho, out.v, closed, 0.5 * dt, grid, params, w, closed)
@@ -682,7 +742,7 @@ _ARS_GAMMA = 1.0 - math.sqrt(0.5)
 _ARS_DELTA = 1.0 - 0.5 / _ARS_GAMMA
 
 
-def _viscous_bands(grid, params, outer_bc, w, weight):
+def _viscous_bands(grid, params, w, weight):
     # the bands (A[i, i-2], A[i, i-1], A[i, i], A[i, i+1], A[i, i+2]) of the
     # pentadiagonal A = G W E at row i, the rows of a (5, n) array: E = eq,
     # G the stress divergence (times rho) of the momentum row, and
@@ -694,9 +754,9 @@ def _viscous_bands(grid, params, outer_bc, w, weight):
     # lambda only, and w.imex.combs keeps them.  W changes with each stage's
     # rho, so A is probed on every call, except at tau = 0: there W is
     # exactly 1, A is the viscous operator V = G E, which depends on the
-    # grid, mu, lambda and the closure only, and w.imex keeps its bands
+    # grid, mu, lambda and w's boundary rule only, and w.imex keeps its bands
     imex = w.imex
-    key = (params.mu, params.lambda_, outer_bc) if params.tau == 0.0 else None
+    key = (params.mu, params.lambda_) if params.tau == 0.0 else None
     if key is not None and imex.key == key:
         return imex.bands
     combs = imex.combs
@@ -707,12 +767,12 @@ def _viscous_bands(grid, params, outer_bc, w, weight):
         probe.fill(0.0)
         for k in range(5):
             probe[k, k::5] = 1.0
-            equilibrium_stress(probe[k], grid, params, out=(eq1[k], eq2[k], s1[k]))
+            w.boundary.equilibrium_stress(probe[k], grid, params, out=(eq1[k], eq2[k], s1[k]))
         combs.key = (params.mu, params.lambda_)
     np.multiply(weight, eq1, out=s1)
     np.multiply(weight, eq2, out=s2)
     probe.fill(0.0)
-    _stress_divergence(probe, s1, s2, grid, outer_bc, combs)
+    _stress_divergence(probe, s1, s2, grid, combs)
     # mode="raise" would buffer its output
     np.take(combs.flat_probe, combs.gather, out=imex.bands, mode="clip")
     imex.key = key
@@ -773,7 +833,7 @@ def _solve_pentadiagonal(lo2, lo1, diag, up1, up2, f, x, u0, u1):
     return x
 
 
-def _implicit_stage(star, h, grid, params, outer_bc, w, out):
+def _implicit_stage(star, h, grid, params, w, out):
     # out.v, out.s1, out.s2 <- the implicit part of an ARS stage with the
     # stage values star = (rho*, v*, s1*, s2*), rho* the stage density:
     #   rho v = rho v* + h G s,   s = s* + h (eq(v) - s) / (tau rho).
@@ -790,32 +850,32 @@ def _implicit_stage(star, h, grid, params, outer_bc, w, out):
     np.add(keep, h, out=weight)
     np.divide(keep, weight, out=keep)
     np.divide(h, weight, out=weight)
-    bands = _viscous_bands(grid, params, outer_bc, w, weight)
+    bands = _viscous_bands(grid, params, w, weight)
     kept = w.stress  # a s*
     for s, k in zip(sstar, kept):
         np.multiply(keep, s, out=k)
     load = imex.load
     load.fill(0.0)
-    _stress_divergence(load, *kept, grid, outer_bc, w)
+    _stress_divergence(load, *kept, grid, w)
     diag, f, u0, u1 = imex.solve
     np.divide(rho, -h, out=f)
     np.add(bands[2], f, out=diag)
     np.multiply(f, vstar, out=f)
     np.subtract(f, load, out=f)
     _solve_pentadiagonal(bands[0], bands[1], diag, bands[3], bands[4], f, out.v, u0, u1)
-    equilibrium_stress(out.v, grid, params, out=(out.s1, out.s2, w.cell[0]))
+    w.boundary.equilibrium_stress(out.v, grid, params, out=(out.s1, out.s2, w.cell[0]))
     for s, k in zip((out.s1, out.s2), kept):
         np.multiply(weight, s, out=s)
         np.add(k, s, out=s)
 
 
-def _explicit_rows(rho, v, stresses, grid, params, outer_bc, w):
+def _explicit_rows(rho, v, stresses, grid, params, w):
     # the explicit rows of an ARS stage into w.k, returned: mass, momentum
     # without the stress divergence, and the stresses' transport at speed
     # v - eps
-    rows = _flow_rows(rho, v, None, grid, params, outer_bc, w)
+    rows = _flow_rows(rho, v, None, grid, params, w)
     for s, g in zip(stresses, w.ghosted):
-        g.load(s, False, outer_bc)
+        g.load(s, False)
     return rows + _stress_rows(v, grid, params, w)
 
 
@@ -824,35 +884,34 @@ def _step_classical(state, grid, params, cfg, dt, step_idx, out=None, work=None,
     # docstring; owed and close are step's, and an ARS step owes nothing.
     # The stage-1 implicit terms, needed by stage 2, are (U1 - U*)/h, not a
     # second operator call
-    w = Workspace(grid) if work is None else work
+    w = _workspace(grid, cfg.outer_bc, work)
     out = _empty_state(grid.n_cells) if out is None else out
-    outer_bc = cfg.outer_bc
     imex = w.imex
     h = _ARS_GAMMA * dt
     # the stage values U* (out.rho is the stage density) and the
     # accumulators of the stage-2 explicit part
     star = (out.rho, imex.stage_v, *imex.stage_s)
 
-    rows = _explicit_rows(state.rho, state.v, (state.s1, state.s2), grid, params, outer_bc, w)
+    rows = _explicit_rows(state.rho, state.v, (state.s1, state.s2), grid, params, w)
     for f, k, u, a in zip((state.rho, state.v, state.s1, state.s2), rows, star, imex.acc):
         np.multiply(h, k, out=u)
         np.add(f, u, out=u)
         np.multiply(_ARS_DELTA * dt, k, out=a)
         np.add(f, a, out=a)
     _check(star, step_idx, "imex stage 1")
-    _implicit_stage(star, h, grid, params, outer_bc, w, out)
+    _implicit_stage(star, h, grid, params, w, out)
     # (1 - gamma) dt times the stage-1 implicit terms (U1 - U*)/h
     for u1, u, a in zip((out.v, out.s1, out.s2), star[1:], imex.acc[1:]):
         np.subtract(u1, u, out=u)
         np.multiply((1.0 - _ARS_GAMMA) / _ARS_GAMMA, u, out=u)
         np.add(a, u, out=a)
 
-    rows = _explicit_rows(out.rho, out.v, (out.s1, out.s2), grid, params, outer_bc, w)
+    rows = _explicit_rows(out.rho, out.v, (out.s1, out.s2), grid, params, w)
     for k, u, a in zip(rows, star, imex.acc):
         np.multiply((1.0 - _ARS_DELTA) * dt, k, out=k)
         np.add(a, k, out=u)
     _check(star, step_idx, "imex stage 2")
-    _implicit_stage(star, h, grid, params, outer_bc, w, out)
+    _implicit_stage(star, h, grid, params, w, out)
     out.t = state.t + dt
     _check((out.rho, out.v, out.s1, out.s2), step_idx, "step")
     return out
@@ -861,12 +920,6 @@ def _step_classical(state, grid, params, cfg, dt, step_idx, out=None, work=None,
 def classical_rhs(state, grid, params, outer_bc=SolverConfig.outer_bc, work=None):
     """rhs_full at tau = 0, whatever params.tau is: the classical system's rows."""
     return rhs_full(state, grid, replace(params, tau=0.0), outer_bc, work)
-
-
-def _wavefront_clear(state):
-    # every field within 1e-8 of the far-field equilibrium in the last 2 cells
-    tails = (state.rho[-2:] - 1.0, state.v[-2:], state.s1[-2:], state.s2[-2:])
-    return max(float(np.max(np.abs(f))) for f in tails) <= 1e-8
 
 
 def _record(traj, state, on_snapshot):
@@ -882,9 +935,9 @@ def _advance(initial, grid, params, cfg, output_times, stepper, dt_rule, step_ru
     # owed=, close=) takes it, and the Trajectory records the step rule's
     # name stepper; on_snapshot, if given, is called with each snapshot as it
     # is recorded.  initial has passed _admit.  Two State buffers take
-    # turns as the step's input and output, and one Workspace
-    # serves the dt rule and every stage (its k rows are free between steps),
-    # so a step allocates no field.  A step is closed only when it ends on a snapshot or at t_end;
+    # turns as the step's input and output, and one Workspace, for cfg's
+    # boundary rule, serves the dt rule and every stage (its k rows are free
+    # between steps), so a step allocates no field.  A step is closed only when it ends on a snapshot or at t_end;
     # otherwise its closing half relaxation is owed to the next step's
     # opening half.  The dt rule may run on an open state: it reads rho and v
     # only, which the relaxation leaves unchanged
@@ -894,7 +947,7 @@ def _advance(initial, grid, params, cfg, output_times, stepper, dt_rule, step_ru
     horizon = max(t_end, 1.0)
     tol = _TIME_EPS * horizon
     traj = Trajectory(outer_bc=cfg.outer_bc, stepper=stepper)
-    work = Workspace(grid)
+    work = Workspace(grid, cfg.outer_bc)
     state = initial.copy()
     spare = _empty_state(grid.n_cells)
     _record(traj, state, on_snapshot)
@@ -939,14 +992,15 @@ def _advance(initial, grid, params, cfg, output_times, stepper, dt_rule, step_ru
     return traj
 
 
-def _admit(initial, grid, params):
+def _admit(initial, grid, params, cfg):
     # the initial state that _advance may start from: of the grid's length
-    # (else a ValueError), with Newtonian stresses at tau = 0, and admissible
-    # (else a NumericalAbort)
+    # (else a ValueError), with the Newtonian stresses of cfg's boundary rule
+    # at tau = 0, and admissible (else a NumericalAbort)
     if initial.rho.size != grid.n_cells:
         raise ValueError(f"initial state has {initial.rho.size} values per field for a grid of {grid.n_cells} cells")
     if params.tau == 0.0:
-        initial = State(initial.rho, initial.v, *equilibrium_stress(initial.v, grid, params), initial.t)
+        eq = _outer_boundary(cfg.outer_bc).equilibrium_stress(initial.v, grid, params)
+        initial = State(initial.rho, initial.v, *eq, initial.t)
     _check((initial.rho, initial.v, initial.s1, initial.s2), 0, "initial state")
     return initial
 
@@ -992,7 +1046,7 @@ def run(initial, grid, params, cfg, output_times=None, on_snapshot=None):
     on; an exception it raises ends the run: the command line hands each
     snapshot to its writer process this way, so an aborted run leaves them.
     """
-    initial = _admit(initial, grid, params)
+    initial = _admit(initial, grid, params, cfg)
     return _advance(initial, grid, params, cfg, output_times, *_step_rules(initial, grid, params, cfg.cfl), on_snapshot)
 
 

@@ -241,7 +241,7 @@ def test_sweep_members_step_with_ars_where_run_would_step_with_strang():
     def ars(p):
         initial = make_initial_data(pulse, grid, p)
         return solver._advance(
-            solver._admit(initial, grid, p), grid, p, cfg, out_times,
+            solver._admit(initial, grid, p, cfg), grid, p, cfg, out_times,
             "imex", solver.compute_dt_classical, solver._step_classical,
         )
 

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import tracemalloc
 from dataclasses import replace
@@ -7,7 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from relaxns import solver
-from relaxns.errors import NumericalAbort
+from relaxns.errors import FieldError, NumericalAbort
 from relaxns.model import (
     FluidParams,
     InitConfig,
@@ -22,8 +24,10 @@ from relaxns.relaxation import tau_sweep
 from relaxns.solver import (
     SolverConfig,
     Workspace,
+    _Ghosted,
     _check,
     _implicit_stage,
+    _outer_boundary,
     _solve_pentadiagonal,
     _step_classical,
     _stress_divergence,
@@ -52,9 +56,9 @@ def same_state(a, b):
     return a.t == b.t and all(same_bits(getattr(a, f), getattr(b, f)) for f in ("rho", "v", "s1", "s2"))
 
 
-def poisoned_workspace(grid):
+def poisoned_workspace(grid, outer_bc="extrapolate"):
     # every buffer starts as NaN, so a value read before it is written shows
-    w = Workspace(grid)
+    w = Workspace(grid, outer_bc)
     imex = w.imex
     imex_groups = (imex.bands, imex.solve, (imex.stage_v,), imex.stage_s, imex.acc, imex.relax, (imex.load,))
     combs = imex.combs
@@ -204,6 +208,78 @@ def test_apply_bc_ghost_layout(grid, params):
     rho_r, v_r, _, _ = apply_bc(state, grid, params, "reflect")
     assert v_r[-2] == -state.v[-1] and v_r[-1] == -state.v[-2]
     assert rho_r[-2] == state.rho[-1] and rho_r[-1] == state.rho[-2]
+
+
+@pytest.mark.parametrize("outer_bc", ["extrapolate", "reflect"])
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+def test_boundary_ghost_fill_matches_the_reference(outer_bc, odd):
+    # the rule's object fills the ghosts of one field in an (n+4,) buffer and
+    # of five at once in a (5, n+4) one, as the reference pads each field
+    n = 9
+    rng = np.random.default_rng(7)
+    boundary = _outer_boundary(outer_bc)
+    f, rows = rng.standard_normal(n), rng.standard_normal((5, n))
+    one = _Ghosted(np.full(n + 4, np.nan), boundary)
+    assert same_bits(one.load(f, odd), ghosted(f, odd, outer_bc))
+    five = _Ghosted(np.full((5, n + 4), np.nan), boundary)
+    assert same_bits(five.load(rows, odd), np.array([ghosted(row, odd, outer_bc) for row in rows]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda state, grid, p, bc: SolverConfig(outer_bc=bc),
+        lambda state, grid, p, bc: apply_bc(state, grid, p, bc),
+        lambda state, grid, p, bc: rhs_nonstiff(state, grid, p, bc),
+        lambda state, grid, p, bc: rhs_full(state, grid, p, bc),
+        lambda state, grid, p, bc: rhs_full(state, grid, replace(p, tau=0.0), bc),
+        lambda state, grid, p, bc: classical_rhs(state, grid, p, bc),
+        lambda state, grid, p, bc: rhs_full(state, grid, p, bc, work=Workspace(grid)),
+    ],
+    ids=["SolverConfig", "apply_bc", "rhs_nonstiff", "rhs_full", "rhs_full-tau-0", "classical_rhs", "rhs_full-work"],
+)
+@pytest.mark.parametrize("name", ["absorbing", "Reflect", None, ["reflect"]], ids=repr)
+def test_unknown_outer_bc_raises_field_error(grid, params, equilibrium, call, name):
+    with pytest.raises(FieldError, match="^outer_bc must be one of \\('extrapolate', 'reflect'\\)") as info:
+        call(equilibrium, grid, params, name)
+    assert info.value.field == "outer_bc"
+
+
+def test_only_the_entry_points_take_outer_bc():
+    # inside the solver the boundary rule is an object: no kernel and no
+    # _Ghosted method has an outer_bc parameter.  The public entry points
+    # take the string, and Workspace, _workspace and _outer_boundary look it
+    # up
+    entry = {"apply_bc", "rhs_nonstiff", "rhs_full", "classical_rhs", "__init__", "_workspace", "_outer_boundary"}
+    tree = ast.parse(inspect.getsource(solver))
+    takers = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and "outer_bc" in [a.arg for a in node.args.args + node.args.kwonlyargs]
+    }
+    assert takers == entry
+    assert inspect.signature(Workspace).parameters["outer_bc"].default == "extrapolate"
+    assert "outer_bc" not in inspect.signature(_Ghosted.load).parameters
+
+
+@pytest.mark.parametrize("built, asked", [("extrapolate", "reflect"), ("reflect", "extrapolate")])
+def test_a_workspace_built_for_one_rule_is_refused_by_the_other(grid, params, equilibrium, built, asked):
+    work = Workspace(grid, built)
+    cfg = SolverConfig(outer_bc=asked)
+    calls = [
+        lambda: rhs_nonstiff(equilibrium, grid, params, asked, work=work),
+        lambda: rhs_full(equilibrium, grid, params, asked, work=work),
+        lambda: classical_rhs(equilibrium, grid, params, asked, work=work),
+        lambda: step(equilibrium, grid, params, cfg, 1e-3, work=work),
+        lambda: _step_classical(equilibrium, grid, replace(params, tau=0.0), cfg, 1e-3, 0, work=work),
+    ]
+    message = f"^work was built for outer_bc {built!r}, not {asked!r}$"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    # the rule it was built for is served
+    assert all(np.isfinite(row).all() for row in rhs_full(equilibrium, grid, params, built, work=work))
 
 
 def test_apply_bc_constant_state_reflect(grid, params):
@@ -709,7 +785,7 @@ def test_rhs_full_at_tau_zero_is_classical_rhs_bit_for_bit(grid, outer_bc, eps):
     # carry, in a fresh workspace and in a poisoned one
     state = rough_state(grid.n_cells)
     want = classical_rhs(state, grid, FluidParams(tau=1e-2, eps=eps), outer_bc)
-    for work in (None, poisoned_workspace(grid)):
+    for work in (None, poisoned_workspace(grid, outer_bc)):
         got = rhs_full(state, grid, FluidParams(tau=0.0, eps=eps), outer_bc, work=work)
         assert len(got) == 4
         assert all(same_bits(a, b) for a, b in zip(got, want))
@@ -856,11 +932,11 @@ def dense_columns(apply, n):
 def dense_viscous_operator(grid, p, outer_bc, weight):
     # G W E column by column: E = eq, W = diag(weight), G the stress
     # divergence of the momentum row
-    n, scratch = grid.n_cells, Workspace(grid)
+    n, scratch = grid.n_cells, Workspace(grid, outer_bc)
 
     def apply(u):
         s1, s2 = equilibrium_stress(u, grid, p)
-        return _stress_divergence(np.zeros(n), weight * s1, weight * s2, grid, outer_bc, scratch)
+        return _stress_divergence(np.zeros(n), weight * s1, weight * s2, grid, scratch)
 
     return dense_columns(apply, n)
 
@@ -877,12 +953,12 @@ def test_probed_bands_reproduce_the_viscous_term(n, outer_bc):
     # set shows
     grid = RadialGrid(r_max=21.0, n_cells=n)
     rng = np.random.default_rng(n)
-    work = poisoned_workspace(grid)
+    work = poisoned_workspace(grid, outer_bc)
     default, other = FluidParams(tau=0.0), FluidParams(tau=0.0, mu=0.8, lambda_=1.7)
     calls = [(default, 0.0), (default, 1e-3), (other, 1e-3), (other, 0.0), (other, 1e-2), (default, 0.0)]
     for p, tau in calls:
         weight = rng.uniform(0.1, 1.0, n) if tau > 0.0 else np.ones(n)
-        bands = _viscous_bands(grid, replace(p, tau=tau), outer_bc, work, weight)
+        bands = _viscous_bands(grid, replace(p, tau=tau), work, weight)
         dense = dense_viscous_operator(grid, p, outer_bc, weight)
         # A is pentadiagonal
         assert not np.triu(dense, 3).any() and not np.tril(dense, -3).any()
@@ -916,17 +992,17 @@ def test_implicit_stage_solve_matches_a_dense_solve(n, outer_bc, tau):
     grid = RadialGrid(r_max=21.0, n_cells=n)
     p = FluidParams(tau=tau)
     rng = np.random.default_rng(n + 1)
-    work = poisoned_workspace(grid)
+    work = poisoned_workspace(grid, outer_bc)
     dt = compute_dt_classical(equilibrium_state(n), grid, p, 1.0)
 
     def close(got, want):
         return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    scratch, zero = Workspace(grid), np.zeros(n)
+    scratch, zero = Workspace(grid, outer_bc), np.zeros(n)
     e1 = dense_columns(lambda u: equilibrium_stress(u, grid, p)[0], n)
     e2 = dense_columns(lambda u: equilibrium_stress(u, grid, p)[1], n)
-    g1 = dense_columns(lambda u: _stress_divergence(np.zeros(n), u, zero, grid, outer_bc, scratch), n)
-    g2 = dense_columns(lambda u: _stress_divergence(np.zeros(n), zero, u, grid, outer_bc, scratch), n)
+    g1 = dense_columns(lambda u: _stress_divergence(np.zeros(n), u, zero, grid, scratch), n)
+    g2 = dense_columns(lambda u: _stress_divergence(np.zeros(n), zero, u, grid, scratch), n)
     for h in (1e-4 * dt, 1e-2 * dt, dt):
         rho, vstar = rng.uniform(0.5, 1.5, size=n), rng.standard_normal(n)
         s1star, s2star = rng.standard_normal(n), rng.standard_normal(n)
@@ -935,7 +1011,7 @@ def test_implicit_stage_solve_matches_a_dense_solve(n, outer_bc, tau):
         load = g1 @ (keep * s1star) + g2 @ (keep * s2star)
         v = np.linalg.solve(np.diag(rho) - h * gwe, rho * vstar + h * load)
         out = State(*(np.full(n, np.nan) for _ in range(4)))
-        _implicit_stage((rho, vstar, s1star, s2star), h, grid, p, outer_bc, work, out)
+        _implicit_stage((rho, vstar, s1star, s2star), h, grid, p, work, out)
         assert close(out.v, v), h
         assert close(out.s1, keep * s1star + weight * (e1 @ v)), h
         assert close(out.s2, keep * s2star + weight * (e2 @ v)), h
@@ -944,7 +1020,7 @@ def test_implicit_stage_solve_matches_a_dense_solve(n, outer_bc, tau):
             # stage, s = eq(v), to rounding
             classical = FluidParams(tau=0.0)
             want = State(*(np.empty(n) for _ in range(4)))
-            _implicit_stage((rho, vstar, s1star, s2star), h, grid, classical, outer_bc, Workspace(grid), want)
+            _implicit_stage((rho, vstar, s1star, s2star), h, grid, classical, Workspace(grid, outer_bc), want)
             assert all(np.isfinite(f).all() for f in (out.v, out.s1, out.s2))
             assert np.abs(out.v - want.v).max() <= 1e-14 * np.abs(want.v).max(), h
             for got, eq in zip((out.s1, out.s2), equilibrium_stress(want.v, grid, classical)):
@@ -1195,7 +1271,7 @@ def test_step_into_buffers_matches_allocating_step(grid, params, stepper, tau):
     before = state.copy()
     cfg = SolverConfig(t_end=1.0, outer_bc="reflect")
     want = stepper(state, grid, params, cfg, 1e-3, 3)
-    work = poisoned_workspace(grid)
+    work = poisoned_workspace(grid, "reflect")
     for _ in range(2):  # the second pass starts from a used workspace
         out = State(*(np.full(grid.n_cells, np.nan) for _ in range(4)))
         got = stepper(state, grid, params, cfg, 1e-3, 3, out=out, work=work)
@@ -1217,7 +1293,7 @@ def test_tau_zero_stage_is_exact_and_the_band_cache_follows_tau(grid, eps, outer
     assert same_state(_step_classical(state, grid, p, cfg, 1e-3, 3), _step_classical(newtonian, grid, p, cfg, 1e-3, 3))
     # one workspace keeps the bands of tau = 0 only: stepped at tau 0, then
     # 1e-4, then 0 again, it gives a fresh workspace's bits at each step
-    work = Workspace(grid)
+    work = Workspace(grid, outer_bc)
     for tau in (0.0, 1e-4, 0.0):
         q = replace(p, tau=tau)
         got = _step_classical(state, grid, q, cfg, 1e-3, 3, work=work)
@@ -1226,21 +1302,21 @@ def test_tau_zero_stage_is_exact_and_the_band_cache_follows_tau(grid, eps, outer
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize(
-    "rhs",
+    "rhs, outer_bc",
     [
-        lambda s, g, p, w: rhs_nonstiff(s, g, p, "reflect", include_production=False, work=w),
-        lambda s, g, p, w: rhs_nonstiff(s, g, p, "reflect", include_production=True, work=w),
-        lambda s, g, p, w: rhs_full(s, g, p, "extrapolate", work=w),
-        lambda s, g, p, w: classical_rhs(s, g, p, "extrapolate", work=w),
+        (lambda s, g, p, w: rhs_nonstiff(s, g, p, "reflect", include_production=False, work=w), "reflect"),
+        (lambda s, g, p, w: rhs_nonstiff(s, g, p, "reflect", include_production=True, work=w), "reflect"),
+        (lambda s, g, p, w: rhs_full(s, g, p, "extrapolate", work=w), "extrapolate"),
+        (lambda s, g, p, w: classical_rhs(s, g, p, "extrapolate", work=w), "extrapolate"),
     ],
     ids=["transport", "production", "full", "classical"],
 )
-def test_rhs_in_workspace_matches_allocating_call(grid, rhs, eps):
+def test_rhs_in_workspace_matches_allocating_call(grid, rhs, outer_bc, eps):
     p = FluidParams(tau=0.01, eps=eps)
     state, _ = gaussian_state(grid)
     before = state.copy()
     want = [row.copy() for row in rhs(state, grid, p, None)]
-    got = rhs(state, grid, p, poisoned_workspace(grid))
+    got = rhs(state, grid, p, poisoned_workspace(grid, outer_bc))
     assert len(got) == 4
     assert all(same_bits(a, b) for a, b in zip(got, want))
     assert same_state(state, before)
@@ -1253,19 +1329,19 @@ def test_one_workspace_serves_states_that_come_and_go(grid):
     p = FluidParams(tau=0.01, eps=0.1)
     cfg = SolverConfig(outer_bc="reflect")
     calls = [
-        lambda s, w: State(*(row.copy() for row in rhs_nonstiff(s, grid, p, "reflect", work=w))),
-        lambda s, w: State(*(row.copy() for row in rhs_full(s, grid, p, "extrapolate", work=w))),
-        lambda s, w: step(s, grid, p, cfg, 1e-3, 0, work=w),
-        lambda s, w: _step_classical(s, grid, p, cfg, 1e-3, 0, work=w),
+        ("reflect", lambda s, w: State(*(row.copy() for row in rhs_nonstiff(s, grid, p, "reflect", work=w)))),
+        ("extrapolate", lambda s, w: State(*(row.copy() for row in rhs_full(s, grid, p, "extrapolate", work=w)))),
+        ("reflect", lambda s, w: step(s, grid, p, cfg, 1e-3, 0, work=w)),
+        ("reflect", lambda s, w: _step_classical(s, grid, p, cfg, 1e-3, 0, work=w)),
     ]
-    work = Workspace(grid)
+    works = {bc: Workspace(grid, bc) for bc in ("extrapolate", "reflect")}
     first, _ = gaussian_state(grid)
-    for call in calls:
-        assert same_state(call(first, work), call(first, None))
+    for bc, call in calls:
+        assert same_state(call(first, works[bc]), call(first, None))
     del first
     second, _ = gaussian_state(grid, amp=0.05, vamp=-0.03, center=4.0)
-    for call in calls:
-        assert same_state(call(second, work), call(second, None))
+    for bc, call in calls:
+        assert same_state(call(second, works[bc]), call(second, None))
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
