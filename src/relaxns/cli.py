@@ -34,6 +34,7 @@ records it, so the CSV formatting overlaps the integration.
 """
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -193,6 +194,15 @@ def _write_report(path, lines, say):
         say(line)
 
 
+def _numpy_record():
+    """numpy's version and the dispatch targets its kernels run on: the
+    __cpu_dispatch__ targets whose __cpu_features__ flag is set."""
+    core = "numpy._core" if int(np.__version__.split(".")[0]) >= 2 else "numpy.core"
+    umath = importlib.import_module(f"{core}._multiarray_umath")
+    features = umath.__cpu_features__
+    return {"version": np.__version__, "dispatch": [t for t in umath.__cpu_dispatch__ if features.get(t)]}
+
+
 def _start(out_dir, resolved, grid, params, **extra):
     """Make out_dir and write its manifest (wall_time null), then start the clock.
 
@@ -208,6 +218,7 @@ def _start(out_dir, resolved, grid, params, **extra):
         "code_version": __version__,
         "config_echo": resolved,
         "grid_summary": {"r_min": grid.r_min, "r_max": grid.r_max, "n_cells": grid.n_cells, "dr": grid.dr},
+        "numpy": _numpy_record(),
         "params_summary": asdict(params),
         "wall_time": None,
         "warnings": [],

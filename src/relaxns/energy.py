@@ -56,18 +56,48 @@ class EnergySnapshot:
     ddtt_available: bool
 
 
+def _energy(state, rhs, rhs_t, grid, params):
+    # the instantaneous energy E: H^2 of the deviations, H^1 of their time
+    # derivatives rhs and, unless rhs_t is None, tau^2 L^2 of the second ones
+    st = np.sqrt(params.tau)
+    e = 0.0
+    for f in (state.rho - 1.0, state.v, st * state.s1, st * state.s2):
+        e += weighted_h2_sq(f, grid)
+    drho, dv, ds1, ds2 = rhs
+    for f in (drho, dv, st * ds1, st * ds2):
+        e += weighted_h1_sq(f, grid)
+    if rhs_t is not None:
+        ddrho, ddv, dds1, dds2 = rhs_t
+        tau2 = params.tau**2
+        for f in (ddrho, ddv, st * dds1, st * dds2):
+            e += tau2 * weighted_l2_sq(f, grid)
+    return e
+
+
+def _taylor_energy(state, grid, params):
+    # the lower-order energy INT r^2 [Pi(rho) + rho v^2/2 + tau rho s1^2/(6 mu)
+    # + tau rho s2^2/(2 lambda)] dr of the balance
+    rho, v, s1, s2 = state.rho, state.v, state.s1, state.s2
+    return integrate_r2(
+        taylor_potential(rho, params)
+        + 0.5 * rho * v**2
+        + params.tau * rho * s1**2 / (6.0 * params.mu)
+        + params.tau * rho * s2**2 / (2.0 * params.lambda_),
+        grid,
+    )
+
+
+def _stress_l2(state, grid, params):
+    # the balance's dissipation INT r^2 [s1^2/(3 mu) + s2^2/lambda] dr
+    return integrate_r2(state.s1**2 / (3.0 * params.mu) + state.s2**2 / params.lambda_, grid)
+
+
 def weighted_norms(state, rhs, rhs_t, grid, params):
     """One EnergySnapshot from a state, its time derivatives, and (optionally)
     second time derivatives.  rhs_t=None flags the tau^2 terms unavailable."""
-    st = np.sqrt(params.tau)
     rho, v, s1, s2 = state.rho, state.v, state.s1, state.s2
     drho, dv, ds1, ds2 = rhs
-
-    e = 0.0
-    for f in (rho - 1.0, v, st * s1, st * s2):
-        e += weighted_h2_sq(f, grid)
-    for f in (drho, dv, st * ds1, st * ds2):
-        e += weighted_h1_sq(f, grid)
+    e = _energy(state, rhs, rhs_t, grid, params)
 
     d = 0.0
     for f, df in ((rho, drho), (v, dv)):
@@ -77,43 +107,28 @@ def weighted_norms(state, rhs, rhs_t, grid, params):
         d += weighted_l2_sq(second_derivative(f, grid.dr), grid)
     d += weighted_h2_sq(s1, grid) + weighted_h2_sq(s2, grid)
     d += weighted_h1_sq(ds1, grid) + weighted_h1_sq(ds2, grid)
-
-    available = rhs_t is not None
-    if available:
+    if rhs_t is not None:
         ddrho, ddv, dds1, dds2 = rhs_t
         tau2 = params.tau**2
-        for f in (ddrho, ddv, st * dds1, st * dds2):
-            e += tau2 * weighted_l2_sq(f, grid)
         d += tau2 * (weighted_l2_sq(ddrho, grid) + weighted_l2_sq(ddv, grid))
         d += tau2 * (weighted_l2_sq(dds1, grid) + weighted_l2_sq(dds2, grid))
 
-    mass = cell_sum_r2(rho, grid)
-    taylor = integrate_r2(
-        taylor_potential(rho, params)
-        + 0.5 * rho * v**2
-        + params.tau * rho * s1**2 / (6.0 * params.mu)
-        + params.tau * rho * s2**2 / (2.0 * params.lambda_),
-        grid,
-    )
-    stress = integrate_r2(s1**2 / (3.0 * params.mu) + s2**2 / params.lambda_, grid)
     return EnergySnapshot(
         t=state.t,
         e_inst=e,
         e_running=e,
         d_inst=d,
-        mass=mass,
-        taylor_energy=taylor,
-        stress_l2=stress,
-        ddtt_available=available,
+        mass=cell_sum_r2(rho, grid),
+        taylor_energy=_taylor_energy(state, grid, params),
+        stress_l2=_stress_l2(state, grid, params),
+        ddtt_available=rhs_t is not None,
     )
 
 
-def energy_series(traj, grid, params):
-    """EnergySnapshot per trajectory snapshot, with the running sup filled in.
-
-    Time derivatives are rhs_full at params at each snapshot; the second ones
-    are their centered differences, at interior snapshot times only.
-    """
+def _per_snapshot(traj, grid, params, measure):
+    # [measure(state, rhs, rhs_t) per snapshot]: rhs is rhs_full at params
+    # there, rhs_t the centered difference of its neighbours' rows, None at
+    # the first and last snapshot
     times = traj.times
     derivs = (rhs_full(state, grid, params, traj.outer_bc) for state in traj.snapshots)
     cur, nxt = None, next(derivs, None)
@@ -126,10 +141,19 @@ def energy_series(traj, grid, params):
         if prev is not None and nxt is not None:
             dtw = times[j + 1] - times[j - 1]
             rhs_t = tuple((b - a) / dtw for a, b in zip(prev, nxt))
-        snap = weighted_norms(state, cur, rhs_t, grid, params)
-        if out:
-            snap.e_running = max(out[-1].e_running, snap.e_inst)
-        out.append(snap)
+        out.append(measure(state, cur, rhs_t))
+    return out
+
+
+def energy_series(traj, grid, params):
+    """EnergySnapshot per trajectory snapshot, with the running sup filled in.
+
+    Time derivatives are rhs_full at params at each snapshot; the second ones
+    are their centered differences, at interior snapshot times only.
+    """
+    out = _per_snapshot(traj, grid, params, lambda state, rhs, rhs_t: weighted_norms(state, rhs, rhs_t, grid, params))
+    for before, snap in zip(out, out[1:]):
+        snap.e_running = max(before.e_running, snap.e_inst)
     return out
 
 
@@ -138,15 +162,26 @@ def energy_identity_residual(traj, grid, params, series=None):
 
     Defined at interior snapshot times; the d/dt term is a centered
     difference of the taylor_energy series.  Returns (times, residuals).
+    Without series it computes only the terms it reads: the lower-order
+    energy at every snapshot, and E and the stress term at interior ones.
     """
-    if series is None:
-        series = energy_series(traj, grid, params)
-    if len(series) < 3:
+    if len(traj.snapshots) < 3:
         return np.array([]), np.array([])
+    if series is None:
+
+        def measure(state, rhs, rhs_t):
+            taylor = _taylor_energy(state, grid, params)
+            if rhs_t is None:
+                return taylor, None, None
+            return taylor, _energy(state, rhs, rhs_t, grid, params), _stress_l2(state, grid, params)
+
+        terms = _per_snapshot(traj, grid, params, measure)
+    else:
+        terms = [(s.taylor_energy, s.e_inst, s.stress_l2) for s in series]
     times = traj.times
-    taylor = np.array([s.taylor_energy for s in series])
+    taylor = np.array([t[0] for t in terms])
     res_t, res = [], []
-    for j in range(1, len(series) - 1):
+    for j in range(1, len(terms) - 1):
         dedt = (taylor[j + 1] - taylor[j - 1]) / (times[j + 1] - times[j - 1])
         state = traj.snapshots[j]
         eps_term = 0.0
@@ -159,8 +194,9 @@ def energy_identity_residual(traj, grid, params, series=None):
             eps_term += params.eps * integrate_r2(
                 params.tau * state.rho * half2 / params.lambda_, grid
             )
-        raw = dedt - eps_term + series[j].stress_l2
-        scale = max(series[j].stress_l2, series[j].e_inst, _FLOOR)
+        _, e_inst, stress = terms[j]
+        raw = dedt - eps_term + stress
+        scale = max(stress, e_inst, _FLOOR)
         res_t.append(times[j])
         res.append(abs(raw) / scale)
     return np.array(res_t), np.array(res)

@@ -832,3 +832,53 @@ def test_manifest_step_statistics_of_a_zero_step_run(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["steps"] == 0 and manifest["dt"] == {"min": None, "mean": None, "max": None}
     assert sorted(p.name for p in out.glob("snapshot_*.csv")) == ["snapshot_0000.csv"]
+
+
+def numpy_dispatch():
+    # the dispatch targets numpy's kernels run on in this process, read
+    # independently of the package
+    from numpy._core import _multiarray_umath as umath
+
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="reads numpy 2's _core")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "{cfg}"],
+        ["run-classical", "--config", "{cfg}"],
+        ["energy-report", "--config", "{cfg}"],
+        ["sweep-tau", "--config", "{cfg}", "--tau-list", "1e-2"],
+        ["check-structure", "--config", "default"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_manifest_records_numpy(tmp_path, argv):
+    cfg = write_cfg(tmp_path, CLASSICAL_CFG.replace("tau = 0\n", "tau = 0.01\n"))
+    out = tmp_path / "o"
+    assert main([a.format(cfg=cfg) for a in argv] + ["--out", str(out), "--quiet"]) == 0
+    record = json.loads((out / "manifest.json").read_text())["numpy"]
+    assert record == {"version": np.__version__, "dispatch": numpy_dispatch()}
+
+
+DISABLED = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+@pytest.mark.skipif(
+    int(np.__version__.split(".")[0]) < 2 or "X86_V4" not in numpy_dispatch(),
+    reason="needs numpy 2 running its X86_V4 kernels",
+)
+def test_manifest_records_the_targets_left_under_npy_disable_cpu_features(tmp_path):
+    # with the AVX-512 targets switched off, numpy dispatches to the rest,
+    # and the manifest lists those only
+    src = Path(cli.__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "NPY_DISABLE_CPU_FEATURES": DISABLED}
+    cfg, out = write_cfg(tmp_path, CLASSICAL_CFG), tmp_path / "o"
+    args = [sys.executable, "-m", "relaxns", "run", "--config", cfg, "--out", str(out), "--quiet"]
+    done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    dispatch = json.loads((out / "manifest.json").read_text())["numpy"]["dispatch"]
+    assert dispatch == [t for t in numpy_dispatch() if t not in DISABLED.split()]
+    assert dispatch and "X86_V4" not in dispatch

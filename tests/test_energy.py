@@ -269,3 +269,21 @@ def test_quadrature_consistency_under_refinement(params):
 
     e1, e2, e3 = e_at(100), e_at(200), e_at(400)
     assert abs(e1 - e2) / abs(e2 - e3) >= 3.0
+
+
+@pytest.mark.parametrize("outer_bc, eps", [("reflect", 0.0), ("extrapolate", 0.1)], ids=["reflect", "eps"])
+def test_residual_without_series_is_the_series_residual_bit_for_bit(grid, params, monkeypatch, outer_bc, eps):
+    # without series= the residual computes only the terms it reads, so it
+    # builds no EnergySnapshot, and it gives the bits of the series-based one
+    p = replace(params, eps=eps)
+    traj = bump_traj(grid, p, t_end=0.3, every=5, outer_bc=outer_bc)
+    assert len(traj.snapshots) > 3
+    want = energy_identity_residual(traj, grid, p, series=energy_series(traj, grid, p))
+
+    def refuse(*args):
+        raise AssertionError("the residual built an EnergySnapshot")
+
+    monkeypatch.setattr(energy, "weighted_norms", refuse)
+    got = energy_identity_residual(traj, grid, p)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert got[1].size == len(traj.snapshots) - 2 and np.all(got[1] > 0.0)
