@@ -27,17 +27,19 @@ members do not depend on each other, so tau_sweep runs them at the same
 time in worker processes made with os.fork (Linux or macOS): as many as
 there are jobs or CPUs this process may use, whichever is fewer, worker k
 running jobs k, k + K, ... of the K workers, the baseline as job 0.  A
-worker pickles each job's result down its own pipe as soon as the job
-ends, and the parent reads whichever pipe is ready, since one job's
-snapshots overfill a pipe; the results are then judged in job order,
-so a baseline abort is raised before anything a member did, and it kills
-the members still running.  Each member's runtime is its own wall time
-in its worker.
+worker appends each job's pickled result to an anonymous temporary file
+of its own as soon as the job ends, so it never waits on the parent, and
+it stops after a result that fails the sweep.  The parent reaps the
+workers in order, reads each file once its worker has exited, and judges
+the results in job order, so a baseline abort is raised before anything
+a member did, and it kills the members still running.  Each member's
+runtime is its own wall time in its worker.
 """
 
 import math
 import os
 import pickle
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
 
@@ -124,14 +126,11 @@ def _integrate(initial, grid, params, cfg, out_times):
     return traj.snapshots, time.perf_counter() - t0, len(traj.dt_history)
 
 
-_LENGTH = 8  # bytes of the length that heads each frame a worker writes
-
-
-def _frame(index, kind, payload):
-    """The bytes a worker writes for one job: its pickled (index, kind,
-    payload) headed by their length.  An exception that does not survive
-    pickle goes as a RuntimeError carrying its type and text, and so does a
-    result that does not pickle, with the pickling error's."""
+def _record(index, kind, payload):
+    """The bytes a worker appends for one job: its pickled (index, kind,
+    payload).  An exception that does not survive pickle goes as a
+    RuntimeError carrying its type and text, and so does a result that does
+    not pickle, with the pickling error's."""
     try:
         data = pickle.dumps((index, kind, payload), pickle.HIGHEST_PROTOCOL)
         if kind == "raise":
@@ -139,60 +138,34 @@ def _frame(index, kind, payload):
     except Exception as exc:
         bad = payload if kind == "raise" else exc
         data = pickle.dumps((index, "raise", RuntimeError(f"{type(bad).__name__}: {bad}")))
-    return len(data).to_bytes(_LENGTH, "little") + data
+    return data
 
 
-def _worker(jobs, mine, write_fd, inherited):
+def _worker(jobs, mine, out):
     """A forked worker's whole life; it never returns.
 
-    It closes the pipe ends it inherited, runs jobs[i] for i in mine through
-    _integrate and writes each result down write_fd as soon as the job ends;
-    any exception but a NumericalAbort goes down as ("raise", exc).  It
-    leaves with os._exit, so none of the parent's atexit handlers runs and
-    none of its buffered stdio is flushed here.
+    It runs jobs[i] for i in mine through _integrate and appends each
+    result to the file out as soon as the job ends; any exception but a
+    NumericalAbort goes as ("raise", exc).  It stops after a result that
+    fails the sweep (an exception, or job 0's NumericalAbort), so a
+    baseline abort ends the sweep at once.  It leaves with os._exit, so
+    none of the parent's atexit handlers runs and none of its buffered
+    stdio is flushed here.
     """
     status = 1
     try:
-        for fd in inherited:
-            os.close(fd)
         for index in mine:
             try:
-                frame = _frame(index, "ok", _integrate(*jobs[index]))
+                kind, payload = "ok", _integrate(*jobs[index])
             except BaseException as exc:  # re-raised by the parent
-                frame = _frame(index, "raise", exc)
-            view = memoryview(frame)
-            while view:
-                view = view[os.write(write_fd, view) :]
+                kind, payload = "raise", exc
+            out.write(_record(index, kind, payload))
+            out.flush()
+            if kind == "raise" or (index == 0 and isinstance(payload[0], NumericalAbort)):
+                break
         status = 0
     finally:
         os._exit(status)
-
-
-@dataclass
-class _Child:
-    """The parent's record of one forked worker."""
-
-    pid: int  # None before the fork and once reaped
-    pending: list  # its job indices not yet reported, in the order it runs them
-    buf: bytearray = field(default_factory=bytearray)  # bytes read, not yet whole frames
-    busy: float = 0.0  # the sum of its reported jobs' runtimes
-
-    def take(self, chunk):
-        """Add chunk to the bytes read; returns the (index, kind, payload)
-        of each frame it completes, and marks those jobs reported."""
-        self.buf += chunk
-        messages = []
-        while len(self.buf) >= _LENGTH:
-            end = _LENGTH + int.from_bytes(self.buf[:_LENGTH], "little")
-            if len(self.buf) < end:
-                break
-            index, kind, payload = pickle.loads(self.buf[_LENGTH:end])
-            del self.buf[:end]
-            self.pending.remove(index)
-            if kind == "ok":
-                self.busy += payload[1]
-            messages.append((index, kind, payload))
-        return messages
 
 
 def _fork_join(jobs, workers):
@@ -200,67 +173,64 @@ def _fork_join(jobs, workers):
 
     outcomes[i] is _integrate's result for jobs[i]; busy[k] is the sum of
     worker k's job runtimes.  Worker k runs jobs k, k + workers, ... in that
-    order and writes down a pipe of its own.  The parent reads whichever
-    pipe is ready, since a worker blocks on a full pipe until it is read,
-    and judges the results in job order.  The first failure in that order
-    raises here: job 0's NumericalAbort, an exception a job raised (its own
-    type and message), or a worker that ended before a job's result (a
-    RuntimeError naming the job's tau and how the worker ended).  On the
-    way out, whatever the outcome, every worker still running is killed
-    and every worker is reaped.
+    order and appends their results to an anonymous temporary file of its
+    own, so it never waits on the parent.  The parent reaps the workers in
+    order, reads each one's file once it has exited, and judges the results
+    in job order.  The first failure in that order raises here: job 0's
+    NumericalAbort, an exception a job raised (its own type and message),
+    or a worker that ended before a job's result (a RuntimeError naming the
+    job's tau and how the worker ended).  On the way out, whatever the
+    outcome, every worker still running is killed and reaped, and every
+    file is closed.
     """
     # imported on first use, so that importing this module (the CLI does)
-    # loads neither; numpy has already loaded pickle
-    import selectors
+    # does not load it; numpy has already loaded pickle and tempfile
     import signal
 
-    children = {}  # read end -> _Child
+    pids, files = [], []
     try:
         for k in range(workers):
-            mine = list(range(k, len(jobs), workers))
-            read_fd, write_fd = os.pipe()
-            children[read_fd] = child = _Child(None, mine)
-            try:
-                child.pid = os.fork()
-                if child.pid == 0:
-                    _worker(jobs, mine, write_fd, list(children))
-            finally:
-                os.close(write_fd)
+            files.append(tempfile.TemporaryFile())
+            pid = os.fork()
+            if pid == 0:
+                _worker(jobs, range(k, len(jobs), workers), files[k])
+            pids.append(pid)
         outcomes = [None] * len(jobs)
+        busy = [0.0] * workers
         decided = 0
-        with selectors.DefaultSelector() as ready:
-            for fd in children:
-                ready.register(fd, selectors.EVENT_READ)
-            while decided < len(jobs):
-                for key, _ in ready.select():
-                    child = children[key.fd]
-                    chunk = os.read(key.fd, 1 << 16)
-                    for index, kind, payload in child.take(chunk):
-                        outcomes[index] = (kind, payload)
-                    if not chunk:  # end of file: the worker closed its pipe by exiting
-                        ready.unregister(key.fd)
-                        code = os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
-                        child.pid = None
-                        if child.pending:  # the first was running when it ended
-                            lost = child.pending[0]
-                            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                            message = f"tau sweep job at tau={jobs[lost][2].tau:g} got no result: its worker {how}"
-                            outcomes[lost] = ("raise", RuntimeError(message))
-                while decided < len(jobs) and outcomes[decided] is not None:
-                    kind, payload = outcomes[decided]
-                    if kind == "raise":
-                        raise payload
-                    if decided == 0 and isinstance(payload[0], NumericalAbort):
-                        raise payload[0]
-                    outcomes[decided] = payload
-                    decided += 1
-        return outcomes, [child.busy for child in children.values()]
+        for k, pid in enumerate(pids):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pids[k] = None
+            files[k].seek(0)
+            while True:
+                try:
+                    index, kind, payload = pickle.load(files[k])
+                except (EOFError, pickle.UnpicklingError):  # the end, or a record cut short
+                    break
+                outcomes[index] = (kind, payload)
+                if kind == "ok":
+                    busy[k] += payload[1]
+            lost = next((i for i in range(k, len(jobs), workers) if outcomes[i] is None), None)
+            if lost is not None:  # running when the worker ended, or after a failure
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                message = f"tau sweep job at tau={jobs[lost][2].tau:g} got no result: its worker {how}"
+                outcomes[lost] = ("raise", RuntimeError(message))
+            while decided < len(jobs) and outcomes[decided] is not None:
+                kind, payload = outcomes[decided]
+                if kind == "raise":
+                    raise payload
+                if decided == 0 and isinstance(payload[0], NumericalAbort):
+                    raise payload[0]
+                outcomes[decided] = payload
+                decided += 1
+        return outcomes, busy
     finally:
-        for fd, child in children.items():
-            os.close(fd)
-            if child.pid is not None:
-                os.kill(child.pid, signal.SIGKILL)
-                os.waitpid(child.pid, 0)
+        for out in files:
+            out.close()
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def sweep_taus(taus):
@@ -302,7 +272,8 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
     SWEEP_OUTPUTS; SolverConfig rejects a bad count.
     The baseline and the members are independent integrations, run in
     forked worker processes (see the module docstring), and the errors are
-    computed here from the snapshots the workers return.  A member's
+    computed here from the snapshots the workers leave in their temporary
+    files, each read once its worker has exited.  A member's
     NumericalAbort becomes its failure row.  The results are judged in job
     order, the baseline first, and the first failure propagates: a baseline
     abort, any other exception a job raised (with its type and message), or

@@ -483,6 +483,7 @@ def test_tau_sweep_fails_as_its_job_did_and_leaves_no_worker(grid, params, monke
     def sweep():
         return tau_sweep(SolverConfig(t_end=0.05), INIT, grid, params, [1e-2, 1e-3], n_outputs=2)
 
+    fds = os.listdir("/dev/fd")
     with _deadline(60):
         if error is None:
             res = sweep()
@@ -494,6 +495,40 @@ def test_tau_sweep_fails_as_its_job_did_and_leaves_no_worker(grid, params, monke
                 sweep()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert os.listdir("/dev/fd") == fds
+
+
+def test_tau_sweep_baseline_abort_on_one_worker_skips_the_members_queued_behind_it(grid, params, monkeypatch):
+    # the worker stops after the abort it writes, so the sweep raises it
+    # without waiting for the member next in the worker's queue
+    def runner(initial, grid, params, cfg, output_times=None):
+        if params.tau == 0.0:
+            raise NumericalAbort("baseline collapsed")
+        time.sleep(30.0)
+        raise AssertionError("a member ran after the baseline aborted")
+
+    monkeypatch.setattr(relaxation, "_sweep_run", runner)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with _deadline(10), pytest.raises(NumericalAbort, match="^baseline collapsed$"):
+        tau_sweep(SolverConfig(t_end=0.05), INIT, grid, params, [1e-2], n_outputs=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_tau_sweep_reads_a_record_cut_short_as_no_result(grid, params, monkeypatch):
+    # one worker runs all three jobs; the last one's record ends early, as
+    # when a worker dies while it writes
+    real = relaxation._record
+
+    def cut(index, kind, payload):
+        data = real(index, kind, payload)
+        return data[: len(data) // 2] if index == 2 else data
+
+    monkeypatch.setattr(relaxation, "_record", cut)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    message = "tau sweep job at tau=0.001 got no result: its worker exited with status 0"
+    with _deadline(60), pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        tau_sweep(SolverConfig(t_end=0.05), INIT, grid, params, [1e-2, 1e-3], n_outputs=2)
 
 
 def test_tau_sweep_judges_the_baseline_before_an_earlier_member_error(grid, params, monkeypatch):
