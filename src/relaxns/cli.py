@@ -378,6 +378,8 @@ def _cmd_check_structure(args, config, say):
     params, grid, _, _, resolved = config
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    if params.tau == 0.0:
+        raise ConfigError("[params] tau = 0 degenerates the stress rows; check-structure needs tau > 0")
     out_dir = Path(args.out)
     finish = _start(out_dir, resolved, grid, params, seed=args.seed)
     audit = structure_audit(seed=args.seed)

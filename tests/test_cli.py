@@ -393,6 +393,15 @@ def test_check_structure_rejects_negative_seed_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_structure_rejects_tau_zero_before_output(tmp_path, capsys):
+    out = tmp_path / "os"
+    cfg = write_cfg(tmp_path, "[params]\ntau = 0\n")
+    assert main(["check-structure", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: [params] tau = 0 degenerates the stress rows; check-structure needs tau > 0\n"
+    assert not out.exists()
+
+
 def test_main_check_structure_fail_path(tmp_path, capsys, monkeypatch):
     audit = replace(structure_audit(n_states=10, seed=0), q_form_max_error=1.0)
     monkeypatch.setattr(cli, "structure_audit", lambda seed: audit)
@@ -674,36 +683,60 @@ def run_digest(out):
 # after the other, after the integration; the classical digest since the
 # baseline steps its viscous term implicitly (ARS(2,2,2)) at the acoustic
 # step, the relaxed one since a step left open between snapshots owes its
-# closing half relaxation to the next step.  The
-# numbers go through pow and exp, so the digests pin this build's libm and
-# numpy as well as the writers.
+# closing half relaxation to the next step.  The numbers go through pow and
+# exp, whose last bits depend on the SIMD kernels numpy dispatches to, so
+# there is one digest set per list of dispatch targets (cli._numpy_record):
+# the full list of an AVX-512 host, and the X86_V3 (AVX2) list that host
+# reports under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
+RUN_DIGESTS = {
+    ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"): {
+        "run": "a7511ce93523a09434006c97e653bc2292a6fe2e64cbfa20df35083112afb5a8",
+        "classical": "2d501a527cdc17950175adcd45cd69a000a07a9a4ec04b43e9110a764cb78470",
+        "classical-reflect": "d61a6690507b455f0b332e27a6c657cdb6cd2b93f7a451016b73777612475ac5",
+        "imex": "09b9af8a92316e52f36d94207fb420de31f2b048b1a3f32fbcc64e85e2f026db",
+        "imex-reflect": "e73234670f2516027aeb4ca07795942327043464cc22d2488b4f87257894e21c",
+    },
+    ("X86_V3",): {
+        "run": "61dd10da0c2daf589df54e639bf0a728508add336405c917f5637dd629140819",
+        "classical": "f020515d3efd96342e0b5471b757f7252198c8e34f10ae9b4b3dce1713e1a905",
+        "classical-reflect": "3b9ac11c9ae3b28cf4186d7f705fa19120b21cae838189807adc4c177e20c989",
+        "imex": "4e0648e18f3474e2041b527f48587923e60a9862bc2387208629cc1caaeae677",
+        "imex-reflect": "56358b7cd39bcc357b838a136f55e8c883df9175a540a0587dc09c6251640024",
+    },
+}
+
+
+def pinned_digest(name):
+    """The digest recorded for the pin `name` on this process's numpy
+    dispatch targets; a list with no recorded set fails, naming it."""
+    dispatch = tuple(cli._numpy_record()["dispatch"])
+    if dispatch not in RUN_DIGESTS:
+        pytest.fail(f"no whole-run digests recorded for numpy dispatch targets {list(dispatch)}")
+    return RUN_DIGESTS[dispatch][name]
+
+
 @pytest.mark.parametrize(
     "command, text, n_snapshots, want",
     [
-        ("run", CRITERION_10_CFG, 4, "a7511ce93523a09434006c97e653bc2292a6fe2e64cbfa20df35083112afb5a8"),
-        ("run-classical", CLASSICAL_CFG, 2, "2d501a527cdc17950175adcd45cd69a000a07a9a4ec04b43e9110a764cb78470"),
-        ("run", CLASSICAL_CFG, 2, "2d501a527cdc17950175adcd45cd69a000a07a9a4ec04b43e9110a764cb78470"),
+        ("run", CRITERION_10_CFG, 4, "run"),
+        ("run-classical", CLASSICAL_CFG, 2, "classical"),
+        ("run", CLASSICAL_CFG, 2, "classical"),
         # eps moves only the stress transport, whose values the tau = 0 stage
         # replaces by eq(v): the bytes are the eps = 0 run's
-        (
-            "run",
-            CLASSICAL_CFG.replace("tau = 0\n", "tau = 0\neps = 0.1\n"),
-            2,
-            "2d501a527cdc17950175adcd45cd69a000a07a9a4ec04b43e9110a764cb78470",
-        ),
+        ("run", CLASSICAL_CFG.replace("tau = 0\n", "tau = 0\neps = 0.1\n"), 2, "classical"),
         (
             "run",
             CLASSICAL_CFG.replace("output_every = 100\n", "output_every = 100\nouter_bc = reflect\n"),
             2,
-            "d61a6690507b455f0b332e27a6c657cdb6cd2b93f7a451016b73777612475ac5",
+            "classical-reflect",
         ),
         # ARS(2,2,2) at tau > 0, where each stage probes its own bands
-        ("run", SMALL_CFG, 5, "09b9af8a92316e52f36d94207fb420de31f2b048b1a3f32fbcc64e85e2f026db"),
+        ("run", SMALL_CFG, 5, "imex"),
         (
             "run",
             SMALL_CFG.replace("output_every = 1\n", "output_every = 1\nouter_bc = reflect\n"),
             5,
-            "e73234670f2516027aeb4ca07795942327043464cc22d2488b4f87257894e21c",
+            "imex-reflect",
         ),
     ],
     ids=[
@@ -721,7 +754,7 @@ def test_whole_run_bytes_are_pinned(tmp_path, command, text, n_snapshots, want):
     assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out), "--quiet"]) == 0
     names = sorted(p.name for p in out.iterdir())
     assert names == ["diagnostics.csv", "manifest.json"] + [f"snapshot_{j:04d}.csv" for j in range(n_snapshots)]
-    assert run_digest(out) == want
+    assert run_digest(out) == pinned_digest(want)
 
 
 def test_run_classical_integrates_and_reports_tau_zero(tmp_path):
@@ -729,7 +762,7 @@ def test_run_classical_integrates_and_reports_tau_zero(tmp_path):
     out = tmp_path / "o"
     cfg = write_cfg(tmp_path, CLASSICAL_CFG.replace("tau = 0\n", "tau = 0.05\n"))
     assert main(["run-classical", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert run_digest(out) == "2d501a527cdc17950175adcd45cd69a000a07a9a4ec04b43e9110a764cb78470"
+    assert run_digest(out) == pinned_digest("classical")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["params_summary"]["tau"] == 0.0 and manifest["config_echo"]["params"]["tau"] == 0.05
 
