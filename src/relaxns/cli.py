@@ -29,15 +29,22 @@ Snapshots and diagnostics are CSV with full double precision (17 significant
 digits) and LF line endings, so identical configs reproduce byte-identical
 numerical outputs.
 run, run-classical (run at tau = 0) and energy-report integrate with solver.run
-and hand each snapshot to one forked writer process as soon as the solver
-records it, so the CSV formatting overlaps the integration.
+and hand each snapshot to one writer process, made with os.fork at the first
+snapshot, as soon as the solver records it, so the CSV formatting overlaps
+the integration.  The snapshot's values go, as raw doubles, to an anonymous
+temporary file (the spool), which keeps every snapshot of the run until the
+command ends, about a third of their CSV bytes; a pipe carries only their
+file names.  No command starts a thread or imports a process pool.
 """
 
 import argparse
 import importlib
 import json
 import math
+import os
+import pickle
 import sys
+import tempfile
 import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -54,8 +61,8 @@ from .energy import (
     mass_balance_residual,
 )
 from .errors import ConfigError, DomainError, FieldError, NumericalAbort
-from .model import FluidParams, InitConfig, RadialGrid, make_initial_data
-from .relaxation import limit_relation_error, sweep_taus, tau_sweep
+from .model import FluidParams, InitConfig, RadialGrid, State, make_initial_data
+from .relaxation import _record, limit_relation_error, sweep_taus, tau_sweep
 from .solver import SolverConfig, run
 from .structure import noncharacteristic_report, structure_audit
 
@@ -241,11 +248,105 @@ def _start(out_dir, resolved, grid, params, **extra):
     return finish
 
 
-def _write_snapshot_job(state, grid, path):
-    # the writer process's job; write_snapshot is looked up in this module's
-    # globals where the job runs, so a forked writer calls whatever the
-    # parent had bound to it when the pool forked
-    write_snapshot(state, grid, path)
+class _SnapshotWriter:
+    """One forked child that writes the snapshots handed to it, in order.
+
+    send(snap), the run's on_snapshot, forks the child at the first
+    snapshot.  Each snapshot's t, rho, v, s1 and s2 are appended, as raw
+    float64, to an anonymous temporary file (the spool), opened before the
+    fork and read back by the child; then its file name goes to the child
+    through a pipe, one line.  The pipe carries names only, so the solver
+    blocks only when the child is about a pipe buffer of names behind.  A
+    failure in the child goes, pickled, to a second temporary file, and
+    the child exits nonzero; the parent raises it with its own type and
+    message when it reaps the child, or at once when a name finds the pipe
+    closed.
+    """
+
+    def __init__(self, grid, out_dir):
+        self.grid, self.out_dir = grid, out_dir
+        self.pid = self.names = self.spool = self.failed = None
+        self.count = 0
+
+    def send(self, snap):
+        if self.pid is None:
+            self._fork()
+        for values in (np.float64(snap.t), snap.rho, snap.v, snap.s1, snap.s2):
+            self.spool.write(values)
+        self.spool.flush()
+        try:
+            os.write(self.names, f"snapshot_{self.count:04d}.csv\n".encode())
+        except BrokenPipeError:  # the child has stopped
+            self.join()
+            raise
+        self.count += 1
+
+    def _fork(self):
+        self.spool, self.failed = tempfile.TemporaryFile(), tempfile.TemporaryFile()
+        read_end, self.names = os.pipe()
+        try:
+            self.pid = os.fork()
+            if self.pid == 0:
+                self._child(read_end)
+        finally:
+            os.close(read_end)
+
+    def _child(self, read_end):
+        # the child's whole life; it never returns.  write_snapshot is
+        # looked up in this module's globals here, so the child calls
+        # whatever the parent had bound to it when it forked.  The spool's
+        # offset is the parent's, so the child reads at its own with
+        # os.pread.  It leaves with os._exit, so none of the parent's
+        # atexit handlers runs and none of its buffered stdio is flushed
+        # here
+        status = 1
+        try:
+            os.close(self.names)  # so the parent's close is the pipe's end
+            n = self.grid.n_cells
+            size, offset = 8 * (4 * n + 1), 0
+            with open(read_end, "rb") as lines:
+                for line in lines:
+                    values = np.frombuffer(os.pread(self.spool.fileno(), size, offset), dtype=np.float64)
+                    offset += size
+                    state = State(*values[1:].reshape(4, n), t=float(values[0]))
+                    write_snapshot(state, self.grid, self.out_dir / line[:-1].decode())
+            status = 0
+        except BaseException as exc:  # raised by the parent
+            self.failed.write(_record(None, "raise", exc))
+            self.failed.flush()
+        finally:
+            os._exit(status)
+
+    def join(self, check=True):
+        """Close the pipe and reap the child once it has written every
+        snapshot handed to it; with check, raise its failure, if any."""
+        if self.names is not None:
+            os.close(self.names)
+            self.names = None
+        if self.pid is None:
+            return
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if code == 0 or not check:
+            return
+        self.failed.seek(0)
+        try:
+            _, _, exc = pickle.load(self.failed)
+        except (EOFError, pickle.UnpicklingError):  # none, or one cut short
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            exc = RuntimeError(f"the snapshot writer {how}")
+        raise exc
+
+    def close(self):
+        """Kill and reap the child if it still runs; close every file."""
+        if self.pid is not None:
+            import signal  # imported on first use, as in relaxation
+
+            os.kill(self.pid, signal.SIGKILL)
+        self.join(check=False)
+        for f in (self.spool, self.failed):
+            if f is not None:
+                f.close()
 
 
 def _step_stats(traj):
@@ -267,47 +368,36 @@ def _run_and_emit(args, config, say, summarize=None):
     energy_report.txt.
 
     The snapshots are written by one writer process, forked when the first
-    snapshot is recorded: each is handed to it as soon as the solver records
-    it, and the writer formats it while the solver runs on.  The diagnostics
-    are computed and written here while the writer drains; every write is
-    then awaited in record order, and a failed write raises here with its
-    own type and message.  A NumericalAbort leaves the pool without
-    cancelling, and leaving it finishes the writes already handed over, so
-    the snapshots recorded before the abort are left; any other exception
-    cancels the writes not yet started.
+    snapshot is recorded (_SnapshotWriter): each is appended to a temporary
+    file as raw doubles, about a third of its CSV bytes, and its name sent
+    down a pipe as soon as the solver records it, and the writer formats it
+    while the solver runs on.  No thread is started.  The diagnostics are
+    computed and written here while the writer drains; the writer is then
+    reaped, and a failed write raises here with its own type and message.
+    A NumericalAbort waits for the writer, which finishes the snapshots
+    already handed over, so the snapshots recorded before the abort are
+    left; any other exception kills it.
     """
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
     params, grid, init, solver, resolved = config
     out_dir = Path(args.out)
     finish = _start(out_dir, resolved, grid, params)
-    # fork, as in tau_sweep: the writer inherits the parent's binding of
-    # write_snapshot, and the pool forks it before starting its own threads
-    with ProcessPoolExecutor(1, mp_context=get_context("fork")) as writer:
-        writes = []
-
-        def emit(snap):
-            path = out_dir / f"snapshot_{len(writes):04d}.csv"
-            writes.append(writer.submit(_write_snapshot_job, snap, grid, path))
-
-        try:
-            traj = run(make_initial_data(init, grid, params), grid, params, solver, on_snapshot=emit)
-            series = energy_series(traj, grid, params)
-            write_diagnostics(
-                series,
-                out_dir / "diagnostics.csv",
-                energy_residual=energy_identity_residual(traj, grid, params, series=series),
-                mass_residual=mass_balance_residual(traj, grid),
-                limit_errors=[limit_relation_error(s, grid, params) for s in traj.snapshots],
-            )
-            for done in writes:
-                done.result()
-        except NumericalAbort:
-            raise
-        except BaseException:
-            writer.shutdown(cancel_futures=True)
-            raise
+    writer = _SnapshotWriter(grid, out_dir)
+    try:
+        traj = run(make_initial_data(init, grid, params), grid, params, solver, on_snapshot=writer.send)
+        series = energy_series(traj, grid, params)
+        write_diagnostics(
+            series,
+            out_dir / "diagnostics.csv",
+            energy_residual=energy_identity_residual(traj, grid, params, series=series),
+            mass_residual=mass_balance_residual(traj, grid),
+            limit_errors=[limit_relation_error(s, grid, params) for s in traj.snapshots],
+        )
+        writer.join()
+    except NumericalAbort:
+        writer.join(check=False)
+        raise
+    finally:
+        writer.close()
     say(f"wrote {len(traj.snapshots)} snapshots and diagnostics.csv to {out_dir}")
     for w in traj.warnings:
         say(f"warning: {w}")

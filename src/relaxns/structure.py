@@ -132,7 +132,7 @@ def weyl_speed_bound(rho, v, dp, params, out):
     itself), serves as scratch, so nothing of their length is allocated."""
     a, b = out
     # b = sqrt(S), S = P' + (4mu/3 + lambda) / (tau rho^2)
-    np.power(rho, 2, out=b)
+    np.square(rho, out=b)
     np.multiply(params.tau, b, out=b)
     np.divide(4.0 * params.mu / 3.0 + params.lambda_, b, out=b)
     s = np.sqrt(np.add(dp, b, out=b), out=b)

@@ -4,8 +4,10 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -794,6 +796,7 @@ def test_abort_leaves_the_snapshots_recorded_before_it(tmp_path, capsys, monkeyp
     for name in names[1:]:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes() == (full / name).read_bytes()
     assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("dt", [0.0, math.nan], ids=["zero", "nan"])
@@ -823,6 +826,129 @@ def test_failed_snapshot_write_exits_2_with_its_message(tmp_path, capsys, monkey
     assert json.loads((out / "manifest.json").read_text())["wall_time"] is None
     assert not (out / "snapshot_0002.csv").exists()
     assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def assert_no_child_left():
+    # multiprocessing.active_children() lists only the children it started;
+    # this sees one forked with os.fork too
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def counting_forks(monkeypatch):
+    """Wrap os.fork; returns the list the parent appends each child's pid to."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def test_frequent_snapshots_are_the_bytes_of_write_snapshot_from_one_writer(tmp_path, monkeypatch):
+    # one snapshot per step, 38 steps to t = 2: each file is the bytes
+    # write_snapshot writes in this process for the snapshot the solver
+    # recorded, and one writer wrote them all
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("t_end = 0.2\n", "t_end = 2\n"))
+    pids = counting_forks(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert len(pids) == 1
+    params, grid, init, solver_cfg, _ = parse_config(cfg)
+    traj = run(make_initial_data(init, grid, params), grid, params, solver_cfg)
+    assert len(traj.snapshots) == 39
+    assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [f"snapshot_{j:04d}.csv" for j in range(39)]
+    for j, snap in enumerate(traj.snapshots):
+        write_snapshot(snap, grid, tmp_path / "want.csv")
+        assert (out / f"snapshot_{j:04d}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), j
+    assert_no_child_left()
+
+
+def test_writer_failure_is_raised_at_the_next_snapshot_once_the_writer_is_gone(tmp_path, capsys, monkeypatch):
+    # the writer refuses snapshot 0 and exits; the next snapshot's name then
+    # finds the pipe closed, and the run ends there with the writer's error
+    def write_refusing(state, grid, path):
+        raise ValueError(f"refused {Path(path).name}")
+
+    real_run, sent = cli.run, []
+
+    def run_awaiting_the_writers_exit(initial, grid, params, cfg, on_snapshot):
+        def send(snap):
+            on_snapshot(snap)
+            sent.append(snap.t)
+            pid, deadline = on_snapshot.__self__.pid, time.monotonic() + 30
+            # WNOWAIT leaves the writer for the command to reap
+            flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
+            while os.waitid(os.P_PID, pid, flags) is None and time.monotonic() < deadline:
+                time.sleep(0.001)
+
+        return real_run(initial, grid, params, cfg, on_snapshot=send)
+
+    monkeypatch.setattr(cli, "write_snapshot", write_refusing)
+    monkeypatch.setattr(cli, "run", run_awaiting_the_writers_exit)
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_cfg(tmp_path, SMALL_CFG), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "validation error: refused snapshot_0000.csv\n"
+    assert sent == [0.0]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert_no_child_left()
+
+
+def test_writer_killed_by_a_signal_is_raised_naming_it(tmp_path, monkeypatch):
+    def write_killing_itself(state, grid, path):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(cli, "write_snapshot", write_killing_itself)
+    out = tmp_path / "o"
+    with pytest.raises(RuntimeError, match=f"^the snapshot writer was killed by signal {int(signal.SIGKILL)}$"):
+        main(["run", "--config", write_cfg(tmp_path, SMALL_CFG), "--out", str(out), "--quiet"])
+    assert not list(out.glob("snapshot_*.csv"))
+    assert_no_child_left()
+
+
+def test_other_exception_kills_the_writer(tmp_path, capsys, monkeypatch):
+    # an exception after the run, neither the writer's nor a NumericalAbort:
+    # the command raises it and leaves no writer behind
+    def write_blocking(state, grid, path):
+        time.sleep(60)
+
+    def diagnostics_refused(*args, **kwargs):
+        raise ValueError("diagnostics refused")
+
+    monkeypatch.setattr(cli, "write_snapshot", write_blocking)
+    monkeypatch.setattr(cli, "write_diagnostics", diagnostics_refused)
+    t0 = time.perf_counter()
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_cfg(tmp_path, SMALL_CFG), "--out", str(out), "--quiet"]) == 2
+    assert time.perf_counter() - t0 < 30
+    assert capsys.readouterr().err == "validation error: diagnostics refused\n"
+    assert_no_child_left()
+
+
+def test_run_loads_no_pool_module_and_starts_no_thread(tmp_path):
+    # the writer is forked directly: a fresh interpreter that runs a command
+    # has imported neither concurrent.futures nor multiprocessing, and runs
+    # its main thread alone
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, threading\n"
+        "from relaxns import cli\n"
+        "assert cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2], '--quiet']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')), "
+        "threading.active_count())"
+    )
+    cfg, out = write_cfg(tmp_path, SMALL_CFG), tmp_path / "o"
+    args = [sys.executable, "-c", code, cfg, str(out)]
+    done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[] 1"
+    assert len(list(out.glob("snapshot_*.csv"))) == 5
 
 
 @pytest.mark.parametrize(
