@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 Every type round-trips through pickle with its message and attributes, so an
-error raised in a worker process reaches the parent intact.
+error raised in a forks.Child reaches the parent unchanged.
 """
 
 

@@ -24,28 +24,26 @@ sqrt(P'), |v - eps|), reads no stress, and eps only at tau > 0, so at
 eps = 0 every job's first step is the baseline's, and at eps > 0 a member
 takes at least as many steps as the baseline.  The baseline and the
 members do not depend on each other, so tau_sweep runs them at the same
-time in worker processes made with os.fork (Linux or macOS): as many as
-there are jobs or CPUs this process may use, whichever is fewer, worker k
-running jobs k, k + K, ... of the K workers, the baseline as job 0.  A
-worker appends each job's pickled result to an anonymous temporary file
-of its own as soon as the job ends, so it never waits on the parent, and
-it stops after a result that fails the sweep.  The parent reaps the
-workers in order, reads each file once its worker has exited, and judges
-the results in job order, so a baseline abort is raised before anything
-a member did, and it kills the members still running.  Each member's
-runtime is its own wall time in its worker.
+time in forked workers (forks.Child): as many as there are jobs or CPUs
+this process may use, whichever is fewer, worker k running jobs k, k + K,
+... of the K workers, the baseline as job 0.  A worker records each job's
+result as soon as the job ends, so it never waits on the parent, and it
+stops after a result that fails the sweep.  The parent reaps the workers
+in order and judges the results in job order, so a baseline abort is
+raised before anything a member did, and it kills the members still
+running; no worker outlives the sweep.  Each member's runtime is its own
+wall time in its worker.
 """
 
 import math
 import os
-import pickle
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericalAbort
+from .forks import Child, record
 from .model import equilibrium_stress, make_initial_data
 from .numerics import weighted_h1_sq, weighted_l2_sq
 from .solver import _admit, _advance, _ars_rules
@@ -126,95 +124,56 @@ def _integrate(initial, grid, params, cfg, out_times):
     return traj.snapshots, time.perf_counter() - t0, len(traj.dt_history)
 
 
-def _record(index, kind, payload):
-    """The bytes a worker appends for one job: its pickled (index, kind,
-    payload).  An exception that does not survive pickle goes as a
-    RuntimeError carrying its type and text, and so does a result that does
-    not pickle, with the pickling error's."""
-    try:
-        data = pickle.dumps((index, kind, payload), pickle.HIGHEST_PROTOCOL)
-        if kind == "raise":
-            pickle.loads(data)
-    except Exception as exc:
-        bad = payload if kind == "raise" else exc
-        data = pickle.dumps((index, "raise", RuntimeError(f"{type(bad).__name__}: {bad}")))
-    return data
-
-
-def _worker(jobs, mine, out):
-    """A forked worker's whole life; it never returns.
-
-    It runs jobs[i] for i in mine through _integrate and appends each
-    result to the file out as soon as the job ends; any exception but a
-    NumericalAbort goes as ("raise", exc).  It stops after a result that
-    fails the sweep (an exception, or job 0's NumericalAbort), so a
-    baseline abort ends the sweep at once.  It leaves with os._exit, so
-    none of the parent's atexit handlers runs and none of its buffered
-    stdio is flushed here.
-    """
-    status = 1
-    try:
-        for index in mine:
-            try:
-                kind, payload = "ok", _integrate(*jobs[index])
-            except BaseException as exc:  # re-raised by the parent
-                kind, payload = "raise", exc
-            out.write(_record(index, kind, payload))
-            out.flush()
-            if kind == "raise" or (index == 0 and isinstance(payload[0], NumericalAbort)):
-                break
-        status = 0
-    finally:
-        os._exit(status)
+def _worker(out, jobs, mine):
+    """A forked worker's body (forks.Child): it runs jobs[i] for i in mine
+    through _integrate and appends each result to out as soon as the job
+    ends.  It stops after job 0's NumericalAbort, so a baseline abort ends
+    the sweep at once, and at a job's exception, which becomes the worker's
+    failure record."""
+    for index in mine:
+        result = _integrate(*jobs[index])
+        out.write(record(index, "ok", result))
+        out.flush()
+        if index == 0 and isinstance(result[0], NumericalAbort):
+            break
 
 
 def _fork_join(jobs, workers):
     """Run every job in `workers` forked children; returns (outcomes, busy).
 
     outcomes[i] is _integrate's result for jobs[i]; busy[k] is the sum of
-    worker k's job runtimes.  Worker k runs jobs k, k + workers, ... in that
-    order and appends their results to an anonymous temporary file of its
-    own, so it never waits on the parent.  The parent reaps the workers in
-    order, reads each one's file once it has exited, and judges the results
-    in job order.  The first failure in that order raises here: job 0's
+    worker k's job runtimes.  Worker k is a forks.Child that runs jobs k,
+    k + workers, ... in that order.  The parent reaps the workers in order,
+    reads each one's records once it has exited, and judges the results in
+    job order.  A worker's failure record goes to its first job without a
+    result.  The first failure in job order raises here: job 0's
     NumericalAbort, an exception a job raised (its own type and message),
     or a worker that ended before a job's result (a RuntimeError naming the
     job's tau and how the worker ended).  On the way out, whatever the
     outcome, every worker still running is killed and reaped, and every
     file is closed.
     """
-    # imported on first use, so that importing this module (the CLI does)
-    # does not load it; numpy has already loaded pickle and tempfile
-    import signal
-
-    pids, files = [], []
+    children = []
     try:
         for k in range(workers):
-            files.append(tempfile.TemporaryFile())
-            pid = os.fork()
-            if pid == 0:
-                _worker(jobs, range(k, len(jobs), workers), files[k])
-            pids.append(pid)
+            children.append(Child(_worker, jobs, range(k, len(jobs), workers)))
         outcomes = [None] * len(jobs)
         busy = [0.0] * workers
         decided = 0
-        for k, pid in enumerate(pids):
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pids[k] = None
-            files[k].seek(0)
-            while True:
-                try:
-                    index, kind, payload = pickle.load(files[k])
-                except (EOFError, pickle.UnpicklingError):  # the end, or a record cut short
-                    break
+        for k, child in enumerate(children):
+            records, how = child.join()
+            failure = None
+            for index, kind, payload in records:
+                if index is None:  # the worker's failure record
+                    failure = payload
+                    continue
                 outcomes[index] = (kind, payload)
                 if kind == "ok":
                     busy[k] += payload[1]
             lost = next((i for i in range(k, len(jobs), workers) if outcomes[i] is None), None)
             if lost is not None:  # running when the worker ended, or after a failure
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 message = f"tau sweep job at tau={jobs[lost][2].tau:g} got no result: its worker {how}"
-                outcomes[lost] = ("raise", RuntimeError(message))
+                outcomes[lost] = ("raise", failure or RuntimeError(message))
             while decided < len(jobs) and outcomes[decided] is not None:
                 kind, payload = outcomes[decided]
                 if kind == "raise":
@@ -225,12 +184,8 @@ def _fork_join(jobs, workers):
                 decided += 1
         return outcomes, busy
     finally:
-        for out in files:
-            out.close()
-        for pid in pids:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for child in children:
+            child.close()
 
 
 def sweep_taus(taus):

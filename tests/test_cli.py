@@ -881,7 +881,7 @@ def test_writer_failure_is_raised_at_the_next_snapshot_once_the_writer_is_gone(t
         def send(snap):
             on_snapshot(snap)
             sent.append(snap.t)
-            pid, deadline = on_snapshot.__self__.pid, time.monotonic() + 30
+            pid, deadline = on_snapshot.__self__.child.pid, time.monotonic() + 30
             # WNOWAIT leaves the writer for the command to reap
             flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
             while os.waitid(os.P_PID, pid, flags) is None and time.monotonic() < deadline:

@@ -1,4 +1,5 @@
-"""Every module-level import under src/relaxns and tests is read in its module.
+"""Every module-level import under src/relaxns and tests is read in its module,
+and under src/relaxns only forks.py forks, reaps or signals a process.
 
 A stdlib `ast` scan, so no linter is needed: a name that a module imports at
 its top level must be read somewhere in that module, or listed in its
@@ -9,7 +10,9 @@ import ast
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-ROOTS = (TESTS.parent / "src" / "relaxns", TESTS)
+PACKAGE = TESTS.parent / "src" / "relaxns"
+ROOTS = (PACKAGE, TESTS)
+PROCESS_CALLS = {"fork", "_exit", "waitpid", "waitstatus_to_exitcode", "kill"}  # read as os.<name>
 
 
 def unused_imports(source):
@@ -50,5 +53,49 @@ def test_no_module_level_import_is_unused():
         for root in ROOTS
         for path in sorted(root.glob("*.py"))
         for line, name in unused_imports(path.read_text())
+    ]
+    assert found == []
+
+
+def process_control(source):
+    """(line, name) of each read of os.<name> for a name in PROCESS_CALLS,
+    and of each import of signal, anywhere in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os" and node.attr in PROCESS_CALLS:
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("os", "signal"):
+            names = [alias.name for alias in node.names if node.module == "signal" or alias.name in PROCESS_CALLS]
+            found.extend((node.lineno, f"{node.module}.{name}") for name in names)
+        elif isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names if alias.name == "signal")
+    return found
+
+
+def test_process_control_finds_forks_reaps_and_signals():
+    source = (
+        "import os, signal\n"
+        "from os import kill, getpid\n"
+        "def f():\n"
+        "    from signal import SIGKILL\n"
+        "    os._exit(os.waitpid(os.fork(), 0)[1])\n"
+        "    os.getpid()\n"
+    )
+    assert sorted(process_control(source)) == [
+        (1, "signal"),
+        (2, "os.kill"),
+        (4, "signal.SIGKILL"),
+        (5, "os._exit"),
+        (5, "os.fork"),
+        (5, "os.waitpid"),
+    ]
+
+
+def test_only_forks_controls_processes():
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "forks.py"
+        for line, name in process_control(path.read_text())
     ]
     assert found == []

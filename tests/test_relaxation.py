@@ -518,13 +518,13 @@ def test_tau_sweep_baseline_abort_on_one_worker_skips_the_members_queued_behind_
 def test_tau_sweep_reads_a_record_cut_short_as_no_result(grid, params, monkeypatch):
     # one worker runs all three jobs; the last one's record ends early, as
     # when a worker dies while it writes
-    real = relaxation._record
+    real = relaxation.record
 
     def cut(index, kind, payload):
         data = real(index, kind, payload)
         return data[: len(data) // 2] if index == 2 else data
 
-    monkeypatch.setattr(relaxation, "_record", cut)
+    monkeypatch.setattr(relaxation, "record", cut)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     message = "tau sweep job at tau=0.001 got no result: its worker exited with status 0"
     with _deadline(60), pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
