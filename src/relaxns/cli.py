@@ -39,7 +39,6 @@ writer outlives its command.
 """
 
 import argparse
-import importlib
 import json
 import math
 import os
@@ -63,7 +62,7 @@ from .energy import (
 from .errors import ConfigError, DomainError, FieldError, NumericalAbort
 from .forks import Child
 from .model import FluidParams, InitConfig, RadialGrid, State, make_initial_data
-from .relaxation import limit_relation_error, sweep_taus, tau_sweep
+from .relaxation import SWEEP_NOTE, limit_relation_error, sweep_taus, tau_sweep
 from .solver import SolverConfig, run
 from .structure import noncharacteristic_report, structure_audit
 
@@ -182,15 +181,18 @@ _DIAG_HEADER = (
 )
 
 
-def write_diagnostics(series, path, energy_residual=None, mass_residual=None, limit_errors=None):
-    """Aligned diagnostics CSV; missing values are written as empty fields."""
-    n = len(series)
-    eres = {} if energy_residual is None else {float(t): v for t, v in zip(*energy_residual)}
-    mres = [None] * n if mass_residual is None else mass_residual
-    lims = [(None, None)] * n if limit_errors is None else limit_errors
+def write_diagnostics(series, path, energy_residual, mass_residual, limit_errors):
+    """Diagnostics CSV, one row per entry of series, aligned with mass_residual
+    and limit_errors; None and NaN are written as empty fields.
+
+    energy_residual is energy_identity_residual's (times, residuals): its
+    d/dt is a centered difference, so it has no value at the first and last
+    snapshot times, and the energy_residual column is empty there.
+    """
+    eres = {float(t): v for t, v in zip(*energy_residual)}
     rows = (
         (s.t, s.e_inst, s.e_running, s.d_inst, s.mass, s.taylor_energy, s.stress_l2, eres.get(float(s.t)), m, l1, l2)
-        for s, m, (l1, l2) in zip(series, mres, lims, strict=True)
+        for s, m, (l1, l2) in zip(series, mass_residual, limit_errors, strict=True)
     )
     _write_csv(path, _DIAG_HEADER, rows)
 
@@ -205,8 +207,7 @@ def _write_report(path, lines, say):
 def _numpy_record():
     """numpy's version and the dispatch targets its kernels run on: the
     __cpu_dispatch__ targets whose __cpu_features__ flag is set."""
-    core = "numpy._core" if int(np.__version__.split(".")[0]) >= 2 else "numpy.core"
-    umath = importlib.import_module(f"{core}._multiarray_umath")
+    from numpy._core import _multiarray_umath as umath
     features = umath.__cpu_features__
     return {"version": np.__version__, "dispatch": [t for t in umath.__cpu_dispatch__ if features.get(t)]}
 
@@ -311,7 +312,7 @@ class _SnapshotWriter:
             return
         records, how = self.child.join()
         if check and (records or how != "exited with status 0"):
-            raise records[0][2] if records else RuntimeError(f"the snapshot writer {how}")
+            raise records[0][1] if records else RuntimeError(f"the snapshot writer {how}")
 
     def close(self):
         """Kill and reap the child if it still runs; close every file."""
@@ -429,7 +430,7 @@ def _cmd_sweep_tau(args, config, say):
             f"sweep wall {result.wall_time:.3g} s, busiest worker {max(result.worker_runtimes):.3g} s",
             f"time steps: baseline {result.baseline_steps}, "
             + ", ".join(f"tau={tau:g} {'aborted' if n is None else n}" for tau, n in zip(result.taus, result.steps)),
-            f"note: {result.note}",
+            f"note: {SWEEP_NOTE}",
             *(f"FAILED member run: {f}" for f in failures),
         ],
         say,

@@ -3,14 +3,15 @@
 The one owner of the package's child-process protocol, which the tau sweep's
 workers and the CLI's snapshot writer share.  Child(body, *args) opens an
 anonymous temporary file and forks a child (Linux or macOS) that runs
-body(out, *args), where body appends record()s to the file out.  The child
-runs whatever the parent had bound when it forked, and leaves with os._exit,
-so none of the parent's atexit handlers runs and none of its buffered stdio
-is flushed there: with status 0 if body returns, and with status 1 if body
-raises, the exception first appended to out as a (None, "raise", exc)
-record.  The parent reaps the child with join() and reads the records back;
-close() kills and reaps a child that still runs, and closes the file, so no
-child outlives its owner.
+body(out, *args), where body appends record()s to the file out.  A record is
+one pickled (index, payload) pair, and a payload that is an exception is a
+failure.  The child runs whatever the parent had bound when it forked, and
+leaves with os._exit, so none of the parent's atexit handlers runs and none
+of its buffered stdio is flushed there: with status 0 if body returns, and
+with status 1 if body raises, the exception first appended to out as the
+child's one failure record, (None, exc).  The parent reaps the child with
+join() and reads the records back; close() kills and reaps a child that
+still runs, and closes the file, so no child outlives its owner.
 """
 
 import os
@@ -18,18 +19,18 @@ import pickle
 import tempfile
 
 
-def record(index, kind, payload):
-    """The bytes a child appends for one result: its pickled (index, kind,
+def record(index, payload):
+    """The bytes a child appends for one result: its pickled (index,
     payload).  An exception that does not survive pickle goes as a
     RuntimeError carrying its type and text, and so does a result that does
     not pickle, with the pickling error's."""
     try:
-        data = pickle.dumps((index, kind, payload), pickle.HIGHEST_PROTOCOL)
-        if kind == "raise":
+        data = pickle.dumps((index, payload), pickle.HIGHEST_PROTOCOL)
+        if isinstance(payload, BaseException):
             pickle.loads(data)
     except Exception as exc:
-        bad = payload if kind == "raise" else exc
-        data = pickle.dumps((index, "raise", RuntimeError(f"{type(bad).__name__}: {bad}")))
+        bad = payload if isinstance(payload, BaseException) else exc
+        data = pickle.dumps((index, RuntimeError(f"{type(bad).__name__}: {bad}")))
     return data
 
 
@@ -53,7 +54,7 @@ class Child:
                 try:
                     body(self.out, *args)
                 except BaseException as exc:  # raised by the parent
-                    self.out.write(record(None, "raise", exc))
+                    self.out.write(record(None, exc))
                     self.out.flush()
                 else:
                     self.out.flush()
@@ -64,7 +65,7 @@ class Child:
     def join(self):
         """Reap the child; returns (records, how).
 
-        records are the (index, kind, payload) tuples it appended, in order,
+        records are the (index, payload) pairs it appended, in order,
         up to the file's end or a record cut short; how is "exited with
         status N" or "was killed by signal N".
         """

@@ -2,9 +2,6 @@
 
 import numpy as np
 
-# numpy 2.0 renamed trapz -> trapezoid
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 def derivative(f, dr, out=None):
     """d/dr by second-order central differences, one-sided second-order at the ends.
@@ -35,7 +32,7 @@ def second_derivative(f, dr):
 
 def integrate_r2(f, grid):
     """Trapezoid rule for the weighted integral of r^2 f over the cell centers."""
-    return float(_trapz(grid.center_r2 * np.asarray(f, dtype=float), dx=grid.dr))
+    return float(np.trapezoid(grid.center_r2 * np.asarray(f, dtype=float), dx=grid.dr))
 
 
 def cell_sum_r2(f, grid):

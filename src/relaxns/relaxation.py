@@ -27,12 +27,14 @@ members do not depend on each other, so tau_sweep runs them at the same
 time in forked workers (forks.Child): as many as there are jobs or CPUs
 this process may use, whichever is fewer, worker k running jobs k, k + K,
 ... of the K workers, the baseline as job 0.  A worker records each job's
-result as soon as the job ends, so it never waits on the parent, and it
-stops after a result that fails the sweep.  The parent reaps the workers
-in order and judges the results in job order, so a baseline abort is
-raised before anything a member did, and it kills the members still
-running; no worker outlives the sweep.  Each member's runtime is its own
-wall time in its worker.
+result as soon as the job ends, so it never waits on the parent.  A job
+that raises, and the baseline when it aborts, ends its worker, whose
+failure record it becomes.  The parent reaps the workers in order and
+judges the results in job order by one rule: the first that is an
+exception, or missing, is raised.  So a baseline abort is raised before
+anything a member did, and it kills the members still running; no worker
+outlives the sweep.  Each member's runtime is its own wall time in its
+worker.
 """
 
 import math
@@ -88,10 +90,13 @@ class SweepResult:
     worker_runtimes: list  # per forked worker, the sum of its jobs' runtimes
     wall_time: float  # the whole tau_sweep call
     failures: list = field(default_factory=list)
-    note: str = (
-        "errors measured on a truncated radial domain in strong norms; "
-        "the fitted slopes are empirical observations, not guaranteed rates"
-    )
+
+
+# the note line of sweep_summary.txt
+SWEEP_NOTE = (
+    "errors measured on a truncated radial domain in strong norms; "
+    "the fitted slopes are empirical observations, not guaranteed rates"
+)
 
 
 def _loglog_slope(x, y):
@@ -127,62 +132,50 @@ def _integrate(initial, grid, params, cfg, out_times):
 def _worker(out, jobs, mine):
     """A forked worker's body (forks.Child): it runs jobs[i] for i in mine
     through _integrate and appends each result to out as soon as the job
-    ends.  It stops after job 0's NumericalAbort, so a baseline abort ends
-    the sweep at once, and at a job's exception, which becomes the worker's
-    failure record."""
+    ends.  A job's exception, and job 0's NumericalAbort, which ends the
+    sweep, propagate and end the worker as its failure record."""
     for index in mine:
         result = _integrate(*jobs[index])
-        out.write(record(index, "ok", result))
-        out.flush()
         if index == 0 and isinstance(result[0], NumericalAbort):
-            break
+            raise result[0]
+        out.write(record(index, result))
+        out.flush()
 
 
 def _fork_join(jobs, workers):
-    """Run every job in `workers` forked children; returns (outcomes, busy).
+    """Run every job in `workers` forked children; returns the outcomes.
 
-    outcomes[i] is _integrate's result for jobs[i]; busy[k] is the sum of
-    worker k's job runtimes.  Worker k is a forks.Child that runs jobs k,
-    k + workers, ... in that order.  The parent reaps the workers in order,
-    reads each one's records once it has exited, and judges the results in
-    job order.  A worker's failure record goes to its first job without a
-    result.  The first failure in job order raises here: job 0's
-    NumericalAbort, an exception a job raised (its own type and message),
-    or a worker that ended before a job's result (a RuntimeError naming the
-    job's tau and how the worker ended).  On the way out, whatever the
-    outcome, every worker still running is killed and reaped, and every
-    file is closed.
+    outcomes[i] is _integrate's result for jobs[i].  Worker k is a
+    forks.Child that runs jobs k, k + workers, ... in that order.  The
+    parent reaps the workers in order, reads each one's records once it has
+    exited, and judges the results in job order.  A worker's failure record
+    goes to its first job without a result, and a job left without one gets
+    a RuntimeError naming its tau and how the worker ended.  The first
+    outcome in job order that is an exception raises here, with its own
+    type and message.  On the way out, whatever the outcome, every worker
+    still running is killed and reaped, and every file is closed.
     """
     children = []
     try:
         for k in range(workers):
             children.append(Child(_worker, jobs, range(k, len(jobs), workers)))
         outcomes = [None] * len(jobs)
-        busy = [0.0] * workers
         decided = 0
         for k, child in enumerate(children):
             records, how = child.join()
-            failure = None
-            for index, kind, payload in records:
-                if index is None:  # the worker's failure record
-                    failure = payload
-                    continue
-                outcomes[index] = (kind, payload)
-                if kind == "ok":
-                    busy[k] += payload[1]
+            results = dict(records)
+            failure = results.pop(None, None)  # the worker's failure record, if any
+            for index, payload in results.items():
+                outcomes[index] = payload
             lost = next((i for i in range(k, len(jobs), workers) if outcomes[i] is None), None)
             if lost is not None:  # running when the worker ended, or after a failure
                 message = f"tau sweep job at tau={jobs[lost][2].tau:g} got no result: its worker {how}"
-                outcomes[lost] = ("raise", failure or RuntimeError(message))
+                outcomes[lost] = failure or RuntimeError(message)
             while decided < len(jobs) and outcomes[decided] is not None:
-                kind, payload = outcomes[decided]
-                if kind == "raise":
-                    raise payload
-                if decided == 0 and isinstance(payload[0], NumericalAbort):
-                    raise payload[0]
-                outcomes[decided] = payload
+                if isinstance(outcomes[decided], BaseException):
+                    raise outcomes[decided]
                 decided += 1
-        return outcomes, busy
+        return outcomes
     finally:
         for child in children:
             child.close()
@@ -244,8 +237,10 @@ def tau_sweep(base_cfg, init_cfg, grid, params_template, taus, n_outputs=None):
     runs = [replace(params_template, tau=0.0)] + members
     jobs = [(make_initial_data(init_cfg, grid, p), grid, p, base_cfg, out_times) for p in runs]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+    workers = min(len(jobs), cpus)
     # fork, not spawn: a worker inherits the parent's binding of _sweep_run
-    outcomes, worker_runtimes = _fork_join(jobs, min(len(jobs), cpus))
+    outcomes = _fork_join(jobs, workers)
+    worker_runtimes = [sum(outcome[1] for outcome in outcomes[k::workers]) for k in range(workers)]
     (baseline, baseline_runtime, baseline_steps), *outcomes = outcomes
 
     field_errors, stress_errors, failures, runtimes, steps = [], [], [], [], []

@@ -332,7 +332,8 @@ def test_diagnostics_zero_run(tmp_path, grid, params, equilibrium):
     traj = run(equilibrium, grid, params, SolverConfig(t_end=0.05, output_every=10))
     series = energy_series(traj, grid, params)
     path = tmp_path / "diag.csv"
-    write_diagnostics(series, path)
+    n = len(series)
+    write_diagnostics(series, path, ((), ()), [None] * n, [(None, None)] * n)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("t,E_inst,E_run,")
     assert len(lines) == len(series) + 1
@@ -598,7 +599,7 @@ def test_snapshot_golden_bytes(tmp_path):
 def test_diagnostics_golden_bytes(tmp_path):
     series = [EnergySnapshot(*row, ddtt_available=True) for row in GOLDEN_SERIES]
     bare, full = tmp_path / "bare.csv", tmp_path / "full.csv"
-    write_diagnostics(series, bare)
+    write_diagnostics(series, bare, ((), ()), [None] * 4, [(None, None)] * 4)
     write_diagnostics(
         series,
         full,
@@ -687,24 +688,33 @@ def run_digest(out):
 # step, the relaxed one since a step left open between snapshots owes its
 # closing half relaxation to the next step.  The numbers go through pow and
 # exp, whose last bits depend on the SIMD kernels numpy dispatches to, so
-# there is one digest set per list of dispatch targets (cli._numpy_record):
-# the full list of an AVX-512 host, and the X86_V3 (AVX2) list that host
-# reports under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
+# the digests are keyed by the list of dispatch targets (cli._numpy_record).
+# Two digest sets are known: the AVX-512 one, which an AVX-512 host gives with
+# its full list and under NPY_DISABLE_CPU_FEATURES="AVX512_SPR" and
+# "AVX512_ICL AVX512_SPR"; and the AVX2 one, which the same host gives under
+# "X86_V4 AVX512_ICL AVX512_SPR" (the list X86_V3) and under
+# "X86_V3 X86_V4 AVX512_ICL AVX512_SPR" (the empty list).  So on that numpy
+# build the bits split on X86_V4 alone; a list never measured still fails.
+AVX512_DIGESTS = {
+    "run": "a7511ce93523a09434006c97e653bc2292a6fe2e64cbfa20df35083112afb5a8",
+    "classical": "2d501a527cdc17950175adcd45cd69a000a07a9a4ec04b43e9110a764cb78470",
+    "classical-reflect": "d61a6690507b455f0b332e27a6c657cdb6cd2b93f7a451016b73777612475ac5",
+    "imex": "09b9af8a92316e52f36d94207fb420de31f2b048b1a3f32fbcc64e85e2f026db",
+    "imex-reflect": "e73234670f2516027aeb4ca07795942327043464cc22d2488b4f87257894e21c",
+}
+AVX2_DIGESTS = {
+    "run": "61dd10da0c2daf589df54e639bf0a728508add336405c917f5637dd629140819",
+    "classical": "f020515d3efd96342e0b5471b757f7252198c8e34f10ae9b4b3dce1713e1a905",
+    "classical-reflect": "3b9ac11c9ae3b28cf4186d7f705fa19120b21cae838189807adc4c177e20c989",
+    "imex": "4e0648e18f3474e2041b527f48587923e60a9862bc2387208629cc1caaeae677",
+    "imex-reflect": "56358b7cd39bcc357b838a136f55e8c883df9175a540a0587dc09c6251640024",
+}
 RUN_DIGESTS = {
-    ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"): {
-        "run": "a7511ce93523a09434006c97e653bc2292a6fe2e64cbfa20df35083112afb5a8",
-        "classical": "2d501a527cdc17950175adcd45cd69a000a07a9a4ec04b43e9110a764cb78470",
-        "classical-reflect": "d61a6690507b455f0b332e27a6c657cdb6cd2b93f7a451016b73777612475ac5",
-        "imex": "09b9af8a92316e52f36d94207fb420de31f2b048b1a3f32fbcc64e85e2f026db",
-        "imex-reflect": "e73234670f2516027aeb4ca07795942327043464cc22d2488b4f87257894e21c",
-    },
-    ("X86_V3",): {
-        "run": "61dd10da0c2daf589df54e639bf0a728508add336405c917f5637dd629140819",
-        "classical": "f020515d3efd96342e0b5471b757f7252198c8e34f10ae9b4b3dce1713e1a905",
-        "classical-reflect": "3b9ac11c9ae3b28cf4186d7f705fa19120b21cae838189807adc4c177e20c989",
-        "imex": "4e0648e18f3474e2041b527f48587923e60a9862bc2387208629cc1caaeae677",
-        "imex-reflect": "56358b7cd39bcc357b838a136f55e8c883df9175a540a0587dc09c6251640024",
-    },
+    ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"): AVX512_DIGESTS,
+    ("X86_V3", "X86_V4", "AVX512_ICL"): AVX512_DIGESTS,
+    ("X86_V3", "X86_V4"): AVX512_DIGESTS,
+    ("X86_V3",): AVX2_DIGESTS,
+    (): AVX2_DIGESTS,
 }
 
 
@@ -1001,7 +1011,6 @@ def numpy_dispatch():
     return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
 
 
-@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="reads numpy 2's _core")
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1024,10 +1033,7 @@ def test_every_manifest_records_numpy(tmp_path, argv):
 DISABLED = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
-@pytest.mark.skipif(
-    int(np.__version__.split(".")[0]) < 2 or "X86_V4" not in numpy_dispatch(),
-    reason="needs numpy 2 running its X86_V4 kernels",
-)
+@pytest.mark.skipif("X86_V4" not in numpy_dispatch(), reason="needs numpy's X86_V4 kernels")
 def test_manifest_records_the_targets_left_under_npy_disable_cpu_features(tmp_path):
     # with the AVX-512 targets switched off, numpy dispatches to the rest,
     # and the manifest lists those only

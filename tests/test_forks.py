@@ -29,22 +29,22 @@ def joined(body, *args):
 def test_a_body_that_returns_gives_its_records_in_order():
     def body(out, first, count):
         for index in range(count):
-            out.write(record(index, "ok", first + index))
+            out.write(record(index, first + index))
 
-    assert joined(body, 10, 3) == ([(0, "ok", 10), (1, "ok", 11), (2, "ok", 12)], "exited with status 0")
+    assert joined(body, 10, 3) == ([(0, 10), (1, 11), (2, 12)], "exited with status 0")
     assert_no_child_left()
 
 
 def test_a_body_that_raises_gives_its_exception_after_its_records():
     def body(out):
-        out.write(record(0, "ok", "done"))
+        out.write(record(0, "done"))
         raise FieldError("gamma", "gamma must be > 1")
 
     records, how = joined(body)
     assert how == "exited with status 1"
-    assert records[0] == (0, "ok", "done")
-    ((index, kind, exc),) = records[1:]
-    assert (index, kind, type(exc), str(exc), exc.field) == (None, "raise", FieldError, "gamma must be > 1", "gamma")
+    assert records[0] == (0, "done")
+    ((index, exc),) = records[1:]
+    assert (index, type(exc), str(exc), exc.field) == (None, FieldError, "gamma must be > 1", "gamma")
     assert_no_child_left()
 
 
@@ -55,8 +55,8 @@ def test_an_exception_that_will_not_pickle_arrives_as_its_text():
     def body(out):
         raise Local("not picklable")
 
-    ((index, kind, exc),) = joined(body)[0]
-    assert (index, kind, type(exc), str(exc)) == (None, "raise", RuntimeError, "Local: not picklable")
+    ((index, exc),) = joined(body)[0]
+    assert (index, type(exc), str(exc)) == (None, RuntimeError, "Local: not picklable")
     assert_no_child_left()
 
 

@@ -520,8 +520,8 @@ def test_tau_sweep_reads_a_record_cut_short_as_no_result(grid, params, monkeypat
     # when a worker dies while it writes
     real = relaxation.record
 
-    def cut(index, kind, payload):
-        data = real(index, kind, payload)
+    def cut(index, payload):
+        data = real(index, payload)
         return data[: len(data) // 2] if index == 2 else data
 
     monkeypatch.setattr(relaxation, "record", cut)

@@ -918,6 +918,25 @@ def test_reflecting_wall_has_no_growing_mode_at_rest(n, tau):
     assert np.linalg.eigvals(jac).real.max() <= 1e-10
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the reflecting outer wall's ghost closure lets the wall cells' spurious mode grow (ROADMAP item 1)",
+)
+@pytest.mark.parametrize("n", [400, 800])
+def test_reflecting_run_of_the_acceptance_pulse_decays_by_t_12(n):
+    # the criterion-6 pulse between two walls at tau = 0 (ARS(2,2,2)): by
+    # t = 12 max |rho - 1| is below its initial value (about 0.01).  Only
+    # the end is bounded: spherical focusing at r = 1 lifts it above that
+    # early on (0.025 near t = 2.5 at both n)
+    grid = RadialGrid(r_max=21.0, n_cells=n)
+    p = FluidParams(tau=0.0)
+    initial = make_initial_data(InitConfig(bump_amp=0.01, bump_center=7.0, bump_width=1.0, vel_amp=0.01), grid, p)
+    traj = run(initial, grid, p, SolverConfig(t_end=12.0, outer_bc="reflect"), np.array([0.0, 12.0]))
+    assert traj.times[-1] == 12.0
+    assert np.abs(traj.snapshots[-1].rho - 1.0).max() < np.abs(initial.rho - 1.0).max()
+
+
 def dense_columns(apply, n):
     # the matrix of the linear map apply, column by column from the unit
     # vectors: no band structure assumed
