@@ -1408,6 +1408,79 @@ def test_dt_rule_and_step_allocate_less_than_one_field(dt_rule, stepper, tau, ep
     assert peak < 8 * grid.n_cells
 
 
+def fields(state):
+    return (state.rho, state.v, state.s1, state.s2)
+
+
+@pytest.mark.parametrize("outer_bc", ["extrapolate", "reflect"])
+@pytest.mark.parametrize("n", [8, 9, 801, 6400])
+def test_stepper_buffers_start_on_a_cache_line(monkeypatch, n, outer_bc):
+    # dr is small enough at every n for run to step with Strang at tau = 100
+    grid = RadialGrid(r_max=2.0, n_cells=n)
+    cfg = SolverConfig(t_end=1e-3, outer_bc=outer_bc)
+    rest = equilibrium_state(n)
+    w = Workspace(grid, outer_bc)
+    _step_classical(rest, grid, FluidParams(tau=0.01), cfg, 1e-4, 0, work=w)
+    imex, combs = w.imex, w.imex.combs
+    buffers = {
+        "ghost": w.ghost,
+        "face": w.face,
+        "cell": w.cell,
+        "k": w.k,
+        "stress": w.stress,
+        "imex": (imex.bands, imex.stage_v, *imex.stage_s, *imex.acc, *imex.solve, *imex.relax, imex.load),
+        "combs": (*combs.eq, *combs.weighted, combs.probe, *(g.all for g in combs.ghosted), combs.faces[1].all),
+        "_empty_state": fields(solver._empty_state(n)),
+    }
+    # the state and out that run hands its step rule, under either rule
+    for stepper, rule, tau in (("strang", "step", 100.0), ("imex", "_step_classical", 0.0)):
+        seen = []
+        real = getattr(solver, rule)
+
+        def spy(state, grid, params, cfg, dt, step_idx, out=None, work=None, real=real, seen=seen, **kw):
+            seen.append(fields(state) + fields(out))
+            return real(state, grid, params, cfg, dt, step_idx, out=out, work=work, **kw)
+
+        monkeypatch.setattr(solver, rule, spy)
+        assert run(rest, grid, FluidParams(tau=tau), cfg).stepper == stepper
+        assert seen
+        buffers[stepper] = [a for arrays in seen for a in arrays]
+    for name, arrays in buffers.items():
+        assert [a.ctypes.data % 64 for a in arrays] == [0] * len(arrays), name
+
+
+@pytest.mark.parametrize("outer_bc", ["extrapolate", "reflect"])
+@pytest.mark.parametrize(
+    "tau, eps, stepper",
+    [(0.01, 0.0, "strang"), (0.01, 0.1, "strang"), (0.0, 0.0, "imex"), (1e-3, 0.0, "imex")],
+    ids=["strang", "strang-eps", "imex-tau-0", "imex-capped"],
+)
+def test_run_does_not_depend_on_where_the_initial_fields_start(grid, bump_cfg, outer_bc, tau, eps, stepper):
+    # the fields are views starting 8, 16, ..., 56 bytes past a cache line;
+    # the reference run starts from contiguous copies
+    p = FluidParams(tau=tau, eps=eps)
+    init = make_initial_data(bump_cfg, grid, FluidParams(tau=0.01))
+    cfg = SolverConfig(t_end=0.2, output_every=2, outer_bc=outer_bc)
+    want = run(init.copy(), grid, p, cfg)
+    assert want.stepper == stepper and len(want.snapshots) > 2
+    n = grid.n_cells
+    for offset in range(1, 8):
+        shifted = []
+        for f in fields(init):
+            raw = np.empty(n + 16)
+            start = -raw.ctypes.data % 64 // 8 + offset
+            view = raw[start : start + n]
+            view[...] = f
+            assert view.ctypes.data % 64 == 8 * offset
+            shifted.append(view)
+        got = run(State(*shifted, init.t), grid, p, cfg)
+        assert got.dt_history == want.dt_history
+        for a, b in zip(got.snapshots, want.snapshots, strict=True):
+            assert a.t == b.t
+            for x, y in zip(fields(a), fields(b)):
+                assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
 @pytest.mark.parametrize("integrate", [run, run_classical], ids=["relaxed", "classical"])
 def test_n_outputs_snapshots_fall_on_linspace(grid, bump_cfg, integrate):
     p = FluidParams(tau=0.01 if integrate is run else 0.0)
