@@ -261,9 +261,8 @@ _CACHE_LINE = 64  # bytes
 
 def _aligned_empty(*shape):
     # an uninitialized float array of shape whose first value starts on a
-    # cache line: a view into a buffer one line longer.  A ufunc pass whose
-    # output starts off a line costs about twice an aligned one (see the
-    # module docstring)
+    # cache line (see the module docstring): a view into a buffer one line
+    # longer
     size = math.prod(shape)
     raw = np.empty(size + _CACHE_LINE // 8)
     start = -raw.ctypes.data % _CACHE_LINE // 8
