@@ -184,16 +184,10 @@ def energy_identity_residual(traj, grid, params, series=None):
     for j in range(1, len(terms) - 1):
         dedt = (taylor[j + 1] - taylor[j - 1]) / (times[j + 1] - times[j - 1])
         state = traj.snapshots[j]
-        eps_term = 0.0
-        if params.eps != 0.0:
-            half1 = derivative(0.5 * state.s1**2, grid.dr)
-            half2 = derivative(0.5 * state.s2**2, grid.dr)
-            eps_term += params.eps * integrate_r2(
-                params.tau * state.rho * half1 / (3.0 * params.mu), grid
-            )
-            eps_term += params.eps * integrate_r2(
-                params.tau * state.rho * half2 / params.lambda_, grid
-            )
+        half1 = derivative(0.5 * state.s1**2, grid.dr)
+        half2 = derivative(0.5 * state.s2**2, grid.dr)
+        eps_term = params.eps * integrate_r2(params.tau * state.rho * half1 / (3.0 * params.mu), grid)
+        eps_term += params.eps * integrate_r2(params.tau * state.rho * half2 / params.lambda_, grid)
         _, e_inst, stress = terms[j]
         raw = dedt - eps_term + stress
         scale = max(stress, e_inst, _FLOOR)

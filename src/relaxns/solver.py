@@ -671,8 +671,7 @@ def compute_dt_classical(state, grid, params, cfl, work=None):
     dp, c, speed = _dt_scratch(state, params, work)
     np.sqrt(dp, out=c)
     np.add(np.abs(state.v, out=speed), c, out=speed)
-    # at eps = 0 the transport speed |v| never wins and is not computed
-    if params.tau > 0.0 and params.eps != 0.0:
+    if params.tau > 0.0:
         np.abs(np.subtract(state.v, params.eps, out=c), out=c)
         np.maximum(speed, c, out=speed)
     return cfl * (grid.dr / float(speed.max()))

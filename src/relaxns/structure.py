@@ -137,9 +137,6 @@ def weyl_speed_bound(rho, v, dp, params, out):
     np.divide(4.0 * params.mu / 3.0 + params.lambda_, b, out=b)
     s = np.sqrt(np.add(dp, b, out=b), out=b)
     half = params.eps / 2.0
-    if half == 0.0:
-        # v - 0 and + 0 are exact: skip their passes, the same bits
-        return float(np.add(np.abs(v, out=a), s, out=a).max())
     np.abs(np.subtract(v, half, out=a), out=a)
     return float(np.add(a, s, out=a).max()) + half
 

@@ -834,6 +834,22 @@ def test_compute_dt_classical_is_the_acoustic_step_bit_for_bit(grid):
         assert compute_dt_classical(state, grid, p, 0.4, work=poisoned_workspace(grid)) == expected
 
 
+def test_compute_dt_classical_at_eps_zero_is_the_acoustic_step_bit_for_bit(grid):
+    # at tau > 0 and eps = 0 the stress transport speed |v| never exceeds
+    # |v| + sqrt(P'), so the general rule gives the acoustic step's bits;
+    # one ulp moves the maximum of one state only now and then, so try many
+    rng = np.random.default_rng(29)
+    n = grid.n_cells
+    for tau in (1e-2, 1e-4):
+        p = FluidParams(tau=tau, eps=0.0)
+        for _ in range(16):
+            rho, v = rng.uniform(0.8, 1.2, size=n), rng.uniform(-0.3, 0.3, size=n)
+            state = State(rho, v, np.zeros(n), np.zeros(n))
+            expected = 0.4 * (grid.dr / float((np.abs(v) + np.sqrt(pressure_prime(rho, p))).max()))
+            assert compute_dt_classical(state, grid, p, 0.4) == expected
+            assert compute_dt_classical(state, grid, p, 0.4, work=poisoned_workspace(grid)) == expected
+
+
 def test_compute_dt_classical_counts_the_stress_transport_speed_at_tau_above_zero(grid):
     # a relaxed run that steps with ARS(2,2,2) transports its stresses at
     # v - eps explicitly, so |v - eps| bounds its step where it exceeds
