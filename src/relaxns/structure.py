@@ -29,6 +29,7 @@ A1_SYMMETRY_TOL = 1e-14  # max |A1 - A1^T|
 SPEEDS_IMAG_TOL = 1e-8  # max |Im s| / max(1, |s|) of the eigenvalues of (A0)^-1 A1
 FORM_TOL = 1e-12  # boundary quadratic forms: kernel sign, closed form, witness
 DET_EPS0_TOL = 1e-12  # |det((A0)^-1 A1)| at the wall for eps = 0
+DET_EPS_VALUES = (1e-1, 1e-2, 1e-3)  # the shift speeds eps that det/eps^2 is compared over
 DET_SPREAD_TOL = 1e-10  # relative spread of det/eps^2 over eps
 COFACTOR_TOL = 1e-12  # relative LU vs cofactor determinant mismatch
 CANDIDATE_RTOL = 1e-9  # relative match of det/eps^2 to a closed-form candidate
@@ -178,16 +179,17 @@ def boundary_char_det(rho, params):
     return float(np.linalg.det(_wall_matrix(rho, params)))
 
 
-def noncharacteristic_report(rho, params, eps_values=(1e-1, 1e-2, 1e-3)):
+def noncharacteristic_report(rho, params):
     """Scaling study of the boundary determinant in the shift speed eps.
 
-    Reports det/eps^2 per eps, agreement with the cofactor oracle, and which
-    closed-form candidate matches: -P'(rho) eps^2 or -P'(rho) eps^2 / rho.
+    Reports det/eps^2 per eps of DET_EPS_VALUES, agreement with the cofactor
+    oracle, and which closed-form candidate matches: -P'(rho) eps^2 or
+    -P'(rho) eps^2 / rho.
     "checks" holds the (ok, description) verdicts on these numbers.
     """
     dp = pressure_prime(rho, params)
     rows = []
-    for eps in eps_values:
+    for eps in DET_EPS_VALUES:
         scaled = _wall_matrix(rho, replace(params, eps=eps))
         det_lu = float(np.linalg.det(scaled))
         det_cof = det4_cofactor(scaled)

@@ -52,7 +52,7 @@ def test_criterion_1_structure_audit():
 def test_criterion_2_boundary_determinant():
     t0 = time.perf_counter()
     params = FluidParams(gamma=1.4, mu=0.7, lambda_=1.3, tau=0.3)
-    rep = noncharacteristic_report(1.25, params, eps_values=(1e-1, 1e-2, 1e-3))
+    rep = noncharacteristic_report(1.25, params)
     elapsed = time.perf_counter() - t0
     cof = max(r["cofactor_rel_err"] for r in rep["rows"])
     matched = [name for name, hit in rep["candidate_matches"].items() if hit]

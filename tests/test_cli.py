@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -29,6 +30,14 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def src_env(**extra):
+    """The environment, with this checkout's src first on PYTHONPATH, for
+    a fresh interpreter."""
+    src = Path(cli.__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
 
 
 def test_empty_config_gives_defaults(tmp_path):
@@ -253,6 +262,13 @@ def test_energy_report_at_tau_zero(tmp_path):
     out = tmp_path / "o"
     assert main(["energy-report", "--config", write_cfg(tmp_path, CLASSICAL_CFG), "--out", str(out), "--quiet"]) == 0
     assert (out / "energy_report.txt").is_file()
+    # the classical stresses are eq(v), so the limit relation holds exactly
+    with open(out / "diagnostics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert rows
+    for row in rows:
+        assert math.isfinite(float(row["E_inst"])) and math.isfinite(float(row["D_inst"])), row
+        assert float(row["s1_limit_err"]) == float(row["s2_limit_err"]) == 0.0, row
 
 
 def test_negative_n_outputs_rejected_with_line(tmp_path, capsys):
@@ -280,13 +296,11 @@ def test_main_run_snapshots_at_n_outputs_times(tmp_path):
 def test_cli_import_leaves_scipy_unloaded():
     # scipy costs about 0.3 s and 28 MiB to import; the package depends on
     # numpy alone, the reduction check's interpolation included
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, relaxns.cli, relaxns.reduction; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
@@ -294,8 +308,6 @@ def test_cli_import_leaves_scipy_unloaded():
 def test_run_classical_leaves_scipy_unloaded(tmp_path):
     # the baseline's banded solve is numpy-only: a whole run-classical in a
     # fresh interpreter imports no scipy
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys; from relaxns.cli import main\n"
         "assert main(['run-classical', '--config', sys.argv[1], '--out', sys.argv[2], '--quiet']) == 0\n"
@@ -303,7 +315,7 @@ def test_run_classical_leaves_scipy_unloaded(tmp_path):
     )
     cfg = write_cfg(tmp_path, CLASSICAL_CFG)
     args = [sys.executable, "-c", code, cfg, str(tmp_path / "o")]
-    done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run(args, env=src_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
     assert (tmp_path / "o" / "snapshot_0001.csv").is_file()
@@ -346,27 +358,6 @@ def test_diagnostics_zero_run(tmp_path, grid, params, equilibrium):
         assert float(cols[1]) == 0.0 and float(cols[3]) == 0.0
 
 
-def test_main_run_and_determinism(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        "[params]\ntau = 0.01\n"
-        "[grid]\nr_max = 11\nn_cells = 64\n"
-        "[init]\nbump_amp = 0.01\nbump_center = 5.0\nbump_width = 0.7\n"
-        "[solver]\nt_end = 0.2\noutput_every = 30\n",
-    )
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["run", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
-    assert main(["run", "--config", cfg, "--out", str(out2), "--quiet"]) == 0
-    for name in sorted(p.name for p in out1.glob("*.csv")):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    import json
-
-    m1 = json.loads((out1 / "manifest.json").read_text())
-    m2 = json.loads((out2 / "manifest.json").read_text())
-    m1.pop("wall_time"), m2.pop("wall_time")
-    assert m1 == m2
-
-
 def test_main_run_classical(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -387,6 +378,22 @@ def test_main_check_structure(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "[PASS]" in text and "[FAIL]" not in text
     assert (out / "structure_report.txt").is_file()
+
+
+def test_python_m_relaxns_exits_with_the_commands_code(tmp_path):
+    # console_main, the installed script's entry point, exits with main's code
+    def relaxns(*args):
+        argv = [sys.executable, "-m", "relaxns", *args, "--quiet"]
+        return subprocess.run(argv, env=src_env(), capture_output=True, text=True, timeout=60)
+
+    done = relaxns("check-structure", "--config", "default", "--out", str(tmp_path / "ok"))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "ok" / "structure_report.txt").is_file()
+    bad = write_cfg(tmp_path, "[params]\nbogus = 1\n")
+    done = relaxns("check-structure", "--config", bad, "--out", str(tmp_path / "bad"))
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error: line 2: ")
+    assert not (tmp_path / "bad").exists()
 
 
 def test_check_structure_rejects_negative_seed_before_output(tmp_path, capsys):
@@ -424,18 +431,25 @@ def test_main_sweep_tau(tmp_path):
         "[init]\nbump_amp = 0.01\nbump_center = 5.0\nbump_width = 0.7\nvel_amp = 0.01\n"
         "[solver]\nt_end = 0.2\n",
     )
-    out = tmp_path / "osw"
-    code = main(["sweep-tau", "--config", cfg, "--out", str(out), "--tau-list", "1e-2,1e-3", "--quiet"])
-    assert code == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "tau,field_err,s1_limit_err,s2_limit_err,runtime_s"
-    assert len(lines) == 3
-    assert (out / "sweep_summary.txt").is_file()
+    # the default --tau-list, twice
+    outs = [tmp_path / "osw1", tmp_path / "osw2"]
+    for out in outs:
+        assert main(["sweep-tau", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    lines = [(out / "sweep.csv").read_text().splitlines() for out in outs]
+    assert lines[0][0] == "tau,field_err,s1_limit_err,s2_limit_err,runtime_s"
+    assert [float(row.split(",")[0]) for row in lines[0][1:]] == [1e-2, 1e-3, 1e-4]
+    assert all(float(row.split(",")[1]) > 0.0 for row in lines[0][1:])
+    # the same errors to the byte, runtime_s aside
+    cut = [[row.rsplit(",", 1)[0] for row in rows] for rows in lines]
+    assert cut[0] == cut[1]
+    assert (outs[0] / "sweep_summary.txt").is_file()
 
 
 def test_sweep_summary_reports_time_steps(tmp_path):
+    # to t = 1, where the acoustic step (about 0.06), not the spacing of the
+    # 10 output times, sets the step count
     out = tmp_path / "osw"
-    cfg = write_cfg(tmp_path, "[grid]\nr_max = 11\nn_cells = 64\n[solver]\nt_end = 0.05\n")
+    cfg = write_cfg(tmp_path, "[grid]\nr_max = 11\nn_cells = 64\n[solver]\nt_end = 1\n")
     assert main(["sweep-tau", "--config", cfg, "--out", str(out), "--tau-list", "1e-3,1e-2", "--quiet"]) == 0
     lines = (out / "sweep_summary.txt").read_text().splitlines()
     steps = [line for line in lines if line.startswith("time steps: ")]
@@ -443,10 +457,10 @@ def test_sweep_summary_reports_time_steps(tmp_path):
     m = re.fullmatch(r"time steps: baseline (\d+), tau=0\.01 (\d+), tau=0\.001 (\d+)", steps[0])
     assert m
     baseline, loose, stiff = int(m[1]), int(m[2]), int(m[3])
-    # a smaller tau never takes fewer steps; the sweep steps every member
-    # with ARS(2,2,2) at the acoustic step, as the baseline, so at eps = 0
-    # all three take the same count
-    assert min(baseline, loose, stiff) > 0 and loose <= stiff
+    # the sweep steps every member with ARS(2,2,2) at the acoustic step, as
+    # the baseline, which reads no stress: at eps = 0 all three take the
+    # same count
+    assert baseline == loose == stiff > 0
     # the fork/join line: 3 jobs (the baseline and two members), the busiest
     # worker's summed job runtimes inside the sweep's wall time
     (forks,) = [line for line in lines if " forked workers, " in line]
@@ -670,6 +684,94 @@ SMALL_CFG = (
     "[init]\nbump_amp = 0.01\nbump_center = 5.0\nbump_width = 0.7\n"
     "[solver]\nt_end = 0.2\noutput_every = 1\n"
 )
+# a pulse on the default grid, n = 800
+PULSE_CFG = "[init]\nbump_amp = 0.01\nvel_amp = 0.01\n[solver]\nt_end = 0.2\n"
+# CLASSICAL_CFG's pulse at tau 1e-2, which meets the reflecting wall near t = 2
+REFLECT_CFG = (
+    "[grid]\nr_max = 6\nn_cells = 48\n"
+    "[init]\nbump_amp = 0.01\nbump_center = 3.5\nbump_width = 0.45\n"
+    "[solver]\nt_end = 3\nouter_bc = reflect\noutput_every = 20\n"
+)
+# where run and run-classical step with ARS(2,2,2) at the acoustic step, and
+# explicit stepping would take about 76000 steps (tau 1e-8, the fast-wave
+# step) and 7500 (n = 3200, the viscous step)
+STIFF_CFG = "[params]\ntau = 1e-8\n" + PULSE_CFG.replace("t_end = 0.2\n", "t_end = 0.05\n")
+FINE_CFG = "[params]\ntau = 0\n[grid]\nn_cells = 3200\n" + PULSE_CFG.replace("t_end = 0.2\n", "t_end = 0.05\n")
+# CLASSICAL_CFG at eps = 0.1 under reflect, where the stress transport runs up
+# to the wall
+EPS_REFLECT_CFG = CLASSICAL_CFG.replace("tau = 0\n", "tau = 0\neps = 0.1\n").replace(
+    "output_every = 100\n", "output_every = 100\nouter_bc = reflect\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("run", SMALL_CFG.replace("output_every = 1\n", "output_every = 30\n")),
+        ("energy-report", PULSE_CFG),
+        (
+            "energy-report",
+            CLASSICAL_CFG.replace("tau = 0\n", "eps = 0.1\n").replace("output_every = 100\n", "output_every = 5\n"),
+        ),
+        ("run", REFLECT_CFG),
+        ("run-classical", PULSE_CFG.replace("t_end = 0.2\n", "cfl = 1\nt_end = 0.05\n")),
+        ("run-classical", FINE_CFG),
+    ],
+    ids=[
+        "run",
+        "energy-report-pulse",
+        "energy-report-eps",
+        "run-reflect",
+        "run-classical-cfl-1",
+        "run-classical-n-3200",
+    ],
+)
+def test_main_run_and_determinism(tmp_path, command, text):
+    # two runs write the same bytes, the forked writer's snapshots included;
+    # every snapshot is finite on the whole grid, and the pulse has moved v
+    cfg = write_cfg(tmp_path, text)
+    n = parse_config(cfg)[1].n_cells
+    outs = [tmp_path / "o1", tmp_path / "o2"]
+    for out in outs:
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    m1, m2 = (json.loads((out / "manifest.json").read_text()) for out in outs)
+    m1.pop("wall_time"), m2.pop("wall_time")
+    assert m1 == m2 and m1["steps"] > 0
+    snapshots = [read_snapshot(outs[0] / name) for name in names if name.startswith("snapshot_")]
+    assert len(snapshots) >= 2
+    assert all(np.isfinite(col).all() and col.size == n for cols in snapshots for col in cols)
+    assert np.any(snapshots[-1][2] != 0.0)
+
+
+@pytest.mark.parametrize("command", ["run", "run-classical"])
+def test_reflecting_wall_closes_the_mass_balance(tmp_path, command):
+    # no mass crosses the wall, so the mass residual is rounding after the
+    # pulse has met it
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, REFLECT_CFG), "--out", str(out), "--quiet"]) == 0
+    with open(out / "diagnostics.csv", newline="") as f:
+        mass = [float(row["mass_residual"]) for row in csv.DictReader(f)]
+    assert len(mass) > 2 and max(mass) <= 1e-13, mass
+
+
+@pytest.mark.parametrize("text, most", [(STIFF_CFG, 10), (FINE_CFG, 40)], ids=["tau-1e-8", "n-3200"])
+def test_run_and_run_classical_take_the_acoustic_step(tmp_path, text, most):
+    # both step with ARS(2,2,2) in at most `most` steps, and their last
+    # snapshots agree to within tau in every column, to the bit at tau = 0
+    cfg = write_cfg(tmp_path, text)
+    last = []
+    for command in ("run", "run-classical"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stepper"] == "imex" and 0 < manifest["steps"] <= most, manifest
+        last.append(read_snapshot(sorted(out.glob("snapshot_*.csv"))[-1]))
+    worst = max(float(np.max(np.abs(a - b))) for a, b in zip(*last))
+    assert worst <= parse_config(cfg)[0].tau, worst
 
 
 def run_digest(out):
@@ -742,6 +844,9 @@ def pinned_digest(name):
             2,
             "classical-reflect",
         ),
+        # the same under reflect, for run and run-classical alike
+        ("run", EPS_REFLECT_CFG, 2, "classical-reflect"),
+        ("run-classical", EPS_REFLECT_CFG, 2, "classical-reflect"),
         # ARS(2,2,2) at tau > 0, where each stage probes its own bands
         ("run", SMALL_CFG, 5, "imex"),
         (
@@ -757,6 +862,8 @@ def pinned_digest(name):
         "run-at-tau-0",
         "run-at-tau-0-eps",
         "run-at-tau-0-reflect",
+        "run-at-tau-0-eps-reflect",
+        "run-classical-eps-reflect",
         "run-imex",
         "run-imex-reflect",
     ],
@@ -944,8 +1051,6 @@ def test_run_loads_no_pool_module_and_starts_no_thread(tmp_path):
     # the writer is forked directly: a fresh interpreter that runs a command
     # has imported neither concurrent.futures nor multiprocessing, and runs
     # its main thread alone
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, threading\n"
         "from relaxns import cli\n"
@@ -955,7 +1060,7 @@ def test_run_loads_no_pool_module_and_starts_no_thread(tmp_path):
     )
     cfg, out = write_cfg(tmp_path, SMALL_CFG), tmp_path / "o"
     args = [sys.executable, "-c", code, cfg, str(out)]
-    done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run(args, env=src_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[] 1"
     assert len(list(out.glob("snapshot_*.csv"))) == 5
@@ -1037,11 +1142,9 @@ DISABLED = "X86_V4 AVX512_ICL AVX512_SPR"
 def test_manifest_records_the_targets_left_under_npy_disable_cpu_features(tmp_path):
     # with the AVX-512 targets switched off, numpy dispatches to the rest,
     # and the manifest lists those only
-    src = Path(cli.__file__).resolve().parents[1]
-    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath, "NPY_DISABLE_CPU_FEATURES": DISABLED}
     cfg, out = write_cfg(tmp_path, CLASSICAL_CFG), tmp_path / "o"
     args = [sys.executable, "-m", "relaxns", "run", "--config", cfg, "--out", str(out), "--quiet"]
+    env = src_env(NPY_DISABLE_CPU_FEATURES=DISABLED)
     done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     dispatch = json.loads((out / "manifest.json").read_text())["numpy"]["dispatch"]
