@@ -105,16 +105,18 @@ entry points, which look up its one object (_OuterBoundary): it fills the
 outer ghost cells, gives the kernels eq(v), and gives the diagnostics the
 wall terms (the mass flux through r_max, the open-boundary warning).
 
-The driver builds one Workspace per run, for the grid and that rule, and the
-dt rule and every stage compute into its buffers with out= ufuncs; two State
+The driver builds one Workspace per run, for the grid and that rule (one
+per tile on tiles, below), and the dt rule and every stage compute into its
+buffers with out= ufuncs; two State
 buffers take turns as a step's input and output, so neither the dt rule nor a
 step allocates a field.  The workspace also owns every view the stage kernels
 read, cut once when it is built: its ghost-augmented copies of the fields
 with their stencils (the two cells of each face, the two neighbours of each
 cell, the ghost fill's mirrors) and the two halves of the flux and speed
-face arrays.  A kernel reads a caller's array only whole or through such a
-copy, so no view outlives the array it was cut from; eq(v) is the rule's,
-today model.equilibrium_stress, which slices v itself.  The stage kernel folds the
+face arrays.  A kernel reads a caller's array whole, through such a copy,
+or through the slice of the workspace's cells it cuts for the call, so no
+view outlives the array it was cut from; eq(v) is the rule's, today
+model.equilibrium_stress, which slices v itself.  The stage kernel folds the
 constant factors of its formulas (the 0.5 of the mass flux and of the face
 density, 1/dr, 1/(2 dr), 2/3, -a_coef, 2/r, the upwind minus sign) into one
 scalar or one coefficient array built with the Workspace, so each term costs
@@ -136,9 +138,58 @@ the interior of eq(v)'s derivative, 8 bytes past, 2 of the ~150 passes of a
 step and its dt rule, which only one more buffer could move (about 14 of
 5500 us a step at n = 51200).  Only the layout changed: the kernels give
 the same bits at every offset.
+
+A Strang run of n cells steps on T = min(usable CPUs, n // _TILE_CELLS)
+contiguous tiles of the grid, at least one, one thread per tile
+(_Tiles); the usable CPUs are the process's affinity mask, so a run pinned
+to one CPU, a run below 2 * _TILE_CELLS cells, and every ARS run (whose
+banded solve is serial) take the one-tile path above, unchanged.  Each
+tile has a Workspace for its cells and a two-cell halo, and the tiles'
+workspaces replace the grid's.  The kernels compute a tile's cells from the
+fields, which span the grid: a ghost pair at a tile edge holds the
+neighbour's two cells, so a tile computes every face of its cells, a face
+two tiles share with the same inputs in both, and eq(v) takes central
+differences through the halo, one-sided ones only at r = 1 and r_max.
+Every operation is elementwise, and the dt rule and the checks are a max
+and a min over cells, so the tiles give one tile's bits: every snapshot,
+every dt, and every NumericalAbort's stage, step, cell and message.  The
+phases of a step (_strang_stages) meet at one threading.Barrier: after the
+opening relaxation, whose stresses the next phase reads at the neighbours'
+cells; after each RK stage, where the barrier's action checks the stage
+(each tile tests its own cells, and a fault found anywhere is named by
+_check over the whole arrays); before the second stage writes its values
+over the first stage's, which the neighbours read; and after a closing
+relaxation.  At the end of a step the action takes the driver's turn: it
+records dt and plans the next step from the tiles' fast speeds.  The
+calling thread steps the first tile, and copies each snapshot and calls
+on_snapshot while the other tiles start the next step, which does not
+write that state.  The threads start after the t = 0 snapshot, where the
+command line forks its snapshot writer, so no fork sees them, and run joins
+them before it returns; each runs in a copy of the caller's context,
+numpy's error state included.  An exception in any tile breaks the
+barrier and reaches the caller of run.  _TILE_CELLS is the smallest tile
+at which two tiles beat one in at least 9 of 10 alternating process pairs
+on a 2-vCPU AVX-512 x86-64 server (one explicit Strang run of the
+benchmark's large pulse at tau 1e-2, the fastest of 3 runs per process,
+us per step):
+
+    cells   tile   one tile (median)   two tiles (median)   two win
+    12800   6400        1236                 2640             0 / 10
+    25600  12800        2585                 3355             0 / 10
+    38400  19200        4270                 3602             8 / 10
+    51200  25600        6164                 3827            10 / 10
+
+A second 10 pairs per size, with the host busier, read 1, 8 and 10 wins at
+25600, 38400 and 51200 cells.  Below the crossover, the two threads'
+interpreter-lock hand-offs (about 4 us per ufunc call that two threads make
+at once, a step's ~170 calls per tile) and four barrier crossings (20-36 us
+each) cost more than the halved passes save.
 """
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -282,11 +333,20 @@ class Workspace:
     where a ufunc pass writing it runs about twice as fast as one starting
     off a line; the grid's arrays and the two coefficient arrays, which
     the kernels only read, are left where numpy puts them.
+
+    cells = (lo, hi) builds a tile's workspace instead: its buffers are the
+    size of the cells lo..hi-1 and their halos, and the kernels given it
+    compute those cells alone, reading the fields they are passed, which
+    span the grid, at the tile and its halo.  A tile has no stress pair:
+    the tiles of a run share one that spans the grid.
     """
 
-    def __init__(self, grid, outer_bc=SolverConfig.outer_bc):
-        n = grid.n_cells
+    def __init__(self, grid, outer_bc=SolverConfig.outer_bc, cells=None):
+        lo, hi = (0, grid.n_cells) if cells is None else cells
+        n = hi - lo
         self.boundary = _outer_boundary(outer_bc)
+        # the workspace's cells of an array that spans the grid
+        self.own = slice(lo, hi)
         self.ghost = tuple(_aligned_empty(n + 4) for _ in range(3))
         self.face = tuple(_aligned_empty(n + 1) for _ in range(4))
         self.cell = tuple(_aligned_empty(n) for _ in range(3))
@@ -294,22 +354,47 @@ class Workspace:
         # the stresses of the first Strang half step, the Newtonian
         # stresses eq(v) of rhs_full at tau = 0, or the kept part a s* of
         # an ARS stage's stresses
-        self.stress = (_aligned_empty(n), _aligned_empty(n))
-        self.ghosted = tuple(_Ghosted(g, self.boundary) for g in self.ghost)
+        self.stress = (_aligned_empty(n), _aligned_empty(n)) if cells is None else None
+        self.ghosted = tuple(_Ghosted(g, self.boundary, (lo, hi, grid.n_cells)) for g in self.ghost)
         # the halves of the flux and speed face buffers, which the kernels
         # read by halves
         self.faces = tuple(_Faces(f) for f in self.face[:2])
         # constant coefficients of rhs_nonstiff: the divisor of the mass row,
         # which carries the flux's 0.5 and the minus sign (scaling by 2 is
-        # exact), and the 2/r of the momentum row
-        self.mass_div = -2.0 * grid.dr * grid.center_r2
-        self.two_over_r = 2.0 / grid.centers
+        # exact), and the 2/r of the momentum row; and r^2 at the faces
+        self.mass_div = -2.0 * grid.dr * grid.center_r2[lo:hi]
+        self.two_over_r = 2.0 / grid.centers[lo:hi]
+        self.face_r2 = grid.face_r2[lo : hi + 1]
+        # eq(v) at the workspace's cells (equilibrium_stress), computed in
+        # the ghost buffers on its cells and the halo cell each side that
+        # lies inside the grid
+        a, b = lo - (lo > 0), hi + (hi < grid.n_cells)
+        self._eq_take, self._eq_grid = slice(a, b), _Span(b - a, grid.dr, grid.centers[a:b])
+        self._eq_out = tuple(g[: b - a] for g in self.ghost)
+        self._eq = tuple(g[lo - a : hi - a] for g in self.ghost[:2])
 
     @cached_property
     def imex(self):
         # the ARS step's buffers, made on its first use so that a run that
         # steps with Strang does not hold them
         return _ImexBuffers(self.k[0].size, self.two_over_r, self.boundary)
+
+    def equilibrium_stress(self, v, params):
+        # eq(v) of the v that spans the grid, at the workspace's cells: the
+        # pair (s1, s2) in its scratch.  A tile's derivative takes central
+        # differences through the neighbours' cells at its edges, and
+        # one-sided ones only at r = 1 and r_max, as the grid's does
+        self.boundary.equilibrium_stress(v[self._eq_take], self._eq_grid, params, out=self._eq_out)
+        return self._eq
+
+
+@dataclass(frozen=True)
+class _Span:
+    # the cells of a tile and its halo, as model.equilibrium_stress reads a
+    # grid: their number, dr and their centers, the grid's own floats
+    n_cells: int
+    dr: float
+    centers: np.ndarray
 
 
 def _workspace(grid, outer_bc, work):
@@ -325,8 +410,10 @@ class _Ghosted:
     # one field with two ghost cells per side in the (n+4,) buffer g, and
     # the views of g that its fill and the stencils read.  The views slice
     # the last axis, so a (5, n+4) g holds five fields, filled and read at
-    # once (_viscous_bands)
-    def __init__(self, g, boundary):
+    # once (_viscous_bands).  tile = (lo, hi, n_cells) makes g a tile's: its
+    # n = hi - lo cells are lo..hi-1 of the grid, and a ghost pair at a tile
+    # edge holds the neighbour's two cells; None makes it the whole grid's
+    def __init__(self, g, boundary, tile=None):
         self.all = g
         self.cells = g[..., 2:-2]
         # the inner ghosts mirror cells 1, 0; the outer ones are boundary's,
@@ -334,6 +421,13 @@ class _Ghosted:
         self.inner, self.inner_mirror = g[..., :2], g[..., 3:1:-1]
         self.outer, self.outer_mirror, self.last = g[..., -2:], g[..., -3:-5:-1], g[..., -3:-2]
         self.fill_outer = boundary.fill_outer
+        # what load copies: the field's slice take into the view put of g,
+        # the cells plus the ghosts at tile edges, and which walls it then
+        # fills
+        lo, hi, n_cells = (0, g.shape[-1] - 4, g.shape[-1] - 4) if tile is None else tile
+        self.at_inner, self.at_outer = lo == 0, hi == n_cells
+        self.take = slice(lo - 2 * (not self.at_inner), hi + 2 * (not self.at_outer))
+        self.put = g[..., 2 * self.at_inner : g.shape[-1] - 2 * self.at_outer]
         # the cells left and right of each of the n+1 faces, and the cells
         # one further out
         self.left, self.right = g[..., 1:-2], g[..., 2:-1]
@@ -342,13 +436,16 @@ class _Ghosted:
         self.west, self.east = g[..., 1:-3], g[..., 3:-1]
 
     def load(self, f, odd):
-        # the field f (n,) and its ghost cells, see apply_bc; returns g
-        self.cells[...] = f
-        if odd:
-            np.negative(self.inner_mirror, out=self.inner)
-        else:
-            self.inner[...] = self.inner_mirror
-        self.fill_outer(self, odd)
+        # the field f, which spans the grid, at g's cells and their ghost
+        # cells (see apply_bc); returns g
+        self.put[...] = f[..., self.take]
+        if self.at_inner:
+            if odd:
+                np.negative(self.inner_mirror, out=self.inner)
+            else:
+                self.inner[...] = self.inner_mirror
+        if self.at_outer:
+            self.fill_outer(self, odd)
         return self.all
 
 
@@ -455,7 +552,8 @@ def _central_into(out, g, scale):
 
 
 def _flow_rows(rho, v, stresses, grid, params, w):
-    # the mass and momentum rows into w.k[:2], returned.  The momentum row
+    # the mass and momentum rows at w's cells into w.k[:2], returned; the
+    # fields span the grid.  The momentum row
     # carries the stress divergence only when stresses is a pair (s1, s2);
     # with None it is the classical step's explicit part.  Given stresses, it
     # leaves them ghost-augmented in w.ghost[:2]; either way it leaves the
@@ -508,34 +606,34 @@ def _flow_rows(rho, v, stresses, grid, params, w):
     np.multiply(_KAPPA4, sound, out=sound)
     np.multiply(sound, d3, out=sound)
     np.add(flux, sound, out=flux)
-    np.multiply(grid.face_r2, flux, out=flux)
+    np.multiply(w.face_r2, flux, out=flux)
     np.subtract(flux_f.right, flux_f.left, out=drho)
     np.divide(drho, w.mass_div, out=drho)
 
     # momentum: dv = -(v dv/dr)_upwind + (-dP/dr + 2/3 ds1/dr + 2 s1/r + ds2/dr) / rho
     np.power(rho_e.all, gamma, out=g2.all)  # p
     _central_into(grad, g2, -params.a_coef / (2.0 * grid.dr))
-    _upwind_split(v, grid.dr, lo, hi)
+    _upwind_split(v_e.cells, grid.dr, lo, hi)
     _upwind_into(dv, lo, hi, v_e, flux_f, tmp)
     if stresses is not None:
         _stress_divergence(grad, *stresses, grid, w)
-    np.divide(grad, rho, out=grad)
+    np.divide(grad, rho[w.own], out=grad)
     np.add(dv, grad, out=dv)
     return drho, dv
 
 
 def _stress_divergence(acc, s1, s2, grid, w):
     # acc += 2/3 ds1/dr + 2 s1/r + ds2/dr, the stress terms of the momentum
-    # row times rho, by central differences through the stresses' ghost
-    # cells, which it leaves in w.ghost[:2]; acc is neither of those nor
-    # w.face[1], whose first n values are scratch
+    # row times rho at w's cells, by central differences through the
+    # stresses' ghost cells, which it leaves in w.ghost[:2]; acc is neither
+    # of those nor w.face[1], whose first n values are scratch
     tmp = w.faces[1].left
     s1_e, s2_e = w.ghosted[:2]
     s1_e.load(s1, False)
     s2_e.load(s2, False)
     _central_into(tmp, s1_e, 1.0 / (3.0 * grid.dr))  # 2/3 times 1/(2 dr)
     np.add(acc, tmp, out=acc)
-    np.multiply(w.two_over_r, s1, out=tmp)
+    np.multiply(w.two_over_r, s1_e.cells, out=tmp)
     np.add(acc, tmp, out=acc)
     _central_into(tmp, s2_e, 0.5 / grid.dr)
     np.add(acc, tmp, out=acc)
@@ -543,17 +641,17 @@ def _stress_divergence(acc, s1, s2, grid, w):
 
 
 def _stress_rows(v, grid, params, w):
-    # the stress transport at speed v - eps into w.k[2:], returned; it reads
-    # the stresses' ghost-augmented arrays in w.ghost[:2] and what _flow_rows,
-    # called on the same v and workspace, left in w.  At eps = 0 the speed is
-    # v itself, whose upwind split is already there
+    # the stress transport at speed v - eps at w's cells into w.k[2:],
+    # returned; it reads the stresses' ghost-augmented arrays in w.ghost[:2]
+    # and what _flow_rows, called on the same v and workspace, left in w.
+    # At eps = 0 the speed is v itself, whose upwind split is already there
     s1_e, s2_e = w.ghosted[:2]
     flux_f, speed_f = w.faces
     lo, hi = w.cell[1:]
     ds1, ds2 = w.k[2:]
     tmp = speed_f.left
     if params.eps != 0.0:
-        np.subtract(v, params.eps, out=hi)
+        np.subtract(v[w.own], params.eps, out=hi)
         _upwind_split(hi, grid.dr, lo, hi)
     _upwind_into(ds1, lo, hi, s1_e, flux_f, tmp)
     _upwind_into(ds2, lo, hi, s2_e, flux_f, tmp)
@@ -609,15 +707,18 @@ def rhs_full(state, grid, params, outer_bc=SolverConfig.outer_bc, work=None):
     return drho, dv, ds1, ds2
 
 
-def _relax(rho, v, stresses, dt, grid, params, w, out):
+def _relax(rho, v, stresses, dt, params, w, out):
     # out <- the exact relaxation of the pair stresses over dt at frozen
-    # rho, v; out, a pair of arrays, may be stresses itself
-    eq1, eq2, dv, decay = w.k
-    w.boundary.equilibrium_stress(v, grid, params, out=(eq1, eq2, dv))
-    np.divide(-dt / params.tau, rho, out=decay)
+    # rho, v, at w's cells; every array spans the grid, only w's cells of
+    # the pair out are written, and out may be stresses itself
+    own = w.own
+    eq1, eq2 = w.equilibrium_stress(v, params)
+    decay = w.k[3]
+    np.divide(-dt / params.tau, rho[own], out=decay)
     np.exp(decay, out=decay)
     for s, dst, eq in zip(stresses, out, (eq1, eq2)):
-        np.subtract(s, eq, out=dst)
+        dst = dst[own]
+        np.subtract(s[own], eq, out=dst)
         np.multiply(dst, decay, out=dst)
         np.add(eq, dst, out=dst)
 
@@ -630,15 +731,22 @@ def relax_substep(state, dt, grid, params):
     """
     _refuse_tau_zero("relax_substep", params, "run")
     out = state.copy()
-    _relax(state.rho, state.v, (state.s1, state.s2), dt, grid, params, Workspace(grid), (out.s1, out.s2))
+    _relax(state.rho, state.v, (state.s1, state.s2), dt, params, Workspace(grid), (out.s1, out.s2))
     return out
 
 
-def _dt_scratch(state, params, work):
-    # (P', a, b): P' of the state's rho, and two scratch arrays, in work.k or
-    # fresh.  The state has passed _check, so rho > 0 is not tested again
-    dp, a, b = (np.empty(state.rho.size) for _ in range(3)) if work is None else work.k[:3]
-    return admissible_pressure_prime(state.rho, params, out=dp), a, b
+def _dt_scratch(rho, params, work):
+    # (P', a, b): P' of rho, and two scratch arrays, in work.k or fresh.
+    # rho has passed _check, so rho > 0 is not tested again
+    dp, a, b = (np.empty(rho.size) for _ in range(3)) if work is None else work.k[:3]
+    return admissible_pressure_prime(rho, params, out=dp), a, b
+
+
+def _fast_speed(rho, v, params, work):
+    # max_char_speed of the admissible rho, v (weyl_speed_bound), the speed
+    # of compute_dt; a max, so the tiles' maxima give the grid's bit for bit
+    dp, a, b = _dt_scratch(rho, params, work)
+    return weyl_speed_bound(rho, v, dp, params, out=(a, b))
 
 
 def compute_dt(state, grid, params, cfl, work=None):
@@ -653,8 +761,7 @@ def compute_dt(state, grid, params, cfl, work=None):
     and nothing of the grid's length is allocated.
     """
     _refuse_tau_zero("compute_dt", params, "compute_dt_classical")
-    dp, a, b = _dt_scratch(state, params, work)
-    return cfl * grid.dr / weyl_speed_bound(state.rho, state.v, dp, params, out=(a, b))
+    return cfl * grid.dr / _fast_speed(state.rho, state.v, params, work)
 
 
 def compute_dt_classical(state, grid, params, cfl, work=None):
@@ -668,7 +775,7 @@ def compute_dt_classical(state, grid, params, cfl, work=None):
     stress wave bounds it.  rho > 0 is not tested, as in compute_dt.  With
     work= the speeds are computed in work.k.
     """
-    dp, c, speed = _dt_scratch(state, params, work)
+    dp, c, speed = _dt_scratch(state.rho, params, work)
     np.sqrt(dp, out=c)
     np.add(np.abs(state.v, out=speed), c, out=speed)
     if params.tau > 0.0:
@@ -677,17 +784,34 @@ def compute_dt_classical(state, grid, params, cfl, work=None):
     return cfl * (grid.dr / float(speed.max()))
 
 
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
+
+
+def _admissible(fields):
+    # the four arrays fields, the ones a stage computed with rho first,
+    # finite, and rho > 0: the min and max of each field.  Both propagate a
+    # NaN and pass on an inf, do no arithmetic, so they raise no
+    # floating-point error under any numpy error state, and call no BLAS.
+    # The ufuncs' reductions are called directly, unrolled: at n = 800 the
+    # eight calls are most of a check's cost
+    rho, v, s1, s2 = fields
+    finite = math.isfinite
+    return (
+        _MIN(rho) > 0.0
+        and finite(_MAX(rho))
+        and finite(_MIN(v))
+        and finite(_MAX(v))
+        and finite(_MIN(s1))
+        and finite(_MAX(s1))
+        and finite(_MIN(s2))
+        and finite(_MAX(s2))
+    )
+
+
 def _check(fields, step_idx, stage):
-    # admissible: every array of fields, the ones a stage computed with rho
-    # first, finite and rho > 0.  A NaN or inf in any field makes the sum of
-    # squares non-finite, and a NaN rho fails the min test, so an admissible
-    # stage passes in one reduction per field plus one.  np.vdot raises no
-    # floating-point error and Python floats add without one, so a huge but
-    # finite state may overflow the sum silently; the exact per-field test
-    # below then finds no fault and returns
-    rho = fields[0]
-    squares = sum(float(np.vdot(f, f)) for f in fields)
-    if rho.min() > 0.0 and math.isfinite(squares):
+    # fields admissible (_admissible), or a NumericalAbort that names the
+    # first non-finite cell, or else the least density
+    if _admissible(fields):
         return
     bad = ~np.all([np.isfinite(f) for f in fields], axis=0)
     if np.any(bad):
@@ -697,8 +821,7 @@ def _check(fields, step_idx, stage):
             step=step_idx,
             cell=cell,
         )
-    if rho.min() > 0.0:
-        return
+    rho = fields[0]
     cell = int(np.argmin(rho))
     raise NumericalAbort(
         f"rho = {rho[cell]:.3g} <= 0 after {stage} at step {step_idx}, cell {cell}",
@@ -707,29 +830,43 @@ def _check(fields, step_idx, stage):
     )
 
 
-def _rk2_transport(fields, t, dt, grid, params, step_idx, out, w):
-    # SSP-RK2 (Heun) on the non-stiff part, production excluded, of the
-    # fields (rho, v, s1, s2) at time t, to t + dt into out, which holds the
-    # middle stage on the way; fields are not written
-    rho, v, s1, s2 = fields
+def _strang_stages(state, out, stress, dt, grid, params, w, owed, close):
+    # one Strang step (see step) at w's cells, from the State state into the
+    # State out, with the opening relaxation's stresses in the pair stress.
+    # Every array spans the grid, and only w's cells of out and stress are
+    # written.  It yields after each phase the name of the check then due
+    # on out, or None where tiles only wait for each other: after the
+    # opening relaxation, whose stresses the next phase reads at the
+    # neighbours' cells, and before the second stage writes the first
+    # stage's values in place, which the neighbours read.  state is not
+    # written, and out.t is left to the caller
+    own = w.own
+    rho, v = state.rho, state.v
+    _relax(rho, v, (state.s1, state.s2), owed + 0.5 * dt, params, w, stress)
+    yield None
+    # SSP-RK2 (Heun) on the non-stiff part, production excluded, to t + dt
+    # into out, which holds the middle stage on the way
+    fields = (rho, v, *stress)
     stage = (out.rho, out.v, out.s1, out.s2)
-    _flow_rows(rho, v, (s1, s2), grid, params, w)
+    _flow_rows(rho, v, stress, grid, params, w)
     _stress_rows(v, grid, params, w)
     for f, g, k in zip(fields, stage, w.k):
         np.multiply(dt, k, out=k)
-        np.add(f, k, out=g)
-    out.t = t
-    _check(stage, step_idx, "rk2 stage 1")
-    _flow_rows(out.rho, out.v, (out.s1, out.s2), grid, params, w)
+        np.add(f[own], k, out=g[own])
+    yield "rk2 stage 1"
+    _flow_rows(out.rho, out.v, stage[2:], grid, params, w)
     _stress_rows(out.v, grid, params, w)
+    yield None
     for f, g, k in zip(fields, stage, w.k):
-        np.add(f, g, out=g)
+        g = g[own]
+        np.add(f[own], g, out=g)
         np.multiply(dt, k, out=k)
         np.add(g, k, out=g)
         np.multiply(0.5, g, out=g)
-    out.t = t + dt
-    _check(stage, step_idx, "rk2 stage 2")
-    return out
+    yield "rk2 stage 2"
+    if close:
+        _relax(out.rho, out.v, stage[2:], 0.5 * dt, params, w, stage[2:])
+        yield "step"
 
 
 def step(state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None, *, owed=0.0, close=True):
@@ -744,8 +881,8 @@ def step(state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None, *, 
     before left out; with close=False this step leaves its own closing half
     out, and out holds the transported state, which owes dt/2.  Both halves
     act on the same frozen rho and v, so they compose into one exact solve,
-    to rounding.  The defaults are the full Strang step.  A closed state is
-    checked; an open one was checked after the transport stage.  At tau = 0
+    to rounding.  The defaults are the full Strang step.  Each transport
+    stage is checked, and so is a closed state.  At tau = 0
     it is refused with a ValueError: run steps the classical baseline there.
     """
     _refuse_tau_zero("step", params, "run")
@@ -755,13 +892,10 @@ def step(state, grid, params, cfg, dt=None, step_idx=0, out=None, work=None, *, 
     if dt is None:
         dt = compute_dt(state, grid, params, cfg.cfl, work=w)
     out = _empty_state(grid.n_cells) if out is None else out
-    rho, v = state.rho, state.v
-    _relax(rho, v, (state.s1, state.s2), owed + 0.5 * dt, grid, params, w, w.stress)
-    _rk2_transport((rho, v, *w.stress), state.t, dt, grid, params, step_idx, out, w)
-    if close:
-        closed = (out.s1, out.s2)
-        _relax(out.rho, out.v, closed, 0.5 * dt, grid, params, w, closed)
-        _check((out.rho, out.v, *closed), step_idx, "step")
+    for stage in _strang_stages(state, out, w.stress, dt, grid, params, w, owed, close):
+        if stage is not None:
+            _check((out.rho, out.v, out.s1, out.s2), step_idx, stage)
+    out.t = state.t + dt
     return out
 
 
@@ -957,6 +1091,47 @@ def _record(traj, state, on_snapshot):
         on_snapshot(snap)
 
 
+class _Clock:
+    # when a run's steps end and which of them close on a snapshot: every
+    # cfg.output_every steps and at t_end, or at the output times (cfg's
+    # snapshot_times() when None is given)
+    def __init__(self, cfg, output_times, t0):
+        if output_times is None:
+            output_times = cfg.snapshot_times()
+        self.t_end, self.every = cfg.t_end, cfg.output_every
+        self.tol = _TIME_EPS * max(cfg.t_end, 1.0)
+        self.pending = None
+        if output_times is not None:
+            # times within tol of the start or of an earlier time would ask
+            # for a step of (nearly) zero length
+            self.pending = []
+            for t in sorted(output_times):
+                if t > (self.pending[-1] if self.pending else t0) + self.tol:
+                    self.pending.append(t)
+
+    def done(self, t):
+        return not t < self.t_end - self.tol
+
+    def next(self, t, dt, step_idx):
+        # (dt, snap) for the step step_idx from t that the dt rule proposed
+        # as dt: clipped to land on the next output time and on t_end, and
+        # whether it closes on a snapshot.  A dt that is not finite or
+        # within tol of 0 is a NumericalAbort
+        if not math.isfinite(dt) or dt <= self.tol:
+            raise NumericalAbort(f"time step collapsed to {dt:.3g} at t = {t:.6g}", step=step_idx)
+        pending = self.pending
+        dt = min(dt, max((pending[0] if pending else self.t_end) - t, 0.0), self.t_end - t)
+        # the step's end time, as the step computes it
+        t_next = t + dt
+        at_end = t_next >= self.t_end - self.tol
+        if pending is None:
+            return dt, (step_idx + 1) % self.every == 0 or at_end
+        hit_output = bool(pending) and t_next >= pending[0] - self.tol
+        if hit_output:
+            pending.pop(0)
+        return dt, hit_output or at_end
+
+
 def _advance(initial, grid, params, cfg, output_times, stepper, dt_rule, step_rule, on_snapshot=None):
     # the one driver: dt_rule(state, grid, params, cfl, work=) proposes the
     # step, step_rule(state, grid, params, cfg, dt, step_idx, out=, work=,
@@ -965,17 +1140,15 @@ def _advance(initial, grid, params, cfg, output_times, stepper, dt_rule, step_ru
     # is recorded.  initial has passed _admit.  Two State buffers take
     # turns as the step's input and output, and one Workspace, for cfg's
     # boundary rule, serves the dt rule and every stage (its k rows are free
-    # between steps), so a step allocates no field.  A step is closed only when it ends on a snapshot or at t_end;
-    # otherwise its closing half relaxation is owed to the next step's
-    # opening half.  The dt rule may run on an open state: it reads rho and v
-    # only, which the relaxation leaves unchanged
-    t_end = cfg.t_end
-    if output_times is None:
-        output_times = cfg.snapshot_times()
-    horizon = max(t_end, 1.0)
-    tol = _TIME_EPS * horizon
+    # between steps), so a step allocates no field.  A step is closed only
+    # when it ends on a snapshot or at t_end; otherwise its closing half
+    # relaxation is owed to the next step's opening half.  The dt rule may
+    # run on an open state: it reads rho and v only, which the relaxation
+    # leaves unchanged.  A "strang" run that _tile_bounds cuts into more
+    # than one tile takes its steps on the tiles (_Tiles) instead of through
+    # dt_rule and step_rule, with the same bits
+    clock = _Clock(cfg, output_times, initial.t)
     traj = Trajectory(outer_bc=cfg.outer_bc, stepper=stepper)
-    work = Workspace(grid, cfg.outer_bc)
     # the caller's arrays may start anywhere: copy them into aligned ones
     state = _empty_state(grid.n_cells)
     state.t = initial.t
@@ -983,35 +1156,15 @@ def _advance(initial, grid, params, cfg, output_times, stepper, dt_rule, step_ru
         getattr(state, name)[...] = getattr(initial, name)
     spare = _empty_state(grid.n_cells)
     _record(traj, state, on_snapshot)
-
-    pending = None
-    if output_times is not None:
-        # times within tol of the start or of an earlier time would ask for
-        # a step of (nearly) zero length
-        pending = []
-        for t in sorted(output_times):
-            if t > (pending[-1] if pending else state.t) + tol:
-                pending.append(t)
+    bounds = _tile_bounds(grid.n_cells) if stepper == "strang" else None
+    if bounds is not None and len(bounds) > 2 and not clock.done(state.t):
+        _Tiles(bounds, grid, params, cfg, clock, traj, on_snapshot).run(state, spare)
+        return traj
+    work = Workspace(grid, cfg.outer_bc)
     step_idx = 0
     owed = 0.0
-    while state.t < t_end - tol:
-        dt = dt_rule(state, grid, params, cfg.cfl, work=work)
-        if not math.isfinite(dt) or dt <= tol:
-            raise NumericalAbort(
-                f"time step collapsed to {dt:.3g} at t = {state.t:.6g}", step=step_idx
-            )
-        target = pending[0] if pending else t_end
-        dt = min(dt, max(target - state.t, 0.0), t_end - state.t)
-        # the step's end time, as the step computes it
-        t_next = state.t + dt
-        hit_output = pending and t_next >= pending[0] - tol
-        if hit_output:
-            pending.pop(0)
-        at_end = t_next >= t_end - tol
-        if output_times is not None:
-            snap = hit_output or at_end
-        else:
-            snap = (step_idx + 1) % cfg.output_every == 0 or at_end
+    while not clock.done(state.t):
+        dt, snap = clock.next(state.t, dt_rule(state, grid, params, cfg.cfl, work=work), step_idx)
         state, spare = (
             step_rule(state, grid, params, cfg, dt, step_idx, out=spare, work=work, owed=owed, close=snap),
             state,
@@ -1022,6 +1175,145 @@ def _advance(initial, grid, params, cfg, output_times, stepper, dt_rule, step_ru
         if snap:
             _record(traj, state, on_snapshot)
     return traj
+
+
+# the fewest cells per tile that a Strang run is cut into tiles for; below
+# two of them a run steps on one tile (see the module docstring)
+_TILE_CELLS = 25600
+
+
+def _usable_cpus():
+    # the CPUs this process may run on; 1 where the platform keeps no
+    # affinity mask
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _tile_bounds(n):
+    # the edges lo_0 = 0 < lo_1 < ... < lo_T = n of the T = min(usable CPUs,
+    # n // _TILE_CELLS) tiles, at least one, that a Strang run of n cells
+    # steps on; each inner edge is a multiple of 8 cells, so that every
+    # tile's cells of the grid's arrays start on a cache line
+    tiles = max(1, min(_usable_cpus(), n // _TILE_CELLS))
+    return [0, *(n * k // (8 * tiles) * 8 for k in range(1, tiles)), n]
+
+
+class _Tiles:
+    # the explicit Strang steps of one run on the tiles bounds cuts, one
+    # thread per tile, the calling thread stepping the first; see the module
+    # docstring.  run(state, spare) takes the steps from state, the two
+    # States taking turns as in _advance, and records into traj
+    def __init__(self, bounds, grid, params, cfg, clock, traj, on_snapshot):
+        self.grid, self.params, self.cfg = grid, params, cfg
+        self.clock, self.traj, self.on_snapshot = clock, traj, on_snapshot
+        self.works = [Workspace(grid, cfg.outer_bc, cells) for cells in zip(bounds, bounds[1:])]
+        self.stress = (_aligned_empty(grid.n_cells), _aligned_empty(grid.n_cells))
+        # per tile: its cells of out admissible after the last phase
+        self.ok = [True] * len(self.works)
+
+    def _speed(self, i, state):
+        w = self.works[i]
+        return _fast_speed(state.rho[w.own], state.v[w.own], self.params, w)
+
+    def _plan(self):
+        # the next step's (dt, close) from the tiles' speeds of self.state,
+        # or None at t_end
+        t = self.state.t
+        if self.clock.done(t):
+            return None
+        dt = self.cfg.cfl * self.grid.dr / max(self.speed)
+        return self.clock.next(t, dt, self.step_idx)
+
+    def run(self, state, spare):
+        self.state, self.spare, self.step_idx, self.owed, self.snap = state, spare, 0, 0.0, None
+        # per tile: its fast speed of the state a step starts from
+        self.speed = [self._speed(i, state) for i in range(len(self.works))]
+        self.plan = self._plan()
+        errors = [None] * len(self.works)
+        # the barrier holds self (its action), so self must not hold it: the
+        # run's buffers are freed when run returns, not at the next garbage
+        # collection
+        barrier = threading.Barrier(len(self.works), action=self._sync)
+        # each worker runs in a copy of the caller's context, so that numpy's
+        # error state (a context variable) is the caller's in every tile
+        threads = [
+            threading.Thread(
+                target=contextvars.copy_context().run, args=(self._tile, i, barrier, errors), name=f"relaxns-tile-{i}"
+            )
+            for i in range(1, len(self.works))
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            self._tile(0, barrier, errors)
+        except BaseException:
+            # a thread that could not start: the others leave the barrier
+            barrier.abort()
+            raise
+        finally:
+            for thread in threads:
+                if thread.ident is not None:
+                    thread.join()
+        # a tile's own error, in tile order, over the broken barrier the
+        # others then met
+        raised = [e for e in errors if e is not None]
+        if raised:
+            raise next((e for e in raised if not isinstance(e, threading.BrokenBarrierError)), raised[0])
+
+    def _tile(self, i, barrier, errors):
+        # the steps at tile i, until the plan is None; an exception is kept
+        # in errors[i] and breaks the barrier, which ends every other tile.
+        # The calling thread, tile 0, records the snapshot the last step
+        # closed on while the others start the next step, which does not
+        # write it; so every snapshot is copied, and on_snapshot called, in
+        # the caller's thread, as on one tile
+        w = self.works[i]
+        try:
+            while True:
+                if i == 0 and self.snap is not None:
+                    _record(self.traj, self.snap, self.on_snapshot)
+                    self.snap = None
+                if self.plan is None:
+                    return
+                dt, close = self.plan
+                out = self.spare
+                phases = _strang_stages(self.state, out, self.stress, dt, self.grid, self.params, w, self.owed, close)
+                for stage in phases:
+                    if stage is not None:
+                        own = [f[w.own] for f in (out.rho, out.v, out.s1, out.s2)]
+                        self.ok[i] = _admissible(own)
+                        if self.ok[i] and stage == "rk2 stage 2":
+                            self.speed[i] = self._speed(i, out)
+                    self.stage = stage
+                    barrier.wait()
+        except BaseException as e:
+            errors[i] = e
+            barrier.abort()
+
+    def _sync(self):
+        # the barrier's action, run by one thread while the others wait:
+        # the check that is due, over the whole arrays when a tile found a
+        # fault, so that the NumericalAbort is one tile's; and at the end of
+        # a step the driver's bookkeeping, the snapshot for tile 0 to record,
+        # and the next plan
+        stage = self.stage
+        if stage is None:
+            return
+        out = self.spare
+        if not all(self.ok):
+            _check((out.rho, out.v, out.s1, out.s2), self.step_idx, stage)
+        dt, close = self.plan
+        if stage != ("step" if close else "rk2 stage 2"):
+            return
+        out.t = self.state.t + dt
+        self.state, self.spare = out, self.state
+        self.owed = 0.0 if close else 0.5 * dt
+        self.step_idx += 1
+        self.traj.dt_history.append(dt)
+        self.snap = out if close else None
+        self.plan = self._plan()
 
 
 def _admit(initial, grid, params, cfg):

@@ -1,7 +1,11 @@
 import ast
+import gc
 import inspect
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -1631,3 +1635,188 @@ def test_imex_relaxed_run_replays_through_the_allocating_step(grid):
     assert rest.stepper == "imex"
     for snap in rest.snapshots:
         assert all(np.array_equal(getattr(snap, f), getattr(rest.snapshots[0], f)) for f in ("rho", "v", "s1", "s2"))
+
+
+def force_tiles(monkeypatch, n, tiles):
+    # a Strang run of n cells steps on the given number of tiles, whatever
+    # the host's CPUs
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: tiles)
+    monkeypatch.setattr(solver, "_TILE_CELLS", n // tiles)
+    assert len(solver._tile_bounds(n)) == tiles + 1
+
+
+def tiled_case(n, eps, outer_bc, output_every):
+    # about 20 Strang steps of the fused-relaxation pulse on n cells
+    grid = RadialGrid(r_max=11.0, n_cells=n)
+    p, init = fused_run_case(grid, 1e-2, eps)
+    cfg = SolverConfig(t_end=0.1 if n < 100 else 0.007, output_every=output_every, outer_bc=outer_bc)
+    return grid, p, init, cfg
+
+
+def in_thread(fn):
+    # (fn()'s result, None), or (None, the exception it raised); fn runs in a
+    # thread of its own, joined with a timeout, so that a tile left waiting
+    # fails the test instead of hanging it
+    done = []
+
+    def body():
+        try:
+            done.append((fn(), None))
+        except BaseException as e:
+            done.append((None, e))
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return done[0]
+
+
+@pytest.mark.parametrize("output_every", [1, 1000])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("outer_bc", ["extrapolate", "reflect"])
+@pytest.mark.parametrize("n", [48, 801])
+def test_tiled_strang_run_is_the_one_tile_run_bit_for_bit(monkeypatch, n, outer_bc, eps, output_every):
+    # 2, 3 and 4 tiles of uneven sizes (n = 48 on 4 tiles: 8, 16, 8 and 16
+    # cells), more than the host has CPUs, with the interpreter switching
+    # threads every microsecond: every snapshot and step is one tile's.
+    # output_every 1 closes every step, 1000 fuses every relaxation
+    grid, p, init, cfg = tiled_case(n, eps, outer_bc, output_every)
+    want = strang_run(init, grid, p, cfg)
+    assert len(want.dt_history) > 15
+    assert len(want.snapshots) == (len(want.dt_history) + 1 if output_every == 1 else 2)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for tiles in (2, 3, 4):
+            force_tiles(monkeypatch, n, tiles)
+            got, error = in_thread(lambda: strang_run(init, grid, p, cfg))
+            assert error is None
+            assert got.dt_history == want.dt_history, tiles
+            for a, b in zip(got.snapshots, want.snapshots, strict=True):
+                assert same_state(a, b), (tiles, a.t)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def seed_fault(monkeypatch, cell, kernel, call, poison):
+    # wrap the solver's kernel (_relax or _flow_rows, whose sixth argument
+    # is the workspace): after the call-th call by the workspace that holds
+    # cell, poison(args, returned, cell, index of cell in the workspace)
+    # writes the fault.  Returns the list of threads that wrote it
+    real, calls, seeded = getattr(solver, kernel), {}, []
+
+    def wrapped(*args):
+        got = real(*args)
+        w = args[5]
+        if w.own.start <= cell < w.own.stop:
+            calls[id(w)] = calls.get(id(w), 0) + 1
+            if calls[id(w)] == call:
+                poison(args, got, cell, cell - w.own.start)
+                seeded.append(threading.current_thread())
+        return got
+
+    monkeypatch.setattr(solver, kernel, wrapped)
+    return seeded
+
+
+def stress_value(value):
+    # poison for _relax: its out s1, which spans the grid, holds value at
+    # the cell
+    def poison(args, got, cell, i):
+        args[6][0][cell] = value
+
+    return poison
+
+
+def vacuum_rows(args, got, cell, i):
+    # poison for _flow_rows: a mass row that takes the stage's density far
+    # below zero at the cell
+    got[0][i] = -1e300
+
+
+# (kernel, call, poison): the third step's opening relaxation or first
+# stage; an inf in s1 meets the upwind coefficient 0 (0 * inf), which numpy
+# reports as an invalid value
+FAULTS = {
+    "nan": ("_relax", 3, stress_value(np.nan)),
+    "vacuum": ("_flow_rows", 5, vacuum_rows),
+    "warning": ("_relax", 3, stress_value(np.inf)),
+    "errstate": ("_relax", 3, stress_value(np.inf)),
+    "on_snapshot": None,
+}
+
+
+def run_with_fault(monkeypatch, fault, tiles):
+    # (error, seeded, seen) of a Strang run of 801 cells on tiles tiles with
+    # fault in cell 798, on the last tile: the exception it raised, the
+    # threads that wrote the fault, and the caller's thread with the thread
+    # counts before the run, at the first on_snapshot call and after the run
+    n, cell = 801, 798
+    grid, p, init, cfg = tiled_case(n, 0.0, "reflect", 1 if fault == "on_snapshot" else 1000)
+    force_tiles(monkeypatch, n, tiles)
+    seeded = seed_fault(monkeypatch, cell, *FAULTS[fault]) if FAULTS[fault] else []
+    seen, snaps = {}, []
+
+    def on_snapshot(snap):
+        seen.setdefault("first on_snapshot", threading.active_count())
+        snaps.append(snap.t)
+        if fault == "on_snapshot" and len(snaps) == 3:
+            raise KeyError("stop after the third snapshot")
+
+    def go():
+        seen["caller"], seen["before"] = threading.current_thread(), threading.active_count()
+        try:
+            with warnings.catch_warnings(), np.errstate(all="raise" if fault == "errstate" else None):
+                if fault == "warning":
+                    warnings.simplefilter("error", RuntimeWarning)
+                solver._advance(init, grid, p, cfg, None, "strang", compute_dt, step, on_snapshot)
+        finally:
+            seen["after"] = threading.active_count()
+
+    return in_thread(go)[1], seeded, seen
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_a_fault_in_a_worker_tile_reaches_the_caller_as_on_one_tile(monkeypatch, fault):
+    # a NaN and a density below zero raise one tile's NumericalAbort; a
+    # RuntimeWarning that a filter makes an error, a FloatingPointError
+    # under the caller's np.errstate and an exception of on_snapshot reach
+    # the caller.  No tile thread outlives the run, and none runs at the
+    # first on_snapshot call (where the command line forks its writer)
+    want, _, _ = run_with_fault(monkeypatch, fault, 1)
+    monkeypatch.undo()
+    got, seeded, seen = run_with_fault(monkeypatch, fault, 3)
+    kinds = {"warning": RuntimeWarning, "errstate": FloatingPointError, "on_snapshot": KeyError}
+    assert type(want) is type(got) is kinds.get(fault, NumericalAbort)
+    assert str(got) == str(want)
+    if isinstance(want, NumericalAbort):
+        assert (got.step, got.cell) == (want.step, want.cell) == (2, want.cell)
+        assert want.cell >= 797
+    assert seen["after"] == seen["before"] == seen["first on_snapshot"]
+    assert all(thread is not seen["caller"] for thread in seeded)
+    assert len(seeded) == (0 if fault == "on_snapshot" else 1)
+
+
+def test_a_tiled_run_frees_its_buffers_when_it_returns(monkeypatch):
+    # with the cyclic garbage collector off, nothing of a tiled run outlives
+    # it but what it returns: the tiles' workspaces, the two States and the
+    # shared stresses (about 24 fields) are freed by reference counting
+    n = 801
+    grid, p, init, cfg = tiled_case(n, 0.0, "extrapolate", 1000)
+    force_tiles(monkeypatch, n, 3)
+    strang_run(init, grid, p, cfg)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = strang_run(init, grid, p, cfg)
+        kept = sum(getattr(s, f).nbytes for s in traj.snapshots for f in ("rho", "v", "s1", "s2"))
+        left = tracemalloc.get_traced_memory()[0] - before - kept
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert len(traj.snapshots) == 2
+    assert left < 8 * n
